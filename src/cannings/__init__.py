@@ -28,8 +28,9 @@ from .limit_sde import (LimitParams, SdePath, generator_apply_bernoulli,
 from .dual_chain import (DualParams, DualPath, EventRates,
                          MomentDualityReport, RecurrenceReport,
                          StationaryEstimate, event_rates,
-                         moment_duality_check, recurrence_probe, simulate,
-                         stationary_estimate, xi_event_outcome, xi_jump_pmf)
+                         moment_duality_check, recurrence_probe, run_chain,
+                         simulate, stationary_estimate, xi_event_outcome,
+                         xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
 from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 from .config import Config, ConfigError, RunSettings
@@ -52,6 +53,7 @@ __all__ = [
     "simulate_path", "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualParams", "DualPath", "EventRates", "event_rates", "simulate",
+    "run_chain",
     "xi_event_outcome", "xi_jump_pmf", "dual_generator_apply_exact",
     "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
     "recurrence_probe", "MomentDualityReport", "moment_duality_check",

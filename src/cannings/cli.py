@@ -19,11 +19,12 @@ import warnings
 import numpy as np
 
 from .config import Config, ConfigError
-from .discrete import (ancestral_trajectories, forward_trajectories,
+from .discrete import (MAX_EXACT_POP, MAX_EXACT_SUPPORT,
+                       ancestral_trajectories, forward_trajectories,
                        sampling_duality_check)
-from .dual_chain import (_run_chain, moment_duality_check, recurrence_probe,
+from .dual_chain import (moment_duality_check, recurrence_probe, run_chain,
                          stationary_estimate)
-from .limit_sde import simulate_batch
+from .limit_sde import jump_sampler, simulate_batch
 from .mc import McEstimate
 from .simplex import LambdaDirac, as_atoms
 from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
@@ -31,9 +32,6 @@ from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-_MAX_EXACT_POP = 6
-_MAX_EXACT_SUPPORT = 3
 
 
 def _py(obj):
@@ -100,11 +98,11 @@ def _cmd_ancestry(cfg: Config, rng: np.random.Generator):
 
 
 def _duality_mode(params) -> str:
-    if params.pop_size > _MAX_EXACT_POP:
+    if params.pop_size > MAX_EXACT_POP:
         return "mc"
     if params.extreme_prob > 0.0:
         atoms = as_atoms(params.xi_hat)
-        if atoms is None or any(len(z) > _MAX_EXACT_SUPPORT for _, z in atoms):
+        if atoms is None or any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
             return "mc"
     return "exact"
 
@@ -148,9 +146,10 @@ def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
     rows = []
     finals = np.empty(run.replicates)
     escapes = 0
+    sampler = jump_sampler(params, rng=rng)
     for r in range(run.replicates):
-        final, esc, _, returns, _ = _run_chain(params, run.n0, run.time, rng,
-                                               cap=run.cap)
+        final, esc, _, returns, _ = run_chain(params, run.n0, run.time, rng,
+                                              sampler, cap=run.cap)
         finals[r] = final
         escapes += esc
         rows.append((r, final, returns, int(esc)))

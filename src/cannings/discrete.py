@@ -40,14 +40,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
+from scipy.special import betaln
 from scipy.stats import binom
 
 from .mc import McEstimate
 from .selection import SelectionLaw, pgf, sample_parent_counts
-from .simplex import SimplexPoint, XiMeasure, as_atoms, sample_point, total_mass
+from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
+                      sample_point, total_mass)
 
-_MAX_EXACT_POP = 6
-_MAX_EXACT_SUPPORT = 3
+#: exact kernels refuse larger populations and atom supports
+MAX_EXACT_POP = 6
+MAX_EXACT_SUPPORT = 3
 _MAX_ENUM_SUPPORT = 12
 _EXACT_TOL = 1e-10
 
@@ -162,8 +166,9 @@ def sampling_probability(params: DiscreteParams, x: float, n: int,
     """S(x, n): probability that n sampled children are all of the weak type.
 
     Exact mode enumerates group-adoption patterns over the atoms of
-    xi_hat (supports of size up to 12); MC mode averages over sampled
-    extreme events and returns an McEstimate.
+    xi_hat (supports of size up to 12), or integrates over the group
+    size for a Beta xi_hat; stick-breaking xi_hat has no exact mode.  MC
+    mode averages over sampled extreme events and returns an McEstimate.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
@@ -188,9 +193,22 @@ def sampling_probability(params: DiscreteParams, x: float, n: int,
 
 
 def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
-    atoms = as_atoms(params.xi_hat)
+    measure = params.xi_hat
+    law = params.parent_law
+    if isinstance(measure, LambdaBeta):
+        # one group of size y ~ Beta(a, b); it adopts the weak type w.p. x
+        def integrand(y: float) -> float:
+            return (x * pgf(law, y + x * (1.0 - y)) ** n
+                    + (1.0 - x) * pgf(law, x * (1.0 - y)) ** n)
+
+        # weight="alg" integrates against y^(a-1) (1-y)^(b-1) exactly
+        val, _ = integrate.quad(integrand, 0.0, 1.0, weight="alg",
+                                wvar=(measure.a - 1.0, measure.b - 1.0))
+        return val * math.exp(-betaln(measure.a, measure.b))
+    atoms = as_atoms(measure)
     if atoms is None:
-        raise ValueError("exact mode needs an atomic xi_hat; use mode='mc'")
+        raise ValueError("no exact sampling probability for a "
+                         f"{type(measure).__name__} xi_hat")
     tot = sum(w for w, _ in atoms)
     acc = 0.0
     for w, z in atoms:
@@ -322,15 +340,15 @@ def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.nd
     parent-count law may have unbounded support (only its pgf enters).
     """
     pop = params.pop_size
-    if pop > _MAX_EXACT_POP:
-        raise ValueError(f"exact kernels support pop_size <= {_MAX_EXACT_POP}")
+    if pop > MAX_EXACT_POP:
+        raise ValueError(f"exact kernels support pop_size <= {MAX_EXACT_POP}")
     atoms = ()
     if params.extreme_prob > 0.0:
         atoms = as_atoms(params.xi_hat)
         if atoms is None:
             raise ValueError("exact kernels need an atomic xi_hat")
-        if any(len(z) > _MAX_EXACT_SUPPORT for _, z in atoms):
-            raise ValueError(f"exact kernels support atoms of size <= {_MAX_EXACT_SUPPORT}")
+        if any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
+            raise ValueError(f"exact kernels support atoms of size <= {MAX_EXACT_SUPPORT}")
     g = params.extreme_prob
     counts = np.arange(pop + 1)
 

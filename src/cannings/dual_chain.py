@@ -21,6 +21,15 @@ Generator on f(n) = x^n, for fixed x in [0, 1]:
                 * (x^(n-k+d(counts)) - x^n),
 
 which matches the forward generator on monomials: A x^n = L x^n.
+
+``run_chain`` is the Gillespie core; it takes the jump sampler as an
+argument and never builds one.  Every replicate loop here (and the CLI's
+``dual-ctmc``) builds the sampler once per run with
+``jump_sampler(params, rng=rng)`` and shares it across replicates.  For
+atomic and Beta measures the build draws nothing from the rng.  The
+stick-breaking sampler draws its 100k-point pool from the rng, so all
+replicates of a run share one pool; stick-breaking chain reports made by
+versions that redrew the pool for every replicate do not reproduce.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from scipy.stats import binom
 from .mc import McEstimate
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import SelectionLaw, sample_extra
-from .simplex import SimplexPoint, as_atoms
+from .simplex import SimplexPoint, TruncatedSampler, as_atoms
 
 #: the dual chain runs on the same parameter bundle as the forward limit
 DualParams = LimitParams
@@ -128,9 +137,9 @@ def simulate(params: DualParams, n0: int, total_time: float,
     """Gillespie simulation with an event log."""
     path = DualPath(initial=n0)
     log: list[DualEvent] = path.events
-    final, escaped, esc_t, returns, _ = _run_chain(
-        params, n0, total_time, rng, cap=cap, log=log,
-        record_noops=record_noops)
+    final, escaped, esc_t, returns, _ = run_chain(
+        params, n0, total_time, rng, jump_sampler(params, rng=rng), cap=cap,
+        log=log, record_noops=record_noops)
     path.final = final
     path.escaped = escaped
     path.escape_time = esc_t
@@ -147,12 +156,15 @@ def _offspring_draw(law: SelectionLaw, rng: np.random.Generator) -> int:
     return extra
 
 
-def _run_chain(params: DualParams, n0: int, total_time: float,
-               rng: np.random.Generator, *, cap: int | None = None,
-               burn_in: float = 0.0, occupation: dict | None = None,
-               log: list | None = None, record_noops: bool = False):
+def run_chain(params: DualParams, n0: int, total_time: float,
+              rng: np.random.Generator, sampler: TruncatedSampler | None, *,
+              cap: int | None = None, burn_in: float = 0.0,
+              occupation: dict | None = None, log: list | None = None,
+              record_noops: bool = False):
     """Shared Gillespie core.
 
+    ``sampler`` is ``jump_sampler(params, rng=rng)``, built once by the
+    caller and shared by all its replicates (None when params.xi is None).
     Returns (final state, escaped, escape time, returns to 1, observed
     time past burn_in).  ``occupation`` accumulates holding time per
     state past burn_in when given.
@@ -162,7 +174,6 @@ def _run_chain(params: DualParams, n0: int, total_time: float,
     sel = params.selection_rate
     king = params.kingman_rate
     law = params.offspring
-    sampler = jump_sampler(params, rng=rng)
     lam = sampler.rate if sampler is not None else 0.0
     single_atom = None
     if sampler is not None and sampler.atom_points is not None \
@@ -322,10 +333,11 @@ def stationary_estimate(params: DualParams, n0: int, burn_in: float,
         raise ValueError("horizon must exceed burn_in")
     per_rep: list[dict[int, float]] = []
     escaped = 0
+    sampler = jump_sampler(params, rng=rng)
     for _ in range(replicates):
         occ: dict[int, float] = {}
-        _, esc, _, _, _ = _run_chain(params, n0, horizon, rng, cap=cap,
-                                     burn_in=burn_in, occupation=occ)
+        _, esc, _, _, _ = run_chain(params, n0, horizon, rng, sampler, cap=cap,
+                                    burn_in=burn_in, occupation=occ)
         if esc:
             escaped += 1
         else:
@@ -370,8 +382,10 @@ def recurrence_probe(params: DualParams, n0: int, horizon: float, cap: int,
     escapes = 0
     total_returns = 0
     observed = 0.0
+    sampler = jump_sampler(params, rng=rng)
     for _ in range(replicates):
-        _, esc, _, returns, span = _run_chain(params, n0, horizon, rng, cap=cap)
+        _, esc, _, returns, span = run_chain(params, n0, horizon, rng, sampler,
+                                             cap=cap)
         if esc:
             escapes += 1
         else:
@@ -417,8 +431,10 @@ def moment_duality_check(params: LimitParams, x: float, order: int,
     finals = simulate_batch(params, x, total_time, dt, replicates, rng)
     lhs = McEstimate.from_samples(finals ** order)
     vals = np.empty(replicates)
+    sampler = jump_sampler(params, rng=rng)
     for r in range(replicates):
-        final, esc, _, _, _ = _run_chain(params, order, total_time, rng, cap=cap)
+        final, esc, _, _, _ = run_chain(params, order, total_time, rng, sampler,
+                                        cap=cap)
         vals[r] = 0.0 if esc else float(x) ** final
     rhs = McEstimate.from_samples(vals)
     gap = abs(lhs.mean - rhs.mean)

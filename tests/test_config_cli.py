@@ -36,6 +36,24 @@ run.dt = 0.01
 """
 
 
+# the alpha = 1.5 Beta-coalescent with diffusion and geometric branching
+BETA_CFG = """
+model.kind = limit
+model.selection_rate = 1.0
+model.kingman_rate = 1.0
+model.offspring.family = geometric
+model.offspring.param = 0.5
+model.xi.family = lambda_beta
+model.xi.a = 0.5
+model.xi.b = 1.5
+model.jump_floor = 0.05
+run.seed = 5
+run.replicates = 12
+run.time = 1.0
+run.n0 = 2
+"""
+
+
 def write_cfg(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -262,6 +280,27 @@ def test_cli_sde_and_dual_ctmc_smoke(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["escape_fraction"] == 0.0
     assert report["results"]["final_mean"]["mean"] >= 1.0
+
+
+@pytest.mark.parametrize("replicates", ["1", "12"])
+def test_cli_dual_ctmc_builds_one_sampler(tmp_path, capsys, sampler_builds,
+                                          replicates):
+    path = write_cfg(tmp_path, BETA_CFG)
+    assert main(["dual-ctmc", "--config", path,
+                 "--replicates", replicates]) == 0
+    capsys.readouterr()
+    assert len(sampler_builds) == 1
+
+
+def test_cli_dual_ctmc_beta_pinned(tmp_path, capsys):
+    # recorded when every replicate still built its own sampler: for a
+    # Beta measure the build draws nothing from the rng, so sharing one
+    # sampler leaves the chain's random stream unchanged
+    path = write_cfg(tmp_path, BETA_CFG)
+    assert main(["dual-ctmc", "--config", path]) == 0
+    final = json.loads(capsys.readouterr().out)["results"]["final_mean"]
+    assert final["mean"] == 2.5
+    assert final["std_error"] == pytest.approx(0.6571287406727709, rel=1e-12)
 
 
 def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):

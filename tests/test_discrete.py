@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from cannings import (DiscreteParams, FiniteAtomic, LambdaDirac, SelectionLaw,
-                      SimplexPoint, ancestral_step, ancestral_trajectories,
-                      exact_transition_matrices, forward_trajectories,
-                      geometric_family, neutral_family, pgf,
-                      post_event_frequency, sampling_duality_check,
+from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
+                      SelectionLaw, SimplexPoint, StickBreaking,
+                      ancestral_step, ancestral_trajectories,
+                      exact_transition_matrices, explicit_family,
+                      forward_trajectories, geometric_family, neutral_family,
+                      pgf, post_event_frequency, sampling_duality_check,
                       sampling_probability)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -242,3 +243,33 @@ def test_duality_mc_requires_rng():
     params = DiscreteParams(3, 0.0, neutral_family())
     with pytest.raises(ValueError):
         sampling_duality_check(params, 1 / 3, 2, 1, mode="mc")
+
+
+# ---------------------------------------------------------------------------
+# non-atomic xi_hat
+
+
+def test_beta_sampling_probability_second_moment():
+    # neutral law: S(x, 2) = E[Y^2] = x^2 + x (1 - x) E[y^2], y ~ Beta(a, b)
+    a, b, x = 0.5, 2.0, 0.3
+    params = DiscreteParams(20, 1.0, neutral_family(), LambdaBeta(a, b))
+    ey2 = a * (a + 1.0) / ((a + b) * (a + b + 1.0))
+    assert abs(sampling_probability(params, x, 2)
+               - (x * x + x * (1.0 - x) * ey2)) < 1e-10
+    assert abs(sampling_probability(params, x, 1) - x) < 1e-12
+
+
+def test_beta_sampling_duality_mc():
+    params = DiscreteParams(20, 0.1, explicit_family([0.9, 0.1]),
+                            LambdaBeta(1.0, 1.0))
+    report = sampling_duality_check(params, 0.5, 3, 5, mode="mc",
+                                    replicates=2000,
+                                    rng=np.random.default_rng(8))
+    assert report.mode == "mc"
+    assert report.passed
+
+
+def test_stick_breaking_sampling_probability_names_family():
+    params = DiscreteParams(20, 0.1, neutral_family(), StickBreaking())
+    with pytest.raises(ValueError, match="StickBreaking"):
+        sampling_probability(params, 0.5, 2)

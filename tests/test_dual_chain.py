@@ -6,9 +6,10 @@ from scipy.stats import chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SimplexPoint, dual_generator_apply_exact, event_rates,
-                      generator_apply_exact, moment_duality_check,
-                      offspring_delta, recurrence_probe, simulate,
-                      stationary_estimate, xi_event_outcome, xi_jump_pmf)
+                      generator_apply_exact, geometric_offspring,
+                      moment_duality_check, offspring_delta, recurrence_probe,
+                      simulate, stationary_estimate, xi_event_outcome,
+                      xi_jump_pmf)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -231,3 +232,33 @@ def test_moment_duality_smoke():
     assert 0.0 <= report.lhs.mean <= 1.0 and 0.0 <= report.rhs.mean <= 1.0
     assert report.gap <= report.tolerance
     assert abs(report.tolerance - 3.0 * report.combined_se) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the jump sampler is built once per run, not once per replicate
+
+BETA_PARAMS = LimitParams(1.0, 1.0, geometric_offspring(0.5),
+                          xi=LambdaBeta(0.5, 1.5), jump_floor=0.05)
+
+
+@pytest.mark.parametrize("replicates", [1, 6])
+def test_one_sampler_per_recurrence_probe(sampler_builds, replicates):
+    recurrence_probe(BETA_PARAMS, 2, horizon=0.5, cap=1_000,
+                     replicates=replicates, rng=np.random.default_rng(3))
+    assert len(sampler_builds) == 1
+
+
+@pytest.mark.parametrize("replicates", [1, 6])
+def test_one_sampler_per_stationary_estimate(sampler_builds, replicates):
+    stationary_estimate(BETA_PARAMS, 2, burn_in=0.2, horizon=0.5,
+                        replicates=replicates, rng=np.random.default_rng(4))
+    assert len(sampler_builds) == 1
+
+
+@pytest.mark.parametrize("replicates", [2, 6])
+def test_moment_duality_builds_forward_and_chain_samplers(sampler_builds,
+                                                          replicates):
+    # one in simulate_batch, one shared by every dual-chain replicate
+    moment_duality_check(BETA_PARAMS, 0.5, 2, total_time=0.2, dt=0.05,
+                         replicates=replicates, rng=np.random.default_rng(5))
+    assert len(sampler_builds) == 2
