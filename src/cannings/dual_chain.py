@@ -43,7 +43,7 @@ from scipy.stats import binom
 
 from .mc import McEstimate
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
-from .selection import SelectionLaw, sample_extra
+from .selection import SelectionLaw, branching_drift, sample_extra
 from .simplex import SimplexPoint, TruncatedSampler, as_atoms
 
 #: the dual chain runs on the same parameter bundle as the forward limit
@@ -252,18 +252,6 @@ def _multinomial_pmf(counts, probs) -> float:
     return coef * p
 
 
-def _offspring_terms(law: SelectionLaw):
-    if law.extra_pmf is not None:
-        for i, p in enumerate(law.extra_pmf, start=1):
-            if p > 0.0:
-                yield i, p
-        return
-    s = law.geometric_param
-    n_terms = max(2, int(math.ceil(math.log(1e-14) / math.log(s))) + 1)
-    for i in range(1, n_terms + 1):
-        yield i, (1.0 - s) * s ** (i - 1)
-
-
 def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
     """L x^n in closed form (n <= 10, atom supports <= 6)."""
     if not (0.0 <= x <= 1.0):
@@ -273,8 +261,9 @@ def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
     xn = x ** n
     branch = 0.0
     if params.selection_rate > 0.0:
-        branch = params.selection_rate * n * sum(
-            p * (x ** (n + i) - xn) for i, p in _offspring_terms(params.offspring))
+        # sum_i pi_i (x^(n+i) - x^n) = x^(n-1) sum_i pi_i (x^(i+1) - x)
+        branch = (params.selection_rate * n * x ** (n - 1)
+                  * branching_drift(params.offspring, x))
     king = 0.0
     if n >= 2 and params.kingman_rate > 0.0:
         king = params.kingman_rate * n * (n - 1) / 2.0 * (x ** (n - 1) - xn)

@@ -42,8 +42,8 @@ import numpy as np
 
 from .mc import McEstimate
 from .selection import SelectionLaw, branching_drift, selection_shape
-from .simplex import (SimplexPoint, TruncatedSampler, XiMeasure, as_atoms,
-                      sample_point, total_mass)
+from .simplex import (TruncatedSampler, XiMeasure, as_atoms, sample_point,
+                      total_mass)
 
 _MAX_ENUM_SUPPORT = 12
 _DEFAULT_DT = 1e-3
@@ -125,11 +125,6 @@ def _euler_substep(x: float, h: float, params: LimitParams,
     return min(max(x_new, 0.0), 1.0), clamped
 
 
-def _apply_jump(x: float, z: SimplexPoint, rng: np.random.Generator) -> float:
-    flips = rng.random(len(z)) < x
-    return float(np.dot(flips, z.masses) + x * (1.0 - z.total))
-
-
 def simulate_path(params: LimitParams, x0: float, total_time: float,
                   dt: float = _DEFAULT_DT,
                   rng: np.random.Generator | None = None) -> SdePath:
@@ -171,9 +166,10 @@ def simulate_path(params: LimitParams, x0: float, total_time: float,
         path.n_substeps += 1
         path.clamp_count += int(clamped)
         if t in jump_set:
-            z = sampler.draw(rng)
-            x = _apply_jump(x, z, rng)
-            path.jump_log.append((float(t), z.masses, x))
+            xs = np.array([x])
+            masses = _apply_jump_batch(xs, np.zeros(1, dtype=np.intp), sampler, rng)[0]
+            x = float(xs[0])
+            path.jump_log.append((float(t), tuple(masses[masses > 0.0].tolist()), x))
         times.append(float(t))
         values.append(x)
         prev = t
@@ -191,9 +187,13 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     Jumps are counted per step from the Poisson clock and applied at the
     step boundary, the standard step-thinning for jump diffusions; the
     within-step displacement is of the same order as the Euler bias.
+    Round r of a step jumps every path with at least r jumps, at a fixed
+    number of numpy calls (one ``draw_masses``) whatever the jump family.
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
+    if total_time < 0.0 or dt <= 0.0:
+        raise ValueError("need total_time >= 0 and dt > 0")
     if rng is None:
         raise ValueError("simulate_batch needs an rng")
     sampler = jump_sampler(params, rng=rng)
@@ -227,21 +227,14 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
 
 
 def _apply_jump_batch(x: np.ndarray, idx: np.ndarray, sampler: TruncatedSampler,
-                      rng: np.random.Generator) -> None:
-    if idx.size == 0:
-        return
-    which = sampler.draw_atom_indices(idx.size, rng)
-    if which is None:
-        for i in idx:
-            x[i] = _apply_jump(float(x[i]), sampler.draw(rng), rng)
-        return
-    points = sampler.atom_points
-    for a in np.unique(which):
-        sel = idx[which == a]
-        z = points[a]
-        masses = np.asarray(z.masses)
-        flips = rng.random((sel.size, len(z))) < x[sel, None]
-        x[sel] = flips @ masses + x[sel] * (1.0 - z.total)
+                      rng: np.random.Generator) -> np.ndarray:
+    """x <- x (1 - sum z) + sum z_i B_i at each path in ``idx``, B_i ~ Bernoulli(x);
+    returns the drawn (len(idx), width) masses."""
+    masses = sampler.draw_masses(idx.size, rng)
+    xs = x[idx]
+    flips = rng.random(masses.shape) < xs[:, None]
+    x[idx] = (flips * masses).sum(axis=1) + xs * (1.0 - masses.sum(axis=1))
+    return masses
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +292,7 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
     if params.xi is None:
         return McEstimate.exact(drift_term)
     mass = total_mass(params.xi)
-    frac, sum_sq_norm, totals = _normalized_draws(params.xi, replicates, rng)
+    frac, sum_sq_norm, totals = normalized_draws(params.xi, replicates, rng)
     if n >= 2:
         flips = rng.random(frac.shape) < x
         zb = np.einsum("ij,ij->i", flips, frac) if frac.ndim == 2 else frac * flips
@@ -317,7 +310,7 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
                       (drift_term + lo, drift_term + hi))
 
 
-def _normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
+def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
     """(group fractions, sum of squared fractions, total mass |Z|) per draw.
 
     Fractions come back as a dense (size, support) matrix for atomic

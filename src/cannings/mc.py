@@ -34,7 +34,7 @@ class McEstimate:
         mean = float(arr.mean())
         se = float(arr.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
         return McEstimate(mean, se, r, confidence_level,
-                          _interval(mean, se, confidence_level))
+                          interval(mean, se, confidence_level))
 
     @staticmethod
     def exact(value: float, confidence_level: float = 0.95) -> "McEstimate":
@@ -64,9 +64,9 @@ class McEstimate:
         m2 = self._m2 + other._m2 + delta * delta * r1 * r2 / r
         se = math.sqrt(m2 / (r - 1) / r) if r > 1 else 0.0
         return McEstimate(mean, se, r, self.confidence_level,
-                          _interval(mean, se, self.confidence_level))
+                          interval(mean, se, self.confidence_level))
 
 
-def _interval(mean: float, se: float, level: float) -> tuple[float, float]:
+def interval(mean: float, se: float, level: float) -> tuple[float, float]:
     z = float(norm.ppf(0.5 + level / 2.0))
     return (mean - z * se, mean + z * se)

@@ -16,7 +16,8 @@ Derived objects:
   of the weak type's frequency, which equals -x(1-x) s(x).
 
 Infinite-support sums are truncated once the remaining tail is below
-1e-14; everything accepts scalars or numpy arrays in x.
+1e-14; for geometric laws the truncated sum is evaluated in closed form.
+Everything accepts scalars or numpy arrays in x in [0, 1].
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def _geom_terms(s: float, slack: float = 1.0) -> int:
                                 / math.log(s))) + 1)
 
 
+def _geom_sum(r, m: int):
+    """sum_{i<m} r^i = (1 - r^m) / (1 - r), for 0 <= r < 1."""
+    return (1.0 - r ** m) / (1.0 - r)
+
+
 def pgf(law: SelectionLaw, x):
     """E[x^K] with the convention x^infinity = 0 for x < 1.
 
@@ -161,17 +167,11 @@ def pgf(law: SelectionLaw, x):
     if law.multi_prob > 0.0:
         if law.geometric_param is not None:
             s = law.geometric_param
-            n_terms = _geom_terms(s)
-            # sum over k = 2 .. n_terms+1 of x^k s^(k-2) (1-s), by Horner
-            acc = np.zeros_like(arr)
-            for i in range(n_terms, 0, -1):
-                acc = (1.0 - s) * s ** (i - 1) + arr * acc
-            out = out + law.multi_prob * arr * arr * acc
+            # sum over k = 2 .. M+1 of x^k s^(k-2) (1-s), M = _geom_terms(s)
+            acc = (1.0 - s) * _geom_sum(s * arr, _geom_terms(s))
         else:
-            acc = np.zeros_like(arr)
-            for p in reversed(law.extra_pmf):
-                acc = p + arr * acc
-            out = out + law.multi_prob * arr * arr * acc
+            acc = np.polyval(law.extra_pmf[::-1], arr)
+        out = out + law.multi_prob * arr * arr * acc
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -184,17 +184,9 @@ def selection_shape(law: SelectionLaw, x):
     arr = np.asarray(x, dtype=float)
     if law.geometric_param is not None:
         s = law.geometric_param
-        n_terms = _geom_terms(s, slack=1.0 - s)
-        acc = np.zeros_like(arr)
-        for k in range(n_terms, 0, -1):
-            acc = s ** (k - 1) + arr * acc
-        out = acc
+        out = _geom_sum(s * arr, _geom_terms(s, slack=1.0 - s))
     else:
-        tails = _tail_vector(law)
-        acc = np.zeros_like(arr)
-        for t in reversed(tails):
-            acc = t + arr * acc
-        out = acc
+        out = np.polyval(_tail_vector(law)[::-1], arr)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -210,15 +202,13 @@ def branching_drift(law: SelectionLaw, x):
         raise ValueError("branching drift needs a finite mean extra-parent count")
     arr = np.asarray(x, dtype=float)
     if law.geometric_param is not None:
+        # pi_i = (1-s) s^(i-1) for i = 1 .. M, M = _geom_terms(s)
         s = law.geometric_param
-        n_terms = _geom_terms(s)
-        pmf = [(1.0 - s) * s ** (i - 1) for i in range(1, n_terms + 1)]
+        m = _geom_terms(s)
+        out = (1.0 - s) * arr * (arr * _geom_sum(s * arr, m) - _geom_sum(s, m))
     else:
-        pmf = list(law.extra_pmf)
-    acc = np.zeros_like(arr)
-    for p in reversed(pmf):
-        acc = p + arr * acc
-    out = arr * arr * acc - arr * sum(pmf)
+        pmf = law.extra_pmf
+        out = arr * arr * np.polyval(pmf[::-1], arr) - arr * sum(pmf)
     if np.ndim(x) == 0:
         return float(out)
     return out

@@ -391,6 +391,7 @@ class TruncatedSampler:
     ``intensity_mass(measure, floor)``).  Atomic families are exact; the
     Beta family uses a fine inverse-CDF grid on [floor, 1]; stick-breaking
     uses a weighted sample pool, which is a documented approximation.
+    ``draw`` returns one point, ``draw_masses`` many as a mass matrix.
     """
 
     def __init__(self, measure: XiMeasure, floor: float, *,
@@ -400,6 +401,7 @@ class TruncatedSampler:
         self.floor = float(floor)
         atoms = as_atoms(measure)
         self._atoms = None
+        self._atom_matrix = None
         self._grid = None
         self._pool = None
         if atoms is not None:
@@ -408,6 +410,7 @@ class TruncatedSampler:
             if kept:
                 probs = np.array([w for w, _ in kept]) / self.rate
                 self._atoms = ([z for _, z in kept], probs)
+                self._atom_matrix = _padded([z.masses for _, z in kept])
             return
         if isinstance(measure, LambdaBeta):
             if floor <= 0.0:
@@ -451,13 +454,32 @@ class TruncatedSampler:
             return points[rng.choice(len(points), p=probs)]
         raise ValueError("truncated measure has no mass above the floor")
 
-    def draw_atom_indices(self, size: int, rng: np.random.Generator):
-        """Vector of atom indices, or None when the family is not atomic."""
-        if self._atoms is None:
-            return None
-        _, probs = self._atoms
-        return rng.choice(len(probs), size=size, p=probs)
+    def draw_masses(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` points as a zero-padded (size, width) mass matrix: width
+        is the largest atom support, 1 for Beta, the widest pool point drawn."""
+        if self._atoms is not None:
+            _, probs = self._atoms
+            return self._atom_matrix[rng.choice(len(probs), size=size, p=probs)]
+        if self._grid is not None:
+            # ``draw``'s inverse CDF; with cdf[0] = 0 <= u < 1 = cdf[-1] and
+            # side="right", j lands in a cell of positive width: no guards
+            ys, cdf = self._grid
+            u = rng.random(size)
+            j = np.searchsorted(cdf, u, side="right") - 1
+            frac = (u - cdf[j]) / (cdf[j + 1] - cdf[j])
+            return (ys[j] + frac * (ys[j + 1] - ys[j]))[:, None]
+        if self._pool is not None:
+            points, probs = self._pool
+            which = rng.choice(len(points), size=size, p=probs)
+            return _padded([points[i].masses for i in which])
+        raise ValueError("truncated measure has no mass above the floor")
 
     @property
     def atom_points(self) -> list[SimplexPoint] | None:
         return self._atoms[0] if self._atoms is not None else None
+
+
+def _padded(rows) -> np.ndarray:
+    """Mass tuples stacked into one matrix, each row zero-padded."""
+    width = max(map(len, rows))
+    return np.array([m + (0.0,) * (width - len(m)) for m in rows])

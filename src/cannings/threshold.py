@@ -26,8 +26,8 @@ import numpy as np
 
 from .dual_chain import DualParams, RecurrenceReport, StationaryEstimate, \
     recurrence_probe, stationary_estimate
-from .limit_sde import _normalized_draws
-from .mc import McEstimate, _interval
+from .limit_sde import normalized_draws
+from .mc import McEstimate, interval
 from .simplex import XiMeasure
 
 _TAIL_FRACTION = 0.001
@@ -58,7 +58,7 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
         raise ValueError("mean_extra must be positive and finite")
     if replicates < 2:
         raise ValueError("need at least two replicates")
-    frac, ssq, totals = _normalized_draws(xi, replicates, rng)
+    frac, ssq, totals = normalized_draws(xi, replicates, rng)
     del frac
     u = rng.random(replicates)
     w = totals * np.sqrt(u)
@@ -125,4 +125,4 @@ def fixation_probability(params: DualParams, x: float, *,
     mean = 1.0 - phi_mean
     kept = stationary.replicates - stationary.escaped
     return McEstimate(mean, phi_se, kept, 0.95,
-                      _interval(mean, phi_se, 0.95))
+                      interval(mean, phi_se, 0.95))

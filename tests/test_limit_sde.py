@@ -6,8 +6,8 @@ import pytest
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SelectionLaw, generator_apply_bernoulli,
                       generator_apply_exact, geometric_offspring, jump_sampler,
-                      offspring_delta, resolved_jump_floor, simulate_batch,
-                      simulate_path)
+                      offspring_delta, offspring_pmf, resolved_jump_floor,
+                      simulate_batch, simulate_path)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -88,6 +88,28 @@ def test_simulate_argument_errors():
         simulate_path(params, 0.5, 1.0)
     with pytest.raises(ValueError):
         simulate_batch(params, 0.5, 1.0)
+    for total_time, dt in ((-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)):
+        with pytest.raises(ValueError):
+            simulate_batch(params, 0.5, total_time, dt=dt, rng=rng)
+
+
+@pytest.mark.parametrize("params, x0, total_time, dt, n_paths, seed, expected", [
+    (LimitParams(1.0, 0.5, offspring_delta(1), xi=DIRAC_HALF), 0.3, 0.5, 0.01,
+     8, 11, [0.5083196680388928, 0.07812297067109646, 0.12368442780582337,
+             0.45986297103233204, 0.17690161135945384, 0.04637058747091973,
+             0.058903181923986345, 0.18408443265677701]),
+    # rate 2 / 0.09 over steps of 0.05: several jump rounds per step
+    (LimitParams(2.0, 0.0, offspring_pmf((0.5, 0.5)), xi=LambdaDirac(0.3, 2.0)),
+     0.6, 1.0, 0.05, 6, 3,
+     [4.8731780576915765e-05, 1.310751208623253e-06, 0.9493887183409031,
+      0.0024957052894619314, 0.0005757418092809751, 0.994175526133195]),
+])
+def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
+                                     expected):
+    # single-atom jump streams are pinned bit for bit
+    finals = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
+                            rng=np.random.default_rng(seed))
+    assert finals.tolist() == expected
 
 
 def test_generator_frozen_cancellation():

@@ -7,6 +7,7 @@ from cannings import (SelectionLaw, branching_drift, explicit_family,
                       geometric_family, geometric_offspring, neutral_family,
                       offspring_delta, offspring_pmf, pgf,
                       sample_parent_counts, selection_shape)
+from cannings.selection import _geom_terms
 
 X_GRID = np.arange(0.0, 1.0001, 0.05)
 
@@ -145,3 +146,27 @@ def test_explicit_family_round_trip():
     assert law.extra_pmf == pytest.approx((2 / 3, 1 / 3))
     # pgf by hand at 0.5: 0.7*0.5 + 0.2*0.25 + 0.1*0.125 = 0.4125
     assert abs(pgf(law, 0.5) - 0.4125) < 1e-15
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9, 0.99])
+def test_geometric_closed_form_matches_truncated_pmf(s):
+    # the closed-form geometric sums against Horner over the same truncated
+    # pmf, written out explicitly: pi_i = (1-s) s^(i-1), i = 1 .. M
+    m = _geom_terms(s)
+    pi = tuple((1.0 - s) * s ** (i - 1) for i in range(1, m + 1))
+    # selection_shape sums the tails s^(k-1) for k <= M'; an explicit pmf
+    # with those tails lumps the geometric tail beyond M' at M'
+    m_shape = _geom_terms(s, slack=1.0 - s)
+    lumped = tuple((1.0 - s) * s ** (i - 1) for i in range(1, m_shape)) \
+        + (s ** (m_shape - 1),)
+    pairs = [
+        (pgf(geometric_family(s), X_GRID), pgf(SelectionLaw(s, extra_pmf=pi), X_GRID)),
+        (selection_shape(geometric_offspring(s), X_GRID),
+         selection_shape(offspring_pmf(lumped), X_GRID)),
+        (branching_drift(geometric_offspring(s), X_GRID),
+         branching_drift(offspring_pmf(pi), X_GRID)),
+    ]
+    for closed, explicit in pairs:
+        # relative above 1: s(1) = 1/(1-s) is 100 at s = 0.99
+        assert np.all(np.abs(closed - explicit)
+                      <= 1e-13 * np.maximum(1.0, np.abs(explicit)))

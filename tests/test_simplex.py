@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
-                      StickBreaking, admissibility_diagnostic,
+                      StickBreaking, TruncatedSampler, admissibility_diagnostic,
                       admissibility_index, intensity_mass, normalized,
                       sample_point, small_mass_gap, total_mass, truncate_alpha)
 
@@ -228,3 +228,62 @@ def test_small_mass_gap_matches_enumerated_difference():
     assert abs(lhs - rhs) < 1e-10
     # and the cut mass is the third atom's weight: x(1-x) * 2.0 = 0.42
     assert abs(rhs - x * (1 - x) * 2.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# TruncatedSampler.draw_masses
+
+
+def test_draw_masses_beta_uniform_law():
+    # LambdaBeta(3, 1): y^(a-3) (1-y)^(b-1) = 1, so the truncated jump law
+    # is uniform on [floor, 1]
+    floor = 0.01
+    sampler = TruncatedSampler(LambdaBeta(3.0, 1.0), floor)
+    draws = 200_000
+    masses = sampler.draw_masses(draws, np.random.default_rng(21))
+    assert masses.shape == (draws, 1)
+    y = masses[:, 0]
+    assert np.all((y >= floor) & (y <= 1.0))
+    width = 1.0 - floor
+    mean_se = y.std(ddof=1) / math.sqrt(draws)
+    assert abs(y.mean() - (1.0 + floor) / 2.0) <= 3 * mean_se
+    # Var of a sample variance: (mu_4 - sigma^4) / n, mu_4 = width^4 / 80
+    var = width ** 2 / 12.0
+    var_se = math.sqrt((width ** 4 / 80.0 - var ** 2) / draws)
+    assert abs(y.var(ddof=1) - var) <= 3 * var_se
+
+
+def test_draw_masses_two_atom_frequencies():
+    # rates w / sum(z^2): 1 / 0.25 = 4 and 1 / 0.2 = 5
+    measure = FiniteAtomic(((1.0, SimplexPoint((0.5,))),
+                            (1.0, SimplexPoint((0.4, 0.2)))))
+    sampler = TruncatedSampler(measure, 0.1)
+    draws = 100_000
+    masses = sampler.draw_masses(draws, np.random.default_rng(8))
+    assert masses.shape == (draws, 2)
+    first = np.all(masses == (0.5, 0.0), axis=1)
+    assert np.all(first | np.all(masses == (0.4, 0.2), axis=1))
+    p = 4.0 / 9.0
+    se = math.sqrt(p * (1.0 - p) / draws)
+    assert abs(first.mean() - p) <= 3 * se
+
+
+def test_draw_masses_beta_matches_scalar_draw():
+    sampler = TruncatedSampler(LambdaBeta(0.5, 1.5), 1e-3)
+    for seed in range(20):
+        z = sampler.draw(np.random.default_rng(seed))
+        row = sampler.draw_masses(1, np.random.default_rng(seed))
+        assert row.shape == (1, 1)
+        assert z.masses == (row[0, 0],)
+
+
+def test_draw_masses_stick_breaking_rows_are_points():
+    sampler = TruncatedSampler(StickBreaking(), 0.05, pool_size=2000,
+                               rng=np.random.default_rng(3))
+    masses = sampler.draw_masses(300, np.random.default_rng(4))
+    assert masses.shape[0] == 300
+    assert np.all(masses[:, 0] >= 0.05)
+    assert np.all(np.diff(masses, axis=1) <= 0.0)
+    assert np.all(masses.sum(axis=1) <= 1.0 + 1e-12)
+    # padded to the widest point drawn, not to the widest in the pool
+    assert np.any(masses[:, -1] > 0.0)
