@@ -25,10 +25,10 @@ from .discrete import (DiscreteParams, DualityReport, ancestral_moment_mc,
 from .limit_sde import (LimitParams, SdePath, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
                         resolved_jump_floor, simulate_batch, simulate_path)
-from .dual_chain import (DualParams, DualPath, EventRates,
+from .dual_chain import (ChainRuns, DualParams, DualPath, EventRates,
                          MomentDualityReport, RecurrenceReport,
                          StationaryEstimate, event_rates,
-                         moment_duality_check, recurrence_probe, run_chain,
+                         moment_duality_check, recurrence_probe, run_chains,
                          simulate, stationary_estimate, xi_event_outcome,
                          xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
@@ -53,7 +53,7 @@ __all__ = [
     "simulate_path", "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualParams", "DualPath", "EventRates", "event_rates", "simulate",
-    "run_chain",
+    "run_chains", "ChainRuns",
     "xi_event_outcome", "xi_jump_pmf", "dual_generator_apply_exact",
     "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
     "recurrence_probe", "MomentDualityReport", "moment_duality_check",

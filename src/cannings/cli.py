@@ -22,7 +22,7 @@ from .config import Config, ConfigError
 from .discrete import (MAX_EXACT_POP, MAX_EXACT_SUPPORT,
                        ancestral_trajectories, forward_trajectories,
                        sampling_duality_check)
-from .dual_chain import (moment_duality_check, recurrence_probe, run_chain,
+from .dual_chain import (moment_duality_check, recurrence_probe, run_chains,
                          stationary_estimate)
 from .limit_sde import jump_sampler, simulate_batch
 from .mc import McEstimate
@@ -143,19 +143,14 @@ def _cmd_sde(cfg: Config, rng: np.random.Generator):
 def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
     run = cfg.run
-    rows = []
-    finals = np.empty(run.replicates)
-    escapes = 0
-    sampler = jump_sampler(params, rng=rng)
-    for r in range(run.replicates):
-        final, esc, _, returns, _ = run_chain(params, run.n0, run.time, rng,
-                                              sampler, cap=run.cap)
-        finals[r] = final
-        escapes += esc
-        rows.append((r, final, returns, int(esc)))
-    est = McEstimate.from_samples(finals)
+    runs = run_chains(params, run.n0, run.time, run.replicates, rng,
+                      jump_sampler(params, rng=rng), cap=run.cap)
+    est = McEstimate.from_samples(runs.final.astype(float))
     results = {"final_mean": _estimate_dict(est),
-               "escape_fraction": escapes / run.replicates}
+               "escape_fraction": int(runs.escaped.sum()) / run.replicates}
+    rows = list(zip(range(run.replicates), runs.final.tolist(),
+                    runs.returns_to_one.tolist(),
+                    runs.escaped.astype(int).tolist()))
     diagnostics = {"n0": run.n0, "time": run.time, "cap": run.cap,
                    "replicates": run.replicates}
     return EXIT_OK, results, diagnostics, {

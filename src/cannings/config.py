@@ -87,6 +87,11 @@ _RUN_DEFAULTS = {"run.replicates": 1000, "run.generations": 10,
                  "run.cap": 10_000, "run.x0": 0.5, "run.x": 0.5,
                  "run.sample_size": 2, "run.n0": 2}
 
+# (RunSettings field, lower bound, strict)
+_RUN_BOUNDS = (("replicates", 1, False), ("generations", 1, False),
+               ("cap", 1, False), ("sample_size", 1, False), ("n0", 1, False),
+               ("time", 0.0, True), ("dt", 0.0, True), ("burn_in", 0.0, False))
+
 
 def parse_text(text: str) -> dict[str, str]:
     """Raw key -> value strings; rejects malformed lines and duplicates."""
@@ -184,7 +189,8 @@ class Config:
 
     @property
     def run(self) -> RunSettings:
-        return RunSettings(
+        """The run block, with the bounds of the module docstring enforced."""
+        settings = RunSettings(
             seed=self._require("run.seed"),
             replicates=self._get("run.replicates"),
             generations=self._get("run.generations"),
@@ -197,6 +203,13 @@ class Config:
             sample_size=self._get("run.sample_size"),
             n0=self._get("run.n0"),
         )
+        for name, low, strict in _RUN_BOUNDS:
+            value = getattr(settings, name)
+            if not (value > low if strict else value >= low):
+                bound = f"> {low:g}" if strict else f">= {low:g}"
+                raise ConfigError(f"'run.{name}' must be {bound}, got {value!r}",
+                                  key=f"run.{name}")
+        return settings
 
     @property
     def output_dir(self) -> str | None:

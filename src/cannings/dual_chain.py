@@ -22,19 +22,29 @@ Generator on f(n) = x^n, for fixed x in [0, 1]:
 
 which matches the forward generator on monomials: A x^n = L x^n.
 
-``run_chain`` is the Gillespie core; it takes the jump sampler as an
-argument and never builds one.  Every replicate loop here (and the CLI's
-``dual-ctmc``) builds the sampler once per run with
-``jump_sampler(params, rng=rng)`` and shares it across replicates.  For
-atomic and Beta measures the build draws nothing from the rng.  The
-stick-breaking sampler draws its 100k-point pool from the rng, so all
-replicates of a run share one pool; stick-breaking chain reports made by
-versions that redrew the pool for every replicate do not reproduce.
+``run_chains`` is the one Gillespie core.  It runs every replicate of a
+call in one Python loop and takes the per-event draws from buffers
+refilled in blocks of ``_BLOCK``: holding times
+(``rng.standard_exponential``, divided by the rate), event choices
+(``rng.random``, scaled by the rate), offspring counts (``sample_extra``,
+for laws other than one extra lineage) and xi points
+(``sampler.draw_masses``; a single-atom measure draws none).  All
+replicates of one call share the buffers, so a replicate's draws depend
+on the replicates before it.  Only the binomial participant count (and
+the multinomial split of a multi-group point) is drawn per event, as
+both depend on n; a candidate at n = 1 merges nothing and draws nothing.
+The law of the chain is that of the earlier one-draw-per-call loop, but
+the random streams differ: dual-chain reports made before the block
+draws do not reproduce.
+
+The jump sampler is built once per call with ``jump_sampler(params,
+rng=rng)`` and shared across replicates.  For atomic and Beta measures
+the build draws nothing from the rng.  The stick-breaking sampler draws
+its 100k-point pool from the rng, so all replicates share one pool.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -43,7 +53,7 @@ from scipy.stats import binom
 
 from .mc import McEstimate
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
-from .selection import SelectionLaw, branching_drift, sample_extra
+from .selection import branching_drift, sample_extra
 from .simplex import SimplexPoint, TruncatedSampler, as_atoms
 
 #: the dual chain runs on the same parameter bundle as the forward limit
@@ -52,6 +62,8 @@ DualParams = LimitParams
 _MAX_GEN_N = 10
 _MAX_GEN_SUPPORT = 6
 _DEFAULT_CAP = 10_000
+#: draws per buffer refill in ``run_chains``
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -101,14 +113,23 @@ class DualPath:
 def xi_event_outcome(z: SimplexPoint, n: int,
                      rng: np.random.Generator) -> tuple[int, int, tuple[int, ...]]:
     """(participants k, occupied groups d, group sizes) for one candidate."""
-    k = int(rng.binomial(n, min(z.total, 1.0)))
-    if k == 0:
-        return 0, 0, ()
-    if len(z) == 1:
-        return k, 1, (k,)
-    counts = rng.multinomial(k, np.asarray(z.normalized()))
-    sizes = tuple(int(c) for c in counts if c > 0)
+    k, sizes = _xi_merge(n, z.total, z.masses if len(z) > 1 else None, rng)
     return k, len(sizes), sizes
+
+
+def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
+    """(participants k, non-empty group sizes) for one candidate at state n.
+
+    ``total`` is |z|; ``groups`` is None for a one-group point, else its
+    masses (trailing zeros allowed: they stay empty).
+    """
+    k = int(rng.binomial(n, total if total < 1.0 else 1.0))
+    if k == 0:
+        return 0, ()
+    if groups is None:
+        return k, (k,)
+    counts = rng.multinomial(k, [m / total for m in groups])
+    return k, tuple(c for c in counts.tolist() if c > 0)
 
 
 def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
@@ -134,99 +155,156 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
 def simulate(params: DualParams, n0: int, total_time: float,
              rng: np.random.Generator, cap: int | None = _DEFAULT_CAP,
              record_noops: bool = False) -> DualPath:
-    """Gillespie simulation with an event log."""
-    path = DualPath(initial=n0)
-    log: list[DualEvent] = path.events
-    final, escaped, esc_t, returns, _ = run_chain(
-        params, n0, total_time, rng, jump_sampler(params, rng=rng), cap=cap,
-        log=log, record_noops=record_noops)
-    path.final = final
-    path.escaped = escaped
-    path.escape_time = esc_t
-    path.returns_to_one = returns
-    return path
+    """Gillespie simulation of one chain with an event log."""
+    runs = run_chains(params, n0, total_time, 1, rng,
+                      jump_sampler(params, rng=rng), cap=cap, log=True,
+                      record_noops=record_noops)
+    escaped = bool(runs.escaped[0])
+    return DualPath(initial=n0, events=runs.events[0],
+                    final=int(runs.final[0]), escaped=escaped,
+                    escape_time=float(runs.escape_time[0]) if escaped else None,
+                    returns_to_one=int(runs.returns_to_one[0]))
 
 
-def _offspring_draw(law: SelectionLaw, rng: np.random.Generator) -> int:
-    if law.extra_pmf == (1.0,) and law.extra_inf_mass == 0.0:
-        return 1
-    extra = int(sample_extra(law, 1, rng)[0])
-    if extra < 0:
-        raise ValueError("offspring law with mass at infinity cannot branch")
-    return extra
+@dataclass(frozen=True)
+class ChainRuns:
+    """Per-replicate outcomes of ``run_chains``."""
+
+    final: np.ndarray           # state at the horizon, or just past the cap
+    escaped: np.ndarray         # crossed the cap before the horizon
+    escape_time: np.ndarray     # time of the crossing; nan when not escaped
+    returns_to_one: np.ndarray  # entries into state 1 from above
+    occupation: list[dict[int, float]] | None = None  # holding time per state
+    events: list[list[DualEvent]] | None = None
 
 
-def run_chain(params: DualParams, n0: int, total_time: float,
-              rng: np.random.Generator, sampler: TruncatedSampler | None, *,
-              cap: int | None = None, burn_in: float = 0.0,
-              occupation: dict | None = None, log: list | None = None,
-              record_noops: bool = False):
-    """Shared Gillespie core.
+def run_chains(params: DualParams, n0: int, total_time: float,
+               replicates: int, rng: np.random.Generator,
+               sampler: TruncatedSampler | None, *, cap: int | None = None,
+               burn_in: float = 0.0, occupation: bool = False,
+               log: bool = False, record_noops: bool = False) -> ChainRuns:
+    """The Gillespie core: ``replicates`` independent chains from n0.
 
     ``sampler`` is ``jump_sampler(params, rng=rng)``, built once by the
-    caller and shared by all its replicates (None when params.xi is None).
-    Returns (final state, escaped, escape time, returns to 1, observed
-    time past burn_in).  ``occupation`` accumulates holding time per
-    state past burn_in when given.
+    caller (None when params.xi is None).  The replicates run one after
+    another and draw from shared buffers of ``_BLOCK`` holding times,
+    event choices, offspring counts and xi points.  ``occupation`` adds
+    each replicate's holding time per state past burn_in; ``log`` adds
+    its event list (xi candidates that merge nothing only with
+    ``record_noops``).  A chain stops at total_time or once n > cap.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
     sel = params.selection_rate
-    king = params.kingman_rate
+    pair = 0.5 * params.kingman_rate
     law = params.offspring
-    lam = sampler.rate if sampler is not None else 0.0
-    single_atom = None
-    if sampler is not None and sampler.atom_points is not None \
-            and len(sampler.atom_points) == 1:
-        single_atom = sampler.atom_points[0]
     delta_one = law.extra_pmf == (1.0,) and law.extra_inf_mass == 0.0
+    lam = sampler.rate if sampler is not None else 0.0
+    atoms = sampler.atom_points if sampler is not None else None
+    one_point = atoms[0] if atoms is not None and len(atoms) == 1 else None
+    if one_point is not None:
+        # a single atom needs no xi draws
+        z_total = one_point.total
+        z_groups = one_point.masses if len(one_point) > 1 else None
 
-    n = int(n0)
-    t = 0.0
-    returns = 0
-    observed = max(0.0, total_time - burn_in)
-
-    def credit(state: int, start: float, end: float) -> None:
-        if occupation is None:
-            return
-        lo = max(start, burn_in)
-        if end > lo:
-            occupation[state] = occupation.get(state, 0.0) + (end - lo)
-
-    while True:
-        rate = sel * n + king * n * (n - 1) / 2.0 + lam
-        if rate <= 0.0:
-            credit(n, t, total_time)
-            return n, False, None, returns, observed
-        hold = rng.exponential(1.0 / rate)
-        if t + hold >= total_time:
-            credit(n, t, total_time)
-            return n, False, None, returns, observed
-        credit(n, t, t + hold)
-        t += hold
-        u = rng.random() * rate
-        if u < sel * n:
-            extra = 1 if delta_one else _offspring_draw(law, rng)
-            n_new = n + extra
-            if log is not None:
-                log.append(DualEvent(t, "branch", n_new, offspring=extra))
-        elif u < sel * n + king * n * (n - 1) / 2.0:
-            n_new = n - 1
-            if log is not None:
-                log.append(DualEvent(t, "kingman", n_new))
-        else:
-            z = single_atom if single_atom is not None else sampler.draw(rng)
-            k, d, sizes = xi_event_outcome(z, n, rng)
-            n_new = n - k + d
-            if log is not None and (n_new != n or record_noops):
-                log.append(DualEvent(t, "xi", n_new, point=z.masses,
-                                     merged_groups=tuple(s for s in sizes
-                                                         if s > 1)))
-        if n_new == 1 and n > 1:
-            returns += 1
-        n = n_new
-        if cap is not None and n > cap:
-            return n, True, t, returns, observed
+    block = _BLOCK
+    holds = choices = extras = totals = groups = None
+    i_hold = i_choice = i_extra = i_xi = block
+    finals, escaped, escape_times, returns_to_one = [], [], [], []
+    occupations = [] if occupation else None
+    logs = [] if log else None
+    for _ in range(replicates):
+        n = n0
+        t = 0.0
+        returns = 0
+        esc_t = math.nan
+        occ = {} if occupation else None
+        events = [] if log else None
+        while True:
+            branch = sel * n
+            merge = pair * n * (n - 1)
+            rate = branch + merge + lam
+            if rate > 0.0:
+                if i_hold == block:
+                    holds = rng.standard_exponential(block).tolist()
+                    i_hold = 0
+                end = t + holds[i_hold] / rate
+                i_hold += 1
+            else:
+                end = math.inf
+            if occ is not None:
+                lo = t if t > burn_in else burn_in
+                hi = end if end < total_time else total_time
+                if hi > lo:
+                    occ[n] = occ.get(n, 0.0) + (hi - lo)
+            if end >= total_time:
+                break
+            t = end
+            if i_choice == block:
+                choices = rng.random(block).tolist()
+                i_choice = 0
+            u = choices[i_choice] * rate
+            i_choice += 1
+            if u < branch:
+                if delta_one:
+                    extra = 1
+                else:
+                    if i_extra == block:
+                        extras = sample_extra(law, block, rng).tolist()
+                        i_extra = 0
+                    extra = extras[i_extra]
+                    i_extra += 1
+                    if extra < 0:
+                        raise ValueError("offspring law with mass at infinity "
+                                         "cannot branch")
+                n_new = n + extra
+                if events is not None:
+                    events.append(DualEvent(t, "branch", n_new, offspring=extra))
+            elif u < branch + merge:
+                n_new = n - 1
+                if events is not None:
+                    events.append(DualEvent(t, "kingman", n_new))
+            else:
+                if one_point is None:
+                    if i_xi == block:
+                        masses = sampler.draw_masses(block, rng)
+                        totals = masses.sum(axis=1).tolist()
+                        groups = masses.tolist() if masses.shape[1] > 1 else None
+                        i_xi = 0
+                    z_total = totals[i_xi]
+                    z_groups = groups[i_xi] if groups is not None else None
+                    i_xi += 1
+                if n > 1:
+                    k, sizes = _xi_merge(n, z_total, z_groups, rng)
+                    n_new = n - k + len(sizes)
+                else:
+                    # one lineage: a candidate can merge nothing
+                    n_new, sizes = n, ()
+                if events is not None and (n_new != n or record_noops):
+                    point = (tuple(m for m in z_groups if m > 0.0)
+                             if z_groups is not None else (z_total,))
+                    events.append(DualEvent(
+                        t, "xi", n_new, point=point,
+                        merged_groups=tuple(s for s in sizes if s > 1)))
+            if n_new == 1 and n > 1:
+                returns += 1
+            n = n_new
+            if cap is not None and n > cap:
+                esc_t = t
+                break
+        finals.append(n)
+        escaped.append(not math.isnan(esc_t))
+        escape_times.append(esc_t)
+        returns_to_one.append(returns)
+        if occ is not None:
+            occupations.append(occ)
+        if events is not None:
+            logs.append(events)
+    return ChainRuns(np.array(finals, dtype=np.int64), np.array(escaped),
+                     np.array(escape_times), np.array(returns_to_one),
+                     occupations, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +398,12 @@ def stationary_estimate(params: DualParams, n0: int, burn_in: float,
     """Time-averaged occupation past burn_in, averaged over replicates."""
     if horizon <= burn_in:
         raise ValueError("horizon must exceed burn_in")
-    per_rep: list[dict[int, float]] = []
-    escaped = 0
-    sampler = jump_sampler(params, rng=rng)
-    for _ in range(replicates):
-        occ: dict[int, float] = {}
-        _, esc, _, _, _ = run_chain(params, n0, horizon, rng, sampler, cap=cap,
-                                    burn_in=burn_in, occupation=occ)
-        if esc:
-            escaped += 1
-        else:
-            per_rep.append(occ)
+    runs = run_chains(params, n0, horizon, replicates, rng,
+                      jump_sampler(params, rng=rng), cap=cap, burn_in=burn_in,
+                      occupation=True)
+    per_rep = [occ for occ, esc in zip(runs.occupation, runs.escaped)
+               if not esc]
+    escaped = replicates - len(per_rep)
     if not per_rep:
         raise ValueError("every replicate escaped; no occupation to average")
     states = np.array(sorted({s for occ in per_rep for s in occ}))
@@ -368,22 +441,14 @@ def recurrence_probe(params: DualParams, n0: int, horizon: float, cap: int,
     "recurrent-looking" when none escape and replicates revisit state 1
     at least 10 times on average; anything else is "inconclusive".
     """
-    escapes = 0
-    total_returns = 0
-    observed = 0.0
-    sampler = jump_sampler(params, rng=rng)
-    for _ in range(replicates):
-        _, esc, _, returns, span = run_chain(params, n0, horizon, rng, sampler,
-                                             cap=cap)
-        if esc:
-            escapes += 1
-        else:
-            total_returns += returns
-            observed += span
-    frac = escapes / replicates
-    kept = replicates - escapes
+    runs = run_chains(params, n0, horizon, replicates, rng,
+                      jump_sampler(params, rng=rng), cap=cap)
+    kept = int((~runs.escaped).sum())
+    total_returns = int(runs.returns_to_one[~runs.escaped].sum())
+    frac = (replicates - kept) / replicates
     mean_returns = total_returns / kept if kept else 0.0
-    mean_return_time = observed / total_returns if total_returns else None
+    # every kept replicate is observed over the whole horizon
+    mean_return_time = kept * horizon / total_returns if total_returns else None
     if frac >= 0.99:
         verdict = "escaping"
     elif frac == 0.0 and mean_returns >= 10.0:
@@ -419,12 +484,10 @@ def moment_duality_check(params: LimitParams, x: float, order: int,
     """Monte-Carlo check of E_x[X_t^n] = E_n[x^(D_t)] at time t."""
     finals = simulate_batch(params, x, total_time, dt, replicates, rng)
     lhs = McEstimate.from_samples(finals ** order)
-    vals = np.empty(replicates)
-    sampler = jump_sampler(params, rng=rng)
-    for r in range(replicates):
-        final, esc, _, _, _ = run_chain(params, order, total_time, rng, sampler,
-                                        cap=cap)
-        vals[r] = 0.0 if esc else float(x) ** final
+    runs = run_chains(params, order, total_time, replicates, rng,
+                      jump_sampler(params, rng=rng), cap=cap)
+    vals = np.where(runs.escaped, 0.0,
+                    np.power(float(x), runs.final.astype(float)))
     rhs = McEstimate.from_samples(vals)
     gap = abs(lhs.mean - rhs.mean)
     combined = math.hypot(lhs.std_error, rhs.std_error)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -68,5 +69,11 @@ class McEstimate:
 
 
 def interval(mean: float, se: float, level: float) -> tuple[float, float]:
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = _two_sided_quantile(level)
     return (mean - z * se, mean + z * se)
+
+
+@functools.lru_cache(maxsize=16)
+def _two_sided_quantile(level: float) -> float:
+    # norm.ppf costs ~0.1 ms a call, and a run uses one or two levels
+    return float(norm.ppf(0.5 + level / 2.0))

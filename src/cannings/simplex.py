@@ -391,7 +391,7 @@ class TruncatedSampler:
     ``intensity_mass(measure, floor)``).  Atomic families are exact; the
     Beta family uses a fine inverse-CDF grid on [floor, 1]; stick-breaking
     uses a weighted sample pool, which is a documented approximation.
-    ``draw`` returns one point, ``draw_masses`` many as a mass matrix.
+    ``draw_masses`` returns a batch of points as a mass matrix.
     """
 
     def __init__(self, measure: XiMeasure, floor: float, *,
@@ -437,23 +437,6 @@ class TruncatedSampler:
         if weights.sum() > 0.0:
             self._pool = (points, weights / weights.sum())
 
-    def draw(self, rng: np.random.Generator) -> SimplexPoint:
-        if self._atoms is not None:
-            points, probs = self._atoms
-            return points[rng.choice(len(points), p=probs)]
-        if self._grid is not None:
-            ys, cdf = self._grid
-            u = rng.random()
-            j = int(np.searchsorted(cdf, u, side="right")) - 1
-            j = min(max(j, 0), len(ys) - 2)
-            span = cdf[j + 1] - cdf[j]
-            frac = (u - cdf[j]) / span if span > 0.0 else 0.5
-            return SimplexPoint((float(ys[j] + frac * (ys[j + 1] - ys[j])),))
-        if self._pool is not None:
-            points, probs = self._pool
-            return points[rng.choice(len(points), p=probs)]
-        raise ValueError("truncated measure has no mass above the floor")
-
     def draw_masses(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """``size`` points as a zero-padded (size, width) mass matrix: width
         is the largest atom support, 1 for Beta, the widest pool point drawn."""
@@ -461,7 +444,7 @@ class TruncatedSampler:
             _, probs = self._atoms
             return self._atom_matrix[rng.choice(len(probs), size=size, p=probs)]
         if self._grid is not None:
-            # ``draw``'s inverse CDF; with cdf[0] = 0 <= u < 1 = cdf[-1] and
+            # inverse CDF on the grid; with cdf[0] = 0 <= u < 1 = cdf[-1] and
             # side="right", j lands in a cell of positive width: no guards
             ys, cdf = self._grid
             u = rng.random(size)

@@ -106,6 +106,17 @@ def test_config_rejects_bad_inputs():
         Config.from_text("model.kind = fancy\nrun.seed = 1\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("run.replicates", "0"), ("run.generations", "0"), ("run.cap", "0"),
+    ("run.sample_size", "0"), ("run.n0", "0"), ("run.time", "0"),
+    ("run.dt", "-0.1"), ("run.burn_in", "-1"), ("run.time", "nan")])
+def test_config_run_bounds(key, value):
+    cfg = Config.from_text(f"model.kind = limit\nrun.seed = 1\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=key) as info:
+        cfg.run
+    assert info.value.key == key
+
+
 def test_config_atoms_parsing():
     cfg = Config.from_text(
         "model.kind = limit\nrun.seed = 1\n"
@@ -293,14 +304,14 @@ def test_cli_dual_ctmc_builds_one_sampler(tmp_path, capsys, sampler_builds,
 
 
 def test_cli_dual_ctmc_beta_pinned(tmp_path, capsys):
-    # recorded when every replicate still built its own sampler: for a
-    # Beta measure the build draws nothing from the rng, so sharing one
-    # sampler leaves the chain's random stream unchanged
+    # pins the stream of the block-buffered Gillespie core (block draws of
+    # holding times, event choices, geometric offspring counts and Beta
+    # points, shared by the 12 replicates), recorded when it was written
     path = write_cfg(tmp_path, BETA_CFG)
     assert main(["dual-ctmc", "--config", path]) == 0
     final = json.loads(capsys.readouterr().out)["results"]["final_mean"]
-    assert final["mean"] == 2.5
-    assert final["std_error"] == pytest.approx(0.6571287406727709, rel=1e-12)
+    assert final["mean"] == 1.5833333333333333
+    assert final["std_error"] == pytest.approx(0.22890825651118377, rel=1e-12)
 
 
 def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):
@@ -338,6 +349,14 @@ def test_cli_recurrence_inconclusive_exit_one(tmp_path, capsys):
     assert code == 1
     assert report["results"]["verdict"] == "inconclusive"
     assert report["results"]["mean_returns_to_one"] == 1.0
+
+
+def test_cli_zero_replicates_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, LIMIT_CFG)
+    assert main(["recurrence", "--config", path, "--replicates", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "run.replicates" in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_recurrence_recurrent_exit_zero(tmp_path, capsys):

@@ -7,9 +7,9 @@ from scipy.stats import chisquare
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SimplexPoint, dual_generator_apply_exact, event_rates,
                       generator_apply_exact, geometric_offspring,
-                      moment_duality_check, offspring_delta, recurrence_probe,
-                      simulate, stationary_estimate, xi_event_outcome,
-                      xi_jump_pmf)
+                      jump_sampler, moment_duality_check, offspring_delta,
+                      recurrence_probe, run_chains, simulate,
+                      stationary_estimate, xi_event_outcome, xi_jump_pmf)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -262,3 +262,88 @@ def test_moment_duality_builds_forward_and_chain_samplers(sampler_builds,
     moment_duality_check(BETA_PARAMS, 0.5, 2, total_time=0.2, dt=0.05,
                          replicates=replicates, rng=np.random.default_rng(5))
     assert len(sampler_builds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the block-buffered core: law checks and its stream
+
+
+def first_events(params, n0, replicates, seed):
+    """The first logged event (no-op candidates included) of each replicate."""
+    rng = np.random.default_rng(seed)
+    rate = event_rates(params, n0, jump_sampler(params).rate).total
+    # 20 mean holding times: a replicate sees no event with prob. e^-20
+    runs = run_chains(params, n0, 20.0 / rate, replicates, rng,
+                      jump_sampler(params, rng=rng), log=True,
+                      record_noops=True)
+    assert all(runs.events)
+    return [events[0] for events in runs.events]
+
+
+def test_first_event_law_beta_geometric_kingman():
+    # out of state 4: the holding time is Exp(total rate) (mean at 3 SE)
+    # and the event kind is branch / Kingman / xi in proportion to
+    # event_rates (chi-square, 1% level)
+    n, reps = 4, 10_000
+    firsts = first_events(BETA_PARAMS, n, reps, seed=101)
+    rates = event_rates(BETA_PARAMS, n, jump_sampler(BETA_PARAMS).rate)
+    holds = np.array([e.time for e in firsts])
+    se = holds.std(ddof=1) / math.sqrt(reps)
+    assert abs(holds.mean() - 1.0 / rates.total) <= 3 * se
+    kinds = [e.kind for e in firsts]
+    f_obs = np.array([kinds.count(k) for k in ("branch", "kingman", "xi")])
+    f_exp = reps * np.array([rates.branch_total, rates.kingman,
+                             rates.xi_candidate]) / rates.total
+    assert f_obs.sum() == reps
+    assert chisquare(f_obs, f_exp).pvalue > 0.01
+
+
+def test_xi_post_state_law_two_atoms():
+    # pure xi chain out of state 3 under two atoms: the post-state of the
+    # first candidate (no-ops logged) follows the rate-weighted mixture of
+    # xi_jump_pmf over the atoms (chi-square, 1% level)
+    atoms = ((0.6, (0.3, 0.2)), (0.4, (0.6,)))
+    params = LimitParams(0.0, 0.0, offspring_delta(1),
+                         xi=FiniteAtomic(atoms))
+    n, reps = 3, 10_000
+    firsts = first_events(params, n, reps, seed=102)
+    assert {e.kind for e in firsts} == {"xi"}
+    weights = np.array([w / sum(m * m for m in z) for w, z in atoms])
+    weights /= weights.sum()
+    pmf = np.zeros(n)
+    for w, (_, z) in zip(weights, atoms):
+        for new, p in xi_jump_pmf(SimplexPoint(z), n).items():
+            pmf[new - 1] += w * p
+    news = np.array([e.state for e in firsts])
+    f_obs = np.array([(news == s).sum() for s in range(1, n + 1)])
+    assert f_obs.sum() == reps
+    assert chisquare(f_obs, reps * pmf).pvalue > 0.01
+    # each logged point is one of the two atoms
+    assert {e.point for e in firsts} == {z for _, z in atoms}
+
+
+@pytest.mark.parametrize("params", [reference_params(1.0, sigma=1.0),
+                                    BETA_PARAMS],
+                         ids=["dirac", "beta"])
+def test_simulate_is_one_replicate_of_run_chains(params):
+    # the event log does not touch the random stream
+    for seed in (1, 2, 3):
+        path = simulate(params, 3, 20.0, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        runs = run_chains(params, 3, 20.0, 1, rng,
+                          jump_sampler(params, rng=rng), cap=10_000)
+        assert path.final == runs.final[0]
+        assert path.returns_to_one == runs.returns_to_one[0]
+        assert path.escaped == runs.escaped[0]
+
+
+def test_run_chains_argument_errors():
+    rng = np.random.default_rng(0)
+    params = reference_params(1.0)
+    sampler = jump_sampler(params)
+    with pytest.raises(ValueError, match="replicates"):
+        run_chains(params, 2, 1.0, 0, rng, sampler)
+    with pytest.raises(ValueError, match="n0"):
+        run_chains(params, 0, 1.0, 3, rng, sampler)
+    with pytest.raises(ValueError, match="replicates"):
+        recurrence_probe(params, 2, horizon=1.0, cap=10, replicates=0, rng=rng)

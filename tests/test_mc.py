@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from cannings import McEstimate
+from cannings.mc import interval
 
 
 def test_from_samples_matches_hand_computation():
@@ -74,3 +76,14 @@ def test_from_samples_rejects_empty_and_2d():
         McEstimate.from_samples([])
     with pytest.raises(ValueError):
         McEstimate.from_samples(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("level", [0.95, 0.99])
+def test_interval_uses_the_normal_quantile(level):
+    # the quantile is cached per level; repeated calls stay bit-identical
+    z = float(norm.ppf(0.5 + level / 2.0))
+    for _ in range(2):
+        assert interval(1.5, 0.25, level) == (1.5 - z * 0.25, 1.5 + z * 0.25)
+    est = McEstimate.from_samples([1.0, 2.0, 4.0], confidence_level=level)
+    assert est.interval == (est.mean - z * est.std_error,
+                            est.mean + z * est.std_error)

@@ -268,15 +268,6 @@ def test_draw_masses_two_atom_frequencies():
     assert abs(first.mean() - p) <= 3 * se
 
 
-def test_draw_masses_beta_matches_scalar_draw():
-    sampler = TruncatedSampler(LambdaBeta(0.5, 1.5), 1e-3)
-    for seed in range(20):
-        z = sampler.draw(np.random.default_rng(seed))
-        row = sampler.draw_masses(1, np.random.default_rng(seed))
-        assert row.shape == (1, 1)
-        assert z.masses == (row[0, 0],)
-
-
 def test_draw_masses_stick_breaking_rows_are_points():
     sampler = TruncatedSampler(StickBreaking(), 0.05, pool_size=2000,
                                rng=np.random.default_rng(3))
