@@ -10,7 +10,8 @@ from .mc import McEstimate
 from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedIntensity, TruncatedSampler,
                       XiMeasure, admissibility_diagnostic, admissibility_index,
-                      as_atoms, intensity_mass, normalized, sample_point,
+                      as_atoms, bernoulli_patterns, intensity_mass, jump_map,
+                      normalized, sample_masses, sample_point,
                       small_mass_gap, total_mass, truncate_alpha)
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
@@ -39,7 +40,8 @@ __all__ = [
     "McEstimate",
     "SimplexPoint", "XiMeasure", "FiniteAtomic", "LambdaDirac", "LambdaBeta",
     "StickBreaking", "TruncatedIntensity", "TruncatedSampler",
-    "total_mass", "normalized", "as_atoms", "sample_point", "intensity_mass",
+    "total_mass", "normalized", "as_atoms", "sample_point", "sample_masses",
+    "jump_map", "bernoulli_patterns", "intensity_mass",
     "truncate_alpha", "small_mass_gap", "admissibility_index",
     "admissibility_diagnostic",
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",

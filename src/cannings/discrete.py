@@ -35,24 +35,23 @@ sizes.  This stays exact for unbounded parent-count laws.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaln
+from scipy.special import betaln, comb
 from scipy.stats import binom
 
 from .mc import McEstimate
 from .selection import SelectionLaw, pgf, sample_parent_counts
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
+                      bernoulli_patterns, jump_map, sample_masses,
                       sample_point, total_mass)
 
 #: exact kernels refuse larger populations and atom supports
 MAX_EXACT_POP = 6
 MAX_EXACT_SUPPORT = 3
-_MAX_ENUM_SUPPORT = 12
 _EXACT_TOL = 1e-10
 
 
@@ -91,10 +90,7 @@ def post_event_frequency(x: float, z: SimplexPoint,
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if len(z) == 0:
-        return x
-    flips = rng.random(len(z)) < x
-    return float(np.dot(flips, z.masses) + x * z.residual)
+    return float(jump_map(np.array([x]), np.array([z.masses]), rng)[0])
 
 
 def forward_step(params: DiscreteParams, x: float,
@@ -123,41 +119,11 @@ def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
             extreme = rng.random(replicates) < params.extreme_prob
             idx = np.flatnonzero(extreme)
             if idx.size:
-                p[idx] = pgf(params.parent_law,
-                             _post_event_batch(params.xi_hat, x[idx], rng))
+                masses = sample_masses(params.xi_hat, idx.size, rng)
+                p[idx] = pgf(params.parent_law, jump_map(x[idx], masses, rng))
         x = rng.binomial(n, p) / n
         out[:, g] = x
     return out
-
-
-def _post_event_batch(measure: XiMeasure, xs: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    atoms = as_atoms(measure)
-    ys = np.empty_like(xs)
-    if atoms is not None:
-        weights = np.array([w for w, _ in atoms])
-        which = rng.choice(len(atoms), size=xs.size, p=weights / weights.sum())
-        for a, (_, z) in enumerate(atoms):
-            sel = np.flatnonzero(which == a)
-            if sel.size == 0:
-                continue
-            flips = rng.random((sel.size, len(z))) < xs[sel, None]
-            ys[sel] = flips @ np.asarray(z.masses) + xs[sel] * z.residual
-        return ys
-    for i, x in enumerate(xs):
-        ys[i] = post_event_frequency(float(x), sample_point(measure, rng), rng)
-    return ys
-
-
-def _enum_bernoulli(z: SimplexPoint, x: float):
-    """Yield (probability, weak share) over all group adoption patterns."""
-    m = len(z)
-    masses = np.asarray(z.masses)
-    resid = z.residual
-    for bits in itertools.product((0, 1), repeat=m):
-        b = np.asarray(bits)
-        prob = float(np.prod(np.where(b, x, 1.0 - x)))
-        yield prob, float(b @ masses + x * resid)
 
 
 def sampling_probability(params: DiscreteParams, x: float, n: int,
@@ -165,31 +131,30 @@ def sampling_probability(params: DiscreteParams, x: float, n: int,
                          rng: np.random.Generator | None = None):
     """S(x, n): probability that n sampled children are all of the weak type.
 
-    Exact mode enumerates group-adoption patterns over the atoms of
-    xi_hat (supports of size up to 12), or integrates over the group
-    size for a Beta xi_hat; stick-breaking xi_hat has no exact mode.  MC
-    mode averages over sampled extreme events and returns an McEstimate.
+    Exact mode sums over the group-adoption patterns of each atom of
+    xi_hat (``bernoulli_patterns``, supports of size up to 12), or
+    integrates over the group size for a Beta xi_hat; stick-breaking
+    xi_hat has no exact mode.  MC mode averages over ``replicates``
+    sampled extreme events and returns an McEstimate.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if mode not in ("exact", "mc"):
+        raise ValueError("mode must be 'exact' or 'mc'")
     g = params.extreme_prob
     base = pgf(params.parent_law, x) ** n
     if g == 0.0:
         return base if mode == "exact" else McEstimate.exact(base)
     if mode == "exact":
         return (1.0 - g) * base + g * _extreme_sampling_term(params, x, n)
-    if mode != "mc":
-        raise ValueError("mode must be 'exact' or 'mc'")
     if rng is None:
         raise ValueError("MC mode needs an rng")
-    vals = np.empty(replicates)
-    for i in range(replicates):
-        z = sample_point(params.xi_hat, rng)
-        vals[i] = pgf(params.parent_law, post_event_frequency(x, z, rng)) ** n
-    est = McEstimate.from_samples((1.0 - g) * base + g * vals)
-    return est
+    masses = sample_masses(params.xi_hat, replicates, rng)
+    ys = jump_map(np.full(replicates, float(x)), masses, rng)
+    return McEstimate.from_samples(
+        (1.0 - g) * base + g * pgf(params.parent_law, ys) ** n)
 
 
 def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
@@ -212,10 +177,8 @@ def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
     tot = sum(w for w, _ in atoms)
     acc = 0.0
     for w, z in atoms:
-        if len(z) > _MAX_ENUM_SUPPORT:
-            raise ValueError("atom support too large for exact mode; use mode='mc'")
-        acc += (w / tot) * sum(p * pgf(params.parent_law, y) ** n
-                               for p, y in _enum_bernoulli(z, x))
+        probs, ys = bernoulli_patterns(z, x)
+        acc += (w / tot) * (probs @ pgf(law, ys) ** n)
     return acc
 
 
@@ -273,64 +236,42 @@ def _require_grid_state(params: DiscreteParams, x: float) -> int:
     return int(i)
 
 
-def _lineage_inside_prob(law: SelectionLaw, q: float) -> float:
-    # chance that all picks of one lineage land in a label set of
-    # pool-probability q; the infinity mass contributes only at q = 1,
-    # which is handled by the caller through the j = pop_size column
-    return pgf(law, q)
-
-
 def _occupancy_pmf(pop: int, inside: np.ndarray) -> np.ndarray:
-    """P(D = d), d = 1..pop, from P(all picks inside a j-subset), j = 0..pop.
+    """P(D = d), d = 1..pop, from P(all picks inside a j-subset), j = 0..pop,
+    for each row of ``inside``.
 
     Inclusion-exclusion over label subsets:
     P(D = d) = C(pop, d) * sum_j (-1)^(d-j) C(d, j) inside[j].
     """
-    out = np.zeros(pop)
-    for d in range(1, pop + 1):
-        s = 0.0
-        for j in range(d + 1):
-            s += (-1.0) ** (d - j) * math.comb(d, j) * inside[j]
-        out[d - 1] = math.comb(pop, d) * s
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
+    d = np.arange(1, pop + 1)[:, None]
+    j = np.arange(pop + 1)
+    weights = comb(pop, d) * (-1.0) ** (d - j) * comb(d, j)  # 0 for j > d
+    return np.clip(inside @ weights.T, 0.0, 1.0)
 
 
-def _ordinary_row(params: DiscreteParams, n: int) -> np.ndarray:
+def _point_kernels(params: DiscreteParams,
+                   z: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and ancestral kernels of a generation whose event is the
+    point z; the empty point is an ordinary generation.
+
+    Forward from x = i / pop, each group adopts the weak type with
+    probability x.  Backward, the chance that one lineage's picks all
+    land in a j-subset of labels conditions on which groups drew their
+    shared label inside it, each with probability j / pop: the same
+    patterns at x = j / pop.
+    """
     pop = params.pop_size
     law = params.parent_law
-    inside = np.empty(pop + 1)
-    for j in range(pop + 1):
-        psi = _lineage_inside_prob(law, j / pop)
-        if j == pop:
-            psi += law.inf_mass
-        inside[j] = psi ** n
-    return _occupancy_pmf(pop, inside)
-
-
-def _extreme_row(params: DiscreteParams, n: int, z: SimplexPoint) -> np.ndarray:
-    pop = params.pop_size
-    law = params.parent_law
-    masses = np.asarray(z.masses)
-    resid = z.residual
-    m = len(z)
-    inside = np.empty(pop + 1)
-    for j in range(pop + 1):
-        pj = j / pop
-        acc = 0.0
-        # condition on which ranked groups drew their shared label inside
-        for bits in itertools.product((0, 1), repeat=m):
-            b = np.asarray(bits)
-            w = float(np.prod(np.where(b, pj, 1.0 - pj)))
-            if w == 0.0:
-                continue
-            q = float(b @ masses) + resid * pj
-            psi = pgf(law, min(q, 1.0))
-            if j == pop:
-                psi += law.inf_mass
-            acc += w * psi ** n
-        inside[j] = acc
-    return _occupancy_pmf(pop, inside)
+    counts = np.arange(pop + 1)
+    probs, ys = bernoulli_patterns(z, counts / pop)  # (pop + 1, 2^m)
+    psi = pgf(law, np.minimum(ys, 1.0))
+    forward = np.einsum("ip,ipc->ic", probs,
+                        binom.pmf(counts, pop, psi[..., None]))
+    # the infinity mass puts a lineage's picks inside the full label set only
+    psi[-1] += law.inf_mass
+    lineages = np.arange(1, pop + 1)[:, None, None]
+    inside = (probs * psi ** lineages).sum(axis=-1)  # (pop, pop + 1)
+    return forward, _occupancy_pmf(pop, inside)
 
 
 def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
@@ -350,25 +291,14 @@ def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.nd
         if any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
             raise ValueError(f"exact kernels support atoms of size <= {MAX_EXACT_SUPPORT}")
     g = params.extreme_prob
-    counts = np.arange(pop + 1)
-
     forward = np.zeros((pop + 1, pop + 1))
-    for i in range(pop + 1):
-        x = i / pop
-        row = (1.0 - g) * binom.pmf(counts, pop, pgf(params.parent_law, x))
-        for w, z in atoms:
-            for p, y in _enum_bernoulli(z, x):
-                row = row + g * w * p * binom.pmf(counts, pop,
-                                                  pgf(params.parent_law, y))
-        forward[i] = row
-
     ancestral = np.zeros((pop, pop))
-    for n in range(1, pop + 1):
-        row = (1.0 - g) * _ordinary_row(params, n)
-        for w, z in atoms:
-            row = row + g * w * _extreme_row(params, n, z)
-        ancestral[n - 1] = row
-
+    # an ordinary generation is an event at the empty point
+    events = [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]
+    for weight, z in events:
+        fwd, anc = _point_kernels(params, z)
+        forward += weight * fwd
+        ancestral += weight * anc
     return forward, ancestral
 
 

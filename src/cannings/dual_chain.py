@@ -59,8 +59,6 @@ from .simplex import SimplexPoint, TruncatedSampler, as_atoms
 #: the dual chain runs on the same parameter bundle as the forward limit
 DualParams = LimitParams
 
-_MAX_GEN_N = 10
-_MAX_GEN_SUPPORT = 6
 _DEFAULT_CAP = 10_000
 #: draws per buffer refill in ``run_chains``
 _BLOCK = 1024
@@ -133,23 +131,34 @@ def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
 
 
 def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
-    """Exact law of the post-event state for one candidate event at state n."""
-    zn = z.normalized()
-    m = len(z)
-    out: dict[int, float] = {}
-    for k in range(n + 1):
-        bp = float(binom.pmf(k, n, min(z.total, 1.0)))
-        if bp == 0.0:
-            continue
-        if k == 0:
-            out[n] = out.get(n, 0.0) + bp
-            continue
-        for counts in _compositions(k, m):
-            d = sum(1 for c in counts if c > 0)
-            p = bp * _multinomial_pmf(counts, zn)
-            new = n - k + d
-            out[new] = out.get(new, 0.0) + p
-    return out
+    """Exact law of the post-event state for one candidate event at state n.
+
+    Each lineage joins group i with probability z_i or stays solo, and
+    the new state counts the solo lineages and the occupied groups.  Its
+    exponential generating function (EGF) in the lineages is
+
+        E[x^new] = n! [t^n] e^((1 - |z|) x t) prod_i (1 + x (e^(z_i t) - 1)).
+
+    The product is taken one group at a time on the coefficient array
+    c[k, d] = k! [t^k x^d] / q^k, q the mass of the cells taken so far:
+    the chance that k lineages, each in one of those cells, occupy d of
+    them.  Multiplying in group i moves a Binomial(k, z_i / (q + z_i))
+    share of the k lineages into it, so every weight is a probability
+    and the array stays in [0, 1] at any n.
+    """
+    ks = np.arange(n + 1)
+    joins = ks[:, None] - ks[None, :]  # lineages the new group takes
+    coef = np.zeros((n + 1, n + 1))
+    # solo lineages each count once; with no solo cell only k = 0 exists
+    coef[ks, ks] = 1.0 if z.residual > 0.0 else (ks == 0)
+    mass = z.residual
+    for m in z.masses:
+        mass += m
+        take = binom.pmf(joins, ks[:, None], m / mass)
+        joined = np.tril(take, -1) @ coef[:, :-1]
+        coef *= np.diag(take)[:, None]
+        coef[:, 1:] += joined
+    return {d: float(p) for d, p in enumerate(coef[n]) if p > 0.0}
 
 
 def simulate(params: DualParams, n0: int, total_time: float,
@@ -311,31 +320,17 @@ def run_chains(params: DualParams, n0: int, total_time: float,
 # exact generator
 
 
-def _compositions(k: int, m: int):
-    if m == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, m - 1):
-            yield (first,) + rest
-
-
-def _multinomial_pmf(counts, probs) -> float:
-    k = sum(counts)
-    coef = math.factorial(k)
-    p = 1.0
-    for c, q in zip(counts, probs):
-        coef //= math.factorial(c)
-        p *= q ** c
-    return coef * p
-
-
 def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
-    """L x^n in closed form (n <= 10, atom supports <= 6)."""
+    """L x^n in closed form; needs an atomic measure.
+
+    The xi term weighs each atom's ``xi_jump_pmf``, which is computed on
+    the lineage side, independently of the forward ``bernoulli_patterns``
+    the forward generator uses.
+    """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if not (1 <= n <= _MAX_GEN_N):
-        raise ValueError(f"n must lie in 1..{_MAX_GEN_N}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     xn = x ** n
     branch = 0.0
     if params.selection_rate > 0.0:
@@ -351,8 +346,6 @@ def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
         if atoms is None:
             raise ValueError("exact generator needs an atomic measure")
         for w, z in atoms:
-            if len(z) > _MAX_GEN_SUPPORT:
-                raise ValueError("atom support too large for exact enumeration")
             scale = w / z.sum_sq
             for new, p in xi_jump_pmf(z, n).items():
                 if new != n:

@@ -34,7 +34,6 @@ S = sqrt(U) (density 2s on [0, 1]) and W = |Z| S.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -42,10 +41,9 @@ import numpy as np
 
 from .mc import McEstimate
 from .selection import SelectionLaw, branching_drift, selection_shape
-from .simplex import (TruncatedSampler, XiMeasure, as_atoms, sample_point,
-                      total_mass)
+from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
+                      bernoulli_patterns, jump_map, sample_masses, total_mass)
 
-_MAX_ENUM_SUPPORT = 12
 _DEFAULT_DT = 1e-3
 _DEFAULT_FLOOR = 1e-3
 
@@ -166,10 +164,10 @@ def simulate_path(params: LimitParams, x0: float, total_time: float,
         path.n_substeps += 1
         path.clamp_count += int(clamped)
         if t in jump_set:
-            xs = np.array([x])
-            masses = _apply_jump_batch(xs, np.zeros(1, dtype=np.intp), sampler, rng)[0]
-            x = float(xs[0])
-            path.jump_log.append((float(t), tuple(masses[masses > 0.0].tolist()), x))
+            masses = sampler.draw_masses(1, rng)
+            x = float(jump_map(np.array([x]), masses, rng)[0])
+            point = masses[0]
+            path.jump_log.append((float(t), tuple(point[point > 0.0].tolist()), x))
         times.append(float(t))
         values.append(x)
         prev = t
@@ -188,7 +186,8 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     step boundary, the standard step-thinning for jump diffusions; the
     within-step displacement is of the same order as the Euler bias.
     Round r of a step jumps every path with at least r jumps, at a fixed
-    number of numpy calls (one ``draw_masses``) whatever the jump family.
+    number of numpy calls (one ``draw_masses`` and one ``jump_map``)
+    whatever the jump family.
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
@@ -217,7 +216,7 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
             top = int(counts.max()) if n_paths else 0
             for r in range(1, top + 1):
                 idx = np.flatnonzero(counts >= r)
-                _apply_jump_batch(x, idx, sampler, rng)
+                x[idx] = jump_map(x[idx], sampler.draw_masses(idx.size, rng), rng)
                 jumps_applied += idx.size
         t += h
     if return_diagnostics:
@@ -226,23 +225,16 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     return x
 
 
-def _apply_jump_batch(x: np.ndarray, idx: np.ndarray, sampler: TruncatedSampler,
-                      rng: np.random.Generator) -> np.ndarray:
-    """x <- x (1 - sum z) + sum z_i B_i at each path in ``idx``, B_i ~ Bernoulli(x);
-    returns the drawn (len(idx), width) masses."""
-    masses = sampler.draw_masses(idx.size, rng)
-    xs = x[idx]
-    flips = rng.random(masses.shape) < xs[:, None]
-    x[idx] = (flips * masses).sum(axis=1) + xs * (1.0 - masses.sum(axis=1))
-    return masses
-
-
 # ---------------------------------------------------------------------------
 # generator evaluations
 
 
 def generator_apply_exact(params: LimitParams, n: int, x: float) -> float:
-    """A x^n in closed form; needs an atomic measure (supports <= 12)."""
+    """A x^n in closed form; needs an atomic measure.
+
+    The jump term sums over the group adoption patterns of each atom
+    (``bernoulli_patterns``, supports of size up to 12).
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if not (0.0 <= x <= 1.0):
@@ -259,16 +251,8 @@ def generator_apply_exact(params: LimitParams, n: int, x: float) -> float:
         if atoms is None:
             raise ValueError("exact generator needs an atomic measure")
         for w, z in atoms:
-            if len(z) > _MAX_ENUM_SUPPORT:
-                raise ValueError("atom support too large for exact enumeration")
-            masses = np.asarray(z.masses)
-            resid = 1.0 - z.total
-            expect = 0.0
-            for bits in itertools.product((0, 1), repeat=len(z)):
-                b = np.asarray(bits)
-                p = float(np.prod(np.where(b, x, 1.0 - x)))
-                expect += p * (x * resid + float(b @ masses)) ** n
-            jump_term += (w / z.sum_sq) * (expect - x ** n)
+            probs, ys = bernoulli_patterns(z, x)
+            jump_term += (w / z.sum_sq) * (probs @ ys ** n - x ** n)
     return drift_term + diff_term + jump_term
 
 
@@ -295,7 +279,7 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
     frac, sum_sq_norm, totals = normalized_draws(params.xi, replicates, rng)
     if n >= 2:
         flips = rng.random(frac.shape) < x
-        zb = np.einsum("ij,ij->i", flips, frac) if frac.ndim == 2 else frac * flips
+        zb = np.einsum("ij,ij->i", flips, frac)
         ws = totals * np.sqrt(rng.random(replicates))
         vs = rng.random(replicates)
         inner = x * (1.0 - ws) + vs * ws * zb
@@ -313,42 +297,15 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
 def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
     """(group fractions, sum of squared fractions, total mass |Z|) per draw.
 
-    Fractions come back as a dense (size, support) matrix for atomic
-    families and as a vector for the one-atom Lambda families.
+    Z comes from ``sample_masses``; the fractions Z / |Z| form a
+    zero-padded (size, width) matrix.
     """
-    atoms = as_atoms(measure)
-    if atoms is not None:
-        weights = np.array([w for w, _ in atoms])
-        which = rng.choice(len(atoms), size=size, p=weights / weights.sum())
-        width = max(len(z) for _, z in atoms)
-        frac = np.zeros((size, width))
-        ssq = np.empty(size)
-        tot = np.empty(size)
-        for a, (_, z) in enumerate(atoms):
-            sel = which == a
-            if not sel.any():
-                continue
-            zn = np.asarray(z.normalized())
-            frac[sel, :len(z)] = zn
-            ssq[sel] = float(np.dot(zn, zn))
-            tot[sel] = z.total
-        return frac, ssq, tot
-    from .simplex import LambdaBeta  # local import to keep module load light
-    if isinstance(measure, LambdaBeta):
-        ys = rng.beta(measure.a, measure.b, size=size)
-        return np.ones(size), np.ones(size), ys
-    frac_rows = []
-    ssq = np.empty(size)
-    tot = np.empty(size)
-    width = 1
-    for i in range(size):
-        z = sample_point(measure, rng)
-        zn = np.asarray(z.normalized())
-        frac_rows.append(zn)
-        ssq[i] = float(np.dot(zn, zn))
-        tot[i] = z.total
-        width = max(width, len(zn))
-    frac = np.zeros((size, width))
-    for i, row in enumerate(frac_rows):
-        frac[i, :row.size] = row
-    return frac, ssq, tot
+    masses = sample_masses(measure, size, rng)
+    totals = masses.sum(axis=1)
+    # a one-group point normalizes to [1], also when its mass underflows
+    # to 0 (Beta draws with a small first parameter do)
+    if masses.shape[1] == 1:
+        frac = np.ones_like(masses)
+    else:
+        frac = masses / totals[:, None]
+    return frac, (frac * frac).sum(axis=1), totals

@@ -21,6 +21,11 @@ and truncates small events at a floor:
 Atomic families evaluate this exactly, the Beta family by adaptive
 quadrature (relative tolerance 1e-9), stick-breaking by Monte Carlo with
 a reported standard error.
+
+An event at z moves the weak type's frequency x by the one jump map,
+``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
+``bernoulli_patterns`` lists its exact law over the 2^m adoption
+patterns, and ``sample_masses`` draws batches of points for it.
 """
 
 from __future__ import annotations
@@ -40,6 +45,8 @@ MASS_TOL = 1e-12
 _QUAD_RTOL = 1e-9
 _MC_SAMPLES = 100_000
 _MC_SEED = 0x5EED  # deterministic default stream for MC-backed integrals
+#: largest point whose 2^m adoption patterns ``bernoulli_patterns`` lists
+_MAX_ENUM_SUPPORT = 12
 
 
 @dataclass(frozen=True)
@@ -238,6 +245,48 @@ def _sample_sticks(measure: StickBreaking, rng: np.random.Generator) -> SimplexP
         masses.append(y * remaining)
         remaining *= 1.0 - y
     raise RuntimeError("stick-breaking did not terminate; raise truncation_tol")
+
+
+def sample_masses(measure: XiMeasure, size: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """``size`` points from the normalized measure as a zero-padded
+    (size, width) mass matrix; width is the largest atom support, 1 for
+    Beta, the widest stick-breaking point drawn."""
+    atoms = as_atoms(measure)
+    if atoms is not None:
+        weights = np.array([w for w, _ in atoms])
+        which = rng.choice(len(atoms), size=size, p=weights / weights.sum())
+        return _padded([z.masses for _, z in atoms])[which]
+    if isinstance(measure, LambdaBeta):
+        return rng.beta(measure.a, measure.b, size=size)[:, None]
+    return _padded([_sample_sticks(measure, rng).masses for _ in range(size)])
+
+
+def jump_map(xs: np.ndarray, masses: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+    """The extreme-event jump x (1 - sum z) + sum z_i B_i, one row per x.
+
+    ``masses`` holds one point per row, zero-padded; each group adopts
+    the weak type independently, B_i ~ Bernoulli(x), and the residual
+    keeps the frequency x.  Padding columns add nothing.
+    """
+    flips = rng.random(masses.shape) < xs[:, None]
+    return (flips * masses).sum(axis=1) + xs * (1.0 - masses.sum(axis=1))
+
+
+def bernoulli_patterns(z: SimplexPoint, x) -> tuple[np.ndarray, np.ndarray]:
+    """Exact law of ``jump_map`` at the point z: (probability, value) of
+    each of the 2^len(z) group adoption patterns, as arrays of shape
+    np.shape(x) + (2^len(z),).  The empty point gives ([1], [x])."""
+    m = len(z)
+    if m > _MAX_ENUM_SUPPORT:
+        raise ValueError(f"atom supports above {_MAX_ENUM_SUPPORT} are too "
+                         "large for exact enumeration")
+    # row p of bits holds the binary digits of p, most significant first
+    bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    xa = np.asarray(x, dtype=float)[..., None, None]
+    probs = np.where(bits, xa, 1.0 - xa).prod(axis=-1)
+    return probs, bits @ np.asarray(z.masses) + xa[..., 0] * z.residual
 
 
 def _beta_over_square(a: float, b: float):

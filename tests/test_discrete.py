@@ -88,6 +88,13 @@ def test_sampling_probability_no_event_is_pgf_power():
     assert abs(sampling_probability(params, 0.5, 1) - p) < 1e-12
 
 
+def test_sampling_probability_rejects_unknown_mode():
+    for g, xi in ((0.0, None), (0.3, DIRAC_HALF)):
+        params = DiscreteParams(6, g, neutral_family(), xi_hat=xi)
+        with pytest.raises(ValueError, match="mode"):
+            sampling_probability(params, 0.5, 2, mode="exatc")
+
+
 def test_sampling_probability_at_one_is_one():
     params = DiscreteParams(6, 0.3, neutral_family(), xi_hat=DIRAC_HALF)
     assert abs(sampling_probability(params, 1.0, 4) - 1.0) < 1e-15

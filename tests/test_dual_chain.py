@@ -168,14 +168,26 @@ def test_generator_duality_cross_check():
                         assert abs(a - l) < 1e-10, (xi, sigma, n, x)
 
 
-def test_generator_budget_errors():
-    params = reference_params(1.0)
-    with pytest.raises(ValueError):
-        dual_generator_apply_exact(params, 0.5, 11)
+def test_generator_duality_beyond_enumeration_sizes():
+    # the lineage-side pmf has no cap on n or on the atom support; it
+    # still matches the forward pattern sum
     wide = FiniteAtomic(((1.0, (0.1,) * 7),))
-    with pytest.raises(ValueError):
-        dual_generator_apply_exact(
-            LimitParams(1.0, 0.0, offspring_delta(1), xi=wide), 0.5, 2)
+    for xi in (DIRAC_HALF, wide):
+        params = LimitParams(1.0, 0.5, offspring_delta(2), xi=xi)
+        for n in (11, 15, 20):
+            for x in (0.25, 0.5, 0.75):
+                a = generator_apply_exact(params, n, x)
+                l = dual_generator_apply_exact(params, x, n)
+                assert abs(a - l) < 1e-10, (xi, n, x)
+    for z in ((0.5,), (0.3, 0.2, 0.1), (0.1,) * 7):
+        pmf = xi_jump_pmf(SimplexPoint(z), 60)
+        assert abs(sum(pmf.values()) - 1.0) < 1e-12
+    # the recursion's weights are probabilities: no overflow at large n
+    pmf = xi_jump_pmf(SimplexPoint((0.6, 0.3)), 1000)
+    assert abs(sum(pmf.values()) - 1.0) < 1e-12
+
+
+def test_generator_budget_errors():
     cont = LimitParams(1.0, 0.0, offspring_delta(1),
                        xi=LambdaBeta(3.0, 1.0, 1.0))
     with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       generator_apply_exact, geometric_offspring, jump_sampler,
                       offspring_delta, offspring_pmf, resolved_jump_floor,
                       simulate_batch, simulate_path)
+from cannings.limit_sde import normalized_draws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -172,6 +173,23 @@ def test_bernoulli_generator_requires_no_diffusion():
     params = LimitParams(1.0, 0.7, offspring_delta(1), xi=DIRAC_HALF)
     with pytest.raises(ValueError):
         generator_apply_bernoulli(params, 2, 0.5, 100, np.random.default_rng(0))
+
+
+def test_normalized_draws_fractions():
+    # Beta(0.01, 1) draws underflow to y = 0 now and then; a one-group
+    # point still normalizes to [1]
+    frac, ssq, totals = normalized_draws(LambdaBeta(0.01, 1.0), 200_000,
+                                         np.random.default_rng(0))
+    assert (totals == 0.0).any()
+    assert frac.shape == (200_000, 1)
+    assert np.all(frac == 1.0) and np.all(ssq == 1.0)
+    xi = FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,))))
+    frac, ssq, totals = normalized_draws(xi, 1000, np.random.default_rng(1))
+    assert frac.shape == (1000, 2)
+    assert np.allclose(frac.sum(axis=1), 1.0)
+    assert set(np.round(totals, 12)) == {0.5, 0.7}
+    assert np.allclose(ssq[totals > 0.6], 1.0)
+    assert np.allclose(ssq[totals < 0.6], 0.6 ** 2 + 0.4 ** 2)
 
 
 @pytest.mark.parametrize("xi", [

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, admissibility_diagnostic,
-                      admissibility_index, intensity_mass, normalized,
-                      sample_point, small_mass_gap, total_mass, truncate_alpha)
+                      admissibility_index, bernoulli_patterns, intensity_mass,
+                      jump_map, normalized, sample_point, small_mass_gap,
+                      total_mass, truncate_alpha)
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -228,6 +230,37 @@ def test_small_mass_gap_matches_enumerated_difference():
     assert abs(lhs - rhs) < 1e-10
     # and the cut mass is the third atom's weight: x(1-x) * 2.0 = 0.42
     assert abs(rhs - x * (1 - x) * 2.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the jump map and its exact law
+
+
+def test_jump_map_matches_bernoulli_patterns():
+    # z = (0.3, 0.2, 0.1) at x = 0.3: the 8 adoption patterns give 7
+    # distinct values (0.3 twice); chi-square at the 1% level
+    z = SimplexPoint((0.3, 0.2, 0.1))
+    x, draws = 0.3, 20_000
+    masses = np.tile(z.masses, (draws, 1))
+    ys = jump_map(np.full(draws, x), masses, np.random.default_rng(5))
+    probs, values = bernoulli_patterns(z, x)
+    assert abs(probs.sum() - 1.0) < 1e-15
+    support, where = np.unique(np.round(values, 12), return_inverse=True)
+    assert support.size == 7
+    expected = draws * np.bincount(where, weights=probs)
+    observed = np.array([(np.abs(ys - v) < 1e-12).sum() for v in support])
+    assert observed.sum() == draws
+    assert chisquare(observed, expected).pvalue > 0.01
+
+
+def test_bernoulli_patterns_shapes_and_cap():
+    probs, values = bernoulli_patterns(SimplexPoint(()), np.array([0.2, 0.7]))
+    assert probs.tolist() == [[1.0], [1.0]]
+    assert values.tolist() == [[0.2], [0.7]]
+    probs, values = bernoulli_patterns(SimplexPoint((0.5,)), 0.3)
+    assert np.allclose(probs, [0.7, 0.3]) and np.allclose(values, [0.15, 0.65])
+    with pytest.raises(ValueError, match="too large"):
+        bernoulli_patterns(SimplexPoint((0.05,) * 13), 0.5)
 
 
 # ---------------------------------------------------------------------------
