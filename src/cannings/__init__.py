@@ -20,12 +20,12 @@ from .selection import (SelectionLaw, branching_drift, explicit_family,
 from .discrete import (DiscreteParams, DualityReport, ancestral_moment_mc,
                        ancestral_step, ancestral_trajectories,
                        exact_transition_matrices, forward_moment_mc,
-                       forward_step, forward_trajectories,
+                       forward_trajectories,
                        post_event_frequency, sampling_duality_check,
                        sampling_probability)
-from .limit_sde import (LimitParams, SdePath, generator_apply_bernoulli,
+from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
-                        resolved_jump_floor, simulate_batch, simulate_path)
+                        resolved_jump_floor, simulate_batch)
 from .dual_chain import (ChainRuns, DualParams, DualPath, EventRates,
                          MomentDualityReport, RecurrenceReport,
                          StationaryEstimate, event_rates,
@@ -47,12 +47,12 @@ __all__ = [
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
     "offspring_delta", "offspring_pmf", "geometric_offspring", "pgf",
     "selection_shape", "branching_drift", "sample_parent_counts",
-    "DiscreteParams", "DualityReport", "post_event_frequency", "forward_step",
+    "DiscreteParams", "DualityReport", "post_event_frequency",
     "forward_trajectories", "ancestral_step", "ancestral_trajectories",
     "sampling_probability", "exact_transition_matrices",
     "sampling_duality_check", "forward_moment_mc", "ancestral_moment_mc",
-    "LimitParams", "SdePath", "resolved_jump_floor", "jump_sampler",
-    "simulate_path", "simulate_batch", "generator_apply_exact",
+    "LimitParams", "resolved_jump_floor", "jump_sampler",
+    "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualParams", "DualPath", "EventRates", "event_rates", "simulate",
     "run_chains", "ChainRuns",

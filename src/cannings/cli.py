@@ -258,7 +258,8 @@ _COMMAND_HELP = {
     "dual-ctmc": "simulate the dual branching-coalescing chain",
     "duality-limit": "check the limit moment duality by Monte Carlo",
     "kappa-star": "estimate the fixation threshold for the selection rate",
-    "fixation": "estimate fixation probabilities through the dual chain",
+    "fixation": "estimate the probability that the weak type is lost, "
+                "through the dual chain",
     "recurrence": "probe the dual chain for recurrence vs escape",
 }
 

@@ -90,19 +90,8 @@ def post_event_frequency(x: float, z: SimplexPoint,
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    return float(jump_map(np.array([x]), np.array([z.masses]), rng)[0])
-
-
-def forward_step(params: DiscreteParams, x: float,
-                 rng: np.random.Generator) -> float:
-    """One forward generation; returns the new weak-type frequency."""
-    n = params.pop_size
-    if params.extreme_prob > 0.0 and rng.random() < params.extreme_prob:
-        z = sample_point(params.xi_hat, rng)
-        p = pgf(params.parent_law, post_event_frequency(x, z, rng))
-    else:
-        p = pgf(params.parent_law, x)
-    return rng.binomial(n, p) / n
+    masses = np.array([z.masses])
+    return float(jump_map(np.array([x]), masses, rng.random(masses.shape))[0])
 
 
 def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
@@ -120,7 +109,8 @@ def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
             idx = np.flatnonzero(extreme)
             if idx.size:
                 masses = sample_masses(params.xi_hat, idx.size, rng)
-                p[idx] = pgf(params.parent_law, jump_map(x[idx], masses, rng))
+                ys = jump_map(x[idx], masses, rng.random(masses.shape))
+                p[idx] = pgf(params.parent_law, ys)
         x = rng.binomial(n, p) / n
         out[:, g] = x
     return out
@@ -152,7 +142,8 @@ def sampling_probability(params: DiscreteParams, x: float, n: int,
     if rng is None:
         raise ValueError("MC mode needs an rng")
     masses = sample_masses(params.xi_hat, replicates, rng)
-    ys = jump_map(np.full(replicates, float(x)), masses, rng)
+    ys = jump_map(np.full(replicates, float(x)), masses,
+                  rng.random(masses.shape))
     return McEstimate.from_samples(
         (1.0 - g) * base + g * pgf(params.parent_law, ys) ** n)
 

@@ -15,6 +15,13 @@ current frequency and
 The group coin flips have mean x, so the jump compensator vanishes and
 uncompensated thinning is exact in law.
 
+``simulate_batch`` runs a step-thinned Euler scheme for many paths at
+once: each step moves every path by its drift and diffusion increments
+and applies the path's jumps of that step at the step's end.  The jump
+clock is drawn per block of up to 1024 steps (a Poisson total, then a
+uniform time and path for each jump, with all points and coin flips in
+one draw each), so a step does work only for the paths that jump.
+
 Generator on monomials f(x) = x^n:
 
     A x^n = selection_rate * n x^(n-1) drift(x)
@@ -35,7 +42,7 @@ S = sqrt(U) (density 2s on [0, 1]) and W = |Z| S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +53,10 @@ from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
 
 _DEFAULT_DT = 1e-3
 _DEFAULT_FLOOR = 1e-3
+_BLOCK_STEPS = 1024
+_BLOCK_JUMPS = 1 << 16
+# (paths, masses, coins, step of each round, round bounds) of no jump
+_NO_JUMPS = (None, None, None, [], [0])
 
 
 @dataclass(frozen=True)
@@ -96,98 +107,20 @@ def jump_sampler(params: LimitParams,
     return TruncatedSampler(params.xi, floor, rng=rng)
 
 
-@dataclass
-class SdePath:
-    """One simulated path: grid plus jump times, with a jump log."""
-
-    times: np.ndarray
-    values: np.ndarray
-    jump_log: list[tuple[float, tuple[float, ...], float]] = field(default_factory=list)
-    clamp_count: int = 0
-    n_substeps: int = 0
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-
-def _euler_substep(x: float, h: float, params: LimitParams,
-                   rng: np.random.Generator) -> tuple[float, bool]:
-    drift = params.selection_rate * branching_drift(params.offspring, x)
-    x_new = x + drift * h
-    if params.kingman_rate > 0.0:
-        var = params.kingman_rate * x * (1.0 - x)
-        if var > 0.0:
-            x_new += math.sqrt(var * h) * rng.standard_normal()
-    clamped = x_new < 0.0 or x_new > 1.0
-    return min(max(x_new, 0.0), 1.0), clamped
-
-
-def simulate_path(params: LimitParams, x0: float, total_time: float,
-                  dt: float = _DEFAULT_DT,
-                  rng: np.random.Generator | None = None) -> SdePath:
-    """Euler scheme on a dt-grid with exact exponential jump times.
-
-    Values are clamped to [0, 1] after every substep and the number of
-    clamps is reported as a diagnostic.  States 0 and 1 are absorbing for
-    drift, noise and jumps alike.
-    """
-    if not (0.0 <= x0 <= 1.0):
-        raise ValueError("x0 must lie in [0, 1]")
-    if total_time < 0.0 or dt <= 0.0:
-        raise ValueError("need total_time >= 0 and dt > 0")
-    if rng is None:
-        raise ValueError("simulate_path needs an rng")
-    sampler = jump_sampler(params, rng=rng)
-    rate = sampler.rate if sampler is not None else 0.0
-
-    jump_times: list[float] = []
-    if rate > 0.0:
-        t = rng.exponential(1.0 / rate)
-        while t < total_time:
-            jump_times.append(t)
-            t += rng.exponential(1.0 / rate)
-    grid = np.arange(0.0, total_time, dt)
-    knots = np.unique(np.concatenate([grid, np.asarray(jump_times),
-                                      [total_time]]))
-    jump_set = set(jump_times)
-
-    x = float(x0)
-    times = [0.0]
-    values = [x]
-    path = SdePath(np.empty(0), np.empty(0))
-    prev = 0.0
-    for t in knots:
-        if t <= prev:
-            continue
-        x, clamped = _euler_substep(x, t - prev, params, rng)
-        path.n_substeps += 1
-        path.clamp_count += int(clamped)
-        if t in jump_set:
-            masses = sampler.draw_masses(1, rng)
-            x = float(jump_map(np.array([x]), masses, rng)[0])
-            point = masses[0]
-            path.jump_log.append((float(t), tuple(point[point > 0.0].tolist()), x))
-        times.append(float(t))
-        values.append(x)
-        prev = t
-    path.times = np.asarray(times)
-    path.values = np.asarray(values)
-    return path
-
-
 def simulate_batch(params: LimitParams, x0: float, total_time: float,
                    dt: float = _DEFAULT_DT, n_paths: int = 1,
                    rng: np.random.Generator | None = None,
                    return_diagnostics: bool = False):
     """Terminal values of many paths at once (vectorized Euler scheme).
 
-    Jumps are counted per step from the Poisson clock and applied at the
-    step boundary, the standard step-thinning for jump diffusions; the
-    within-step displacement is of the same order as the Euler bias.
-    Round r of a step jumps every path with at least r jumps, at a fixed
-    number of numpy calls (one ``draw_masses`` and one ``jump_map``)
-    whatever the jump family.
+    Each step of length h (dt, or less for the last step) moves every
+    path by its Euler drift and diffusion increments, clamps it to
+    [0, 1], and applies the step's jumps at the step's end: the standard
+    step-thinning for jump diffusions, whose within-step displacement is
+    of the same order as the Euler bias.  A path jumps Poisson(rate * h)
+    times per step, independently over steps and paths; the clock is
+    drawn per block of steps (``_jump_block``), so a step touches only
+    the paths that jump.  States 0 and 1 are absorbing.
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
@@ -197,32 +130,75 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
         raise ValueError("simulate_batch needs an rng")
     sampler = jump_sampler(params, rng=rng)
     rate = sampler.rate if sampler is not None else 0.0
+    kappa, sigma = params.selection_rate, params.kingman_rate
     x = np.full(n_paths, float(x0))
     n_steps = int(math.ceil(total_time / dt - 1e-12))
+    last_h = min(dt, total_time - (n_steps - 1) * dt)
+    # steps per block: at most _BLOCK_STEPS, and few enough that a block
+    # expects at most _BLOCK_JUMPS jumps, which bounds its memory
+    per_step = rate * dt * n_paths
+    block = max(1, min(_BLOCK_STEPS, int(_BLOCK_JUMPS / max(per_step, 1.0))))
     clamps = 0
     jumps_applied = 0
-    t = 0.0
-    for step in range(n_steps):
-        h = min(dt, total_time - t)
-        drift = params.selection_rate * branching_drift(params.offspring, x)
-        x = x + drift * h
-        if params.kingman_rate > 0.0:
-            var = np.clip(params.kingman_rate * x * (1.0 - x), 0.0, None)
-            x = x + np.sqrt(var * h) * rng.standard_normal(n_paths)
-        clamps += int((x < 0.0).sum() + (x > 1.0).sum())
-        np.clip(x, 0.0, 1.0, out=x)
+    for first in range(0, n_steps, block):
+        k = min(block, n_steps - first)
+        span = (k - 1) * dt + (last_h if first + k == n_steps else dt)
+        paths, masses, coins, round_steps, bounds = _NO_JUMPS
         if rate > 0.0:
-            counts = rng.poisson(rate * h, n_paths)
-            top = int(counts.max()) if n_paths else 0
-            for r in range(1, top + 1):
-                idx = np.flatnonzero(counts >= r)
-                x[idx] = jump_map(x[idx], sampler.draw_masses(idx.size, rng), rng)
-                jumps_applied += idx.size
-        t += h
+            paths, masses, coins, round_steps, bounds = _jump_block(
+                sampler, rate * span * n_paths, span / dt, k, n_paths, rng)
+        jumps_applied += bounds[-1]
+        r = 0
+        for s in range(k):
+            h = last_h if first + s == n_steps - 1 else dt
+            if kappa > 0.0:
+                x += (kappa * h) * branching_drift(params.offspring, x)
+            if sigma > 0.0:
+                var = np.clip((sigma * h) * x * (1.0 - x), 0.0, None)
+                x += np.sqrt(var) * rng.standard_normal(n_paths)
+            clamps += np.count_nonzero(x < 0.0) + np.count_nonzero(x > 1.0)
+            np.clip(x, 0.0, 1.0, out=x)
+            while r < len(round_steps) and round_steps[r] == s:
+                lo, hi = bounds[r], bounds[r + 1]
+                idx = paths[lo:hi]
+                x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi])
+                r += 1
     if return_diagnostics:
-        return x, {"clamp_count": clamps, "jumps_applied": jumps_applied,
+        return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
                    "steps": n_steps, "jump_rate": rate}
     return x
+
+
+def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
+                k: int, n_paths: int, rng: np.random.Generator):
+    """The jumps of k steps of all paths, grouped into rounds.
+
+    The total is Poisson(mean), mean = rate * (time of the k steps) *
+    n_paths, and each jump takes a uniform time (``span_steps`` is that
+    time in units of dt, which gives the step) and a uniform path:
+    the counts per (step, path) are then independent Poisson(rate * h).
+    Points and coin uniforms are i.i.d. and independent of the clock, so
+    the j-th sorted jump may take the j-th point as drawn.  Round r of a
+    step holds the paths jumping for the (r+1)-th time in it, all
+    distinct; rounds come in (step, r) order.  Returns (paths, masses,
+    coins, step of each round, round bounds).
+    """
+    n = int(rng.poisson(mean))
+    if n == 0:
+        return _NO_JUMPS
+    steps = np.minimum((rng.random(n) * span_steps).astype(np.int64), k - 1)
+    key = np.sort(steps * n_paths + rng.integers(n_paths, size=n))
+    masses = sampler.draw_masses(n, rng)
+    coins = rng.random(masses.shape)
+    # a jump's rank among the equal keys before it is its round
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
+    n_rounds = int(rank.max()) + 1
+    key = np.sort((key // n_paths * n_rounds + rank) * n_paths + key % n_paths)
+    rounds = key // n_paths
+    bounds = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]])
+    return (key % n_paths, masses, coins,
+            (rounds[bounds] // n_rounds).tolist(), bounds.tolist() + [n])
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,16 @@ def _geom_terms(s: float, slack: float = 1.0) -> int:
                                 / math.log(s))) + 1)
 
 
+def _horner(coeffs, arr: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] arr^k, bit for bit as np.polyval(coeffs[::-1], arr)
+    on finite input, without its per-call overhead."""
+    out = np.full(arr.shape, coeffs[-1] if coeffs else 0.0)
+    for c in coeffs[-2::-1]:
+        out *= arr
+        out += c
+    return out
+
+
 def _geom_sum(r, m: int):
     """sum_{i<m} r^i = (1 - r^m) / (1 - r), for 0 <= r < 1."""
     return (1.0 - r ** m) / (1.0 - r)
@@ -170,7 +180,7 @@ def pgf(law: SelectionLaw, x):
             # sum over k = 2 .. M+1 of x^k s^(k-2) (1-s), M = _geom_terms(s)
             acc = (1.0 - s) * _geom_sum(s * arr, _geom_terms(s))
         else:
-            acc = np.polyval(law.extra_pmf[::-1], arr)
+            acc = _horner(law.extra_pmf, arr)
         out = out + law.multi_prob * arr * arr * acc
     if np.ndim(x) == 0:
         return float(out)
@@ -186,7 +196,7 @@ def selection_shape(law: SelectionLaw, x):
         s = law.geometric_param
         out = _geom_sum(s * arr, _geom_terms(s, slack=1.0 - s))
     else:
-        out = np.polyval(_tail_vector(law)[::-1], arr)
+        out = _horner(_tail_vector(law), arr)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -208,7 +218,7 @@ def branching_drift(law: SelectionLaw, x):
         out = (1.0 - s) * arr * (arr * _geom_sum(s * arr, m) - _geom_sum(s, m))
     else:
         pmf = law.extra_pmf
-        out = arr * arr * np.polyval(pmf[::-1], arr) - arr * sum(pmf)
+        out = arr * arr * _horner(pmf, arr) - arr * sum(pmf)
     if np.ndim(x) == 0:
         return float(out)
     return out

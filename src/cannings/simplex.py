@@ -263,14 +263,15 @@ def sample_masses(measure: XiMeasure, size: int,
 
 
 def jump_map(xs: np.ndarray, masses: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
+             coins: np.ndarray) -> np.ndarray:
     """The extreme-event jump x (1 - sum z) + sum z_i B_i, one row per x.
 
     ``masses`` holds one point per row, zero-padded; each group adopts
-    the weak type independently, B_i ~ Bernoulli(x), and the residual
-    keeps the frequency x.  Padding columns add nothing.
+    the weak type independently, B_i = [coin_i < x] with ``coins``
+    uniform on [0, 1) in the shape of ``masses``, and the residual keeps
+    the frequency x.  Padding columns add nothing.
     """
-    flips = rng.random(masses.shape) < xs[:, None]
+    flips = coins < xs[:, None]
     return (flips * masses).sum(axis=1) + xs * (1.0 - masses.sum(axis=1))
 
 

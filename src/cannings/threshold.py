@@ -1,4 +1,5 @@
-"""Fixation threshold for the selection rate, and fixation probabilities.
+"""Fixation threshold for the selection rate, and the probability that
+the weak type is lost.
 
 The weak type reaches fixation with positive probability from every
 interior start exactly when the dual chain is positive recurrent, which
@@ -90,12 +91,14 @@ def fixation_probability(params: DualParams, x: float, *,
                          probe_horizon: float = 200.0,
                          probe_cap: int = 10_000,
                          probe_replicates: int = 200) -> McEstimate:
-    """Probability the weak type ever fixes, started from frequency x.
+    """Probability the weak type is eventually lost, started from frequency x.
 
-    Decided through the dual chain: when a recurrence probe says the
-    chain escapes to infinity the weak type fixes surely (probability 1
-    for every interior x); when the chain looks positive recurrent the
-    probability is 1 - phi(x) with phi the moment generating function of
+    Despite the name, this is the paper's extinction probability of the
+    selectively weak allele, 1 - phi(x); phi(x) is the probability that
+    the weak type fixes.  Decided through the dual chain: when a
+    recurrence probe says the chain escapes to infinity the weak type is
+    lost surely (probability 1 for every interior x); when the chain
+    looks positive recurrent phi is the moment generating function of
     the estimated occupation measure.  An inconclusive probe raises
     rather than guessing.  Pass precomputed ``probe`` / ``stationary``
     results to skip the simulations (otherwise ``rng`` is required).

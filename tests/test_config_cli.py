@@ -383,7 +383,8 @@ def test_cli_fixation_recurrent_regime(tmp_path, capsys):
     assert code == 0
     assert report["results"]["regime"] == "recurrent-looking"
     prob = report["results"]["probability"]
-    # the chain hugs state 1, so fixation from x is close to 1 - x
+    # the chain hugs state 1, so the weak type is lost from x with
+    # probability close to 1 - x
     assert 0.5 < prob["mean"] < 0.95
     assert prob["std_error"] >= 0.0
 

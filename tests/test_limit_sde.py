@@ -7,7 +7,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SelectionLaw, generator_apply_bernoulli,
                       generator_apply_exact, geometric_offspring, jump_sampler,
                       offspring_delta, offspring_pmf, resolved_jump_floor,
-                      simulate_batch, simulate_path)
+                      simulate_batch)
 from cannings.limit_sde import normalized_draws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -48,8 +48,6 @@ def test_absorbing_endpoints():
     rng = np.random.default_rng(2)
     params = LimitParams(1.0, 1.0, offspring_delta(1), xi=DIRAC_HALF)
     for x0 in (0.0, 1.0):
-        path = simulate_path(params, x0, 2.0, dt=0.01, rng=rng)
-        assert np.all(path.values == x0)
         finals = simulate_batch(params, x0, 2.0, dt=0.01, n_paths=64, rng=rng)
         assert np.all(finals == x0)
 
@@ -64,29 +62,11 @@ def test_neutral_jump_martingale():
     assert np.all((finals >= 0.0) & (finals <= 1.0))
 
 
-def test_path_structure_and_jump_log():
-    rng = np.random.default_rng(14)
-    params = LimitParams(1.0, 0.5, offspring_delta(1), xi=DIRAC_HALF)
-    path = simulate_path(params, 0.5, 3.0, dt=0.01, rng=rng)
-    assert np.all(np.diff(path.times) > 0)
-    assert path.times[0] == 0.0 and path.times[-1] == 3.0
-    assert np.all((path.values >= 0.0) & (path.values <= 1.0))
-    assert len(path.jump_log) > 0  # rate 4 over T=3: empty log is (1e-6)-unlikely
-    jump_times = [t for t, _, _ in path.jump_log]
-    assert all(0.0 < t <= 3.0 for t in jump_times)
-    assert jump_times == sorted(jump_times)
-    assert all(0.0 <= post <= 1.0 for _, _, post in path.jump_log)
-
-
 def test_simulate_argument_errors():
     rng = np.random.default_rng(0)
     params = LimitParams(1.0, 0.0, offspring_delta(1))
     with pytest.raises(ValueError):
-        simulate_path(params, 1.5, 1.0, rng=rng)
-    with pytest.raises(ValueError):
-        simulate_path(params, 0.5, 1.0, dt=0.0, rng=rng)
-    with pytest.raises(ValueError):
-        simulate_path(params, 0.5, 1.0)
+        simulate_batch(params, 1.5, 1.0, rng=rng)
     with pytest.raises(ValueError):
         simulate_batch(params, 0.5, 1.0)
     for total_time, dt in ((-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)):
@@ -96,21 +76,43 @@ def test_simulate_argument_errors():
 
 @pytest.mark.parametrize("params, x0, total_time, dt, n_paths, seed, expected", [
     (LimitParams(1.0, 0.5, offspring_delta(1), xi=DIRAC_HALF), 0.3, 0.5, 0.01,
-     8, 11, [0.5083196680388928, 0.07812297067109646, 0.12368442780582337,
-             0.45986297103233204, 0.17690161135945384, 0.04637058747091973,
-             0.058903181923986345, 0.18408443265677701]),
+     8, 11, [0.08646383808376262, 0.5232781423367793, 0.05040129915295284,
+             0.20499426475678983, 0.7010231924859999, 0.6103351075234987,
+             0.37481940047669654, 0.0019550612746382003]),
     # rate 2 / 0.09 over steps of 0.05: several jump rounds per step
     (LimitParams(2.0, 0.0, offspring_pmf((0.5, 0.5)), xi=LambdaDirac(0.3, 2.0)),
      0.6, 1.0, 0.05, 6, 3,
-     [4.8731780576915765e-05, 1.310751208623253e-06, 0.9493887183409031,
-      0.0024957052894619314, 0.0005757418092809751, 0.994175526133195]),
+     [0.9141203053152169, 0.10601793773559039, 0.9836196413587541,
+      0.8935468880604882, 0.5146393403817354, 0.059546886892284746]),
 ])
 def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
                                      expected):
-    # single-atom jump streams are pinned bit for bit
+    # single-atom jump streams are pinned bit for bit; recorded again,
+    # same configs and seeds, when the jump clock became block-drawn
     finals = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
                             rng=np.random.default_rng(seed))
     assert finals.tolist() == expected
+
+
+def test_batch_pure_jump_moments_and_clock():
+    # kappa = 0, sigma = 0, two atoms, several jumps per path per step and
+    # a short last step (2.0 = 0.7 + 0.7 + 0.6): the terminal law is the
+    # pure-jump law, with E[X_T] = x0 and, since A x^2 = mass x (1 - x)
+    # for every Xi, E[X_T^2] = x0 - x0 (1 - x0) exp(-mass T)
+    xi = FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,))))
+    params = LimitParams(0.0, 0.0, offspring_delta(1), xi=xi)
+    x0, total_time, n_paths, mass = 0.3, 2.0, 20_000, 1.0
+    finals, diag = simulate_batch(params, x0, total_time, dt=0.7,
+                                  n_paths=n_paths, rng=np.random.default_rng(17),
+                                  return_diagnostics=True)
+    assert diag["steps"] == 3
+    root_n = math.sqrt(n_paths)
+    assert abs(finals.mean() - x0) <= 3 * finals.std(ddof=1) / root_n
+    second = x0 - x0 * (1.0 - x0) * math.exp(-mass * total_time)
+    sq = finals ** 2
+    assert abs(sq.mean() - second) <= 3 * sq.std(ddof=1) / root_n
+    expected_jumps = diag["jump_rate"] * total_time * n_paths
+    assert abs(diag["jumps_applied"] - expected_jumps) <= 3 * math.sqrt(expected_jumps)
 
 
 def test_generator_frozen_cancellation():

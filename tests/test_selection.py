@@ -120,6 +120,22 @@ def test_branching_drift_nonpositive_vanishing_only_at_ends():
                 assert abs(d) < 1e-12
 
 
+@pytest.mark.parametrize("pmf", [(1.0,), (0.5, 0.5), (0.5, 0.3, 0.2)])
+def test_polynomials_bit_identical_to_polyval(pmf):
+    # pgf, selection_shape and branching_drift evaluate their polynomials
+    # by Horner's rule, in the same operations as np.polyval
+    law = offspring_pmf(pmf)
+    tails = [law.extra_tail(k) for k in range(1, len(pmf) + 1)]
+    for x in (np.random.default_rng(12).random(1000), np.float64(0.37)):
+        m = law.multi_prob
+        expected = (1.0 - m) * x + m * x * x * np.polyval(pmf[::-1], x)
+        assert np.array_equal(pgf(law, x), expected)
+        assert np.array_equal(selection_shape(law, x),
+                              np.polyval(tails[::-1], x))
+        assert np.array_equal(branching_drift(law, x),
+                              x * x * np.polyval(pmf[::-1], x) - x * sum(pmf))
+
+
 def test_sample_parent_counts_geometric_mean():
     # K for geometric_family(s): P(K = k) = s^(k-1) (1 - s); E K = 1/(1-s)
     rng = np.random.default_rng(19)

@@ -242,7 +242,8 @@ def test_jump_map_matches_bernoulli_patterns():
     z = SimplexPoint((0.3, 0.2, 0.1))
     x, draws = 0.3, 20_000
     masses = np.tile(z.masses, (draws, 1))
-    ys = jump_map(np.full(draws, x), masses, np.random.default_rng(5))
+    coins = np.random.default_rng(5).random(masses.shape)
+    ys = jump_map(np.full(draws, x), masses, coins)
     probs, values = bernoulli_patterns(z, x)
     assert abs(probs.sum() - 1.0) < 1e-15
     support, where = np.unique(np.round(values, 12), return_inverse=True)

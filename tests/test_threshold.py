@@ -127,7 +127,7 @@ def test_fixation_inconclusive_probe_raises():
 
 def test_fixation_recurrent_regime_uses_occupation_pgf():
     # pure coalescence: the dual chain sits at 1, so phi(x) = x and the
-    # fixation probability is 1 - x with zero standard error
+    # weak type is lost with probability 1 - x, with zero standard error
     rng = np.random.default_rng(77)
     params = coalescing_params()
     probe = recurrence_probe(params, 2, horizon=100.0, cap=1_000,
