@@ -11,8 +11,7 @@ from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedIntensity, TruncatedSampler,
                       XiMeasure, admissibility_diagnostic, admissibility_index,
                       as_atoms, bernoulli_patterns, intensity_mass, jump_map,
-                      normalized, sample_masses, sample_point,
-                      small_mass_gap, total_mass, truncate_alpha)
+                      normalized, sample_masses, small_mass_gap, total_mass, truncate_alpha)
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
@@ -30,8 +29,7 @@ from .dual_chain import (ChainRuns, DualParams, DualPath, EventRates,
                          MomentDualityReport, RecurrenceReport,
                          StationaryEstimate, event_rates,
                          moment_duality_check, recurrence_probe, run_chains,
-                         simulate, stationary_estimate, xi_event_outcome,
-                         xi_jump_pmf)
+                         simulate, stationary_estimate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
 from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 from .config import Config, ConfigError, RunSettings
@@ -40,7 +38,7 @@ __all__ = [
     "McEstimate",
     "SimplexPoint", "XiMeasure", "FiniteAtomic", "LambdaDirac", "LambdaBeta",
     "StickBreaking", "TruncatedIntensity", "TruncatedSampler",
-    "total_mass", "normalized", "as_atoms", "sample_point", "sample_masses",
+    "total_mass", "normalized", "as_atoms", "sample_masses",
     "jump_map", "bernoulli_patterns", "intensity_mass",
     "truncate_alpha", "small_mass_gap", "admissibility_index",
     "admissibility_diagnostic",
@@ -56,7 +54,7 @@ __all__ = [
     "generator_apply_bernoulli",
     "DualParams", "DualPath", "EventRates", "event_rates", "simulate",
     "run_chains", "ChainRuns",
-    "xi_event_outcome", "xi_jump_pmf", "dual_generator_apply_exact",
+    "xi_jump_pmf", "dual_generator_apply_exact",
     "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
     "recurrence_probe", "MomentDualityReport", "moment_duality_check",
     "kappa_star_mc", "kappa_star_dirac", "fixation_probability",

@@ -47,7 +47,7 @@ from .mc import McEstimate
 from .selection import SelectionLaw, pgf, sample_parent_counts
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
                       bernoulli_patterns, jump_map, sample_masses,
-                      sample_point, total_mass)
+                      total_mass)
 
 #: exact kernels refuse larger populations and atom supports
 MAX_EXACT_POP = 6
@@ -191,10 +191,15 @@ def ancestral_step(params: DiscreteParams, n: int,
         return pop
     t = int(ks.sum())
     if params.extreme_prob > 0.0 and rng.random() < params.extreme_prob:
-        z = sample_point(params.xi_hat, rng)
+        atoms = as_atoms(params.xi_hat)
+        if atoms is not None and len(atoms) == 1:
+            z = atoms[0][1].masses          # a single atom draws no point
+        else:
+            z = sample_masses(params.xi_hat, 1, rng)[0]
         m = len(z)
-        # cell m is the solo pool, cells 0..m-1 the ranked groups
-        probs = np.append(np.asarray(z.masses), z.residual)
+        # cell m is the solo pool, cells 0..m-1 the ranked groups (zero
+        # padding adds empty cells, which are never picked)
+        probs = np.append(z, max(0.0, 1.0 - sum(z)))
         cells = rng.choice(m + 1, size=t, p=probs / probs.sum())
         n_solo = int((cells == m).sum())
         hit_groups = np.unique(cells[cells < m])

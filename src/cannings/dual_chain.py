@@ -40,7 +40,8 @@ draws do not reproduce.
 The jump sampler is built once per call with ``jump_sampler(params,
 rng=rng)`` and shared across replicates.  For atomic and Beta measures
 the build draws nothing from the rng.  The stick-breaking sampler draws
-its 100k-point pool from the rng, so all replicates share one pool.
+its 100k-point pool, one padded mass matrix, with one ``sample_masses``
+call from the rng, so all replicates share one pool.
 """
 
 from __future__ import annotations
@@ -106,13 +107,6 @@ class DualPath:
     escaped: bool = False
     escape_time: float | None = None
     returns_to_one: int = 0
-
-
-def xi_event_outcome(z: SimplexPoint, n: int,
-                     rng: np.random.Generator) -> tuple[int, int, tuple[int, ...]]:
-    """(participants k, occupied groups d, group sizes) for one candidate."""
-    k, sizes = _xi_merge(n, z.total, z.masses if len(z) > 1 else None, rng)
-    return k, len(sizes), sizes
 
 
 def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):

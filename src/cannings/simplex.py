@@ -25,7 +25,8 @@ a reported standard error.
 An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
 ``bernoulli_patterns`` lists its exact law over the 2^m adoption
-patterns, and ``sample_masses`` draws batches of points for it.
+patterns.  ``sample_masses`` is the one point draw, for every family: a
+batch of ranked points as one zero-padded mass matrix.
 """
 
 from __future__ import annotations
@@ -217,41 +218,12 @@ def as_atoms(measure: XiMeasure) -> tuple[tuple[float, SimplexPoint], ...] | Non
     return None
 
 
-def sample_point(measure: XiMeasure, rng: np.random.Generator) -> SimplexPoint:
-    """Draw one point from the normalized measure."""
-    if isinstance(measure, FiniteAtomic):
-        weights = np.array([w for w, _ in measure.atoms])
-        idx = rng.choice(len(weights), p=weights / weights.sum())
-        return measure.atoms[idx][1]
-    if isinstance(measure, LambdaDirac):
-        return SimplexPoint((measure.y,))
-    if isinstance(measure, LambdaBeta):
-        y = float(rng.beta(measure.a, measure.b))
-        return SimplexPoint.ranked([y])
-    return _sample_sticks(measure, rng)
-
-
-def _sample_sticks(measure: StickBreaking, rng: np.random.Generator) -> SimplexPoint:
-    masses = []
-    remaining = 1.0
-    for _ in range(1_000_000):
-        if remaining < measure.truncation_tol:
-            return SimplexPoint.ranked(masses)
-        if measure.stick_law == "uniform":
-            y = rng.random()
-        else:
-            y = float(rng.beta(measure.a, measure.b))
-            y = min(y, 1.0 - 1e-16)
-        masses.append(y * remaining)
-        remaining *= 1.0 - y
-    raise RuntimeError("stick-breaking did not terminate; raise truncation_tol")
-
-
 def sample_masses(measure: XiMeasure, size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """``size`` points from the normalized measure as a zero-padded
-    (size, width) mass matrix; width is the largest atom support, 1 for
-    Beta, the widest stick-breaking point drawn."""
+    (size, width) matrix of ranked rows; width is the largest atom support,
+    1 for Beta, the widest stick-breaking point drawn.  Sticks are drawn a
+    column at a time, for each row whose remainder is >= truncation_tol."""
     atoms = as_atoms(measure)
     if atoms is not None:
         weights = np.array([w for w, _ in atoms])
@@ -259,7 +231,29 @@ def sample_masses(measure: XiMeasure, size: int,
         return _padded([z.masses for _, z in atoms])[which]
     if isinstance(measure, LambdaBeta):
         return rng.beta(measure.a, measure.b, size=size)[:, None]
-    return _padded([_sample_sticks(measure, rng).masses for _ in range(size)])
+    rows = np.arange(size)          # the rows still breaking sticks
+    remaining = np.ones(size)       # their unbroken remainders
+    columns = []
+    for _ in range(1_000_000):
+        live = remaining >= measure.truncation_tol
+        if not live.all():
+            rows, remaining = rows[live], remaining[live]
+        if rows.size == 0:
+            break
+        if measure.stick_law == "uniform":
+            y = rng.random(rows.size)
+        else:
+            y = np.minimum(rng.beta(measure.a, measure.b, size=rows.size),
+                           1.0 - 1e-16)
+        columns.append((rows, y * remaining))
+        remaining = remaining * (1.0 - y)
+    else:
+        raise RuntimeError("stick-breaking did not terminate; raise truncation_tol")
+    masses = np.zeros((size, len(columns)))
+    for j, (at, sticks) in enumerate(columns):
+        masses[at, j] = sticks
+    masses.sort(axis=1)
+    return masses[:, ::-1]
 
 
 def jump_map(xs: np.ndarray, masses: np.ndarray,
@@ -330,13 +324,26 @@ def _intensity(measure: XiMeasure, floor: float, mc_samples: int,
         raise ValueError("infinite-intensity: floor required")
     if rng is None:
         rng = np.random.default_rng(_MC_SEED)
-    vals = np.empty(mc_samples)
-    for i in range(mc_samples):
-        z = _sample_sticks(measure, rng)
-        vals[i] = (1.0 / z.sum_sq) if (len(z) and z.masses[0] >= floor) else 0.0
+    vals = _stick_weights(sample_masses(measure, mc_samples, rng), floor)
     mass = measure.total_mass * float(vals.mean())
     se = measure.total_mass * float(vals.std(ddof=1) / math.sqrt(mc_samples))
     return mass, "mc", se
+
+
+def _stick_weights(masses: np.ndarray, floor: float) -> np.ndarray:
+    """1/sum(z^2) for each row with z_1 >= floor > 0, else 0."""
+    sum_sq = np.einsum("ij,ij->i", masses, masses)
+    return np.divide(1.0, sum_sq, out=np.zeros(len(masses)),
+                     where=masses[:, 0] >= floor)
+
+
+def _alpha_floor(pop_size: int, alpha: float) -> float:
+    """The polynomial floor pop_size ** -alpha, 0 < alpha < 1/2."""
+    if pop_size < 2:
+        raise ValueError("pop_size must be at least 2")
+    if not (0.0 < alpha < 0.5):
+        raise ValueError("alpha must lie in (0, 1/2)")
+    return float(pop_size) ** (-alpha)
 
 
 def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
@@ -347,11 +354,7 @@ def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
     The returned mass never exceeds total_mass * pop_size ** (2 * alpha),
     since 1/sum(z^2) <= 1/z_1^2 <= pop_size ** (2*alpha) on the kept set.
     """
-    if pop_size < 2:
-        raise ValueError("pop_size must be at least 2")
-    if not (0.0 < alpha < 0.5):
-        raise ValueError("alpha must lie in (0, 1/2)")
-    floor = float(pop_size) ** (-alpha)
+    floor = _alpha_floor(pop_size, alpha)
     mass, method, se = _intensity(measure, floor, mc_samples, rng)
     return TruncatedIntensity(measure, floor, mass, method, se)
 
@@ -366,11 +369,7 @@ def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if pop_size < 2:
-        raise ValueError("pop_size must be at least 2")
-    if not (0.0 < alpha < 0.5):
-        raise ValueError("alpha must lie in (0, 1/2)")
-    floor = float(pop_size) ** (-alpha)
+    floor = _alpha_floor(pop_size, alpha)
     atoms = as_atoms(measure)
     if atoms is not None:
         sliver = sum(w for w, z in atoms if z.masses[0] < floor)
@@ -379,29 +378,28 @@ def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
     else:
         if rng is None:
             rng = np.random.default_rng(_MC_SEED)
-        hits = 0
-        for _ in range(mc_samples):
-            z = sample_point(measure, rng)
-            if len(z) == 0 or z.masses[0] < floor:
-                hits += 1
-        sliver = measure.total_mass * hits / mc_samples
+        first = sample_masses(measure, mc_samples, rng)[:, 0]
+        sliver = measure.total_mass * np.count_nonzero(first < floor) / mc_samples
     return x * (1.0 - x) * sliver
 
 
 def admissibility_index(z: SimplexPoint, c: float) -> int:
     """Smallest k with z_1 + ... + z_k > (1 - c) * sum(z)."""
+    return int(_covering_indices(np.array([z.masses]), c)[0])
+
+
+def _covering_indices(masses: np.ndarray, c: float) -> np.ndarray:
+    """``admissibility_index`` of every row of a zero-padded mass matrix."""
     if not (0.0 < c < 1.0):
         raise ValueError("c must lie in (0, 1)")
-    tot = z.total
-    if tot <= 0.0:
+    partial = np.cumsum(masses, axis=1)
+    tot = partial[:, -1] if masses.shape[1] else np.zeros(len(masses))
+    if np.any(tot <= 0.0):
         raise ValueError("undefined for the zero point")
-    threshold = (1.0 - c) * tot
-    partial = 0.0
-    for k, m in enumerate(z.masses, start=1):
-        partial += m
-        if partial > threshold:
-            return k
-    return len(z)  # unreachable for c in (0, 1); kept for fp safety
+    # the partial sums that do not cover (1 - c) * sum(z) form a prefix;
+    # capping at the support only matters in floating point
+    short = (partial <= ((1.0 - c) * tot)[:, None]).sum(axis=1)
+    return np.minimum(short + 1, np.count_nonzero(masses, axis=1))
 
 
 def admissibility_diagnostic(measure: XiMeasure, sizes=(16, 64, 256, 1024), *,
@@ -421,10 +419,8 @@ def admissibility_diagnostic(measure: XiMeasure, sizes=(16, 64, 256, 1024), *,
     rows = []
     for n in sizes:
         c = c_of_n(n)
-        ratios = np.empty(samples)
-        for i in range(samples):
-            z = sample_point(measure, rng)
-            ratios[i] = admissibility_index(z, c) / math.sqrt(n)
+        index = _covering_indices(sample_masses(measure, samples, rng), c)
+        ratios = index / math.sqrt(n)
         rows.append({
             "n": int(n),
             "c": float(c),
@@ -440,7 +436,8 @@ class TruncatedSampler:
     ``rate`` is the total event intensity (same number as
     ``intensity_mass(measure, floor)``).  Atomic families are exact; the
     Beta family uses a fine inverse-CDF grid on [floor, 1]; stick-breaking
-    uses a weighted sample pool, which is a documented approximation.
+    uses a padded mass matrix of ``pool_size`` points, weighted as in the
+    Monte Carlo ``intensity_mass``, which is a documented approximation.
     ``draw_masses`` returns a batch of points as a mass matrix.
     """
 
@@ -479,13 +476,12 @@ class TruncatedSampler:
             raise ValueError("infinite-intensity: floor required")
         if rng is None:
             rng = np.random.default_rng(_MC_SEED)
-        points = [_sample_sticks(measure, rng) for _ in range(pool_size)]
-        weights = np.array([
-            (1.0 / z.sum_sq) if (len(z) and z.masses[0] >= floor) else 0.0
-            for z in points])
+        masses = sample_masses(measure, pool_size, rng)
+        weights = _stick_weights(masses, floor)
         self.rate = measure.total_mass * float(weights.mean())
         if weights.sum() > 0.0:
-            self._pool = (points, weights / weights.sum())
+            self._pool = (masses, np.count_nonzero(masses, axis=1),
+                          weights / weights.sum())
 
     def draw_masses(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """``size`` points as a zero-padded (size, width) mass matrix: width
@@ -502,9 +498,9 @@ class TruncatedSampler:
             frac = (u - cdf[j]) / (cdf[j + 1] - cdf[j])
             return (ys[j] + frac * (ys[j + 1] - ys[j]))[:, None]
         if self._pool is not None:
-            points, probs = self._pool
-            which = rng.choice(len(points), size=size, p=probs)
-            return _padded([points[i].masses for i in which])
+            masses, widths, probs = self._pool
+            which = rng.choice(len(probs), size=size, p=probs)
+            return masses[which, :widths[which].max(initial=0)]
         raise ValueError("truncated measure has no mass above the floor")
 
     @property

@@ -97,10 +97,10 @@ def fixation_probability(params: DualParams, x: float, *,
     selectively weak allele, 1 - phi(x); phi(x) is the probability that
     the weak type fixes.  Decided through the dual chain: when a
     recurrence probe says the chain escapes to infinity the weak type is
-    lost surely (probability 1 for every interior x); when the chain
-    looks positive recurrent phi is the moment generating function of
-    the estimated occupation measure.  An inconclusive probe raises
-    rather than guessing.  Pass precomputed ``probe`` / ``stationary``
+    lost surely (probability 1 for x < 1, 0 at the fixed x = 1); when
+    the chain looks positive recurrent phi is the moment generating
+    function of the estimated occupation measure.  An inconclusive probe
+    raises rather than guessing.  Pass precomputed ``probe`` / ``stationary``
     results to skip the simulations (otherwise ``rng`` is required).
     """
     if not (0.0 <= x <= 1.0):
@@ -111,7 +111,7 @@ def fixation_probability(params: DualParams, x: float, *,
         probe = recurrence_probe(params, n0, probe_horizon, probe_cap,
                                  probe_replicates, rng)
     if probe.verdict == "escaping":
-        return McEstimate.exact(1.0)
+        return McEstimate.exact(0.0 if x == 1.0 else 1.0)
     if probe.verdict != "recurrent-looking":
         raise ValueError(
             "recurrence probe is inconclusive "

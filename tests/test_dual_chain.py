@@ -9,7 +9,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
                       recurrence_probe, run_chains, simulate,
-                      stationary_estimate, xi_event_outcome, xi_jump_pmf)
+                      stationary_estimate, xi_jump_pmf)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -120,24 +120,6 @@ def test_xi_jump_pmf_single_atom():
     pmf = xi_jump_pmf(SimplexPoint((0.5,)), 2)
     assert abs(pmf[1] - 0.25) < 1e-14
     assert abs(pmf[2] - 0.75) < 1e-14
-
-
-def test_xi_event_outcome_matches_exact_law():
-    # empirical conditional-on-change frequencies vs the enumeration above,
-    # chi-square at the 1% level
-    rng = np.random.default_rng(3)
-    z = SimplexPoint((0.3, 0.2))
-    n, draws = 3, 40_000
-    news = np.empty(draws, dtype=np.int64)
-    for i in range(draws):
-        k, d, sizes = xi_event_outcome(z, n, rng)
-        assert sum(sizes) == k and len(sizes) == d
-        news[i] = n - k + d
-    changed = news[news != n]
-    f_obs = np.array([(changed == 1).sum(), (changed == 2).sum()])
-    cond = np.array([0.035, 0.285]) / 0.32
-    result = chisquare(f_obs, f_exp=cond * changed.size)
-    assert result.pvalue > 0.01
 
 
 def test_generator_branch_only_at_one_lineage():

@@ -20,3 +20,12 @@ def test_no_private_names_cross_modules():
             offenders += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert not offenders, offenders
+
+
+def test_every_exported_name_resolves():
+    import cannings
+
+    missing = [name for name in cannings.__all__
+               if not hasattr(cannings, name)]
+    assert not missing, missing
+    assert len(set(cannings.__all__)) == len(cannings.__all__)

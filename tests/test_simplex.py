@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, admissibility_diagnostic,
                       admissibility_index, bernoulli_patterns, intensity_mass,
-                      jump_map, normalized, sample_point, small_mass_gap,
+                      jump_map, normalized, sample_masses, small_mass_gap,
                       total_mass, truncate_alpha)
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
@@ -45,16 +45,14 @@ def test_ranked_sorts_and_drops_zeros():
 def test_lambda_dirac_sampling_is_constant():
     rng = np.random.default_rng(0)
     measure = LambdaDirac(0.5)
-    for _ in range(10):
-        assert sample_point(measure, rng).masses == (0.5,)
+    assert sample_masses(measure, 10, rng).tolist() == [[0.5]] * 10
 
 
 def test_finite_atomic_frequencies_within_3_se():
     # weights 2:1 -> probabilities 2/3 and 1/3
     rng = np.random.default_rng(42)
     draws = 100_000
-    hits = sum(1 for _ in range(draws)
-               if len(sample_point(ATOM_PAIR, rng)) == 2)
+    hits = np.count_nonzero(sample_masses(ATOM_PAIR, draws, rng)[:, 1] > 0.0)
     p_hat = hits / draws
     se = math.sqrt((2 / 3) * (1 / 3) / draws)
     assert abs(p_hat - 2 / 3) <= 3 * se
@@ -67,12 +65,35 @@ def test_finite_atomic_frequencies_within_3_se():
 ])
 def test_sampled_points_sorted_with_bounded_mass(measure):
     rng = np.random.default_rng(7)
-    for _ in range(100_000 if isinstance(measure, StickBreaking) else 1_000):
-        z = sample_point(measure, rng)
-        masses = np.asarray(z.masses)
-        assert np.all(masses[:-1] >= masses[1:])
-        assert np.all(masses > 0.0)
-        assert masses.sum() <= 1.0 + 1e-12
+    draws = 100_000 if isinstance(measure, StickBreaking) else 1_000
+    masses = sample_masses(measure, draws, rng)
+    assert masses.shape[0] == draws
+    # ranked rows: positive masses first, then zero padding
+    assert np.all(np.diff(masses, axis=1) <= 0.0)
+    assert np.all(masses[:, 0] > 0.0) and np.all(masses >= 0.0)
+    assert np.all(masses.sum(axis=1) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("measure, sum_sq", [
+    (StickBreaking(), 1.0 / 2.0),                            # Y ~ U[0, 1)
+    (StickBreaking(stick_law="beta", a=2.0, b=5.0), 3.0 / 13.0),
+])
+def test_stick_sum_of_squares_closed_form(measure, sum_sq):
+    # E[sum Z_n^2] = E[Y^2] / (1 - E[(1 - Y)^2]): 1/2 for uniform sticks,
+    # (3/28) / (13/28) = 3/13 for Beta(2, 5) sticks
+    masses = sample_masses(measure, 100_000, np.random.default_rng(11))
+    sq = (masses * masses).sum(axis=1)
+    se = sq.std(ddof=1) / math.sqrt(sq.size)
+    assert abs(sq.mean() - sum_sq) <= 3 * se
+
+
+def test_uniform_sticks_largest_group_golomb_dickman():
+    # the largest uniform-stick mass is the largest Poisson-Dirichlet(1)
+    # component: its mean is the Golomb-Dickman constant
+    masses = sample_masses(StickBreaking(), 100_000, np.random.default_rng(12))
+    first = masses[:, 0]
+    se = first.std(ddof=1) / math.sqrt(first.size)
+    assert abs(first.mean() - 0.6243299885) <= 3 * se
 
 
 def test_normalized_rescales_total_mass():
@@ -162,8 +183,8 @@ def test_admissibility_index_hand_values():
 
 def test_admissibility_index_non_increasing_in_c():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        z = sample_point(StickBreaking(), rng)
+    for row in sample_masses(StickBreaking(), 50, rng):
+        z = SimplexPoint.ranked(row)
         grid = [0.01, 0.05, 0.1, 0.2, 0.4, 0.8]
         indices = [admissibility_index(z, c) for c in grid]
         assert all(a >= b for a, b in zip(indices, indices[1:]))
@@ -178,6 +199,20 @@ def test_admissibility_diagnostic_smoke():
         assert row["mean_ratio"] > 0.0
         assert row["std_error"] >= 0.0
         assert row["c"] == pytest.approx(row["n"] ** -2)
+
+
+def test_admissibility_diagnostic_matches_pointwise_index():
+    # the batched probe against admissibility_index point by point, on
+    # the same draws
+    n, samples = 16, 300
+    report = admissibility_diagnostic(StickBreaking(), sizes=(n,),
+                                      samples=samples,
+                                      rng=np.random.default_rng(10))
+    rows = sample_masses(StickBreaking(), samples, np.random.default_rng(10))
+    ratios = [admissibility_index(SimplexPoint.ranked(row), n ** -2.0)
+              / math.sqrt(n) for row in rows]
+    assert report[0]["mean_ratio"] == pytest.approx(np.mean(ratios),
+                                                    rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -312,3 +347,14 @@ def test_draw_masses_stick_breaking_rows_are_points():
     assert np.all(masses.sum(axis=1) <= 1.0 + 1e-12)
     # padded to the widest point drawn, not to the widest in the pool
     assert np.any(masses[:, -1] > 0.0)
+
+
+def test_stick_pool_rate_is_the_mc_intensity():
+    # the pool weights its points by the Monte Carlo intensity's rule, so
+    # a pool and an estimate drawn on equal streams give the same rate
+    measure, floor = StickBreaking(total_mass=0.7), 0.1
+    sampler = TruncatedSampler(measure, floor, pool_size=2000,
+                               rng=np.random.default_rng(6))
+    mass = intensity_mass(measure, floor, mc_samples=2000,
+                          rng=np.random.default_rng(6))
+    assert sampler.rate == mass

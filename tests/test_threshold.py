@@ -115,8 +115,10 @@ def coalescing_params() -> LimitParams:
 
 def test_fixation_escaping_regime_is_certain():
     probe = RecurrenceReport("escaping", 1.0, 0.0, None, 10, 100.0, 1000)
-    est = fixation_probability(coalescing_params(), 0.25, probe=probe)
-    assert est.mean == 1.0 and est.std_error == 0.0
+    # the weak type is lost surely unless it has already fixed at x = 1
+    for x, expect in ((0.0, 1.0), (0.25, 1.0), (1.0, 0.0)):
+        est = fixation_probability(coalescing_params(), x, probe=probe)
+        assert est.mean == expect and est.std_error == 0.0
 
 
 def test_fixation_inconclusive_probe_raises():
