@@ -10,7 +10,8 @@ from .mc import McEstimate
 from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedIntensity, TruncatedSampler,
                       XiMeasure, admissibility_diagnostic, admissibility_index,
-                      as_atoms, bernoulli_patterns, intensity_mass, jump_map,
+                      as_atoms, bernoulli_patterns, binomial_pmf,
+                      intensity_mass, jump_map,
                       normalized, sample_masses, small_mass_gap, total_mass, truncate_alpha)
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
@@ -27,7 +28,7 @@ from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         resolved_jump_floor, simulate_batch)
 from .dual_chain import (ChainRuns, DualParams, DualPath, EventRates,
                          MomentDualityReport, RecurrenceReport,
-                         StationaryEstimate, event_rates,
+                         RegimeUnclear, StationaryEstimate, event_rates,
                          moment_duality_check, recurrence_probe, run_chains,
                          simulate, stationary_estimate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
@@ -39,7 +40,7 @@ __all__ = [
     "SimplexPoint", "XiMeasure", "FiniteAtomic", "LambdaDirac", "LambdaBeta",
     "StickBreaking", "TruncatedIntensity", "TruncatedSampler",
     "total_mass", "normalized", "as_atoms", "sample_masses",
-    "jump_map", "bernoulli_patterns", "intensity_mass",
+    "jump_map", "bernoulli_patterns", "binomial_pmf", "intensity_mass",
     "truncate_alpha", "small_mass_gap", "admissibility_index",
     "admissibility_diagnostic",
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
@@ -56,6 +57,7 @@ __all__ = [
     "run_chains", "ChainRuns",
     "xi_jump_pmf", "dual_generator_apply_exact",
     "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
+    "RegimeUnclear",
     "recurrence_probe", "MomentDualityReport", "moment_duality_check",
     "kappa_star_mc", "kappa_star_dirac", "fixation_probability",
     "Config", "ConfigError", "RunSettings",

@@ -22,8 +22,8 @@ from .config import Config, ConfigError
 from .discrete import (MAX_EXACT_POP, MAX_EXACT_SUPPORT,
                        ancestral_trajectories, forward_trajectories,
                        sampling_duality_check)
-from .dual_chain import (moment_duality_check, recurrence_probe, run_chains,
-                         stationary_estimate)
+from .dual_chain import (RegimeUnclear, moment_duality_check,
+                         recurrence_probe, run_chains, stationary_estimate)
 from .limit_sde import jump_sampler, simulate_batch
 from .mc import McEstimate
 from .simplex import LambdaDirac, as_atoms
@@ -221,19 +221,21 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
                    "escape_fraction": probe.escape_fraction,
                    "mean_returns_to_one": probe.mean_returns_to_one,
                    "x": run.x, "n0": run.n0, "horizon": run.time}
-    if probe.verdict == "inconclusive":
-        results = {"verdict": "inconclusive"}
-        return EXIT_FAIL, results, diagnostics, {}
+    if probe.verdict == "recurrent-looking" and run.time <= run.burn_in:
+        raise ConfigError("fixation needs run.time > run.burn_in to "
+                          "average the occupation measure", key="run.time")
     stationary = None
-    if probe.verdict == "recurrent-looking":
-        if run.time <= run.burn_in:
-            raise ConfigError("fixation needs run.time > run.burn_in to "
-                              "average the occupation measure", key="run.time")
-        stationary = stationary_estimate(params, run.n0, run.burn_in,
-                                         run.time, run.replicates, rng,
-                                         cap=run.cap)
-    est = fixation_probability(params, run.x, probe=probe,
-                               stationary=stationary)
+    try:
+        if probe.verdict == "recurrent-looking":
+            stationary = stationary_estimate(params, run.n0, run.burn_in,
+                                             run.time, run.replicates, rng,
+                                             cap=run.cap)
+        est = fixation_probability(params, run.x, probe=probe,
+                                   stationary=stationary)
+    except RegimeUnclear as exc:
+        # a model outcome, reported like the probe's own: not a config error
+        diagnostics["reason"] = str(exc)
+        return EXIT_FAIL, {"verdict": "inconclusive"}, diagnostics, {}
     results = {"probability": _estimate_dict(est), "regime": probe.verdict}
     return EXIT_OK, results, diagnostics, {}
 

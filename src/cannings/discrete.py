@@ -39,15 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betaln, comb
-from scipy.stats import binom
 
 from .mc import McEstimate
 from .selection import SelectionLaw, pgf, sample_parent_counts
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
-                      bernoulli_patterns, jump_map, sample_masses,
-                      total_mass)
+                      bernoulli_patterns, binomial_pmf, jump_map,
+                      sample_masses, total_mass)
 
 #: exact kernels refuse larger populations and atom supports
 MAX_EXACT_POP = 6
@@ -152,6 +150,8 @@ def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
     measure = params.xi_hat
     law = params.parent_law
     if isinstance(measure, LambdaBeta):
+        from scipy import integrate  # the only quadrature; a slow import
+
         # one group of size y ~ Beta(a, b); it adopts the weak type w.p. x
         def integrand(y: float) -> float:
             return (x * pgf(law, y + x * (1.0 - y)) ** n
@@ -262,7 +262,7 @@ def _point_kernels(params: DiscreteParams,
     probs, ys = bernoulli_patterns(z, counts / pop)  # (pop + 1, 2^m)
     psi = pgf(law, np.minimum(ys, 1.0))
     forward = np.einsum("ip,ipc->ic", probs,
-                        binom.pmf(counts, pop, psi[..., None]))
+                        binomial_pmf(pop, psi)[..., pop, :])
     # the infinity mass puts a lineage's picks inside the full label set only
     psi[-1] += law.inf_mass
     lineages = np.arange(1, pop + 1)[:, None, None]

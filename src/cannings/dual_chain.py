@@ -50,12 +50,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from .mc import McEstimate
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import SimplexPoint, TruncatedSampler, as_atoms
+from .simplex import SimplexPoint, TruncatedSampler, as_atoms, binomial_pmf
 
 #: the dual chain runs on the same parameter bundle as the forward limit
 DualParams = LimitParams
@@ -148,7 +147,9 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
     mass = z.residual
     for m in z.masses:
         mass += m
-        take = binom.pmf(joins, ks[:, None], m / mass)
+        # take[k, j] = P(Binomial(k, m / mass) = k - j); above the
+        # diagonal, where j > k, the negative index wraps onto a zero
+        take = binomial_pmf(n, m / mass)[ks[:, None], joins]
         joined = np.tril(take, -1) @ coef[:, :-1]
         coef *= np.diag(take)[:, None]
         coef[:, 1:] += joined
@@ -351,6 +352,12 @@ def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
 # long-run behaviour
 
 
+class RegimeUnclear(ValueError):
+    """A model outcome, not an input error: the dual chain's runs leave
+    its regime undecided (an inconclusive probe, or escapes where an
+    occupation average needs the chain to stay finite)."""
+
+
 @dataclass(frozen=True)
 class StationaryEstimate:
     """Occupation-measure estimate over non-escaped replicates."""
@@ -392,7 +399,7 @@ def stationary_estimate(params: DualParams, n0: int, burn_in: float,
                if not esc]
     escaped = replicates - len(per_rep)
     if not per_rep:
-        raise ValueError("every replicate escaped; no occupation to average")
+        raise RegimeUnclear("every replicate escaped; no occupation to average")
     states = np.array(sorted({s for occ in per_rep for s in occ}))
     index = {int(s): i for i, s in enumerate(states)}
     span = horizon - burn_in

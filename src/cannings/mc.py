@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 
 @dataclass(frozen=True)
@@ -69,11 +68,6 @@ class McEstimate:
 
 
 def interval(mean: float, se: float, level: float) -> tuple[float, float]:
-    z = _two_sided_quantile(level)
+    # the two-sided standard normal quantile (scipy's norm.ppf is ndtri)
+    z = float(ndtri(0.5 + level / 2.0))
     return (mean - z * se, mean + z * se)
-
-
-@functools.lru_cache(maxsize=16)
-def _two_sided_quantile(level: float) -> float:
-    # norm.ppf costs ~0.1 ms a call, and a run uses one or two levels
-    return float(norm.ppf(0.5 + level / 2.0))

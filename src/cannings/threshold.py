@@ -25,8 +25,8 @@ import warnings
 
 import numpy as np
 
-from .dual_chain import DualParams, RecurrenceReport, StationaryEstimate, \
-    recurrence_probe, stationary_estimate
+from .dual_chain import DualParams, RecurrenceReport, RegimeUnclear, \
+    StationaryEstimate, recurrence_probe, stationary_estimate
 from .limit_sde import normalized_draws
 from .mc import McEstimate, interval
 from .simplex import XiMeasure
@@ -99,8 +99,9 @@ def fixation_probability(params: DualParams, x: float, *,
     recurrence probe says the chain escapes to infinity the weak type is
     lost surely (probability 1 for x < 1, 0 at the fixed x = 1); when
     the chain looks positive recurrent phi is the moment generating
-    function of the estimated occupation measure.  An inconclusive probe
-    raises rather than guessing.  Pass precomputed ``probe`` / ``stationary``
+    function of the estimated occupation measure.  An inconclusive probe,
+    or escapes in the stationary run, raise ``RegimeUnclear`` rather
+    than guessing.  Pass precomputed ``probe`` / ``stationary``
     results to skip the simulations (otherwise ``rng`` is required).
     """
     if not (0.0 <= x <= 1.0):
@@ -113,7 +114,7 @@ def fixation_probability(params: DualParams, x: float, *,
     if probe.verdict == "escaping":
         return McEstimate.exact(0.0 if x == 1.0 else 1.0)
     if probe.verdict != "recurrent-looking":
-        raise ValueError(
+        raise RegimeUnclear(
             "recurrence probe is inconclusive "
             f"(escape fraction {probe.escape_fraction:.3f}, mean returns "
             f"{probe.mean_returns_to_one:.1f}); cannot decide the regime")
@@ -123,7 +124,7 @@ def fixation_probability(params: DualParams, x: float, *,
         stationary = stationary_estimate(params, n0, burn_in, horizon,
                                          replicates, rng, cap=probe_cap)
     if stationary.escape_fraction > 0.0:
-        raise ValueError("stationary estimate saw escapes; regime unclear")
+        raise RegimeUnclear("stationary estimate saw escapes; regime unclear")
     phi_mean, phi_se = stationary.phi(x)
     mean = 1.0 - phi_mean
     kept = stationary.replicates - stationary.escaped

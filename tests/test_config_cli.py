@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cannings import Config, ConfigError, FiniteAtomic, LambdaDirac
+from cannings import cli
 from cannings.cli import main
 
 DISCRETE_CFG = """
@@ -387,6 +388,33 @@ def test_cli_fixation_recurrent_regime(tmp_path, capsys):
     # probability close to 1 - x
     assert 0.5 < prob["mean"] < 0.95
     assert prob["std_error"] >= 0.0
+
+
+@pytest.mark.parametrize("cap, reason", [(2, "every replicate escaped"),
+                                         (3, "regime unclear")])
+def test_cli_fixation_escapes_are_inconclusive(tmp_path, capsys, monkeypatch,
+                                               cap, reason):
+    # escapes in the stationary run are a model outcome, reported like an
+    # inconclusive probe (exit 1), not a config error (exit 2); a tight
+    # cap on that run alone, the probe keeping the config's, forces them
+    # for every replicate (cap 2) or for some (cap 3)
+    stationary = cli.stationary_estimate
+    monkeypatch.setattr(cli, "stationary_estimate",
+                        lambda *args, **kw: stationary(*args, **{**kw, "cap": cap}))
+    cfg = LIMIT_CFG.replace("model.selection_rate = 1.0",
+                            "model.selection_rate = 0.1")
+    cfg = cfg.replace("run.time = 2.0", "run.time = 300.0")
+    cfg = cfg.replace("run.replicates = 50", "run.replicates = 10")
+    cfg += "run.burn_in = 20.0\nrun.x = 0.25\n"
+    path = write_cfg(tmp_path, cfg)
+    code = main(["fixation", "--config", path])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1
+    assert report["results"] == {"verdict": "inconclusive"}
+    assert report["diagnostics"]["regime"] == "recurrent-looking"
+    assert reason in report["diagnostics"]["reason"]
+    assert "config error" not in captured.err
 
 
 def test_cli_fixation_needs_room_past_burn_in(tmp_path, capsys):

@@ -1,7 +1,10 @@
-"""No module of the package imports a private name from another."""
+"""Import hygiene: no module of the package imports a private name from
+another, and importing the package loads no slow scipy subpackage."""
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "cannings"
 
@@ -29,3 +32,28 @@ def test_every_exported_name_resolves():
                if not hasattr(cannings, name)]
     assert not missing, missing
     assert len(set(cannings.__all__)) == len(cannings.__all__)
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_integrate():
+    # scipy.stats and scipy.integrate cost about a second of every fresh
+    # process; the package needs scipy.special only, and imports
+    # scipy.integrate inside the one Beta quadrature that runs it
+    code = f"""
+import sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import cannings.cli
+slow = [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+assert not slow, slow
+from cannings import (DiscreteParams, LambdaBeta, geometric_family,
+                      sampling_probability)
+params = DiscreteParams(10, 0.3, geometric_family(0.1),
+                        xi_hat=LambdaBeta(2.0, 3.0))
+print(repr(sampling_probability(params, 0.4, 3, mode="exact")))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    from cannings import (DiscreteParams, LambdaBeta, geometric_family,
+                          sampling_probability)
+    params = DiscreteParams(10, 0.3, geometric_family(0.1),
+                            xi_hat=LambdaBeta(2.0, 3.0))
+    assert float(out) == sampling_probability(params, 0.4, 3, mode="exact")

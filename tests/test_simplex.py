@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare
+from scipy import integrate
+from scipy.special import betaln
+from scipy.stats import binom, chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, admissibility_diagnostic,
-                      admissibility_index, bernoulli_patterns, intensity_mass,
-                      jump_map, normalized, sample_masses, small_mass_gap,
-                      total_mass, truncate_alpha)
+                      admissibility_index, bernoulli_patterns, binomial_pmf,
+                      intensity_mass, jump_map, normalized, sample_masses,
+                      small_mass_gap, total_mass, truncate_alpha)
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -159,6 +161,41 @@ def test_intensity_mass_quadrature_against_closed_form():
     for floor in (0.0, 0.25, 0.5):
         got = intensity_mass(LambdaBeta(3.0, 1.0), floor)
         assert abs(got - 3.0 * (1.0 - floor)) < 1e-7
+
+
+def test_beta_intensity_closed_form_against_quadrature():
+    # integral over [floor, 1] of y^(a-3) (1-y)^(b-1) / B(a, b), by quad
+    # with the (1-y)^(b-1) endpoint factor as its algebraic weight
+    worst = 0.0
+    for a in (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0):
+        for b in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0):
+            for floor in (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9):
+                if floor == 0.0 and a <= 2.0:
+                    continue
+                ref, _ = integrate.quad(lambda y: y ** (a - 3.0), floor, 1.0,
+                                        weight="alg", wvar=(0.0, b - 1.0),
+                                        epsabs=0.0, epsrel=1e-13, limit=200)
+                ref *= 2.5 * math.exp(-betaln(a, b))
+                got = intensity_mass(LambdaBeta(a, b, 2.5), floor)
+                worst = max(worst, abs(got - ref) / ref)
+    assert worst < 1e-10, worst
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 60, 1000, 2000])
+def test_binomial_pmf_against_scipy(n):
+    for p in (0.0, 1e-3, 0.3, 0.5, 0.97, 1.0):
+        rows = binomial_pmf(n, p)
+        assert rows.shape == (n + 1, n + 1)
+        ref = binom.pmf(np.arange(n + 1), n, p)
+        assert np.abs(rows[n] - ref).max() <= 1e-14, p
+        # row m is the law of Binomial(m, p), zero past k = m
+        m = n // 2
+        ref = binom.pmf(np.arange(m + 1), m, p)
+        assert np.abs(rows[m, :m + 1] - ref).max() <= 1e-14, p
+        assert not rows[m, m + 1:].any()
+    # array p broadcasts ahead of the (m, k) axes
+    ps = np.array([[0.1, 0.7]])
+    assert np.array_equal(binomial_pmf(3, ps)[0, 1], binomial_pmf(3, 0.7))
 
 
 def test_infinite_intensity_requires_floor():
