@@ -16,7 +16,8 @@ from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
-                        sample_parent_counts, selection_shape)
+                        sample_parent_counts, sample_parent_total,
+                        selection_shape)
 from .discrete import (DiscreteParams, DualityReport, ancestral_moment_mc,
                        ancestral_step, ancestral_trajectories,
                        exact_transition_matrices, forward_moment_mc,
@@ -46,6 +47,7 @@ __all__ = [
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
     "offspring_delta", "offspring_pmf", "geometric_offspring", "pgf",
     "selection_shape", "branching_drift", "sample_parent_counts",
+    "sample_parent_total",
     "DiscreteParams", "DualityReport", "post_event_frequency",
     "forward_trajectories", "ancestral_step", "ancestral_trajectories",
     "sampling_probability", "exact_transition_matrices",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import json
 import os
 import sys
@@ -32,6 +32,8 @@ from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+_CSV_CHUNK = 4096
 
 
 def _py(obj):
@@ -59,7 +61,8 @@ def _estimate_dict(est: McEstimate) -> dict:
 
 # ---------------------------------------------------------------------------
 # command handlers: (config, rng) -> (exit code, results, diagnostics, tables)
-# tables map file stem -> (header columns, row iterable)
+# tables map file stem -> (header, columns): one equal-length array per
+# header name
 
 
 def _cmd_forward(cfg: Config, rng: np.random.Generator):
@@ -74,10 +77,9 @@ def _cmd_forward(cfg: Config, rng: np.random.Generator):
                "lost_fraction": float((finals == 0.0).mean())}
     diagnostics = {"pop_size": params.pop_size, "generations": run.generations,
                    "replicates": run.replicates, "x0": run.x0}
-    rows = [(r, g, traj[r, g]) for r in range(traj.shape[0])
-            for g in range(traj.shape[1])]
     return EXIT_OK, results, diagnostics, {
-        "forward": (("replicate", "generation", "frequency"), rows)}
+        "forward": (("replicate", "generation", "frequency"),
+                    _path_columns(traj))}
 
 
 def _cmd_ancestry(cfg: Config, rng: np.random.Generator):
@@ -91,10 +93,9 @@ def _cmd_ancestry(cfg: Config, rng: np.random.Generator):
                "single_ancestor_fraction": float((finals == 1).mean())}
     diagnostics = {"pop_size": params.pop_size, "generations": run.generations,
                    "replicates": run.replicates, "sample_size": run.sample_size}
-    rows = [(r, g, int(traj[r, g])) for r in range(traj.shape[0])
-            for g in range(traj.shape[1])]
     return EXIT_OK, results, diagnostics, {
-        "ancestry": (("replicate", "generation", "lineages"), rows)}
+        "ancestry": (("replicate", "generation", "lineages"),
+                     _path_columns(traj))}
 
 
 def _duality_mode(params) -> str:
@@ -135,9 +136,9 @@ def _cmd_sde(cfg: Config, rng: np.random.Generator):
     diagnostics = dict(diag)
     diagnostics.update({"time": run.time, "dt": run.dt,
                         "replicates": run.replicates, "x0": run.x0})
-    rows = [(r, finals[r]) for r in range(finals.size)]
     return EXIT_OK, results, diagnostics, {
-        "sde_finals": (("replicate", "final_frequency"), rows)}
+        "sde_finals": (("replicate", "final_frequency"),
+                       (np.arange(finals.size), finals))}
 
 
 def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
@@ -148,14 +149,13 @@ def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
     est = McEstimate.from_samples(runs.final.astype(float))
     results = {"final_mean": _estimate_dict(est),
                "escape_fraction": int(runs.escaped.sum()) / run.replicates}
-    rows = list(zip(range(run.replicates), runs.final.tolist(),
-                    runs.returns_to_one.tolist(),
-                    runs.escaped.astype(int).tolist()))
     diagnostics = {"n0": run.n0, "time": run.time, "cap": run.cap,
                    "replicates": run.replicates}
     return EXIT_OK, results, diagnostics, {
         "dual_ctmc": (("replicate", "final_state", "returns_to_one",
-                       "escaped"), rows)}
+                       "escaped"),
+                      (np.arange(run.replicates), runs.final,
+                       runs.returns_to_one, runs.escaped))}
 
 
 def _cmd_duality_limit(cfg: Config, rng: np.random.Generator):
@@ -266,7 +266,9 @@ _COMMAND_HELP = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="cannings",
         description="Simulation and duality checks for two-type Cannings "
@@ -288,45 +290,56 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _path_columns(traj: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(replicate, generation, value) columns of a (replicates,
+    generations + 1) path array, replicate-major."""
+    reps, steps = traj.shape
+    return (np.repeat(np.arange(reps), steps), np.tile(np.arange(steps), reps),
+            traj.ravel())
+
+
+def _column_text(column) -> list[str]:
+    """A column as CSV cells, formatted once for the whole column: repr
+    for floats, str for ints and text, 0/1 for bools."""
+    column = np.asarray(column)
+    if column.dtype == bool:
+        column = column.astype(np.int64)
+    return list(map(repr if column.dtype.kind == "f" else str,
+                    column.tolist()))
+
+
+def _write_csv(fh, header, columns) -> None:
+    """Write a table given as equal-length columns, formatting
+    ``_CSV_CHUNK`` rows of each column at a time, so that the text held
+    in memory stays small whatever the table's length."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+    for start in range(0, len(columns[0]), _CSV_CHUNK):
+        writer.writerows(zip(*(_column_text(column[start:start + _CSV_CHUNK])
+                               for column in columns)))
 
 
-def _cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _report_csv(report: dict) -> str:
-    rows = []
+def _write_report_csv(fh, report: dict) -> None:
+    """The report as a (key, value) table: nested keys joined by dots,
+    list values joined by spaces."""
+    keys, values = [], []
 
     def flatten(prefix, obj):
         if isinstance(obj, dict):
             for k in sorted(obj):
                 flatten(f"{prefix}.{k}" if prefix else str(k), obj[k])
-        elif isinstance(obj, list):
-            rows.append((prefix, " ".join(_cell(v) for v in obj)))
         else:
-            rows.append((prefix, _cell(obj)))
+            keys.append(prefix)
+            items = obj if isinstance(obj, list) else [obj]
+            values.append(" ".join(_column_text([v])[0] for v in items))
 
     flatten("", report)
-    return _csv_text(("key", "value"), rows)
+    _write_csv(fh, ("key", "value"), (keys, values))
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -354,17 +367,17 @@ def main(argv=None) -> int:
     if args.format == "json":
         sys.stdout.write(report_text)
     else:
-        sys.stdout.write(_report_csv(report))
+        _write_report_csv(sys.stdout, report)
     out_dir = args.out or cfg.output_dir
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "report.json"), "w",
                   encoding="utf-8", newline="\n") as fh:
             fh.write(report_text)
-        for stem, (header, rows) in tables.items():
+        for stem, (header, columns) in tables.items():
             with open(os.path.join(out_dir, f"{stem}.csv"), "w",
                       encoding="utf-8", newline="\n") as fh:
-                fh.write(_csv_text(header, rows))
+                _write_csv(fh, header, columns)
     return code
 
 

@@ -19,7 +19,12 @@ frequency is Binomial(pop_size, p) / pop_size.
 Backwards in time, a sample of n lineages draws, per lineage, a
 parent-count K from parent_law and K uniform labels (ordinary) or
 group-directed labels (extreme); the new state is the number of distinct
-labels.  The sampling probability
+labels.  ``ancestral_trajectories`` runs one replicate after another
+through the step of ``ancestral_step``, built once per call with all
+that does not depend on n computed up front; each step draws the total
+parent count, the extreme-generation coin, the cells (by a search of the
+cell CDF, with ``rng.choice``'s arithmetic) and the labels.  The sampling
+probability
 
     S(x, n) = (1 - g) pgf(x)^n + g E[ pgf(Y(x))^n ]
 
@@ -42,7 +47,7 @@ import numpy as np
 from scipy.special import betaln, comb
 
 from .mc import McEstimate
-from .selection import SelectionLaw, pgf, sample_parent_counts
+from .selection import SelectionLaw, pgf, sample_parent_total
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
                       bernoulli_patterns, binomial_pmf, jump_map,
                       sample_masses, total_mass)
@@ -185,40 +190,73 @@ def ancestral_step(params: DiscreteParams, n: int,
     """
     if not (1 <= n <= params.pop_size):
         raise ValueError("n must lie in 1..pop_size")
-    pop = params.pop_size
-    ks = sample_parent_counts(params.parent_law, n, rng)
-    if (ks < 0).any():
-        return pop
-    t = int(ks.sum())
-    if params.extreme_prob > 0.0 and rng.random() < params.extreme_prob:
-        atoms = as_atoms(params.xi_hat)
-        if atoms is not None and len(atoms) == 1:
-            z = atoms[0][1].masses          # a single atom draws no point
-        else:
-            z = sample_masses(params.xi_hat, 1, rng)[0]
-        m = len(z)
-        # cell m is the solo pool, cells 0..m-1 the ranked groups (zero
-        # padding adds empty cells, which are never picked)
-        probs = np.append(z, max(0.0, 1.0 - sum(z)))
-        cells = rng.choice(m + 1, size=t, p=probs / probs.sum())
-        n_solo = int((cells == m).sum())
-        hit_groups = np.unique(cells[cells < m])
-        labels = rng.integers(0, pop, size=n_solo + hit_groups.size)
-    else:
-        labels = rng.integers(0, pop, size=t)
-    return int(np.unique(labels).size)
+    return _ancestral_stepper(params, rng)(n)
 
 
 def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
                            replicates: int, rng: np.random.Generator) -> np.ndarray:
+    """Replicate backward paths, one replicate after another through the
+    step of ``ancestral_step``; shape (replicates, generations + 1)."""
+    if not (1 <= n0 <= params.pop_size):
+        raise ValueError("n0 must lie in 1..pop_size")
+    step = _ancestral_stepper(params, rng)
     out = np.empty((replicates, generations + 1), dtype=np.int64)
     for r in range(replicates):
         n = n0
         out[r, 0] = n
         for g in range(1, generations + 1):
-            n = ancestral_step(params, n, rng)
+            n = step(n)
             out[r, g] = n
     return out
+
+
+def _cell_cdf(z) -> np.ndarray:
+    """CDF over the cells of an extreme generation at the point z: the
+    ranked groups, then the solo pool.  The arithmetic is ``rng.choice``'s
+    with these cell probabilities, so searching it with ``rng.random(t)``
+    draws the cells ``rng.choice(len(z) + 1, size=t, p=...)`` would."""
+    probs = np.append(z, max(0.0, 1.0 - sum(z)))
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _ancestral_stepper(params: DiscreteParams, rng: np.random.Generator):
+    """The ancestral step as a function of n, with all that does not
+    depend on n computed once: the model constants, the bound rng
+    methods and, for a single-atom xi_hat, the cell CDF.  Other xi_hat
+    draw their point per extreme generation through ``sample_masses``.
+    Distinct labels are counted with a set."""
+    pop = params.pop_size
+    law = params.parent_law
+    g = params.extreme_prob
+    xi = params.xi_hat
+    random, integers = rng.random, rng.integers
+    atoms = as_atoms(xi) if g > 0.0 else None
+    fixed_cdf = None
+    if atoms is not None and len(atoms) == 1:
+        fixed_cdf = _cell_cdf(atoms[0][1].masses)   # a single atom draws no point
+
+    def step(n: int) -> int:
+        t = sample_parent_total(law, n, rng)
+        if t < 0:
+            return pop
+        if g > 0.0 and random() < g:
+            cdf = fixed_cdf
+            if cdf is None:
+                cdf = _cell_cdf(sample_masses(xi, 1, rng)[0])
+            # cell len(cdf) - 1 is the solo pool, the others the ranked
+            # groups (zero padding adds empty cells, which are never picked)
+            solo = len(cdf) - 1
+            cells = cdf.searchsorted(random(t), side="right").tolist()
+            n_solo = cells.count(solo)
+            n_groups = len(set(cells)) - (n_solo > 0)
+            labels = integers(0, pop, size=n_solo + n_groups)
+        else:
+            labels = integers(0, pop, size=t)
+        return len(set(labels.tolist()))
+
+    return step
 
 
 # ---------------------------------------------------------------------------

@@ -238,12 +238,18 @@ def _tail_vector(law: SelectionLaw) -> tuple[float, ...]:
 
 @lru_cache(maxsize=256)
 def _extra_cdf(law: SelectionLaw) -> tuple[np.ndarray, bool]:
-    """Cumulative conditional pmf of K - 1, with an infinity bucket flag."""
+    """Cumulative conditional pmf of K - 1, with an infinity bucket flag.
+
+    Without an infinity bucket the last entry is +inf, so that a uniform
+    past the rounded total lands in the last bucket, not beyond it.
+    """
     if law.geometric_param is not None:
         raise ValueError("geometric laws sample directly")
-    probs = np.asarray(law.extra_pmf, dtype=float)
-    cdf = np.cumsum(probs)
-    return cdf, law.extra_inf_mass > 0.0
+    cdf = np.cumsum(np.asarray(law.extra_pmf, dtype=float))
+    has_inf = law.extra_inf_mass > 0.0
+    if len(cdf) and not has_inf:
+        cdf[-1] = np.inf
+    return cdf, has_inf
 
 
 def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -251,23 +257,43 @@ def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.n
     if law.geometric_param is not None:
         return rng.geometric(1.0 - law.geometric_param, size=size).astype(np.int64)
     cdf, has_inf = _extra_cdf(law)
-    u = rng.random(size)
-    ks = np.searchsorted(cdf, u, side="right").astype(np.int64) + 1
+    ks = cdf.searchsorted(rng.random(size), side="right").astype(np.int64,
+                                                                  copy=False)
+    ks += 1
     if has_inf:
         ks[ks > len(cdf)] = -1
-    elif len(cdf):
-        np.minimum(ks, len(cdf), out=ks)  # guard the u ~ 1 edge
     return ks
+
+
+def _extra_draws(law: SelectionLaw, size: int, rng: np.random.Generator):
+    """The draws behind ``size`` parent counts: the mask of individuals
+    with K > 1 and their K - 1 (``sample_extra``), or (None, None) when
+    no individual has K > 1."""
+    if law.multi_prob > 0.0:
+        mask = rng.random(size) < law.multi_prob
+        n_multi = np.count_nonzero(mask)
+        if n_multi:
+            return mask, sample_extra(law, n_multi, rng)
+    return None, None
 
 
 def sample_parent_counts(law: SelectionLaw, size: int,
                          rng: np.random.Generator) -> np.ndarray:
     """Draw K for ``size`` individuals; -1 encodes infinitely many."""
     ks = np.ones(size, dtype=np.int64)
-    if law.multi_prob > 0.0:
-        mask = rng.random(size) < law.multi_prob
-        n_multi = int(mask.sum())
-        if n_multi:
-            extra = sample_extra(law, n_multi, rng)
-            ks[mask] = np.where(extra < 0, -1, 1 + extra)
+    mask, extra = _extra_draws(law, size, rng)
+    if mask is not None:
+        ks[mask] = np.where(extra < 0, -1, 1 + extra)
     return ks
+
+
+def sample_parent_total(law: SelectionLaw, size: int,
+                        rng: np.random.Generator) -> int:
+    """Total K of ``size`` individuals, or -1 when one K is infinite: the
+    sum of ``sample_parent_counts`` from the same draws, without
+    building the per-individual array."""
+    _, extra = _extra_draws(law, size, rng)
+    if extra is None:
+        return size
+    extra = extra.tolist()
+    return -1 if -1 in extra else size + sum(extra)

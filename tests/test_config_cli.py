@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -249,6 +250,55 @@ def test_cli_csv_stdout_format(tmp_path, capsys):
     keyed = dict(line.split(",", 1) for line in lines[1:])
     assert keyed["command"] == "ancestry"
     assert keyed["seed"] == "7"
+
+
+# a pure death chain from n0 = 2: the recurrence probe is inconclusive
+DEATH_CFG = ("model.kind = limit\nmodel.selection_rate = 0.0\n"
+             "model.kingman_rate = 1.0\nmodel.offspring.family = delta\n"
+             "model.offspring.value = 1\nmodel.xi.family = none\n"
+             "run.seed = 2\nrun.replicates = 10\nrun.time = 50.0\n")
+
+# sha256 of every CSV artifact and of two --format csv reports (floats,
+# ints, bools, a list, and a fixation reason that needs CSV quoting),
+# recorded when every cell went through a per-value isinstance chain
+CSV_DIGESTS = {
+    "forward.csv":
+        "4c0a0ebf27b53cb46ef264ca14e85c65aa5b20278105e4d2af386f57baa70f3a",
+    "ancestry.csv":
+        "7400fa72007bbd2d9053290659362635660ff1807ab2a72e8f7b4cbd2a886242",
+    "sde_finals.csv":
+        "0550eff5ce305033cb668197ce9dd8363dba23c957909a5b8d053cdf333adc03",
+    "dual_ctmc.csv":
+        "472965a64f564c6a1de2c809bf021657f3161ff90a91d2b85a46358e8c831e65",
+    "forward_report.csv":
+        "8f009ec92480bd4142ee7359907bf51aa67c56598cb6d0940d1dcfe1cc7d3db2",
+    "fixation_report.csv":
+        "1d6474d5fd867064be524f7a10832ea034d50fce70d227c8d34b8c288e5ec103",
+}
+
+
+def test_cli_csv_bytes_pinned(tmp_path, capsys):
+    discrete = write_cfg(tmp_path, DISCRETE_CFG, "discrete.cfg")
+    limit = write_cfg(tmp_path, LIMIT_CFG, "limit.cfg")
+    death = write_cfg(tmp_path, DEATH_CFG, "death.cfg")
+    out = tmp_path / "out"
+    for command, path in (("forward", discrete), ("ancestry", discrete),
+                          ("sde", limit), ("dual-ctmc", limit)):
+        assert main([command, "--config", path, "--replicates", "40",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    blobs = {name: (out / name).read_bytes() for name in
+             ("forward.csv", "ancestry.csv", "sde_finals.csv", "dual_ctmc.csv")}
+    assert main(["forward", "--config", discrete, "--format", "csv"]) == 0
+    blobs["forward_report.csv"] = capsys.readouterr().out.encode()
+    assert main(["fixation", "--config", death, "--format", "csv"]) == 1
+    report = capsys.readouterr().out
+    assert ('diagnostics.reason,"recurrence probe is inconclusive (escape '
+            'fraction 0.000, mean returns 1.0); cannot decide the regime"\n'
+            in report)
+    blobs["fixation_report.csv"] = report.encode()
+    assert {name: hashlib.sha256(blob).hexdigest()
+            for name, blob in blobs.items()} == CSV_DIGESTS
 
 
 def test_cli_duality_discrete_exact_pass(tmp_path, capsys):

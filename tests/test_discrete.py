@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -166,6 +167,64 @@ def test_ancestral_infinite_parent_count_touches_all_labels():
     law = SelectionLaw(1.0, extra_pmf=(), extra_inf_mass=1.0)
     params = DiscreteParams(7, 0.0, law)
     assert all(ancestral_step(params, 2, rng) == 7 for _ in range(50))
+
+
+# one model per branch of the ancestral step: a single-atom xi_hat (c10's
+# h = 0.2 and the bench's finite config), a multi-atom one with geometric
+# parent counts, an infinite parent count, no extreme generations, and
+# the continuous families that draw their point per generation
+ANCESTRAL_MODELS = {
+    "dirac": (DiscreteParams(50, 0.2, delta1_law(0.2), DIRAC_HALF), 12),
+    "explicit": (DiscreteParams(50, 0.1, explicit_family([0.9, 0.1]),
+                                DIRAC_HALF), 12),
+    "geometric_atomic": (DiscreteParams(
+        20, 0.3, geometric_family(0.3),
+        FiniteAtomic(((0.5, (0.3, 0.2, 0.1)), (0.5, (0.5,))))), 8),
+    "infinite": (DiscreteParams(
+        10, 0.3, SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25),
+        LambdaDirac(0.7, 1.0)), 5),
+    "neutral": (DiscreteParams(30, 0.0, neutral_family()), 20),
+    "beta": (DiscreteParams(30, 0.3, geometric_family(0.2),
+                            LambdaBeta(1.0, 2.0)), 10),
+    "stick": (DiscreteParams(30, 0.3, explicit_family([0.8, 0.15, 0.05]),
+                             StickBreaking()), 10),
+}
+
+# sha256 of ancestral_trajectories(params, n0, 10, 200, default_rng(2024))
+# as little-endian int64, then of the next rng.random() as float64: the
+# random stream of the one-replicate-at-a-time loop, recorded on the
+# step that drew through rng.choice and counted labels with np.unique
+ANCESTRAL_DIGESTS = {
+    "dirac": "8d76860b9bdc3e5ecf8bd6d92713bb98042e26f8339278cb29ee8a281c261703",
+    "explicit": "52d842db17dd47153c18c80433c28c1ae39223a50517fc49e600d1700b74e4c0",
+    "geometric_atomic": "b08ce883c46b09a4461501401a7f5ebf256f8ca6daff213df47af367c8233650",
+    "infinite": "2e43955dfb2748bbcf5557a7b37de47c2f8a921b953fa567219e855365c9290e",
+    "neutral": "4a9175014ccb782d0af3d3af4721744d0c6e8104d01150ab5936a589e23cb8ab",
+    "beta": "a1e91f13f3c7f0868eb2f1a32955b183668225687955f9d9d5f82a6658efc104",
+    "stick": "5a33beddac7e2fcd0d2bdbb09b68cf83dbe8410cca31772c9e8b63208d5a93dc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANCESTRAL_MODELS))
+def test_ancestral_stream_pinned(name):
+    params, n0 = ANCESTRAL_MODELS[name]
+    rng = np.random.default_rng(2024)
+    paths = ancestral_trajectories(params, n0, 10, 200, rng)
+    digest = hashlib.sha256(paths.astype("<i8").tobytes())
+    digest.update(np.float64(rng.random()).tobytes())
+    assert digest.hexdigest() == ANCESTRAL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ANCESTRAL_MODELS))
+def test_ancestral_step_is_one_generation(name):
+    params, n0 = ANCESTRAL_MODELS[name]
+    for seed in range(20):
+        rng_step = np.random.default_rng(seed)
+        rng_path = np.random.default_rng(seed)
+        step = ancestral_step(params, n0, rng_step)
+        path = ancestral_trajectories(params, n0, 1, 1, rng_path)
+        assert path.tolist() == [[n0, step]]
+        assert rng_step.random() == rng_path.random()
 
 
 def test_exact_matrices_rows_and_absorption():
