@@ -11,6 +11,10 @@ State: the number n >= 1 of ancestral lineages.  Three event types:
   probability z_i or stays solo; every non-empty group collapses to one
   lineage, so n -> n - k + d with k participants in d groups.  Events
   that merge nothing are no-ops (self-thinning of the candidate clock).
+  A one-group atom [y] at rate lam runs no candidate clock: it merges k
+  of n lineages, k ~ Binomial(n, y) given k >= 2, at rate
+  lam * P(Binomial(n, y) >= 2), so no-ops remain only for multi-group
+  and continuous measures.
 
 Generator on f(n) = x^n, for fixed x in [0, 1]:
 
@@ -30,12 +34,19 @@ refilled in blocks of ``_BLOCK``: holding times
 for laws other than one extra lineage) and xi points
 (``sampler.draw_masses``; a single-atom measure draws none).  All
 replicates of one call share the buffers, so a replicate's draws depend
-on the replicates before it.  Only the binomial participant count (and
-the multinomial split of a multi-group point) is drawn per event, as
-both depend on n; a candidate at n = 1 merges nothing and draws nothing.
-The law of the chain is that of the earlier one-draw-per-call loop, but
-the random streams differ: dual-chain reports made before the block
-draws do not reproduce.
+on the replicates before it.  The rates out of n come from a row
+(branch, branch + pairwise, total) built the first time a call visits n
+(``_rate_row``).  For a one-group atom the row also holds the CDF of k
+given k >= 2, and a merge takes its k from the event choice itself,
+rescaled to [0, 1) over the xi part of the row: no further draw.  Past
+the n where P(Binomial(n, y) >= 2) rounds to 1 the row keeps the
+candidate rate, and k is a binomial draw as for any candidate.  Only the
+binomial participant count (and the multinomial split of a multi-group
+point) of a candidate is drawn per event, as both depend on n; a
+candidate at n = 1 merges nothing and draws nothing.  The law of the
+chain is that of the earlier one-draw-per-call loop, but the random
+streams differ: dual-chain reports made before the block draws, or on a
+one-group atom before its merge-only events, do not reproduce.
 
 The jump sampler is built once per call with ``jump_sampler(params,
 rng=rng)`` and shared across replicates.  For atomic and Beta measures
@@ -47,6 +58,7 @@ call from the rng, so all replicates share one pool.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +74,9 @@ DualParams = LimitParams
 _DEFAULT_CAP = 10_000
 #: draws per buffer refill in ``run_chains``
 _BLOCK = 1024
+#: rate rows ``run_chains`` keeps per call (about 160 bytes each); a state
+#: above is rebuilt at every visit
+_MAX_ROWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -121,6 +136,37 @@ def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
         return k, (k,)
     counts = rng.multinomial(k, [m / total for m in groups])
     return k, tuple(c for c in counts.tolist() if c > 0)
+
+
+def _rate_row(n: int, sel: float, pair: float, lam: float,
+              y: float | None) -> tuple:
+    """(branch, branch + pairwise, total, cdf) out of state n.
+
+    For a one-group atom [y] (``y`` not None) the xi part of ``total`` is
+    0 at n = 1; below the n where P(Binomial(n, y) >= 2) rounds to 1 it
+    is the merge rate lam * P(Binomial(n, y) >= 2), summed from the pmf
+    terms with k >= 2 (1 - q^n - n y q^(n-1) cancels at small y), and
+    ``cdf`` lists P(k <= j | k >= 2) for j = 2..n, its last entry +inf.
+    From that n on, and for every other measure, the xi part is the
+    candidate rate lam and ``cdf`` is None.
+    """
+    branch = sel * n
+    paired = branch + pair * n * (n - 1)
+    if y is not None:
+        if n < 2:  # one lineage merges nothing
+            return branch, paired, paired, None
+        q = 1.0 - y
+        # P(Binomial(n, y) < 2) as a sum of positive terms
+        if 1.0 - q ** (n - 1) * (q + n * y) != 1.0:
+            # pmf_k = q^n C(n, k) (y/q)^k for k = 1..n; q > 0 and q^n
+            # does not underflow while P(k < 2) is that large
+            ks = np.arange(1, n + 1)
+            pmf = q ** n * np.cumprod((n - ks + 1) / ks * (y / q))
+            merges = float(pmf[1:].sum())
+            cdf = (np.cumsum(pmf[1:]) / merges).tolist()
+            cdf[-1] = math.inf
+            return branch, paired, paired + lam * merges, cdf
+    return branch, paired, paired + lam, None
 
 
 def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
@@ -195,7 +241,9 @@ def run_chains(params: DualParams, n0: int, total_time: float,
     event choices, offspring counts and xi points.  ``occupation`` adds
     each replicate's holding time per state past burn_in; ``log`` adds
     its event list (xi candidates that merge nothing only with
-    ``record_noops``).  A chain stops at total_time or once n > cap.
+    ``record_noops``; a one-group atom has such candidates only past the
+    n where P(Binomial(n, y) >= 2) rounds to 1, each with probability
+    below 2^-53).  A chain stops at total_time or once n > cap.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -208,10 +256,14 @@ def run_chains(params: DualParams, n0: int, total_time: float,
     lam = sampler.rate if sampler is not None else 0.0
     atoms = sampler.atom_points if sampler is not None else None
     one_point = atoms[0] if atoms is not None and len(atoms) == 1 else None
+    one_y = None
     if one_point is not None:
         # a single atom needs no xi draws
         z_total = one_point.total
         z_groups = one_point.masses if len(one_point) > 1 else None
+        if z_groups is None:
+            one_y = z_total
+    rows = []  # _rate_row(n, ...) at index n, None until n is visited
 
     block = _BLOCK
     holds = choices = extras = totals = groups = None
@@ -227,9 +279,15 @@ def run_chains(params: DualParams, n0: int, total_time: float,
         occ = {} if occupation else None
         events = [] if log else None
         while True:
-            branch = sel * n
-            merge = pair * n * (n - 1)
-            rate = branch + merge + lam
+            try:
+                branch, paired, rate, cdf = rows[n]
+            except (IndexError, TypeError):  # past the end, or a None slot
+                row = _rate_row(n, sel, pair, lam, one_y)
+                if n < _MAX_ROWS:
+                    if n >= len(rows):
+                        rows.extend([None] * (n + 1 - len(rows)))
+                    rows[n] = row
+                branch, paired, rate, cdf = row
             if rate > 0.0:
                 if i_hold == block:
                     holds = rng.standard_exponential(block).tolist()
@@ -266,26 +324,32 @@ def run_chains(params: DualParams, n0: int, total_time: float,
                 n_new = n + extra
                 if events is not None:
                     events.append(DualEvent(t, "branch", n_new, offspring=extra))
-            elif u < branch + merge:
+            elif u < paired:
                 n_new = n - 1
                 if events is not None:
                     events.append(DualEvent(t, "kingman", n_new))
             else:
-                if one_point is None:
-                    if i_xi == block:
-                        masses = sampler.draw_masses(block, rng)
-                        totals = masses.sum(axis=1).tolist()
-                        groups = masses.tolist() if masses.shape[1] > 1 else None
-                        i_xi = 0
-                    z_total = totals[i_xi]
-                    z_groups = groups[i_xi] if groups is not None else None
-                    i_xi += 1
-                if n > 1:
-                    k, sizes = _xi_merge(n, z_total, z_groups, rng)
-                    n_new = n - k + len(sizes)
+                if cdf is not None:
+                    # a one-group merge: u is uniform on [paired, rate)
+                    k = 2 + bisect_right(cdf, (u - paired) / (rate - paired))
+                    n_new, sizes = n - k + 1, (k,)
                 else:
-                    # one lineage: a candidate can merge nothing
-                    n_new, sizes = n, ()
+                    if one_point is None:
+                        if i_xi == block:
+                            masses = sampler.draw_masses(block, rng)
+                            totals = masses.sum(axis=1).tolist()
+                            groups = (masses.tolist() if masses.shape[1] > 1
+                                      else None)
+                            i_xi = 0
+                        z_total = totals[i_xi]
+                        z_groups = groups[i_xi] if groups is not None else None
+                        i_xi += 1
+                    if n > 1:
+                        k, sizes = _xi_merge(n, z_total, z_groups, rng)
+                        n_new = n - k + len(sizes)
+                    else:
+                        # one lineage: a candidate can merge nothing
+                        n_new, sizes = n, ()
                 if events is not None and (n_new != n or record_noops):
                     point = (tuple(m for m in z_groups if m > 0.0)
                              if z_groups is not None else (z_total,))

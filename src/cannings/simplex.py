@@ -227,8 +227,8 @@ def sample_masses(measure: XiMeasure, size: int,
     atoms = as_atoms(measure)
     if atoms is not None:
         weights = np.array([w for w, _ in atoms])
-        which = rng.choice(len(atoms), size=size, p=weights / weights.sum())
-        return _padded([z.masses for _, z in atoms])[which]
+        return _atom_rows(_padded([z.masses for _, z in atoms]),
+                          weights / weights.sum(), size, rng)
     if isinstance(measure, LambdaBeta):
         return rng.beta(measure.a, measure.b, size=size)[:, None]
     rows = np.arange(size)          # the rows still breaking sticks
@@ -518,8 +518,7 @@ class TruncatedSampler:
         """``size`` points as a zero-padded (size, width) mass matrix: width
         is the largest atom support, 1 for Beta, the widest pool point drawn."""
         if self._atoms is not None:
-            _, probs = self._atoms
-            return self._atom_matrix[rng.choice(len(probs), size=size, p=probs)]
+            return _atom_rows(self._atom_matrix, self._atoms[1], size, rng)
         if self._grid is not None:
             # inverse CDF on the grid; with cdf[0] = 0 <= u < 1 = cdf[-1] and
             # side="right", j lands in a cell of positive width: no guards
@@ -537,6 +536,18 @@ class TruncatedSampler:
     @property
     def atom_points(self) -> list[SimplexPoint] | None:
         return self._atoms[0] if self._atoms is not None else None
+
+
+def _atom_rows(matrix: np.ndarray, probs: np.ndarray, size: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """``size`` rows of ``matrix``, row i with probability probs[i], drawn
+    as ``rng.choice(len(probs), size=size, p=probs)`` draws them.  One row
+    is tiled without the search; the same ``size`` uniforms are consumed,
+    so the stream goes on as after ``rng.choice``."""
+    if len(probs) == 1:
+        rng.random(size)
+        return np.repeat(matrix, size, axis=0)
+    return matrix[rng.choice(len(probs), size=size, p=probs)]
 
 
 def _padded(rows) -> np.ndarray:

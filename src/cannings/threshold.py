@@ -61,11 +61,16 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
         raise ValueError("need at least two replicates")
     frac, ssq, totals = normalized_draws(xi, replicates, rng)
     del frac
-    u = rng.random(replicates)
-    w = totals * np.sqrt(u)
+    w = np.sqrt(rng.random(replicates))
+    w *= totals
     if np.any(w <= 0.0) or np.any(w >= 1.0):
         raise ValueError("degenerate draw with W in {0, 1}")
-    vals = 1.0 / (2.0 * mean_extra * ssq * w * (1.0 - w))
+    # 1 / (2 beta sum(Z*^2) W (1 - W)), in place, in that order
+    vals = ssq
+    vals *= 2.0 * mean_extra
+    vals *= w
+    vals *= np.subtract(1.0, w, out=w)
+    np.divide(1.0, vals, out=vals)
     top = max(1, int(_TAIL_FRACTION * replicates))
     # the top values in sorted order, as a full sort would leave them
     tail_sum = float(np.sort(np.partition(vals, -top)[-top:]).sum())

@@ -260,7 +260,9 @@ DEATH_CFG = ("model.kind = limit\nmodel.selection_rate = 0.0\n"
 
 # sha256 of every CSV artifact and of two --format csv reports (floats,
 # ints, bools, a list, and a fixation reason that needs CSV quoting),
-# recorded when every cell went through a per-value isinstance chain
+# recorded when every cell went through a per-value isinstance chain;
+# dual_ctmc.csv (LIMIT_CFG is a delta_0.5 chain) re-recorded when one-group
+# atoms got merge-only xi events, which changed the chain's stream
 CSV_DIGESTS = {
     "forward.csv":
         "4c0a0ebf27b53cb46ef264ca14e85c65aa5b20278105e4d2af386f57baa70f3a",
@@ -269,7 +271,7 @@ CSV_DIGESTS = {
     "sde_finals.csv":
         "0550eff5ce305033cb668197ce9dd8363dba23c957909a5b8d053cdf333adc03",
     "dual_ctmc.csv":
-        "472965a64f564c6a1de2c809bf021657f3161ff90a91d2b85a46358e8c831e65",
+        "f137d40e7d4429fa421f2d2714f89c700d619b0aa2a86489cb81851c59b1ee7a",
     "forward_report.csv":
         "8f009ec92480bd4142ee7359907bf51aa67c56598cb6d0940d1dcfe1cc7d3db2",
     "fixation_report.csv":

@@ -10,6 +10,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       jump_sampler, moment_duality_check, offspring_delta,
                       recurrence_probe, run_chains, simulate,
                       stationary_estimate, xi_jump_pmf)
+from cannings.dual_chain import _rate_row
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -57,11 +58,11 @@ def test_total_merger_goes_straight_to_one():
 
 
 def test_holding_time_at_two():
-    # state 2 under kappa=1, sigma=0, dirac [0.5]: candidate clock
-    # 2 (branch) + 0 + 4 (xi) = 6, so sojourns at 2 are Exp(6)
+    # state 2 under kappa=1, sigma=0, dirac [0.5]: the chain leaves at
+    # rate 2 (branch) + 0 + 4 * 1/4 (both lineages join the merger), so
+    # sojourns at 2 are Exp(3); every logged event changes the state
     rng = np.random.default_rng(42)
-    path = simulate(reference_params(1.0), 2, 6_000.0, rng, cap=None,
-                    record_noops=True)
+    path = simulate(reference_params(1.0), 2, 8_000.0, rng, cap=None)
     holds = []
     state, prev_t = 2, 0.0
     for ev in path.events:
@@ -71,7 +72,7 @@ def test_holding_time_at_two():
     holds = np.asarray(holds)
     assert holds.size > 5_000
     se = holds.std(ddof=1) / math.sqrt(holds.size)
-    assert abs(holds.mean() - 1 / 6) <= 3 * se
+    assert abs(holds.mean() - 1 / 3) <= 3 * se
 
 
 def test_escape_cap():
@@ -314,6 +315,69 @@ def test_xi_post_state_law_two_atoms():
     assert chisquare(f_obs, reps * pmf).pvalue > 0.01
     # each logged point is one of the two atoms
     assert {e.point for e in firsts} == {z for _, z in atoms}
+
+
+@pytest.mark.parametrize("y", [1e-6, 0.01, 0.3, 0.5, 0.97])
+def test_one_group_rate_row_against_xi_jump_pmf(y):
+    # the row's xi rate is lam P(Bin(n, y) >= 2) to a few ulps, also at
+    # small y, where 1 - q^n - n y q^(n-1) cancels; its CDF is the law
+    # of k given k >= 2 (k of n lineages merge into n - k + 1); where
+    # P(Bin(n, y) < 2) vanishes against 1 the row keeps the candidate rate
+    lam, sel, pair = 3.0, 0.5, 0.25
+    assert _rate_row(1, sel, pair, lam, y) == (sel, sel, sel, None)
+    for n in (2, 3, 10, 40):
+        branch, paired, total, cdf = _rate_row(n, sel, pair, lam, y)
+        assert branch == sel * n and paired == branch + pair * n * (n - 1)
+        pmf = xi_jump_pmf(SimplexPoint((y,)), n)
+        merge = sum(p for d, p in pmf.items() if d != n)
+        if cdf is None:
+            assert 1.0 - (1.0 - y) ** (n - 1) * (1.0 - y + n * y) == 1.0
+            assert total == paired + lam
+            continue
+        assert total - paired == pytest.approx(lam * merge, rel=1e-12)
+        assert cdf[-1] == math.inf and len(cdf) == n - 1
+        probs = np.diff([0.0] + cdf[:-1] + [1.0])
+        expect = [pmf.get(n - k + 1, 0.0) / merge for k in range(2, n + 1)]
+        assert np.allclose(probs, expect, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("y,n,seed", [(0.3, 2, 111), (0.3, 3, 112),
+                                      (0.3, 6, 113), (1.0, 3, 114)])
+def test_first_event_law_one_group_merges(y, n, seed):
+    # a one-group atom runs no candidate clock: out of n the chain leaves
+    # at rate kappa n + sum_{d != n} lam xi_jump_pmf(d) (mean at 3 SE),
+    # to n + 1 or to a merged state d in proportion to those rates
+    # (chi-square, 1% level), and no logged xi event leaves n unchanged
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaDirac(y))
+    reps = 20_000
+    lam = jump_sampler(params).rate
+    rates = {n + 1: params.selection_rate * n}
+    for new, p in xi_jump_pmf(SimplexPoint((y,)), n).items():
+        if new != n:
+            rates[new] = lam * p
+    total = sum(rates.values())
+    rng = np.random.default_rng(seed)
+    # 20 mean holding times: a replicate sees no event with prob. e^-20;
+    # a replicate stops once it branches above n
+    runs = run_chains(params, n, 20.0 / total, reps, rng,
+                      jump_sampler(params, rng=rng), cap=n, log=True,
+                      record_noops=True)
+    assert all(runs.events)
+    firsts = [events[0] for events in runs.events]
+    holds = np.array([e.time for e in firsts])
+    se = holds.std(ddof=1) / math.sqrt(reps)
+    assert abs(holds.mean() - 1.0 / total) <= 3 * se
+    states = sorted(rates)
+    news = [e.state for e in firsts]
+    f_obs = np.array([news.count(s) for s in states])
+    assert f_obs.sum() == reps
+    f_exp = reps * np.array([rates[s] for s in states]) / total
+    assert chisquare(f_obs, f_exp).pvalue > 0.01
+    for events in runs.events:
+        state = n
+        for ev in events:
+            assert ev.kind != "xi" or ev.state < state
+            state = ev.state
 
 
 @pytest.mark.parametrize("params", [reference_params(1.0, sigma=1.0),

@@ -374,6 +374,24 @@ def test_draw_masses_two_atom_frequencies():
     assert abs(first.mean() - p) <= 3 * se
 
 
+@pytest.mark.parametrize("measure,row", [
+    (LambdaDirac(0.5, 2.0), (0.5,)),
+    (FiniteAtomic(((3.0, (0.4, 0.2)),)), (0.4, 0.2))],
+    ids=["dirac", "one_atom_two_groups"])
+def test_one_atom_draws_keep_the_choice_stream(measure, row):
+    # one atom is tiled without rng.choice's search, but the same
+    # uniforms are consumed: the rows and the next draw are unchanged
+    sampler = TruncatedSampler(measure, 0.0)
+    for size in (0, 1, 1000):
+        for draw in (lambda rng: sample_masses(measure, size, rng),
+                     lambda rng: sampler.draw_masses(size, rng)):
+            ref = np.random.default_rng(size)
+            expect = np.array([row])[ref.choice(1, size=size, p=[1.0])]
+            rng = np.random.default_rng(size)
+            assert np.array_equal(draw(rng), expect)
+            assert rng.random() == ref.random()
+
+
 def test_draw_masses_stick_breaking_rows_are_points():
     sampler = TruncatedSampler(StickBreaking(), 0.05, pool_size=2000,
                                rng=np.random.default_rng(3))
