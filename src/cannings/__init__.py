@@ -16,20 +16,16 @@ from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
-                        sample_parent_counts, sample_parent_total,
-                        selection_shape)
-from .discrete import (DiscreteParams, DualityReport, ancestral_moment_mc,
-                       ancestral_step, ancestral_trajectories,
-                       exact_transition_matrices, forward_moment_mc,
-                       forward_trajectories,
-                       post_event_frequency, sampling_duality_check,
+                        sample_parent_total, selection_shape)
+from .discrete import (DiscreteParams, DualityReport, ancestral_trajectories,
+                       exact_transition_matrices, forward_trajectories,
+                       has_exact_kernels, sampling_duality_check,
                        sampling_probability)
 from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
                         resolved_jump_floor, simulate_batch)
-from .dual_chain import (ChainRuns, DualParams, DualPath, EventRates,
-                         MomentDualityReport, RecurrenceReport,
-                         RegimeUnclear, StationaryEstimate, event_rates,
+from .dual_chain import (ChainRuns, DualPath, MomentDualityReport,
+                         RecurrenceReport, RegimeUnclear, StationaryEstimate,
                          moment_duality_check, recurrence_probe, run_chains,
                          simulate, stationary_estimate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
@@ -46,17 +42,15 @@ __all__ = [
     "admissibility_diagnostic",
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
     "offspring_delta", "offspring_pmf", "geometric_offspring", "pgf",
-    "selection_shape", "branching_drift", "sample_parent_counts",
-    "sample_parent_total",
-    "DiscreteParams", "DualityReport", "post_event_frequency",
-    "forward_trajectories", "ancestral_step", "ancestral_trajectories",
-    "sampling_probability", "exact_transition_matrices",
-    "sampling_duality_check", "forward_moment_mc", "ancestral_moment_mc",
+    "selection_shape", "branching_drift", "sample_parent_total",
+    "DiscreteParams", "DualityReport",
+    "forward_trajectories", "ancestral_trajectories",
+    "sampling_probability", "has_exact_kernels", "exact_transition_matrices",
+    "sampling_duality_check",
     "LimitParams", "resolved_jump_floor", "jump_sampler",
     "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
-    "DualParams", "DualPath", "EventRates", "event_rates", "simulate",
-    "run_chains", "ChainRuns",
+    "DualPath", "simulate", "run_chains", "ChainRuns",
     "xi_jump_pmf", "dual_generator_apply_exact",
     "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
     "RegimeUnclear",

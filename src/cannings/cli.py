@@ -19,14 +19,13 @@ import warnings
 import numpy as np
 
 from .config import Config, ConfigError
-from .discrete import (MAX_EXACT_POP, MAX_EXACT_SUPPORT,
-                       ancestral_trajectories, forward_trajectories,
-                       sampling_duality_check)
+from .discrete import (ancestral_trajectories, forward_trajectories,
+                       has_exact_kernels, sampling_duality_check)
 from .dual_chain import (RegimeUnclear, moment_duality_check,
                          recurrence_probe, run_chains, stationary_estimate)
-from .limit_sde import jump_sampler, simulate_batch
+from .limit_sde import simulate_batch
 from .mc import McEstimate
-from .simplex import LambdaDirac, as_atoms
+from .simplex import LambdaDirac
 from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 
 EXIT_OK = 0
@@ -98,20 +97,10 @@ def _cmd_ancestry(cfg: Config, rng: np.random.Generator):
                      _path_columns(traj))}
 
 
-def _duality_mode(params) -> str:
-    if params.pop_size > MAX_EXACT_POP:
-        return "mc"
-    if params.extreme_prob > 0.0:
-        atoms = as_atoms(params.xi_hat)
-        if atoms is None or any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
-            return "mc"
-    return "exact"
-
-
 def _cmd_duality_discrete(cfg: Config, rng: np.random.Generator):
     params = cfg.discrete_params()
     run = cfg.run
-    mode = _duality_mode(params)
+    mode = "exact" if has_exact_kernels(params) else "mc"
     report = sampling_duality_check(params, run.x, run.sample_size,
                                     run.generations, mode=mode,
                                     replicates=run.replicates, rng=rng)
@@ -145,7 +134,7 @@ def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
     run = cfg.run
     runs = run_chains(params, run.n0, run.time, run.replicates, rng,
-                      jump_sampler(params, rng=rng), cap=run.cap)
+                      cap=run.cap)
     est = McEstimate.from_samples(runs.final.astype(float))
     results = {"final_mean": _estimate_dict(est),
                "escape_fraction": int(runs.escaped.sum()) / run.replicates}
@@ -230,8 +219,7 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
             stationary = stationary_estimate(params, run.n0, run.burn_in,
                                              run.time, run.replicates, rng,
                                              cap=run.cap)
-        est = fixation_probability(params, run.x, probe=probe,
-                                   stationary=stationary)
+        est = fixation_probability(run.x, probe, stationary)
     except RegimeUnclear as exc:
         # a model outcome, reported like the probe's own: not a config error
         diagnostics["reason"] = str(exc)

@@ -20,10 +20,11 @@ Backwards in time, a sample of n lineages draws, per lineage, a
 parent-count K from parent_law and K uniform labels (ordinary) or
 group-directed labels (extreme); the new state is the number of distinct
 labels.  ``ancestral_trajectories`` runs one replicate after another
-through the step of ``ancestral_step``, built once per call with all
-that does not depend on n computed up front; each step draws the total
-parent count, the extreme-generation coin, the cells (by a search of the
-cell CDF, with ``rng.choice``'s arithmetic) and the labels.  The sampling
+through one step function, built once per call with all that does not
+depend on n computed up front; each step draws the total parent count,
+the extreme-generation coin, the atom of a multi-atom xi_hat, the cells
+(by a search of the cell CDF, with ``rng.choice``'s arithmetic) and the
+labels.  The sampling
 probability
 
     S(x, n) = (1 - g) pgf(x)^n + g E[ pgf(Y(x))^n ]
@@ -81,20 +82,6 @@ class DiscreteParams:
                 raise ValueError("extreme_prob > 0 needs a xi_hat measure")
         elif abs(total_mass(self.xi_hat) - 1.0) > 1e-9:
             raise ValueError("xi_hat must be normalized to total mass 1")
-
-
-def post_event_frequency(x: float, z: SimplexPoint,
-                         rng: np.random.Generator) -> float:
-    """Weak-type share of the parental pool after one extreme event.
-
-    Each group adopts the weak type independently with probability x;
-    the residual pool keeps the pre-event frequency.  Degenerate at
-    x = 0 and x = 1, and equal to x exactly when z carries no mass.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    masses = np.array([z.masses])
-    return float(jump_map(np.array([x]), masses, rng.random(masses.shape))[0])
 
 
 def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
@@ -178,25 +165,16 @@ def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
     return acc
 
 
-def ancestral_step(params: DiscreteParams, n: int,
-                   rng: np.random.Generator) -> int:
-    """One generation backwards: n lineages pick parents, labels collapse.
-
-    In an ordinary generation every pick is a uniform label.  In an
-    extreme generation each pick joins ranked group i with probability
-    Z_i (all picks of a group share one uniform label, drawn once per
-    generation) or stays solo with probability 1 - sum(Z), drawing a
-    fresh uniform label.  An infinite parent count touches every label.
-    """
-    if not (1 <= n <= params.pop_size):
-        raise ValueError("n must lie in 1..pop_size")
-    return _ancestral_stepper(params, rng)(n)
-
-
 def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
                            replicates: int, rng: np.random.Generator) -> np.ndarray:
-    """Replicate backward paths, one replicate after another through the
-    step of ``ancestral_step``; shape (replicates, generations + 1)."""
+    """Replicate backward paths, one replicate after another; shape
+    (replicates, generations + 1).
+
+    In an extreme generation each pick joins ranked group i with
+    probability Z_i (all picks of a group share one uniform label) or
+    stays solo with probability 1 - sum(Z), drawing a fresh uniform
+    label.  An infinite parent count touches every label.
+    """
     if not (1 <= n0 <= params.pop_size):
         raise ValueError("n0 must lie in 1..pop_size")
     step = _ancestral_stepper(params, rng)
@@ -224,8 +202,10 @@ def _cell_cdf(z) -> np.ndarray:
 def _ancestral_stepper(params: DiscreteParams, rng: np.random.Generator):
     """The ancestral step as a function of n, with all that does not
     depend on n computed once: the model constants, the bound rng
-    methods and, for a single-atom xi_hat, the cell CDF.  Other xi_hat
-    draw their point per extreme generation through ``sample_masses``.
+    methods and, for an atomic xi_hat, one cell CDF per atom and the CDF
+    over the atoms.  A single atom draws no point; several draw their
+    atom with ``rng.choice``'s arithmetic, as ``sample_masses(xi_hat, 1,
+    rng)`` would, and continuous xi_hat draw their point through it.
     Distinct labels are counted with a set."""
     pop = params.pop_size
     law = params.parent_law
@@ -233,18 +213,28 @@ def _ancestral_stepper(params: DiscreteParams, rng: np.random.Generator):
     xi = params.xi_hat
     random, integers = rng.random, rng.integers
     atoms = as_atoms(xi) if g > 0.0 else None
-    fixed_cdf = None
-    if atoms is not None and len(atoms) == 1:
-        fixed_cdf = _cell_cdf(atoms[0][1].masses)   # a single atom draws no point
+    cell_cdfs = atom_cdf = None
+    if atoms is not None:
+        # rows padded to the widest atom, as ``sample_masses`` pads them
+        width = max(len(z) for _, z in atoms)
+        cell_cdfs = [_cell_cdf(z.masses + (0.0,) * (width - len(z)))
+                     for _, z in atoms]
+        weights = np.array([w for w, _ in atoms])
+        atom_cdf = (weights / weights.sum()).cumsum()
+        atom_cdf /= atom_cdf[-1]
 
     def step(n: int) -> int:
         t = sample_parent_total(law, n, rng)
         if t < 0:
             return pop
         if g > 0.0 and random() < g:
-            cdf = fixed_cdf
-            if cdf is None:
+            if cell_cdfs is None:
                 cdf = _cell_cdf(sample_masses(xi, 1, rng)[0])
+            elif len(cell_cdfs) == 1:
+                cdf = cell_cdfs[0]
+            else:
+                cdf = cell_cdfs[atom_cdf.searchsorted(random(1),
+                                                      side="right")[0]]
             # cell len(cdf) - 1 is the solo pool, the others the ranked
             # groups (zero padding adds empty cells, which are never picked)
             solo = len(cdf) - 1
@@ -308,23 +298,28 @@ def _point_kernels(params: DiscreteParams,
     return forward, _occupancy_pmf(pop, inside)
 
 
+def has_exact_kernels(params: DiscreteParams) -> bool:
+    """Whether ``exact_transition_matrices`` builds the model's kernels:
+    pop_size <= MAX_EXACT_POP and, with extreme generations, an atomic
+    xi_hat whose atoms have supports <= MAX_EXACT_SUPPORT."""
+    atoms = as_atoms(params.xi_hat) if params.extreme_prob > 0.0 else ()
+    return (params.pop_size <= MAX_EXACT_POP and atoms is not None
+            and all(len(z) <= MAX_EXACT_SUPPORT for _, z in atoms))
+
+
 def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
     """Forward kernel on {0, 1/N, ..., 1} and ancestral kernel on {1..N}.
 
-    Exact enumeration; refuses pop_size > 6 or atom supports > 3.  The
+    Exact enumeration, for the models of ``has_exact_kernels``.  The
     parent-count law may have unbounded support (only its pgf enters).
     """
+    if not has_exact_kernels(params):
+        raise ValueError(f"exact kernels need pop_size <= {MAX_EXACT_POP} "
+                         "and an atomic xi_hat with atom supports <= "
+                         f"{MAX_EXACT_SUPPORT}")
     pop = params.pop_size
-    if pop > MAX_EXACT_POP:
-        raise ValueError(f"exact kernels support pop_size <= {MAX_EXACT_POP}")
-    atoms = ()
-    if params.extreme_prob > 0.0:
-        atoms = as_atoms(params.xi_hat)
-        if atoms is None:
-            raise ValueError("exact kernels need an atomic xi_hat")
-        if any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
-            raise ValueError(f"exact kernels support atoms of size <= {MAX_EXACT_SUPPORT}")
     g = params.extreme_prob
+    atoms = as_atoms(params.xi_hat) if g > 0.0 else ()
     forward = np.zeros((pop + 1, pop + 1))
     ancestral = np.zeros((pop, pop))
     # an ordinary generation is an event at the empty point
@@ -399,19 +394,3 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
     return DualityReport("mc", lhs_est.mean, rhs_est.mean, gap, 3.0 * combined,
                          gap <= 3.0 * combined, lhs_est.std_error,
                          rhs_est.std_error)
-
-
-def forward_moment_mc(params: DiscreteParams, x0: float, generations: int,
-                      order: int, replicates: int,
-                      rng: np.random.Generator) -> McEstimate:
-    """Monte-Carlo estimate of E[(X_g)^order] from replicate forward runs."""
-    finals = forward_trajectories(params, x0, generations, replicates, rng)[:, -1]
-    return McEstimate.from_samples(finals ** order)
-
-
-def ancestral_moment_mc(params: DiscreteParams, n0: int, generations: int,
-                        x: float, replicates: int,
-                        rng: np.random.Generator) -> McEstimate:
-    """Monte-Carlo E[x^(D_g)] from replicate ancestral runs."""
-    finals = ancestral_trajectories(params, n0, generations, replicates, rng)[:, -1]
-    return McEstimate.from_samples(np.asarray(x, dtype=float) ** finals)

@@ -48,11 +48,12 @@ chain is that of the earlier one-draw-per-call loop, but the random
 streams differ: dual-chain reports made before the block draws, or on a
 one-group atom before its merge-only events, do not reproduce.
 
-The jump sampler is built once per call with ``jump_sampler(params,
-rng=rng)`` and shared across replicates.  For atomic and Beta measures
-the build draws nothing from the rng.  The stick-breaking sampler draws
-its 100k-point pool, one padded mass matrix, with one ``sample_masses``
-call from the rng, so all replicates share one pool.
+``run_chains`` builds the jump sampler itself, as its first draw, with
+``jump_sampler(params, rng=rng)``, and shares it across replicates.  For
+atomic and Beta measures the build draws nothing from the rng.  The
+stick-breaking sampler draws its 100k-point pool, one padded mass
+matrix, with one ``sample_masses`` call from the rng, so all replicates
+share one pool.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ import numpy as np
 from .mc import McEstimate
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import SimplexPoint, TruncatedSampler, as_atoms, binomial_pmf
-
-#: the dual chain runs on the same parameter bundle as the forward limit
-DualParams = LimitParams
+from .simplex import SimplexPoint, as_atoms, binomial_pmf
 
 _DEFAULT_CAP = 10_000
 #: draws per buffer refill in ``run_chains``
@@ -77,30 +75,6 @@ _BLOCK = 1024
 #: rate rows ``run_chains`` keeps per call (about 160 bytes each); a state
 #: above is rebuilt at every visit
 _MAX_ROWS = 1 << 16
-
-
-@dataclass(frozen=True)
-class EventRates:
-    branch_total: float
-    kingman: float
-    xi_candidate: float
-
-    @property
-    def total(self) -> float:
-        return self.branch_total + self.kingman + self.xi_candidate
-
-
-def event_rates(params: DualParams, n: int,
-                xi_rate: float | None = None) -> EventRates:
-    """Jump rates out of state n (xi rate may be passed in when cached)."""
-    if n < 1:
-        raise ValueError("the chain lives on n >= 1")
-    if xi_rate is None:
-        sampler = jump_sampler(params)
-        xi_rate = sampler.rate if sampler is not None else 0.0
-    return EventRates(params.selection_rate * n,
-                      params.kingman_rate * n * (n - 1) / 2.0,
-                      xi_rate)
 
 
 @dataclass
@@ -202,12 +176,11 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
     return {d: float(p) for d, p in enumerate(coef[n]) if p > 0.0}
 
 
-def simulate(params: DualParams, n0: int, total_time: float,
+def simulate(params: LimitParams, n0: int, total_time: float,
              rng: np.random.Generator, cap: int | None = _DEFAULT_CAP,
              record_noops: bool = False) -> DualPath:
     """Gillespie simulation of one chain with an event log."""
-    runs = run_chains(params, n0, total_time, 1, rng,
-                      jump_sampler(params, rng=rng), cap=cap, log=True,
+    runs = run_chains(params, n0, total_time, 1, rng, cap=cap, log=True,
                       record_noops=record_noops)
     escaped = bool(runs.escaped[0])
     return DualPath(initial=n0, events=runs.events[0],
@@ -228,27 +201,28 @@ class ChainRuns:
     events: list[list[DualEvent]] | None = None
 
 
-def run_chains(params: DualParams, n0: int, total_time: float,
-               replicates: int, rng: np.random.Generator,
-               sampler: TruncatedSampler | None, *, cap: int | None = None,
-               burn_in: float = 0.0, occupation: bool = False,
-               log: bool = False, record_noops: bool = False) -> ChainRuns:
+def run_chains(params: LimitParams, n0: int, total_time: float,
+               replicates: int, rng: np.random.Generator, *,
+               cap: int | None = None, burn_in: float = 0.0,
+               occupation: bool = False, log: bool = False,
+               record_noops: bool = False) -> ChainRuns:
     """The Gillespie core: ``replicates`` independent chains from n0.
 
-    ``sampler`` is ``jump_sampler(params, rng=rng)``, built once by the
-    caller (None when params.xi is None).  The replicates run one after
-    another and draw from shared buffers of ``_BLOCK`` holding times,
-    event choices, offspring counts and xi points.  ``occupation`` adds
-    each replicate's holding time per state past burn_in; ``log`` adds
-    its event list (xi candidates that merge nothing only with
-    ``record_noops``; a one-group atom has such candidates only past the
-    n where P(Binomial(n, y) >= 2) rounds to 1, each with probability
-    below 2^-53).  A chain stops at total_time or once n > cap.
+    The call builds the jump sampler first, then runs the replicates one
+    after another, drawing from shared buffers of ``_BLOCK`` holding
+    times, event choices, offspring counts and xi points.
+    ``occupation`` adds each replicate's holding time per state past
+    burn_in; ``log`` adds its event list (xi candidates that merge
+    nothing only with ``record_noops``; a one-group atom has such
+    candidates only past the n where P(Binomial(n, y) >= 2) rounds to 1,
+    each with probability below 2^-53).  A chain stops at total_time or
+    once n > cap.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    sampler = jump_sampler(params, rng=rng)
     sel = params.selection_rate
     pair = 0.5 * params.kingman_rate
     law = params.offspring
@@ -379,7 +353,7 @@ def run_chains(params: DualParams, n0: int, total_time: float,
 # exact generator
 
 
-def generator_apply_exact(params: DualParams, x: float, n: int) -> float:
+def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
     """L x^n in closed form; needs an atomic measure.
 
     The xi term weighs each atom's ``xi_jump_pmf``, which is computed on
@@ -449,16 +423,15 @@ class StationaryEstimate:
         return float(vals.mean()), se
 
 
-def stationary_estimate(params: DualParams, n0: int, burn_in: float,
+def stationary_estimate(params: LimitParams, n0: int, burn_in: float,
                         horizon: float, replicates: int,
                         rng: np.random.Generator,
                         cap: int = _DEFAULT_CAP) -> StationaryEstimate:
     """Time-averaged occupation past burn_in, averaged over replicates."""
     if horizon <= burn_in:
         raise ValueError("horizon must exceed burn_in")
-    runs = run_chains(params, n0, horizon, replicates, rng,
-                      jump_sampler(params, rng=rng), cap=cap, burn_in=burn_in,
-                      occupation=True)
+    runs = run_chains(params, n0, horizon, replicates, rng, cap=cap,
+                      burn_in=burn_in, occupation=True)
     per_rep = [occ for occ, esc in zip(runs.occupation, runs.escaped)
                if not esc]
     escaped = replicates - len(per_rep)
@@ -491,7 +464,7 @@ class RecurrenceReport:
     cap: int
 
 
-def recurrence_probe(params: DualParams, n0: int, horizon: float, cap: int,
+def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
                      replicates: int, rng: np.random.Generator) -> RecurrenceReport:
     """Crude empirical recurrence probe; a diagnostic, not a proof.
 
@@ -499,8 +472,7 @@ def recurrence_probe(params: DualParams, n0: int, horizon: float, cap: int,
     "recurrent-looking" when none escape and replicates revisit state 1
     at least 10 times on average; anything else is "inconclusive".
     """
-    runs = run_chains(params, n0, horizon, replicates, rng,
-                      jump_sampler(params, rng=rng), cap=cap)
+    runs = run_chains(params, n0, horizon, replicates, rng, cap=cap)
     kept = int((~runs.escaped).sum())
     total_returns = int(runs.returns_to_one[~runs.escaped].sum())
     frac = (replicates - kept) / replicates
@@ -542,8 +514,7 @@ def moment_duality_check(params: LimitParams, x: float, order: int,
     """Monte-Carlo check of E_x[X_t^n] = E_n[x^(D_t)] at time t."""
     finals = simulate_batch(params, x, total_time, dt, replicates, rng)
     lhs = McEstimate.from_samples(finals ** order)
-    runs = run_chains(params, order, total_time, replicates, rng,
-                      jump_sampler(params, rng=rng), cap=cap)
+    runs = run_chains(params, order, total_time, replicates, rng, cap=cap)
     vals = np.where(runs.escaped, 0.0,
                     np.power(float(x), runs.final.astype(float)))
     rhs = McEstimate.from_samples(vals)

@@ -266,7 +266,7 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
     est = McEstimate.from_samples(vals)
     mean = drift_term + est.mean
     lo, hi = est.interval
-    return McEstimate(mean, est.std_error, est.replicates, est.confidence_level,
+    return McEstimate(mean, est.std_error, est.replicates,
                       (drift_term + lo, drift_term + hi))
 
 

@@ -265,35 +265,16 @@ def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.n
     return ks
 
 
-def _extra_draws(law: SelectionLaw, size: int, rng: np.random.Generator):
-    """The draws behind ``size`` parent counts: the mask of individuals
-    with K > 1 and their K - 1 (``sample_extra``), or (None, None) when
-    no individual has K > 1."""
-    if law.multi_prob > 0.0:
-        mask = rng.random(size) < law.multi_prob
-        n_multi = np.count_nonzero(mask)
-        if n_multi:
-            return mask, sample_extra(law, n_multi, rng)
-    return None, None
-
-
-def sample_parent_counts(law: SelectionLaw, size: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Draw K for ``size`` individuals; -1 encodes infinitely many."""
-    ks = np.ones(size, dtype=np.int64)
-    mask, extra = _extra_draws(law, size, rng)
-    if mask is not None:
-        ks[mask] = np.where(extra < 0, -1, 1 + extra)
-    return ks
-
-
 def sample_parent_total(law: SelectionLaw, size: int,
                         rng: np.random.Generator) -> int:
-    """Total K of ``size`` individuals, or -1 when one K is infinite: the
-    sum of ``sample_parent_counts`` from the same draws, without
-    building the per-individual array."""
-    _, extra = _extra_draws(law, size, rng)
-    if extra is None:
-        return size
-    extra = extra.tolist()
-    return -1 if -1 in extra else size + sum(extra)
+    """Total K of ``size`` individuals, or -1 when one K is infinite.
+
+    One uniform per individual decides K > 1 (probability multi_prob);
+    those individuals draw K - 1 with ``sample_extra``.
+    """
+    if law.multi_prob > 0.0:
+        n_multi = np.count_nonzero(rng.random(size) < law.multi_prob)
+        if n_multi:
+            extra = sample_extra(law, n_multi, rng).tolist()
+            return -1 if -1 in extra else size + sum(extra)
+    return size

@@ -84,13 +84,6 @@ class SimplexPoint:
     def sum_sq(self) -> float:
         return sum(m * m for m in self.masses)
 
-    def normalized(self) -> tuple[float, ...]:
-        """Group fractions z_i / sum(z).  Needs total > 0."""
-        tot = self.total
-        if tot <= 0.0:
-            raise ValueError("cannot normalize the zero point")
-        return tuple(m / tot for m in self.masses)
-
     def __len__(self) -> int:
         return len(self.masses)
 
@@ -378,7 +371,6 @@ def _alpha_floor(pop_size: int, alpha: float) -> float:
 
 
 def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
-                   mc_samples: int = _MC_SAMPLES,
                    rng: np.random.Generator | None = None) -> TruncatedIntensity:
     """Truncate at the polynomial floor pop_size ** -alpha, 0 < alpha < 1/2.
 
@@ -386,12 +378,11 @@ def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
     since 1/sum(z^2) <= 1/z_1^2 <= pop_size ** (2*alpha) on the kept set.
     """
     floor = _alpha_floor(pop_size, alpha)
-    mass, method, se = _intensity(measure, floor, mc_samples, rng)
+    mass, method, se = _intensity(measure, floor, _MC_SAMPLES, rng)
     return TruncatedIntensity(measure, floor, mass, method, se)
 
 
 def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
-                   mc_samples: int = _MC_SAMPLES,
                    rng: np.random.Generator | None = None) -> float:
     """x(1-x) times the measure of the discarded sliver {z_1 < pop_size**-alpha}.
 
@@ -409,8 +400,8 @@ def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
     else:
         if rng is None:
             rng = np.random.default_rng(_MC_SEED)
-        first = sample_masses(measure, mc_samples, rng)[:, 0]
-        sliver = measure.total_mass * np.count_nonzero(first < floor) / mc_samples
+        first = sample_masses(measure, _MC_SAMPLES, rng)[:, 0]
+        sliver = measure.total_mass * np.count_nonzero(first < floor) / _MC_SAMPLES
     return x * (1.0 - x) * sliver
 
 
@@ -434,22 +425,20 @@ def _covering_indices(masses: np.ndarray, c: float) -> np.ndarray:
 
 
 def admissibility_diagnostic(measure: XiMeasure, sizes=(16, 64, 256, 1024), *,
-                             c_of_n=None, samples: int = 2000,
+                             samples: int = 2000,
                              rng: np.random.Generator | None = None) -> list[dict]:
     """Empirical probe of how fast the covering index grows with sample size.
 
     For each n, draws points and reports the mean of
-    admissibility_index(Z, c_n) / sqrt(n) with c_n = c_of_n(n)
-    (default n ** -2).  A ratio drifting to 0 is consistent with the index
-    growing slower than sqrt(n).  This is a diagnostic, never a proof.
+    admissibility_index(Z, c_n) / sqrt(n) with c_n = n ** -2.  A ratio
+    drifting to 0 is consistent with the index growing slower than
+    sqrt(n).  This is a diagnostic, never a proof.
     """
     if rng is None:
         rng = np.random.default_rng(_MC_SEED)
-    if c_of_n is None:
-        c_of_n = lambda n: float(n) ** -2
     rows = []
     for n in sizes:
-        c = c_of_n(n)
+        c = float(n) ** -2
         index = _covering_indices(sample_masses(measure, samples, rng), c)
         ratios = index / math.sqrt(n)
         rows.append({
@@ -465,15 +454,15 @@ class TruncatedSampler:
     """Draws from the floor-truncated, 1/sum(z^2)-weighted jump law.
 
     ``rate`` is the total event intensity (same number as
-    ``intensity_mass(measure, floor)``).  Atomic families are exact; the
-    Beta family uses a fine inverse-CDF grid on [floor, 1]; stick-breaking
-    uses a padded mass matrix of ``pool_size`` points, weighted as in the
-    Monte Carlo ``intensity_mass``, which is a documented approximation.
+    ``intensity_mass(measure, floor)``).  Atomic families are exact, Beta
+    uses a 4096-node inverse-CDF grid on [floor, 1] and stick-breaking a
+    padded mass matrix of ``pool_size`` points, weighted as in the Monte
+    Carlo ``intensity_mass``, which is a documented approximation.
     ``draw_masses`` returns a batch of points as a mass matrix.
     """
 
     def __init__(self, measure: XiMeasure, floor: float, *,
-                 grid_size: int = 4096, pool_size: int = 100_000,
+                 pool_size: int = 100_000,
                  rng: np.random.Generator | None = None):
         self.measure = measure
         self.floor = float(floor)
@@ -494,7 +483,7 @@ class TruncatedSampler:
             if floor <= 0.0:
                 raise ValueError("infinite-intensity: floor required")
             self.rate = intensity_mass(measure, floor)
-            ys = np.linspace(floor, 1.0 - 1e-12, grid_size)
+            ys = np.linspace(floor, 1.0 - 1e-12, 4096)
             f = _beta_over_square(measure.a, measure.b)
             dens = np.array([f(y) for y in ys])
             cell = 0.5 * (dens[1:] + dens[:-1]) * np.diff(ys)

@@ -25,8 +25,7 @@ import warnings
 
 import numpy as np
 
-from .dual_chain import DualParams, RecurrenceReport, RegimeUnclear, \
-    StationaryEstimate, recurrence_probe, stationary_estimate
+from .dual_chain import RecurrenceReport, RegimeUnclear, StationaryEstimate
 from .limit_sde import normalized_draws
 from .mc import McEstimate, interval
 from .simplex import XiMeasure
@@ -88,35 +87,22 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     return McEstimate.from_samples(vals)
 
 
-def fixation_probability(params: DualParams, x: float, *,
-                         probe: RecurrenceReport | None = None,
-                         stationary: StationaryEstimate | None = None,
-                         rng: np.random.Generator | None = None,
-                         n0: int = 2, burn_in: float = 50.0,
-                         horizon: float = 200.0, replicates: int = 200,
-                         probe_horizon: float = 200.0,
-                         probe_cap: int = 10_000,
-                         probe_replicates: int = 200) -> McEstimate:
+def fixation_probability(x: float, probe: RecurrenceReport,
+                         stationary: StationaryEstimate | None = None) -> McEstimate:
     """Probability the weak type is eventually lost, started from frequency x.
 
     Despite the name, this is the paper's extinction probability of the
     selectively weak allele, 1 - phi(x); phi(x) is the probability that
-    the weak type fixes.  Decided through the dual chain: when a
-    recurrence probe says the chain escapes to infinity the weak type is
-    lost surely (probability 1 for x < 1, 0 at the fixed x = 1); when
+    the weak type fixes.  Decided through the dual chain: when the
+    recurrence ``probe`` says the chain escapes to infinity the weak type
+    is lost surely (probability 1 for x < 1, 0 at the fixed x = 1); when
     the chain looks positive recurrent phi is the moment generating
-    function of the estimated occupation measure.  An inconclusive probe,
-    or escapes in the stationary run, raise ``RegimeUnclear`` rather
-    than guessing.  Pass precomputed ``probe`` / ``stationary``
-    results to skip the simulations (otherwise ``rng`` is required).
+    function of the ``stationary`` occupation measure, which that regime
+    needs.  An inconclusive probe, or escapes in the stationary run,
+    raise ``RegimeUnclear`` rather than guessing.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    if probe is None:
-        if rng is None:
-            raise ValueError("need an rng when no probe result is supplied")
-        probe = recurrence_probe(params, n0, probe_horizon, probe_cap,
-                                 probe_replicates, rng)
     if probe.verdict == "escaping":
         return McEstimate.exact(0.0 if x == 1.0 else 1.0)
     if probe.verdict != "recurrent-looking":
@@ -125,14 +111,10 @@ def fixation_probability(params: DualParams, x: float, *,
             f"(escape fraction {probe.escape_fraction:.3f}, mean returns "
             f"{probe.mean_returns_to_one:.1f}); cannot decide the regime")
     if stationary is None:
-        if rng is None:
-            raise ValueError("need an rng when no stationary estimate is supplied")
-        stationary = stationary_estimate(params, n0, burn_in, horizon,
-                                         replicates, rng, cap=probe_cap)
+        raise ValueError("a recurrent-looking probe needs a stationary estimate")
     if stationary.escape_fraction > 0.0:
         raise RegimeUnclear("stationary estimate saw escapes; regime unclear")
     phi_mean, phi_se = stationary.phi(x)
     mean = 1.0 - phi_mean
     kept = stationary.replicates - stationary.escaped
-    return McEstimate(mean, phi_se, kept, 0.95,
-                      interval(mean, phi_se, 0.95))
+    return McEstimate(mean, phi_se, kept, interval(mean, phi_se))

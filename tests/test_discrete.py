@@ -6,12 +6,11 @@ import pytest
 from scipy.stats import binom
 
 from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
-                      SelectionLaw, SimplexPoint, StickBreaking,
-                      ancestral_step, ancestral_trajectories,
+                      SelectionLaw, StickBreaking, ancestral_trajectories,
                       exact_transition_matrices, explicit_family,
-                      forward_trajectories, geometric_family, neutral_family,
-                      pgf, post_event_frequency, sampling_duality_check,
-                      sampling_probability)
+                      forward_trajectories, geometric_family,
+                      has_exact_kernels, jump_map, neutral_family,
+                      sampling_duality_check, sampling_probability)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -32,21 +31,26 @@ def test_params_validation():
     DiscreteParams(4, 0.0, neutral_family())              # fine without measure
 
 
+def post_event_frequency(x, masses, rng, size=1):
+    """``size`` draws of the post-event frequency at x: jump_map rows."""
+    rows = np.tile(masses, (size, 1))
+    return jump_map(np.full(size, x), rows, rng.random(rows.shape))
+
+
 def test_post_event_frequency_degenerate_and_empty():
     rng = np.random.default_rng(0)
-    z = SimplexPoint((0.3, 0.2))
-    assert post_event_frequency(0.0, z, rng) == 0.0
-    assert post_event_frequency(1.0, z, rng) == 1.0
-    empty = SimplexPoint(())
-    assert post_event_frequency(0.37, empty, rng) == 0.37
+    z = (0.3, 0.2)
+    assert post_event_frequency(0.0, z, rng).tolist() == [0.0]
+    assert post_event_frequency(1.0, z, rng).tolist() == [1.0]
+    # an empty point: zero columns
+    assert post_event_frequency(0.37, (), rng).tolist() == [0.37]
 
 
 def test_post_event_frequency_dirac_half():
     # Z = [0.5], x = 0.5: Y = 0.25 + 0.5 B with B ~ Bernoulli(0.5),
     # so Y takes only the values 0.25 and 0.75 and has mean 0.5
     rng = np.random.default_rng(7)
-    z = SimplexPoint((0.5,))
-    draws = np.array([post_event_frequency(0.5, z, rng) for _ in range(20_000)])
+    draws = post_event_frequency(0.5, (0.5,), rng, size=20_000)
     assert set(np.unique(draws)) <= {0.25, 0.75}
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - 0.5) <= 3 * se
@@ -129,7 +133,7 @@ def test_sampling_probability_multi_atom_support():
 def test_ancestral_single_lineage_neutral_stays_one():
     rng = np.random.default_rng(5)
     params = DiscreteParams(5, 0.0, neutral_family())
-    assert all(ancestral_step(params, 1, rng) == 1 for _ in range(200))
+    assert np.all(ancestral_trajectories(params, 1, 1, 200, rng) == 1)
 
 
 def test_ancestral_birthday_two_labels():
@@ -166,7 +170,7 @@ def test_ancestral_infinite_parent_count_touches_all_labels():
     rng = np.random.default_rng(31)
     law = SelectionLaw(1.0, extra_pmf=(), extra_inf_mass=1.0)
     params = DiscreteParams(7, 0.0, law)
-    assert all(ancestral_step(params, 2, rng) == 7 for _ in range(50))
+    assert np.all(ancestral_trajectories(params, 2, 1, 50, rng)[:, 1] == 7)
 
 
 # one model per branch of the ancestral step: a single-atom xi_hat (c10's
@@ -217,14 +221,16 @@ def test_ancestral_stream_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(ANCESTRAL_MODELS))
 def test_ancestral_step_is_one_generation(name):
+    # the step function's build draws nothing: 20 one-generation calls
+    # make the draws of one call with 20 replicates
     params, n0 = ANCESTRAL_MODELS[name]
-    for seed in range(20):
-        rng_step = np.random.default_rng(seed)
-        rng_path = np.random.default_rng(seed)
-        step = ancestral_step(params, n0, rng_step)
-        path = ancestral_trajectories(params, n0, 1, 1, rng_path)
-        assert path.tolist() == [[n0, step]]
-        assert rng_step.random() == rng_path.random()
+    rng_steps = np.random.default_rng(5)
+    rng_path = np.random.default_rng(5)
+    steps = [ancestral_trajectories(params, n0, 1, 1, rng_steps)[0]
+             for _ in range(20)]
+    path = ancestral_trajectories(params, n0, 1, 20, rng_path)
+    assert np.array_equal(np.array(steps), path)
+    assert rng_steps.random() == rng_path.random()
 
 
 def test_exact_matrices_rows_and_absorption():
@@ -259,12 +265,21 @@ def test_exact_ancestral_extreme_row_oracle():
 
 
 def test_exact_matrices_refuse_large_cases():
-    with pytest.raises(ValueError):
-        exact_transition_matrices(DiscreteParams(7, 0.0, neutral_family()))
+    # has_exact_kernels names exactly the models the kernels refuse
     wide = FiniteAtomic(((1.0, (0.2, 0.2, 0.2, 0.2)),))
-    with pytest.raises(ValueError):
-        exact_transition_matrices(
-            DiscreteParams(4, 0.5, neutral_family(), xi_hat=wide))
+    refused = [DiscreteParams(7, 0.0, neutral_family()),
+               DiscreteParams(4, 0.5, neutral_family(), xi_hat=wide),
+               DiscreteParams(4, 0.5, neutral_family(), LambdaBeta(1.0, 2.0))]
+    for params in refused:
+        assert not has_exact_kernels(params)
+        with pytest.raises(ValueError):
+            exact_transition_matrices(params)
+    # no extreme generations: xi_hat never enters
+    for params in (DiscreteParams(6, 0.0, neutral_family()),
+                   DiscreteParams(6, 0.0, neutral_family(), LambdaBeta(1.0, 2.0)),
+                   DiscreteParams(6, 0.5, neutral_family(), DIRAC_HALF)):
+        assert has_exact_kernels(params)
+        exact_transition_matrices(params)
 
 
 def test_duality_zero_generations_is_identity():

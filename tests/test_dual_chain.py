@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy.stats import chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
-                      SimplexPoint, dual_generator_apply_exact, event_rates,
+                      SimplexPoint, StickBreaking, dual_generator_apply_exact,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
                       recurrence_probe, run_chains, simulate,
@@ -17,21 +18,6 @@ DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
 def reference_params(kappa: float, sigma: float = 0.0) -> LimitParams:
     return LimitParams(kappa, sigma, offspring_delta(1), xi=DIRAC_HALF)
-
-
-def test_event_rates_examples():
-    params = reference_params(1.0, sigma=1.0)
-    r1 = event_rates(params, 1)
-    assert r1.kingman == 0.0
-    r3 = event_rates(params, 3)
-    assert r3.kingman == 3.0            # C(3,2) pairs at rate 1
-    assert r3.branch_total == 3.0       # one branch clock per lineage
-    assert abs(r3.xi_candidate - 4.0) < 1e-12   # mass 1 / 0.5^2
-    assert abs(r3.total - 10.0) < 1e-12
-    with pytest.raises(ValueError):
-        event_rates(params, 0)
-    # a cached candidate rate is taken at face value
-    assert event_rates(params, 2, xi_rate=7.0).xi_candidate == 7.0
 
 
 def test_pure_death_chain():
@@ -263,13 +249,19 @@ def test_moment_duality_builds_forward_and_chain_samplers(sampler_builds,
 # the block-buffered core: law checks and its stream
 
 
+def candidate_rates(params, n):
+    """(branch, pairwise, xi candidate) rates out of n: kappa n,
+    sigma n (n - 1) / 2 and the truncated intensity."""
+    return (params.selection_rate * n, params.kingman_rate * n * (n - 1) / 2,
+            jump_sampler(params).rate)
+
+
 def first_events(params, n0, replicates, seed):
     """The first logged event (no-op candidates included) of each replicate."""
     rng = np.random.default_rng(seed)
-    rate = event_rates(params, n0, jump_sampler(params).rate).total
+    rate = sum(candidate_rates(params, n0))
     # 20 mean holding times: a replicate sees no event with prob. e^-20
-    runs = run_chains(params, n0, 20.0 / rate, replicates, rng,
-                      jump_sampler(params, rng=rng), log=True,
+    runs = run_chains(params, n0, 20.0 / rate, replicates, rng, log=True,
                       record_noops=True)
     assert all(runs.events)
     return [events[0] for events in runs.events]
@@ -278,17 +270,16 @@ def first_events(params, n0, replicates, seed):
 def test_first_event_law_beta_geometric_kingman():
     # out of state 4: the holding time is Exp(total rate) (mean at 3 SE)
     # and the event kind is branch / Kingman / xi in proportion to
-    # event_rates (chi-square, 1% level)
+    # the candidate rates (chi-square, 1% level)
     n, reps = 4, 10_000
     firsts = first_events(BETA_PARAMS, n, reps, seed=101)
-    rates = event_rates(BETA_PARAMS, n, jump_sampler(BETA_PARAMS).rate)
+    rates = np.array(candidate_rates(BETA_PARAMS, n))
     holds = np.array([e.time for e in firsts])
     se = holds.std(ddof=1) / math.sqrt(reps)
-    assert abs(holds.mean() - 1.0 / rates.total) <= 3 * se
+    assert abs(holds.mean() - 1.0 / rates.sum()) <= 3 * se
     kinds = [e.kind for e in firsts]
     f_obs = np.array([kinds.count(k) for k in ("branch", "kingman", "xi")])
-    f_exp = reps * np.array([rates.branch_total, rates.kingman,
-                             rates.xi_candidate]) / rates.total
+    f_exp = reps * rates / rates.sum()
     assert f_obs.sum() == reps
     assert chisquare(f_obs, f_exp).pvalue > 0.01
 
@@ -359,8 +350,7 @@ def test_first_event_law_one_group_merges(y, n, seed):
     rng = np.random.default_rng(seed)
     # 20 mean holding times: a replicate sees no event with prob. e^-20;
     # a replicate stops once it branches above n
-    runs = run_chains(params, n, 20.0 / total, reps, rng,
-                      jump_sampler(params, rng=rng), cap=n, log=True,
+    runs = run_chains(params, n, 20.0 / total, reps, rng, cap=n, log=True,
                       record_noops=True)
     assert all(runs.events)
     firsts = [events[0] for events in runs.events]
@@ -388,8 +378,7 @@ def test_simulate_is_one_replicate_of_run_chains(params):
     for seed in (1, 2, 3):
         path = simulate(params, 3, 20.0, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
-        runs = run_chains(params, 3, 20.0, 1, rng,
-                          jump_sampler(params, rng=rng), cap=10_000)
+        runs = run_chains(params, 3, 20.0, 1, rng, cap=10_000)
         assert path.final == runs.final[0]
         assert path.returns_to_one == runs.returns_to_one[0]
         assert path.escaped == runs.escaped[0]
@@ -398,10 +387,26 @@ def test_simulate_is_one_replicate_of_run_chains(params):
 def test_run_chains_argument_errors():
     rng = np.random.default_rng(0)
     params = reference_params(1.0)
-    sampler = jump_sampler(params)
     with pytest.raises(ValueError, match="replicates"):
-        run_chains(params, 2, 1.0, 0, rng, sampler)
+        run_chains(params, 2, 1.0, 0, rng)
     with pytest.raises(ValueError, match="n0"):
-        run_chains(params, 0, 1.0, 3, rng, sampler)
+        run_chains(params, 0, 1.0, 3, rng)
     with pytest.raises(ValueError, match="replicates"):
         recurrence_probe(params, 2, horizon=1.0, cap=10, replicates=0, rng=rng)
+
+
+def test_stick_breaking_chain_stream_pinned():
+    # stick-breaking is the one family whose sampler build draws (its
+    # point pool): sha256 of final, returns_to_one and escaped (int64,
+    # int64, uint8), then of the next rng.random() as float64, recorded
+    # when the caller built the sampler just before the chains
+    params = LimitParams(1.0, 0.5, geometric_offspring(0.5),
+                         xi=StickBreaking(), jump_floor=0.1)
+    rng = np.random.default_rng(2024)
+    runs = run_chains(params, 3, 5.0, 50, rng, cap=1_000)
+    digest = hashlib.sha256(runs.final.astype("<i8").tobytes())
+    digest.update(runs.returns_to_one.astype("<i8").tobytes())
+    digest.update(runs.escaped.astype(np.uint8).tobytes())
+    digest.update(np.float64(rng.random()).tobytes())
+    assert digest.hexdigest() == (
+        "f30a0a8b18b4ac723ffc67ef4164b0510ddd8405ede13639a465768bbc03ad8f")

@@ -57,3 +57,62 @@ print(repr(sampling_probability(params, 0.4, 3, mode="exact")))
     params = DiscreteParams(10, 0.3, geometric_family(0.1),
                             xi_hat=LambdaBeta(2.0, 3.0))
     assert float(out) == sampling_probability(params, 0.4, 3, mode="exact")
+
+
+def test_bench_imports_resolve():
+    # every cannings name the benchmark imports exists, and every call of
+    # one binds to its signature: deleting or reshaping a name the bench
+    # uses fails here, not in the traced replay
+    import importlib
+    import inspect
+
+    bench = PACKAGE.parents[1] / "bench"
+    paths = sorted(bench.glob("*.py"))
+    assert paths
+    problems, checked = [], 0
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        bound = {}  # local name -> imported cannings object
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                    and (node.module or "").startswith("cannings"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if hasattr(module, alias.name):
+                        bound[alias.asname or alias.name] = getattr(module, alias.name)
+                    else:
+                        problems.append(f"{path.name}:{node.lineno} "
+                                        f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("cannings"):
+                        module = importlib.import_module(alias.name)
+                        if alias.asname:
+                            bound[alias.asname] = module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in bound:
+                target, label = bound[func.id], func.id
+            elif (isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Name)
+                  and inspect.ismodule(bound.get(func.value.id))):
+                label = f"{func.value.id}.{func.attr}"
+                target = getattr(bound[func.value.id], func.attr, None)
+                if target is None:
+                    problems.append(f"{path.name}:{node.lineno} {label}")
+                    continue
+            else:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords):
+                continue
+            try:
+                inspect.signature(target).bind(
+                    *node.args, **{k.arg: None for k in node.keywords})
+            except TypeError as exc:
+                problems.append(f"{path.name}:{node.lineno} {label}: {exc}")
+            checked += 1
+    assert not problems, problems
+    assert checked

@@ -6,7 +6,7 @@ import pytest
 from cannings import (SelectionLaw, branching_drift, explicit_family,
                       geometric_family, geometric_offspring, neutral_family,
                       offspring_delta, offspring_pmf, pgf,
-                      sample_parent_counts, selection_shape)
+                      sample_parent_total, selection_shape)
 from cannings.selection import _geom_terms
 
 X_GRID = np.arange(0.0, 1.0001, 0.05)
@@ -136,23 +136,25 @@ def test_polynomials_bit_identical_to_polyval(pmf):
                               x * x * np.polyval(pmf[::-1], x) - x * sum(pmf))
 
 
-def test_sample_parent_counts_geometric_mean():
+def test_sample_parent_total_geometric_mean():
     # K for geometric_family(s): P(K = k) = s^(k-1) (1 - s); E K = 1/(1-s)
+    # and Var K = s/(1-s)^2, so the mean of n draws has SE
+    # sqrt(s) / ((1-s) sqrt(n))
     rng = np.random.default_rng(19)
     s = 0.3
     draws = 100_000
-    counts = sample_parent_counts(geometric_family(s), draws, rng)
-    assert np.all(counts >= 1)
-    mean = counts.mean()
-    se = counts.std(ddof=1) / math.sqrt(draws)
-    assert abs(mean - 1.0 / (1.0 - s)) <= 3 * se
+    total = sample_parent_total(geometric_family(s), draws, rng)
+    assert total >= draws
+    se = math.sqrt(s) / (1.0 - s) / math.sqrt(draws)
+    assert abs(total / draws - 1.0 / (1.0 - s)) <= 3 * se
 
 
-def test_sample_parent_counts_infinity_sentinel():
+def test_sample_parent_total_infinity_sentinel():
     rng = np.random.default_rng(4)
     law = SelectionLaw(1.0, extra_pmf=(), extra_inf_mass=1.0)
-    counts = sample_parent_counts(law, 100, rng)
-    assert np.all(counts == -1)
+    assert sample_parent_total(law, 100, rng) == -1
+    # a law without K > 1 draws nothing and returns the count itself
+    assert sample_parent_total(neutral_family(), 100, rng) == 100
 
 
 def test_explicit_family_round_trip():

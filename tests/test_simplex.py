@@ -26,7 +26,6 @@ def test_point_validation():
     assert z.total == 0.8
     assert abs(z.residual - 0.2) < 1e-15
     assert abs(z.sum_sq - 0.34) < 1e-15          # 0.25 + 0.09
-    assert z.normalized() == pytest.approx((0.625, 0.375))  # 0.5/0.8, 0.3/0.8
     with pytest.raises(ValueError):
         SimplexPoint((0.3, 0.5))                 # not sorted
     with pytest.raises(ValueError):

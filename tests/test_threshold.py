@@ -117,14 +117,14 @@ def test_fixation_escaping_regime_is_certain():
     probe = RecurrenceReport("escaping", 1.0, 0.0, None, 10, 100.0, 1000)
     # the weak type is lost surely unless it has already fixed at x = 1
     for x, expect in ((0.0, 1.0), (0.25, 1.0), (1.0, 0.0)):
-        est = fixation_probability(coalescing_params(), x, probe=probe)
+        est = fixation_probability(x, probe)
         assert est.mean == expect and est.std_error == 0.0
 
 
 def test_fixation_inconclusive_probe_raises():
     probe = RecurrenceReport("inconclusive", 0.4, 2.0, 1.0, 10, 100.0, 1000)
     with pytest.raises(ValueError, match="inconclusive"):
-        fixation_probability(coalescing_params(), 0.25, probe=probe)
+        fixation_probability(0.25, probe)
 
 
 def test_fixation_recurrent_regime_uses_occupation_pgf():
@@ -141,22 +141,19 @@ def test_fixation_recurrent_regime_uses_occupation_pgf():
     stationary = stationary_estimate(params, 2, burn_in=10.0, horizon=30.0,
                                      replicates=25, rng=rng)
     for x, expect in ((0.0, 1.0), (0.3, 0.7), (1.0, 0.0)):
-        est = fixation_probability(params, x, probe=probe,
-                                   stationary=stationary)
+        est = fixation_probability(x, probe, stationary)
         assert abs(est.mean - expect) < 1e-12
         assert est.std_error < 1e-12
 
 
-def test_fixation_requires_rng_without_precomputed_results():
-    with pytest.raises(ValueError, match="rng"):
-        fixation_probability(coalescing_params(), 0.5)
+def test_fixation_recurrent_probe_requires_stationary():
     probe = RecurrenceReport("recurrent-looking", 0.0, 50.0, 1.0, 10,
                              100.0, 1_000)
-    with pytest.raises(ValueError, match="rng"):
-        fixation_probability(coalescing_params(), 0.5, probe=probe)
+    with pytest.raises(ValueError, match="stationary"):
+        fixation_probability(0.5, probe)
 
 
 def test_fixation_domain_error():
+    probe = RecurrenceReport("escaping", 1.0, 0.0, None, 10, 100.0, 1000)
     with pytest.raises(ValueError):
-        fixation_probability(coalescing_params(), 1.5,
-                             rng=np.random.default_rng(0))
+        fixation_probability(1.5, probe)
