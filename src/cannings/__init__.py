@@ -8,11 +8,10 @@ selection rate.
 
 from .mc import McEstimate
 from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
-                      StickBreaking, TruncatedIntensity, TruncatedSampler,
-                      XiMeasure, admissibility_diagnostic, admissibility_index,
-                      as_atoms, bernoulli_patterns, binomial_pmf,
-                      intensity_mass, jump_map,
-                      normalized, sample_masses, small_mass_gap, total_mass, truncate_alpha)
+                      StickBreaking, TruncatedSampler, XiMeasure,
+                      admissibility_diagnostic, admissibility_index, as_atoms,
+                      bernoulli_patterns, binomial_pmf, jump_map, normalized,
+                      sample_masses, small_mass_gap, total_mass, truncate_alpha)
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
@@ -35,9 +34,9 @@ from .config import Config, ConfigError, RunSettings
 __all__ = [
     "McEstimate",
     "SimplexPoint", "XiMeasure", "FiniteAtomic", "LambdaDirac", "LambdaBeta",
-    "StickBreaking", "TruncatedIntensity", "TruncatedSampler",
+    "StickBreaking", "TruncatedSampler",
     "total_mass", "normalized", "as_atoms", "sample_masses",
-    "jump_map", "bernoulli_patterns", "binomial_pmf", "intensity_mass",
+    "jump_map", "bernoulli_patterns", "binomial_pmf",
     "truncate_alpha", "small_mass_gap", "admissibility_index",
     "admissibility_diagnostic",
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",

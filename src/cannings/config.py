@@ -23,7 +23,8 @@ is reproducible.  The full key list:
                               finite_atomic | stick_breaking
     model.xi.y                float in (0, 1]     (lambda_dirac)
     model.xi.a, model.xi.b    floats > 0          (lambda_beta, stick beta law)
-    model.xi.mass             float > 0, total mass (default 1)
+    model.xi.mass             float > 0, total mass (default 1; not for
+                              finite_atomic, whose weights carry the mass)
     model.xi.atoms            "w: z1 z2 | w: z1"  (finite_atomic)
     model.xi.stick_law        uniform | beta      (stick_breaking)
     model.xi.truncation_tol   float in (0, 1)     (stick_breaking)
@@ -265,6 +266,10 @@ class Config:
                 return LambdaBeta(self._require("model.xi.a"),
                                   self._require("model.xi.b"), mass)
             if family == "finite_atomic":
+                if "model.xi.mass" in self._values:
+                    raise ConfigError(
+                        "'model.xi.mass' does not apply to finite_atomic: "
+                        "the atom weights carry the mass", key="model.xi.mass")
                 return FiniteAtomic(self._parse_atoms())
             if family == "stick_breaking":
                 return StickBreaking(

@@ -106,36 +106,23 @@ def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
     return out
 
 
-def sampling_probability(params: DiscreteParams, x: float, n: int,
-                         mode: str = "exact", replicates: int = 10_000,
-                         rng: np.random.Generator | None = None):
+def sampling_probability(params: DiscreteParams, x: float, n: int) -> float:
     """S(x, n): probability that n sampled children are all of the weak type.
 
-    Exact mode sums over the group-adoption patterns of each atom of
-    xi_hat (``bernoulli_patterns``, supports of size up to 12), or
-    integrates over the group size for a Beta xi_hat; stick-breaking
-    xi_hat has no exact mode.  MC mode averages over ``replicates``
-    sampled extreme events and returns an McEstimate.
+    Sums over the group-adoption patterns of each atom of xi_hat
+    (``bernoulli_patterns``, supports of size up to 12), or integrates
+    over the group size for a Beta xi_hat; stick-breaking xi_hat has no
+    exact S.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if mode not in ("exact", "mc"):
-        raise ValueError("mode must be 'exact' or 'mc'")
     g = params.extreme_prob
     base = pgf(params.parent_law, x) ** n
     if g == 0.0:
-        return base if mode == "exact" else McEstimate.exact(base)
-    if mode == "exact":
-        return (1.0 - g) * base + g * _extreme_sampling_term(params, x, n)
-    if rng is None:
-        raise ValueError("MC mode needs an rng")
-    masses = sample_masses(params.xi_hat, replicates, rng)
-    ys = jump_map(np.full(replicates, float(x)), masses,
-                  rng.random(masses.shape))
-    return McEstimate.from_samples(
-        (1.0 - g) * base + g * pgf(params.parent_law, ys) ** n)
+        return base
+    return (1.0 - g) * base + g * _extreme_sampling_term(params, x, n)
 
 
 def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
@@ -353,13 +340,12 @@ class DualityReport:
 
 def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
                            mode: str = "exact", replicates: int = 100_000,
-                           rng: np.random.Generator | None = None,
-                           tolerance: float = _EXACT_TOL) -> DualityReport:
+                           rng: np.random.Generator | None = None) -> DualityReport:
     """Check E_x[S(X_g, n)] = E_n[S(x, D_g)] after g generations.
 
-    Exact mode pushes both kernels g steps and compares to ``tolerance``
-    (default 1e-10); MC mode simulates both chains and compares the gap
-    against 3 combined standard errors.
+    Exact mode pushes both kernels g steps and compares to 1e-10; MC mode
+    simulates both chains and compares the gap against 3 combined
+    standard errors.  Both sides use the exact S.
     """
     pop = params.pop_size
     if not (1 <= n <= pop):
@@ -376,7 +362,8 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
         lhs = float(fwd_dist @ s_states)
         rhs = float(anc_dist @ s_counts)
         gap = abs(lhs - rhs)
-        return DualityReport("exact", lhs, rhs, gap, tolerance, gap < tolerance)
+        return DualityReport("exact", lhs, rhs, gap, _EXACT_TOL,
+                             gap < _EXACT_TOL)
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     if rng is None:

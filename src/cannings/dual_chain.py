@@ -6,7 +6,8 @@ State: the number n >= 1 of ancestral lineages.  Three event types:
   into 1 + i lineages, i drawn from the offspring law (moment dual of
   the selection drift),
 * pairwise   -- each pair merges at rate kingman_rate (n -> n - 1),
-* xi events  -- candidate events at rate intensity_mass(xi, floor); at a
+* xi events  -- candidate events at the truncated rate
+  ``jump_sampler(params).rate`` (``simplex.TruncatedSampler``); at a
   candidate with ranked group sizes z each lineage joins group i with
   probability z_i or stays solo; every non-empty group collapses to one
   lineage, so n -> n - k + d with k participants in d groups.  Events
@@ -409,9 +410,6 @@ class StationaryEstimate:
     burn_in: float
     horizon: float
     _fractions: np.ndarray  # per-replicate occupation fractions
-
-    def pmf(self) -> dict[int, float]:
-        return {int(s): float(p) for s, p in zip(self.states, self.probs)}
 
     def phi(self, x: float) -> tuple[float, float]:
         """Mean and standard error of sum_n mu(n) x^n at the estimate."""

@@ -16,12 +16,15 @@ Measures on the simplex come in four parametric families:
 The coalescent intensity divides out sum(z^2), the pair-merger weight,
 and truncates small events at a floor:
 
-    mass(floor) = integral over {z_1 >= floor} of measure(dz) / sum(z^2).
+    rate(floor) = integral over {z_1 >= floor} of measure(dz) / sum(z^2).
 
-Atomic families evaluate this exactly, the Beta family in closed form
+``TruncatedSampler`` is the one place that turns a measure and a floor
+into this rate and into draws from the normalized truncated law.
+Atomic families are exact; the Beta family has its rate in closed form
 through the incomplete Beta function (a Gauss hypergeometric function,
-DLMF 8.17.8), stick-breaking by Monte Carlo with a reported standard
-error.
+DLMF 8.17.8) and exact draws by rejection from a two-piece power-law
+envelope; stick-breaking weights a Monte Carlo pool of points and
+reports the standard error of its rate.
 
 An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
@@ -167,22 +170,6 @@ class StickBreaking:
 XiMeasure = Union[FiniteAtomic, LambdaDirac, LambdaBeta, StickBreaking]
 
 
-@dataclass(frozen=True)
-class TruncatedIntensity:
-    """Result of truncating a measure at a small-event floor.
-
-    ``mass`` is the integral of 1/sum(z^2) over {z_1 >= floor};
-    ``method`` records how it was computed ("exact", "closed-form" or
-    "mc"); ``std_error`` is set for the MC backend only.
-    """
-
-    base: XiMeasure
-    floor: float
-    mass: float
-    method: str
-    std_error: float | None = None
-
-
 def total_mass(measure: XiMeasure) -> float:
     if isinstance(measure, FiniteAtomic):
         return sum(w for w, _ in measure.atoms)
@@ -298,17 +285,6 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     return out
 
 
-def _beta_over_square(a: float, b: float):
-    """Beta(a, b) density divided by y^2, as a cheap scalar callable."""
-    ln_b = float(betaln(a, b))
-
-    def f(y: float) -> float:
-        return math.exp((a - 1.0) * math.log(y) + (b - 1.0) * math.log1p(-y)
-                        - ln_b - 2.0 * math.log(y))
-
-    return f
-
-
 def _beta_upper_mass(a: float, b: float, floor: float) -> float:
     """Integral of y^(a-3) (1-y)^(b-1) / B(a, b) over [floor, 1].
 
@@ -322,36 +298,21 @@ def _beta_upper_mass(a: float, b: float, floor: float) -> float:
                  * math.exp(-betaln(a, b)))
 
 
-def intensity_mass(measure: XiMeasure, floor: float, *,
-                   mc_samples: int = _MC_SAMPLES,
-                   rng: np.random.Generator | None = None) -> float:
-    """Integral of 1/sum(z^2) over {z_1 >= floor} against the measure."""
-    mass, _, _ = _intensity(measure, floor, mc_samples, rng)
-    return mass
-
-
-def _intensity(measure: XiMeasure, floor: float, mc_samples: int,
-               rng: np.random.Generator | None) -> tuple[float, str, float | None]:
-    if floor < 0.0 or floor > 1.0:
-        raise ValueError("floor must lie in [0, 1]")
-    atoms = as_atoms(measure)
-    if atoms is not None:
-        mass = sum(w / z.sum_sq for w, z in atoms if z.masses[0] >= floor)
-        return mass, "exact", None
-    if isinstance(measure, LambdaBeta):
-        if floor == 0.0 and measure.a <= 2.0:
-            raise ValueError("infinite-intensity: floor required")
-        mass = _beta_upper_mass(measure.a, measure.b, floor)
-        return measure.total_mass * mass, "closed-form", None
-    # stick-breaking: Monte Carlo with a reported standard error
-    if floor <= 0.0:
-        raise ValueError("infinite-intensity: floor required")
-    if rng is None:
-        rng = np.random.default_rng(_MC_SEED)
-    vals = _stick_weights(sample_masses(measure, mc_samples, rng), floor)
-    mass = measure.total_mass * float(vals.mean())
-    se = measure.total_mass * float(vals.std(ddof=1) / math.sqrt(mc_samples))
-    return mass, "mc", se
+def _beta_envelope(a: float, b: float, floor: float,
+                   upper: float) -> tuple[float, ...]:
+    """(c, k1, k2, share of the lower piece, acceptance rate) of the
+    two-piece envelope of y^(a-3) (1-y)^(b-1) on [floor, 1]: k1 y^(a-3)
+    on [floor, c) and k2 (1-y)^(b-1) on [c, 1], c = max(floor, 1/2).
+    ``upper`` is the target's mass over B(a, b), ``_beta_upper_mass``."""
+    c = max(floor, 0.5)
+    k1 = max(1.0, (1.0 - c) ** (b - 1.0))
+    k2 = max(1.0, c ** (a - 3.0))
+    if a == 2.0:
+        low = k1 * math.log(c / floor)
+    else:
+        low = k1 * (c ** (a - 2.0) - floor ** (a - 2.0)) / (a - 2.0)
+    total = low + k2 * (1.0 - c) ** b / b
+    return c, k1, k2, low / total, upper * math.exp(betaln(a, b)) / total
 
 
 def _stick_weights(masses: np.ndarray, floor: float) -> np.ndarray:
@@ -371,15 +332,14 @@ def _alpha_floor(pop_size: int, alpha: float) -> float:
 
 
 def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
-                   rng: np.random.Generator | None = None) -> TruncatedIntensity:
-    """Truncate at the polynomial floor pop_size ** -alpha, 0 < alpha < 1/2.
+                   rng: np.random.Generator | None = None) -> TruncatedSampler:
+    """The jump law truncated at the polynomial floor pop_size ** -alpha,
+    0 < alpha < 1/2.
 
-    The returned mass never exceeds total_mass * pop_size ** (2 * alpha),
-    since 1/sum(z^2) <= 1/z_1^2 <= pop_size ** (2*alpha) on the kept set.
+    Its rate never exceeds total_mass * pop_size ** (2 * alpha), since
+    1/sum(z^2) <= 1/z_1^2 <= pop_size ** (2*alpha) on the kept set.
     """
-    floor = _alpha_floor(pop_size, alpha)
-    mass, method, se = _intensity(measure, floor, _MC_SAMPLES, rng)
-    return TruncatedIntensity(measure, floor, mass, method, se)
+    return TruncatedSampler(measure, _alpha_floor(pop_size, alpha), rng=rng)
 
 
 def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
@@ -451,26 +411,29 @@ def admissibility_diagnostic(measure: XiMeasure, sizes=(16, 64, 256, 1024), *,
 
 
 class TruncatedSampler:
-    """Draws from the floor-truncated, 1/sum(z^2)-weighted jump law.
+    """The floor-truncated, 1/sum(z^2)-weighted jump law of a measure.
 
-    ``rate`` is the total event intensity (same number as
-    ``intensity_mass(measure, floor)``).  Atomic families are exact, Beta
-    uses a 4096-node inverse-CDF grid on [floor, 1] and stick-breaking a
-    padded mass matrix of ``pool_size`` points, weighted as in the Monte
-    Carlo ``intensity_mass``, which is a documented approximation.
-    ``draw_masses`` returns a batch of points as a mass matrix.
+    ``rate`` is its total mass, the integral of 1/sum(z^2) over
+    {z_1 >= floor}: exact for atomic families, closed form for Beta
+    (``_beta_upper_mass``; floor 0 only where it is finite, a > 2), and
+    for stick-breaking the mean weight of a pool of ``pool_size`` points
+    drawn from ``rng``, with its standard error in ``std_error`` (0 for
+    the other families).  ``draw_masses`` draws from the normalized law:
+    atoms with ``rng.choice``'s arithmetic, Beta exactly (see
+    ``_draw_beta``), stick-breaking by resampling the pool with its
+    weights.  Only the stick-breaking build draws from ``rng``.
     """
 
     def __init__(self, measure: XiMeasure, floor: float, *,
-                 pool_size: int = 100_000,
+                 pool_size: int = _MC_SAMPLES,
                  rng: np.random.Generator | None = None):
+        if not (0.0 <= floor <= 1.0):
+            raise ValueError("floor must lie in [0, 1]")
         self.measure = measure
         self.floor = float(floor)
+        self.std_error = 0.0
+        self._atoms = self._atom_matrix = self._beta = self._pool = None
         atoms = as_atoms(measure)
-        self._atoms = None
-        self._atom_matrix = None
-        self._grid = None
-        self._pool = None
         if atoms is not None:
             kept = [(w / z.sum_sq, z) for w, z in atoms if z.masses[0] >= floor]
             self.rate = sum(w for w, _ in kept)
@@ -479,26 +442,22 @@ class TruncatedSampler:
                 self._atoms = ([z for _, z in kept], probs)
                 self._atom_matrix = _padded([z.masses for _, z in kept])
             return
-        if isinstance(measure, LambdaBeta):
-            if floor <= 0.0:
-                raise ValueError("infinite-intensity: floor required")
-            self.rate = intensity_mass(measure, floor)
-            ys = np.linspace(floor, 1.0 - 1e-12, 4096)
-            f = _beta_over_square(measure.a, measure.b)
-            dens = np.array([f(y) for y in ys])
-            cell = 0.5 * (dens[1:] + dens[:-1]) * np.diff(ys)
-            cdf = np.concatenate([[0.0], np.cumsum(cell)])
-            cdf /= cdf[-1]
-            self._grid = (ys, cdf)
-            return
-        # stick-breaking pool
-        if floor <= 0.0:
+        if floor == 0.0 and not (isinstance(measure, LambdaBeta)
+                                 and measure.a > 2.0):
             raise ValueError("infinite-intensity: floor required")
+        if isinstance(measure, LambdaBeta):
+            upper = _beta_upper_mass(measure.a, measure.b, floor)
+            self.rate = measure.total_mass * upper
+            if upper > 0.0:
+                self._beta = _beta_envelope(measure.a, measure.b, floor, upper)
+            return
         if rng is None:
             rng = np.random.default_rng(_MC_SEED)
         masses = sample_masses(measure, pool_size, rng)
         weights = _stick_weights(masses, floor)
         self.rate = measure.total_mass * float(weights.mean())
+        self.std_error = measure.total_mass * float(
+            weights.std(ddof=1) / math.sqrt(pool_size))
         if weights.sum() > 0.0:
             self._pool = (masses, np.count_nonzero(masses, axis=1),
                           weights / weights.sum())
@@ -508,19 +467,45 @@ class TruncatedSampler:
         is the largest atom support, 1 for Beta, the widest pool point drawn."""
         if self._atoms is not None:
             return _atom_rows(self._atom_matrix, self._atoms[1], size, rng)
-        if self._grid is not None:
-            # inverse CDF on the grid; with cdf[0] = 0 <= u < 1 = cdf[-1] and
-            # side="right", j lands in a cell of positive width: no guards
-            ys, cdf = self._grid
-            u = rng.random(size)
-            j = np.searchsorted(cdf, u, side="right") - 1
-            frac = (u - cdf[j]) / (cdf[j + 1] - cdf[j])
-            return (ys[j] + frac * (ys[j + 1] - ys[j]))[:, None]
+        if self._beta is not None:
+            return self._draw_beta(size, rng)[:, None]
         if self._pool is not None:
             masses, widths, probs = self._pool
             which = rng.choice(len(probs), size=size, p=probs)
             return masses[which, :widths[which].max(initial=0)]
         raise ValueError("truncated measure has no mass above the floor")
+
+    def _draw_beta(self, size: int, rng: np.random.Generator) -> np.ndarray:
+        """``size`` exact draws from y^(a-3) (1-y)^(b-1) on [floor, 1].
+
+        The envelope splits at c = max(floor, 1/2): k1 y^(a-3) below c,
+        k2 (1-y)^(b-1) above, each drawn by its inverse CDF (the log form
+        at a = 2).  A proposal is kept with probability target/envelope;
+        each round draws (piece, position, coin) uniforms for enough
+        proposals to fill the rest on average, until ``size`` are kept.
+        """
+        a, b = self.measure.a, self.measure.b
+        c, k1, k2, p_low, accept = self._beta
+        f = self.floor
+        kept, need = [np.empty(0)], size
+        while need > 0:
+            pick, u, coin = rng.random((3, int(need / accept) + 16))
+            low = pick < p_low
+            high = ~low
+            y = np.empty(u.size)
+            if a == 2.0:
+                y[low] = f * (c / f) ** u[low]
+            else:
+                lo, hi = f ** (a - 2.0), c ** (a - 2.0)
+                y[low] = (lo + u[low] * (hi - lo)) ** (1.0 / (a - 2.0))
+            y[high] = 1.0 - (1.0 - c) * (1.0 - u[high]) ** (1.0 / b)
+            keep = np.empty(u.size, dtype=bool)
+            keep[low] = coin[low] * k1 <= (1.0 - y[low]) ** (b - 1.0)
+            keep[high] = coin[high] * k2 <= y[high] ** (a - 3.0)
+            kept.append(y[keep][:need])
+            need -= kept[-1].size
+        # the power form can round one unit in the last place below f
+        return np.maximum(np.concatenate(kept), f)
 
     @property
     def atom_points(self) -> list[SimplexPoint] | None:

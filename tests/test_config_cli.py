@@ -147,6 +147,16 @@ def test_config_atoms_parsing():
                          ).xi_measure()
 
 
+def test_finite_atomic_refuses_mass():
+    # the atom weights carry the mass: a mass key would be ignored
+    cfg = Config.from_text("model.kind = limit\nrun.seed = 1\n"
+                           "model.xi.family = finite_atomic\n"
+                           "model.xi.atoms = 1.0: 0.5\nmodel.xi.mass = 7.0\n")
+    with pytest.raises(ConfigError, match="atom weights") as info:
+        cfg.xi_measure()
+    assert info.value.key == "model.xi.mass"
+
+
 def test_config_kind_mismatch():
     cfg = Config.from_text(DISCRETE_CFG)
     with pytest.raises(ConfigError, match="model.kind = limit"):
@@ -359,12 +369,12 @@ def test_cli_dual_ctmc_builds_one_sampler(tmp_path, capsys, sampler_builds,
 def test_cli_dual_ctmc_beta_pinned(tmp_path, capsys):
     # pins the stream of the block-buffered Gillespie core (block draws of
     # holding times, event choices, geometric offspring counts and Beta
-    # points, shared by the 12 replicates), recorded when it was written
+    # points, exact rejection draws, shared by the 12 replicates)
     path = write_cfg(tmp_path, BETA_CFG)
     assert main(["dual-ctmc", "--config", path]) == 0
     final = json.loads(capsys.readouterr().out)["results"]["final_mean"]
-    assert final["mean"] == 1.5833333333333333
-    assert final["std_error"] == pytest.approx(0.22890825651118377, rel=1e-12)
+    assert final["mean"] == 2.0833333333333335
+    assert final["std_error"] == pytest.approx(0.33616223836869374, rel=1e-12)
 
 
 def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):

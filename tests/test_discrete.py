@@ -6,11 +6,12 @@ import pytest
 from scipy.stats import binom
 
 from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
-                      SelectionLaw, StickBreaking, ancestral_trajectories,
-                      exact_transition_matrices, explicit_family,
-                      forward_trajectories, geometric_family,
-                      has_exact_kernels, jump_map, neutral_family,
-                      sampling_duality_check, sampling_probability)
+                      McEstimate, SelectionLaw, StickBreaking,
+                      ancestral_trajectories, exact_transition_matrices,
+                      explicit_family, forward_trajectories, geometric_family,
+                      has_exact_kernels, jump_map, neutral_family, pgf,
+                      sample_masses, sampling_duality_check,
+                      sampling_probability)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -93,13 +94,6 @@ def test_sampling_probability_no_event_is_pgf_power():
     assert abs(sampling_probability(params, 0.5, 1) - p) < 1e-12
 
 
-def test_sampling_probability_rejects_unknown_mode():
-    for g, xi in ((0.0, None), (0.3, DIRAC_HALF)):
-        params = DiscreteParams(6, g, neutral_family(), xi_hat=xi)
-        with pytest.raises(ValueError, match="mode"):
-            sampling_probability(params, 0.5, 2, mode="exatc")
-
-
 def test_sampling_probability_at_one_is_one():
     params = DiscreteParams(6, 0.3, neutral_family(), xi_hat=DIRAC_HALF)
     assert abs(sampling_probability(params, 1.0, 4) - 1.0) < 1e-15
@@ -116,8 +110,12 @@ def test_sampling_probability_mc_matches_exact():
     rng = np.random.default_rng(23)
     params = DiscreteParams(6, 0.4, geometric_family(0.2), xi_hat=DIRAC_HALF)
     exact = sampling_probability(params, 0.5, 3)
-    est = sampling_probability(params, 0.5, 3, mode="mc", replicates=20_000,
-                               rng=rng)
+    # S averaged over 20,000 sampled extreme events
+    masses = sample_masses(DIRAC_HALF, 20_000, rng)
+    ys = jump_map(np.full(20_000, 0.5), masses, rng.random(masses.shape))
+    g, base = params.extreme_prob, pgf(params.parent_law, 0.5) ** 3
+    est = McEstimate.from_samples((1.0 - g) * base
+                                  + g * pgf(params.parent_law, ys) ** 3)
     assert abs(est.mean - exact) <= 3 * est.std_error
 
 

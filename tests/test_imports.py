@@ -48,7 +48,7 @@ from cannings import (DiscreteParams, LambdaBeta, geometric_family,
                       sampling_probability)
 params = DiscreteParams(10, 0.3, geometric_family(0.1),
                         xi_hat=LambdaBeta(2.0, 3.0))
-print(repr(sampling_probability(params, 0.4, 3, mode="exact")))
+print(repr(sampling_probability(params, 0.4, 3)))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
@@ -56,7 +56,7 @@ print(repr(sampling_probability(params, 0.4, 3, mode="exact")))
                           sampling_probability)
     params = DiscreteParams(10, 0.3, geometric_family(0.1),
                             xi_hat=LambdaBeta(2.0, 3.0))
-    assert float(out) == sampling_probability(params, 0.4, 3, mode="exact")
+    assert float(out) == sampling_probability(params, 0.4, 3)
 
 
 def test_bench_imports_resolve():

@@ -10,8 +10,8 @@ from scipy.stats import binom, chisquare
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, admissibility_diagnostic,
                       admissibility_index, bernoulli_patterns, binomial_pmf,
-                      intensity_mass, jump_map, normalized, sample_masses,
-                      small_mass_gap, total_mass, truncate_alpha)
+                      jump_map, normalized, sample_masses, small_mass_gap,
+                      total_mass, truncate_alpha)
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -111,11 +111,10 @@ def test_truncate_alpha_dirac_hand_values():
     # floor = 16^(-1/2) = 0.25; mass = 1 / 0.5^2 = 4
     res = truncate_alpha(LambdaDirac(0.5), 16, 0.499999999)
     assert abs(res.floor - 0.25) < 1e-6
-    assert abs(res.mass - 4.0) < 1e-6
-    assert res.method == "exact"
+    assert abs(res.rate - 4.0) < 1e-6
     # the atom at 0.1 sits below the floor 0.25
     res0 = truncate_alpha(LambdaDirac(0.1), 16, 0.499999999)
-    assert res0.mass == 0.0
+    assert res0.rate == 0.0
 
 
 def test_truncate_alpha_two_atoms():
@@ -124,33 +123,36 @@ def test_truncate_alpha_two_atoms():
                             (1.0, SimplexPoint.ranked([0.3, 0.2]))))
     res = truncate_alpha(measure, 10_000, 0.25)
     assert abs(res.floor - 0.1) < 1e-12
-    assert abs(res.mass - (4.0 + 1.0 / 0.13)) < 1e-10
+    assert abs(res.rate - (4.0 + 1.0 / 0.13)) < 1e-10
 
 
 def test_truncate_alpha_mass_bound():
-    # mass <= total_mass * N^(2 alpha) for every family
+    # rate <= total_mass * N^(2 alpha) for every family
     cases = [LambdaDirac(0.5, 2.0), ATOM_PAIR, LambdaBeta(2.5, 1.5, 1.5),
              StickBreaking(total_mass=0.7)]
     for measure in cases:
         for pop, alpha in ((16, 0.25), (100, 0.4), (1000, 0.45)):
             res = truncate_alpha(measure, pop, alpha)
             bound = total_mass(measure) * pop ** (2 * alpha)
-            slack = 3 * res.std_error if res.std_error else 0.0
-            assert res.mass <= bound + slack + 1e-9
+            assert res.rate <= bound + 3 * res.std_error + 1e-9
+
+
+def rate(measure, floor):
+    return TruncatedSampler(measure, floor).rate
 
 
 def test_intensity_mass_hand_values():
-    assert abs(intensity_mass(LambdaDirac(0.5), 0.1) - 4.0) < 1e-12
-    assert intensity_mass(LambdaDirac(0.5), 0.6) == 0.0
+    assert abs(rate(LambdaDirac(0.5), 0.1) - 4.0) < 1e-12
+    assert rate(LambdaDirac(0.5), 0.6) == 0.0
     # an atom exactly at [1.0]: sum of squares is 1, so mass = weight
     full = FiniteAtomic(((1.75, SimplexPoint.ranked([1.0])),))
-    assert abs(intensity_mass(full, 1.0) - 1.75) < 1e-12
+    assert abs(rate(full, 1.0) - 1.75) < 1e-12
 
 
 def test_intensity_mass_monotone_in_floor():
     floors = [0.05, 0.1, 0.2, 0.35, 0.5, 0.8]
     for measure in (ATOM_PAIR, LambdaBeta(2.0, 2.0), LambdaBeta(0.5, 1.0)):
-        masses = [intensity_mass(measure, f) for f in floors]
+        masses = [rate(measure, f) for f in floors]
         assert all(a >= b - 1e-9 for a, b in zip(masses, masses[1:]))
 
 
@@ -158,7 +160,7 @@ def test_intensity_mass_quadrature_against_closed_form():
     # Lambda = Beta(3, 1): density 3 y^2, so the intensity integrand
     # 3 y^2 / y^2 = 3 and the mass above floor f is 3 (1 - f).
     for floor in (0.0, 0.25, 0.5):
-        got = intensity_mass(LambdaBeta(3.0, 1.0), floor)
+        got = rate(LambdaBeta(3.0, 1.0), floor)
         assert abs(got - 3.0 * (1.0 - floor)) < 1e-7
 
 
@@ -175,7 +177,7 @@ def test_beta_intensity_closed_form_against_quadrature():
                                         weight="alg", wvar=(0.0, b - 1.0),
                                         epsabs=0.0, epsrel=1e-13, limit=200)
                 ref *= 2.5 * math.exp(-betaln(a, b))
-                got = intensity_mass(LambdaBeta(a, b, 2.5), floor)
+                got = rate(LambdaBeta(a, b, 2.5), floor)
                 worst = max(worst, abs(got - ref) / ref)
     assert worst < 1e-10, worst
 
@@ -199,9 +201,13 @@ def test_binomial_pmf_against_scipy(n):
 
 def test_infinite_intensity_requires_floor():
     with pytest.raises(ValueError, match="infinite-intensity"):
-        intensity_mass(LambdaBeta(1.0, 1.0), 0.0)   # a <= 2: divergent at 0
+        rate(LambdaBeta(1.0, 1.0), 0.0)   # a <= 2: divergent at 0
     with pytest.raises(ValueError, match="infinite-intensity"):
-        intensity_mass(StickBreaking(), 0.0)
+        rate(LambdaBeta(2.0, 1.0), 0.0)
+    with pytest.raises(ValueError, match="infinite-intensity"):
+        rate(StickBreaking(), 0.0)
+    with pytest.raises(ValueError, match="floor must lie"):
+        rate(LambdaDirac(0.5), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +409,62 @@ def test_draw_masses_stick_breaking_rows_are_points():
     assert np.any(masses[:, -1] > 0.0)
 
 
-def test_stick_pool_rate_is_the_mc_intensity():
-    # the pool weights its points by the Monte Carlo intensity's rule, so
-    # a pool and an estimate drawn on equal streams give the same rate
+def test_stick_pool_rate_and_std_error():
+    # the rate is the mean of the pool's weights 1/sum(z^2) [z_1 >= floor],
+    # scaled by the total mass, and std_error its standard error
     measure, floor = StickBreaking(total_mass=0.7), 0.1
     sampler = TruncatedSampler(measure, floor, pool_size=2000,
                                rng=np.random.default_rng(6))
-    mass = intensity_mass(measure, floor, mc_samples=2000,
-                          rng=np.random.default_rng(6))
-    assert sampler.rate == mass
+    masses = sample_masses(measure, 2000, np.random.default_rng(6))
+    weights = 0.7 * np.where(masses[:, 0] >= floor,
+                             1.0 / (masses * masses).sum(axis=1), 0.0)
+    assert sampler.rate == pytest.approx(weights.mean(), rel=1e-12)
+    assert sampler.std_error == pytest.approx(
+        weights.std(ddof=1) / math.sqrt(2000), rel=1e-12)
+    assert sampler.std_error > 0.0
+
+
+@pytest.mark.parametrize("measure, floor", [
+    (LambdaDirac(0.5, 2.0), 0.1), (ATOM_PAIR, 0.0), (ATOM_PAIR, 0.4),
+    (LambdaBeta(0.5, 1.5), 1e-3), (LambdaBeta(2.5, 0.7), 0.0)],
+    ids=["dirac", "two_atoms", "two_atoms_cut", "beta", "beta_floor_0"])
+def test_sampler_build_draws_nothing(measure, floor):
+    rng = np.random.default_rng(13)
+    state = rng.bit_generator.state
+    TruncatedSampler(measure, floor, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def _beta_law(a, b, floor, cut):
+    """P(Y < cut) and E[Y] of the law y^(a-3) (1-y)^(b-1) on [floor, 1],
+    by quad; on [cut, 1] the (1-y)^(b-1) endpoint factor is the
+    algebraic weight."""
+    def mass(k):
+        below, _ = integrate.quad(
+            lambda y: y ** (a - 3.0 + k) * (1.0 - y) ** (b - 1.0), floor, cut,
+            epsabs=0.0, epsrel=1e-12, limit=200)
+        above, _ = integrate.quad(lambda y: y ** (a - 3.0 + k), cut, 1.0,
+                                  weight="alg", wvar=(0.0, b - 1.0),
+                                  epsabs=0.0, epsrel=1e-12, limit=200)
+        return below, below + above
+    below, total = mass(0)
+    return below / total, mass(1)[1] / total
+
+
+@pytest.mark.parametrize("a, b, floor", [
+    (0.5, 2.0, 1e-4), (0.5, 1.5, 1e-3), (0.5, 0.5, 1e-2),
+    (1.5, 0.5, 1e-3), (1.5, 3.0, 1e-2), (0.9, 0.3, 1e-4),
+    (2.0, 1.5, 1e-4), (2.0, 0.7, 1e-2), (2.0, 3.0, 1e-3),
+    (2.5, 0.7, 0.0), (4.0, 2.0, 0.0)])
+def test_beta_draw_masses_law(a, b, floor):
+    # P(Y < 2 floor) (Y < 0.1 at floor 0) and E[Y] of 200k draws of the
+    # truncated jump law, within 3 SE of quadrature
+    draws = 200_000
+    y = TruncatedSampler(LambdaBeta(a, b), floor).draw_masses(
+        draws, np.random.default_rng(31))[:, 0]
+    assert np.all((y >= floor) & (y <= 1.0))
+    cut = 2.0 * floor if floor > 0.0 else 0.1
+    p_ref, mean_ref = _beta_law(a, b, floor, cut)
+    p_hat = np.count_nonzero(y < cut) / draws
+    assert abs(p_hat - p_ref) <= 3 * math.sqrt(p_ref * (1 - p_ref) / draws)
+    assert abs(y.mean() - mean_ref) <= 3 * y.std(ddof=1) / math.sqrt(draws)
