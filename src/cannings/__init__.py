@@ -24,9 +24,8 @@ from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
                         resolved_jump_floor, simulate_batch)
 from .dual_chain import (ChainRuns, DualPath, MomentDualityReport,
-                         RecurrenceReport, RegimeUnclear, StationaryEstimate,
-                         moment_duality_check, recurrence_probe, run_chains,
-                         simulate, stationary_estimate, xi_jump_pmf)
+                         RecurrenceReport, RegimeUnclear, moment_duality_check,
+                         recurrence_probe, run_chains, simulate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
 from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
 from .config import Config, ConfigError, RunSettings
@@ -51,9 +50,8 @@ __all__ = [
     "generator_apply_bernoulli",
     "DualPath", "simulate", "run_chains", "ChainRuns",
     "xi_jump_pmf", "dual_generator_apply_exact",
-    "StationaryEstimate", "stationary_estimate", "RecurrenceReport",
-    "RegimeUnclear",
-    "recurrence_probe", "MomentDualityReport", "moment_duality_check",
+    "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
+    "MomentDualityReport", "moment_duality_check",
     "kappa_star_mc", "kappa_star_dirac", "fixation_probability",
     "Config", "ConfigError", "RunSettings",
 ]

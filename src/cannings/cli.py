@@ -22,7 +22,7 @@ from .config import Config, ConfigError
 from .discrete import (ancestral_trajectories, forward_trajectories,
                        has_exact_kernels, sampling_duality_check)
 from .dual_chain import (RegimeUnclear, moment_duality_check,
-                         recurrence_probe, run_chains, stationary_estimate)
+                         recurrence_probe, run_chains)
 from .limit_sde import simulate_batch
 from .mc import McEstimate
 from .simplex import LambdaDirac
@@ -177,7 +177,7 @@ def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
     diagnostics["warnings"] = [str(w.message) for w in caught]
     code = EXIT_OK
     if isinstance(params.xi, LambdaDirac):
-        closed = kappa_star_dirac(params.xi.y, beta)
+        closed = params.xi.total_mass * kappa_star_dirac(params.xi.y, beta)
         gap = abs(est.mean - closed)
         within = gap <= 3.0 * est.std_error
         results.update({"closed_form": closed, "gap": gap,
@@ -205,7 +205,7 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
     run = cfg.run
     probe = recurrence_probe(params, run.n0, run.time, run.cap,
-                             run.replicates, rng)
+                             run.replicates, rng, burn_in=run.burn_in)
     diagnostics = {"regime": probe.verdict,
                    "escape_fraction": probe.escape_fraction,
                    "mean_returns_to_one": probe.mean_returns_to_one,
@@ -213,13 +213,8 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
     if probe.verdict == "recurrent-looking" and run.time <= run.burn_in:
         raise ConfigError("fixation needs run.time > run.burn_in to "
                           "average the occupation measure", key="run.time")
-    stationary = None
     try:
-        if probe.verdict == "recurrent-looking":
-            stationary = stationary_estimate(params, run.n0, run.burn_in,
-                                             run.time, run.replicates, rng,
-                                             cap=run.cap)
-        est = fixation_probability(run.x, probe, stationary)
+        est = fixation_probability(run.x, probe)
     except RegimeUnclear as exc:
         # a model outcome, reported like the probe's own: not a config error
         diagnostics["reason"] = str(exc)

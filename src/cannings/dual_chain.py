@@ -55,6 +55,11 @@ atomic and Beta measures the build draws nothing from the rng.  The
 stick-breaking sampler draws its 100k-point pool, one padded mass
 matrix, with one ``sample_masses`` call from the rng, so all replicates
 share one pool.
+
+``recurrence_probe`` reads the long run off one ``run_chains`` call: the
+regime from escapes and returns to state 1 and, given a burn_in, the
+occupation measure past it, whose generating function
+``RecurrenceReport.phi`` is the weak type's fixation probability.
 """
 
 from __future__ import annotations
@@ -393,62 +398,7 @@ def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
 
 class RegimeUnclear(ValueError):
     """A model outcome, not an input error: the dual chain's runs leave
-    its regime undecided (an inconclusive probe, or escapes where an
-    occupation average needs the chain to stay finite)."""
-
-
-@dataclass(frozen=True)
-class StationaryEstimate:
-    """Occupation-measure estimate over non-escaped replicates."""
-
-    states: np.ndarray
-    probs: np.ndarray
-    probs_se: np.ndarray
-    escape_fraction: float
-    replicates: int
-    escaped: int
-    burn_in: float
-    horizon: float
-    _fractions: np.ndarray  # per-replicate occupation fractions
-
-    def phi(self, x: float) -> tuple[float, float]:
-        """Mean and standard error of sum_n mu(n) x^n at the estimate."""
-        vals = self._fractions @ (float(x) ** self.states.astype(float))
-        r = vals.size
-        if r == 0:
-            raise ValueError("no non-escaped replicates to evaluate")
-        se = float(vals.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-        return float(vals.mean()), se
-
-
-def stationary_estimate(params: LimitParams, n0: int, burn_in: float,
-                        horizon: float, replicates: int,
-                        rng: np.random.Generator,
-                        cap: int = _DEFAULT_CAP) -> StationaryEstimate:
-    """Time-averaged occupation past burn_in, averaged over replicates."""
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn_in")
-    runs = run_chains(params, n0, horizon, replicates, rng, cap=cap,
-                      burn_in=burn_in, occupation=True)
-    per_rep = [occ for occ, esc in zip(runs.occupation, runs.escaped)
-               if not esc]
-    escaped = replicates - len(per_rep)
-    if not per_rep:
-        raise RegimeUnclear("every replicate escaped; no occupation to average")
-    states = np.array(sorted({s for occ in per_rep for s in occ}))
-    index = {int(s): i for i, s in enumerate(states)}
-    span = horizon - burn_in
-    fractions = np.zeros((len(per_rep), states.size))
-    for r, occ in enumerate(per_rep):
-        for s, dt in occ.items():
-            fractions[r, index[int(s)]] = dt / span
-    probs = fractions.mean(axis=0)
-    if len(per_rep) > 1:
-        ses = fractions.std(axis=0, ddof=1) / math.sqrt(len(per_rep))
-    else:
-        ses = np.zeros_like(probs)
-    return StationaryEstimate(states, probs, ses, escaped / replicates,
-                              replicates, escaped, burn_in, horizon, fractions)
+    its regime undecided."""
 
 
 @dataclass(frozen=True)
@@ -460,17 +410,36 @@ class RecurrenceReport:
     replicates: int
     horizon: float
     cap: int
+    # with a burn_in: the states held past it, and one row per kept
+    # replicate of the fraction of (burn_in, horizon] spent in each
+    states: np.ndarray | None = None
+    fractions: np.ndarray | None = None
+
+    def phi(self, x: float) -> tuple[float, float]:
+        """Mean and standard error of sum_n mu(n) x^n, mu the occupation
+        measure past burn_in."""
+        if self.fractions is None or self.fractions.size == 0:
+            raise ValueError("no occupation past burn_in to average")
+        vals = self.fractions @ (float(x) ** self.states.astype(float))
+        r = vals.size
+        se = float(vals.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
+        return float(vals.mean()), se
 
 
 def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
-                     replicates: int, rng: np.random.Generator) -> RecurrenceReport:
+                     replicates: int, rng: np.random.Generator,
+                     burn_in: float | None = None) -> RecurrenceReport:
     """Crude empirical recurrence probe; a diagnostic, not a proof.
 
     "escaping" when at least 99% of replicates cross the cap;
     "recurrent-looking" when none escape and replicates revisit state 1
     at least 10 times on average; anything else is "inconclusive".
+    With ``burn_in`` the same chains also keep their occupation past it,
+    which ``phi`` averages; a burn_in at or past the horizon keeps none.
+    Occupation draws nothing, so the verdict does not depend on it.
     """
-    runs = run_chains(params, n0, horizon, replicates, rng, cap=cap)
+    runs = run_chains(params, n0, horizon, replicates, rng, cap=cap,
+                      burn_in=burn_in or 0.0, occupation=burn_in is not None)
     kept = int((~runs.escaped).sum())
     total_returns = int(runs.returns_to_one[~runs.escaped].sum())
     frac = (replicates - kept) / replicates
@@ -483,8 +452,19 @@ def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
         verdict = "recurrent-looking"
     else:
         verdict = "inconclusive"
+    states = fractions = None
+    if burn_in is not None:
+        per_rep = [occ for occ, esc in zip(runs.occupation, runs.escaped)
+                   if not esc]
+        states = np.array(sorted({s for occ in per_rep for s in occ}),
+                          dtype=np.int64)
+        index = {int(s): i for i, s in enumerate(states)}
+        fractions = np.zeros((kept, states.size))
+        for r, occ in enumerate(per_rep):
+            for s, dt in occ.items():
+                fractions[r, index[s]] = dt / (horizon - burn_in)
     return RecurrenceReport(verdict, frac, mean_returns, mean_return_time,
-                            replicates, horizon, cap)
+                            replicates, horizon, cap, states, fractions)
 
 
 # ---------------------------------------------------------------------------

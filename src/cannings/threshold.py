@@ -5,12 +5,13 @@ The weak type reaches fixation with positive probability from every
 interior start exactly when the dual chain is positive recurrent, which
 happens for selection rates below
 
-    kappa_star = 1 / (2 beta) * E[ 1 / sum(Z*_i^2) * 1 / (W (1 - W)) ],
+    kappa_star = m / (2 beta) * E[ 1 / sum(Z*_i^2) * 1 / (W (1 - W)) ],
 
-where beta is the mean extra-parent count of the offspring law, Z is
-drawn from the normalized jump measure, Z* = Z / |Z|, W = |Z| sqrt(U)
-with U uniform.  For a single-atom measure concentrated at [y] this
-integral closes to -log(1 - y) / (beta y^2).
+where m is the total mass of the jump measure, beta is the mean
+extra-parent count of the offspring law, Z is drawn from the normalized
+jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  For a
+single-atom measure m * delta_[y] this integral closes to
+-m log(1 - y) / (beta y^2); ``kappa_star_dirac`` gives it at m = 1.
 
 The integrand blows up like 1/(1 - W) near W = 1, so for measures with
 mass near total size 1 the estimator's variance can be infinite even
@@ -25,17 +26,18 @@ import warnings
 
 import numpy as np
 
-from .dual_chain import RecurrenceReport, RegimeUnclear, StationaryEstimate
+from .dual_chain import RecurrenceReport, RegimeUnclear
 from .limit_sde import normalized_draws
 from .mc import McEstimate, interval
-from .simplex import XiMeasure
+from .simplex import XiMeasure, total_mass
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
 
 
 def kappa_star_dirac(y: float, mean_extra: float) -> float:
-    """Closed form of the threshold for a single-atom measure at [y]."""
+    """Closed form of the threshold for a single-atom measure at [y] of
+    total mass 1; the threshold scales linearly with the mass."""
     if not (0.0 < y < 1.0):
         raise ValueError("y must lie in (0, 1)")
     if mean_extra <= 0.0:
@@ -49,10 +51,10 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     """Monte-Carlo estimate of the fixation threshold.
 
     Draws Z from the normalized measure and U uniform, and averages
-    1 / (2 beta sum(Z*^2) W (1 - W)) with W = |Z| sqrt(U).  Warns when
-    the top 0.1% of draws carry more than 20% of the sum (a symptom of
-    an infinite-variance integrand, in which case the standard error
-    is an underestimate).
+    m / (2 beta sum(Z*^2) W (1 - W)) with W = |Z| sqrt(U), m the total
+    mass of ``xi``.  Warns when the top 0.1% of draws carry more than
+    20% of the sum (a symptom of an infinite-variance integrand, in
+    which case the standard error is an underestimate).
     """
     if mean_extra <= 0.0 or not math.isfinite(mean_extra):
         raise ValueError("mean_extra must be positive and finite")
@@ -64,9 +66,9 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     w *= totals
     if np.any(w <= 0.0) or np.any(w >= 1.0):
         raise ValueError("degenerate draw with W in {0, 1}")
-    # 1 / (2 beta sum(Z*^2) W (1 - W)), in place, in that order
+    # m / (2 beta sum(Z*^2) W (1 - W)), in place, in that order
     vals = ssq
-    vals *= 2.0 * mean_extra
+    vals *= 2.0 * mean_extra / total_mass(xi)
     vals *= w
     vals *= np.subtract(1.0, w, out=w)
     np.divide(1.0, vals, out=vals)
@@ -87,8 +89,7 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     return McEstimate.from_samples(vals)
 
 
-def fixation_probability(x: float, probe: RecurrenceReport,
-                         stationary: StationaryEstimate | None = None) -> McEstimate:
+def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:
     """Probability the weak type is eventually lost, started from frequency x.
 
     Despite the name, this is the paper's extinction probability of the
@@ -97,9 +98,9 @@ def fixation_probability(x: float, probe: RecurrenceReport,
     recurrence ``probe`` says the chain escapes to infinity the weak type
     is lost surely (probability 1 for x < 1, 0 at the fixed x = 1); when
     the chain looks positive recurrent phi is the moment generating
-    function of the ``stationary`` occupation measure, which that regime
-    needs.  An inconclusive probe, or escapes in the stationary run,
-    raise ``RegimeUnclear`` rather than guessing.
+    function of the occupation measure the probe kept past its burn_in
+    (``RecurrenceReport.phi``): the same chains, none of which escaped.
+    An inconclusive probe raises ``RegimeUnclear`` rather than guessing.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
@@ -110,11 +111,6 @@ def fixation_probability(x: float, probe: RecurrenceReport,
             "recurrence probe is inconclusive "
             f"(escape fraction {probe.escape_fraction:.3f}, mean returns "
             f"{probe.mean_returns_to_one:.1f}); cannot decide the regime")
-    if stationary is None:
-        raise ValueError("a recurrent-looking probe needs a stationary estimate")
-    if stationary.escape_fraction > 0.0:
-        raise RegimeUnclear("stationary estimate saw escapes; regime unclear")
-    phi_mean, phi_se = stationary.phi(x)
+    phi_mean, phi_se = probe.phi(x)
     mean = 1.0 - phi_mean
-    kept = stationary.replicates - stationary.escaped
-    return McEstimate(mean, phi_se, kept, interval(mean, phi_se))
+    return McEstimate(mean, phi_se, probe.replicates, interval(mean, phi_se))

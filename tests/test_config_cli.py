@@ -5,7 +5,6 @@ import math
 import pytest
 
 from cannings import Config, ConfigError, FiniteAtomic, LambdaDirac
-from cannings import cli
 from cannings.cli import main
 
 DISCRETE_CFG = """
@@ -391,6 +390,23 @@ def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):
     assert report["diagnostics"]["warnings"] == []
 
 
+def test_cli_kappa_star_scales_with_mass(tmp_path, capsys):
+    # the threshold of m * delta_0.5 is m * 4 ln 2: ln 2 at m = 1/4
+    cfg = LIMIT_CFG.replace("run.replicates = 50", "run.replicates = 20000")
+    results = {}
+    for mass in ("1.0", "0.25"):
+        path = write_cfg(tmp_path, cfg.replace("model.xi.mass = 1.0",
+                                               f"model.xi.mass = {mass}"),
+                         f"mass_{mass}.cfg")
+        assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
+        results[mass] = json.loads(capsys.readouterr().out)["results"]
+    full, quarter = results["1.0"], results["0.25"]
+    assert quarter["estimate"]["mean"] == pytest.approx(
+        0.25 * full["estimate"]["mean"], rel=1e-12)
+    assert abs(quarter["closed_form"] - math.log(2)) < 1e-12
+    assert quarter["verdict"] == "pass"
+
+
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):
     cfg = LIMIT_CFG.replace("model.xi.family = lambda_dirac",
                             "model.xi.family = none")
@@ -452,31 +468,39 @@ def test_cli_fixation_recurrent_regime(tmp_path, capsys):
     assert prob["std_error"] >= 0.0
 
 
-@pytest.mark.parametrize("cap, reason", [(2, "every replicate escaped"),
-                                         (3, "regime unclear")])
-def test_cli_fixation_escapes_are_inconclusive(tmp_path, capsys, monkeypatch,
-                                               cap, reason):
-    # escapes in the stationary run are a model outcome, reported like an
-    # inconclusive probe (exit 1), not a config error (exit 2); a tight
-    # cap on that run alone, the probe keeping the config's, forces them
-    # for every replicate (cap 2) or for some (cap 3)
-    stationary = cli.stationary_estimate
-    monkeypatch.setattr(cli, "stationary_estimate",
-                        lambda *args, **kw: stationary(*args, **{**kw, "cap": cap}))
+@pytest.mark.parametrize("cap, escape_fraction", [(2, 0.9), (3, 0.4)])
+def test_cli_fixation_escapes_are_inconclusive(tmp_path, capsys, cap,
+                                               escape_fraction):
+    # escapes in the probe's chains are a model outcome, reported as an
+    # inconclusive verdict (exit 1), not a config error (exit 2); a tight
+    # cap makes most (cap 2) or some (cap 3) replicates escape
     cfg = LIMIT_CFG.replace("model.selection_rate = 1.0",
                             "model.selection_rate = 0.1")
     cfg = cfg.replace("run.time = 2.0", "run.time = 300.0")
     cfg = cfg.replace("run.replicates = 50", "run.replicates = 10")
-    cfg += "run.burn_in = 20.0\nrun.x = 0.25\n"
+    cfg += f"run.burn_in = 20.0\nrun.x = 0.25\nrun.cap = {cap}\n"
     path = write_cfg(tmp_path, cfg)
     code = main(["fixation", "--config", path])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert code == 1
     assert report["results"] == {"verdict": "inconclusive"}
-    assert report["diagnostics"]["regime"] == "recurrent-looking"
-    assert reason in report["diagnostics"]["reason"]
+    assert report["diagnostics"]["regime"] == "inconclusive"
+    assert report["diagnostics"]["escape_fraction"] == escape_fraction
+    assert "probe is inconclusive" in report["diagnostics"]["reason"]
     assert "config error" not in captured.err
+
+
+def test_cli_fixation_builds_one_sampler(tmp_path, capsys, sampler_builds):
+    # a recurrent-looking Beta chain: the probe's own runs give the
+    # occupation average, so the command builds one sampler, not two
+    cfg = BETA_CFG.replace("run.time = 1.0", "run.time = 50.0")
+    cfg += "run.burn_in = 10.0\n"
+    path = write_cfg(tmp_path, cfg)
+    assert main(["fixation", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["regime"] == "recurrent-looking"
+    assert len(sampler_builds) == 1
 
 
 def test_cli_fixation_needs_room_past_burn_in(tmp_path, capsys):

@@ -9,8 +9,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SimplexPoint, StickBreaking, dual_generator_apply_exact,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
-                      recurrence_probe, run_chains, simulate,
-                      stationary_estimate, xi_jump_pmf)
+                      recurrence_probe, run_chains, simulate, xi_jump_pmf)
 from cannings.dual_chain import _rate_row
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -166,22 +165,32 @@ def test_generator_budget_errors():
 def test_stationary_pure_coalescence_is_delta_one():
     rng = np.random.default_rng(25)
     params = LimitParams(0.0, 1.0, offspring_delta(1))
-    est = stationary_estimate(params, 3, burn_in=10.0, horizon=30.0,
-                              replicates=40, rng=rng)
-    assert est.escape_fraction == 0.0
-    assert est.states.tolist() == [1] and est.probs.tolist() == [1.0]
-    mean, se = est.phi(1.0)
+    probe = recurrence_probe(params, 3, horizon=30.0, cap=10_000,
+                             replicates=40, rng=rng, burn_in=10.0)
+    assert probe.escape_fraction == 0.0
+    assert probe.states.tolist() == [1]
+    assert probe.fractions.mean(axis=0).tolist() == [1.0]
+    mean, se = probe.phi(1.0)
     assert mean == 1.0 and se == 0.0
-    mean_half, _ = est.phi(0.5)
+    mean_half, _ = probe.phi(0.5)
     assert abs(mean_half - 0.5) < 1e-12
 
 
 def test_stationary_argument_errors():
-    rng = np.random.default_rng(0)
+    # a burn_in at the horizon is accepted and keeps no occupation; phi
+    # has nothing to average there, nor on a probe without burn_in
     params = reference_params(1.0)
-    with pytest.raises(ValueError):
-        stationary_estimate(params, 2, burn_in=5.0, horizon=5.0,
-                            replicates=4, rng=rng)
+    probe = recurrence_probe(params, 2, horizon=5.0, cap=10_000,
+                             replicates=4, rng=np.random.default_rng(0),
+                             burn_in=5.0)
+    assert probe.states.size == 0 and probe.fractions.shape == (4, 0)
+    with pytest.raises(ValueError, match="no occupation"):
+        probe.phi(0.5)
+    probe = recurrence_probe(params, 2, horizon=5.0, cap=10_000,
+                             replicates=4, rng=np.random.default_rng(0))
+    assert probe.states is None and probe.fractions is None
+    with pytest.raises(ValueError, match="no occupation"):
+        probe.phi(0.5)
 
 
 def test_recurrence_probe_escaping():
@@ -222,17 +231,14 @@ BETA_PARAMS = LimitParams(1.0, 1.0, geometric_offspring(0.5),
                           xi=LambdaBeta(0.5, 1.5), jump_floor=0.05)
 
 
-@pytest.mark.parametrize("replicates", [1, 6])
-def test_one_sampler_per_recurrence_probe(sampler_builds, replicates):
+@pytest.mark.parametrize("replicates, burn_in", [
+    pytest.param(1, None, id="1"), pytest.param(6, None, id="6"),
+    pytest.param(1, 0.2, id="1-burn_in"),
+    pytest.param(6, 0.2, id="6-burn_in")])
+def test_one_sampler_per_recurrence_probe(sampler_builds, replicates, burn_in):
     recurrence_probe(BETA_PARAMS, 2, horizon=0.5, cap=1_000,
-                     replicates=replicates, rng=np.random.default_rng(3))
-    assert len(sampler_builds) == 1
-
-
-@pytest.mark.parametrize("replicates", [1, 6])
-def test_one_sampler_per_stationary_estimate(sampler_builds, replicates):
-    stationary_estimate(BETA_PARAMS, 2, burn_in=0.2, horizon=0.5,
-                        replicates=replicates, rng=np.random.default_rng(4))
+                     replicates=replicates, rng=np.random.default_rng(3),
+                     burn_in=burn_in)
     assert len(sampler_builds) == 1
 
 
@@ -384,6 +390,33 @@ def test_simulate_is_one_replicate_of_run_chains(params):
         assert path.escaped == runs.escaped[0]
 
 
+STICK_PARAMS = LimitParams(1.0, 0.5, geometric_offspring(0.5),
+                           xi=StickBreaking(), jump_floor=0.1)
+
+
+@pytest.mark.parametrize("params", [reference_params(1.0), BETA_PARAMS,
+                                    STICK_PARAMS],
+                         ids=["dirac", "beta", "stick"])
+def test_occupation_draws_nothing(params):
+    # keeping the occupation leaves the chains and the rng where they
+    # were, so one probe gives both the regime and the occupation average;
+    # the low cap makes some replicates of each model escape
+    outs = []
+    for occupation in (False, True):
+        rng = np.random.default_rng(31)
+        runs = run_chains(params, 3, 5.0, 20, rng, cap=5, burn_in=1.0,
+                          occupation=occupation)
+        outs.append((runs, rng.random()))
+    (plain, u), (occ, v) = outs
+    for name in ("final", "escaped", "escape_time", "returns_to_one"):
+        np.testing.assert_array_equal(getattr(plain, name), getattr(occ, name))
+    assert u == v
+    assert plain.occupation is None and occ.escaped.any()
+    for held, escaped in zip(occ.occupation, occ.escaped):
+        if not escaped:
+            assert abs(sum(held.values()) - 4.0) < 1e-9
+
+
 def test_run_chains_argument_errors():
     rng = np.random.default_rng(0)
     params = reference_params(1.0)
@@ -400,10 +433,8 @@ def test_stick_breaking_chain_stream_pinned():
     # point pool): sha256 of final, returns_to_one and escaped (int64,
     # int64, uint8), then of the next rng.random() as float64, recorded
     # when the caller built the sampler just before the chains
-    params = LimitParams(1.0, 0.5, geometric_offspring(0.5),
-                         xi=StickBreaking(), jump_floor=0.1)
     rng = np.random.default_rng(2024)
-    runs = run_chains(params, 3, 5.0, 50, rng, cap=1_000)
+    runs = run_chains(STICK_PARAMS, 3, 5.0, 50, rng, cap=1_000)
     digest = hashlib.sha256(runs.final.astype("<i8").tobytes())
     digest.update(runs.returns_to_one.astype("<i8").tobytes())
     digest.update(runs.escaped.astype(np.uint8).tobytes())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import pytest
 
 from cannings import (LambdaDirac, LimitParams, RecurrenceReport,
                       fixation_probability, kappa_star_dirac, kappa_star_mc,
-                      offspring_delta, recurrence_probe, stationary_estimate)
+                      offspring_delta, recurrence_probe)
 
 
 def test_closed_form_reference_value():
@@ -57,13 +58,16 @@ def test_mc_beta_scaling_exact():
     assert abs(a.std_error - 2.0 * b.std_error) < 1e-12
 
 
-def test_mc_total_mass_invariance():
-    # the threshold depends on the normalized measure only
+def test_mc_scales_with_total_mass():
+    # the chain's xi events fire at a rate proportional to the mass, so
+    # the threshold scales with it; at mass 1 the estimate is unchanged
     a = kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 10_000,
                       np.random.default_rng(9))
-    b = kappa_star_mc(LambdaDirac(0.5, 3.0), 1.0, 10_000,
-                      np.random.default_rng(9))
-    assert a.mean == b.mean and a.std_error == b.std_error
+    for mass in (0.25, 3.0):
+        b = kappa_star_mc(LambdaDirac(0.5, mass), 1.0, 10_000,
+                          np.random.default_rng(9))
+        assert b.mean == pytest.approx(mass * a.mean, rel=1e-12)
+        assert b.std_error == pytest.approx(mass * a.std_error, rel=1e-12)
 
 
 def test_mc_heavy_tail_warning():
@@ -131,26 +135,61 @@ def test_fixation_recurrent_regime_uses_occupation_pgf():
     # pure coalescence: the dual chain sits at 1, so phi(x) = x and the
     # weak type is lost with probability 1 - x, with zero standard error
     rng = np.random.default_rng(77)
-    params = coalescing_params()
-    probe = recurrence_probe(params, 2, horizon=100.0, cap=1_000,
-                             replicates=10, rng=rng)
+    probe = recurrence_probe(coalescing_params(), 2, horizon=30.0, cap=1_000,
+                             replicates=25, rng=rng, burn_in=10.0)
     # a dead chain never re-enters 1, so force the recurrent branch
-    probe = RecurrenceReport("recurrent-looking", 0.0, 99.0, 1.0, 10,
-                             100.0, 1_000) if probe.verdict != \
-        "recurrent-looking" else probe
-    stationary = stationary_estimate(params, 2, burn_in=10.0, horizon=30.0,
-                                     replicates=25, rng=rng)
+    probe = dataclasses.replace(probe, verdict="recurrent-looking")
     for x, expect in ((0.0, 1.0), (0.3, 0.7), (1.0, 0.0)):
-        est = fixation_probability(x, probe, stationary)
+        est = fixation_probability(x, probe)
         assert abs(est.mean - expect) < 1e-12
         assert est.std_error < 1e-12
 
 
 def test_fixation_recurrent_probe_requires_stationary():
+    # a recurrent-looking probe run without burn_in kept no occupation
     probe = RecurrenceReport("recurrent-looking", 0.0, 50.0, 1.0, 10,
                              100.0, 1_000)
-    with pytest.raises(ValueError, match="stationary"):
+    with pytest.raises(ValueError, match="occupation"):
         fixation_probability(0.5, probe)
+
+
+def dirac_fixation_exact(x: float, kappa: float, y: float,
+                         n_max: int) -> tuple[float, float]:
+    """(1 - sum_n pi(n) x^n, pi(n_max)) for the dual chain of
+    Lambda = delta_y with delta-1 offspring, its generator truncated to
+    {1, ..., n_max} by dropping the branch out of n_max.  A delta_y event
+    merges k >= 2 of n lineages at rate C(n, k) y^k (1 - y)^(n - k) / y^2."""
+    q = np.zeros((n_max + 1, n_max + 1))  # index 0 unused
+    for n in range(1, n_max + 1):
+        if n < n_max:
+            q[n, n + 1] = kappa * n
+        for k in range(2, n + 1):
+            q[n, n - k + 1] += (math.comb(n, k) * y ** k * (1 - y) ** (n - k)
+                                / y ** 2)
+        q[n, n] = -q[n].sum()
+    # pi Q = 0 with sum(pi) = 1: the last balance equation is redundant
+    a = q[1:, 1:].T.copy()
+    a[-1] = 1.0
+    rhs = np.zeros(n_max)
+    rhs[-1] = 1.0
+    pi = np.linalg.solve(a, rhs)
+    return 1.0 - float(pi @ x ** np.arange(1.0, n_max + 1)), float(pi[-1])
+
+
+def test_fixation_matches_exact_generator_solve():
+    # Lambda = delta_0.5, kappa = 1 < kappa* = 4 ln 2: the truncated
+    # stationary law gives the loss probability from x = 0.5
+    exact, tail = dirac_fixation_exact(0.5, 1.0, 0.5, 200)
+    assert abs(exact - 0.7391521) < 5e-8
+    assert tail < 1e-6
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaDirac(0.5))
+    probe = recurrence_probe(params, 2, horizon=200.0, cap=10_000,
+                             replicates=100, rng=np.random.default_rng(13),
+                             burn_in=50.0)
+    assert probe.verdict == "recurrent-looking"
+    est = fixation_probability(0.5, probe)
+    assert est.replicates == 100
+    assert abs(est.mean - exact) <= 3.0 * est.std_error
 
 
 def test_fixation_domain_error():
