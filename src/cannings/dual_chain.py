@@ -49,6 +49,19 @@ chain is that of the earlier one-draw-per-call loop, but the random
 streams differ: dual-chain reports made before the block draws, or on a
 one-group atom before its merge-only events, do not reproduce.
 
+With kingman_rate = 0 and one extra lineage per branching, the chain
+between xi candidates is a Yule process at rate selection_rate per
+lineage.  Where its xi clock is the constant candidate rate lam (at
+every n, or for a one-group atom from the n where P(Binomial(n, y) >= 2)
+rounds to 1; n >= 60 at y = 0.5), a call with a finite cap that keeps
+neither the log nor the occupation skips each such pure-birth stretch
+in one step.  Its rate row is (0, 0, lam): the hold is the gap s to the
+next candidate, and at the candidate (or at the horizon) the births of
+the hold are drawn at once, the state as n + NegBin(n,
+e^(-selection_rate s)) and, when that passes the cap, the escape time
+given it (``_yule_run``).  With ``log`` or ``occupation`` the same call
+runs event by event: the law is the same, the stream is not.
+
 ``run_chains`` builds the jump sampler itself, as its first draw, with
 ``jump_sampler(params, rng=rng)``, and shares it across replicates.  For
 atomic and Beta measures the build draws nothing from the rng.  The
@@ -78,6 +91,8 @@ from .simplex import SimplexPoint, as_atoms, binomial_pmf
 _DEFAULT_CAP = 10_000
 #: draws per buffer refill in ``run_chains``
 _BLOCK = 1024
+#: longest piece of a pure-birth stretch, as selection_rate * time
+_PIECE = 10.0
 #: rate rows ``run_chains`` keeps per call (about 160 bytes each); a state
 #: above is rebuilt at every visit
 _MAX_ROWS = 1 << 16
@@ -118,6 +133,61 @@ def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
     return k, tuple(c for c in counts.tolist() if c > 0)
 
 
+def _merges_round_to_one(n: int, y: float) -> bool:
+    """Whether P(Binomial(n, y) >= 2), for n >= 2, rounds to 1: from
+    that n on a one-group row keeps the candidate rate."""
+    q = 1.0 - y
+    return 1.0 - q ** (n - 1) * (q + n * y) == 1.0
+
+
+def _merge_rows_end(y: float, cap: int) -> int:
+    """The least n >= 2 at which P(Binomial(n, y) >= 2) rounds to 1, or
+    cap + 1 when that n is above cap.
+
+    The test holds from that n on, as P(Binomial(n, y) < 2) falls with
+    n, so the search is a bisection.
+    """
+    if cap < 2 or not _merges_round_to_one(cap, y):
+        return cap + 1
+    lo, hi = 1, cap  # the test holds at hi; lo is below every such n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _merges_round_to_one(mid, y):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _yule_run(n: int, s: float, sel: float, cap: int,
+              rng: np.random.Generator) -> tuple[int, float]:
+    """(state, escape offset) of a Yule process at rate sel per lineage,
+    run from n <= cap for time s and stopped once it passes cap.
+
+    The state after time d is n + NegBin(n, e^(-sel d)) (Kendall 1948),
+    drawn in pieces with sel d <= ``_PIECE``, since numpy's
+    negative_binomial refuses p near 0; the process is Markov, so the
+    split is exact.  Given M > cap lineages at the end of a piece of
+    length d started from m, its M - m birth times are iid with density
+    proportional to e^(sel u) on [0, d], and the one that passes cap is
+    their (cap + 1 - m)-th smallest: its quantile B in the uniform order
+    is Beta(cap + 1 - m, M - cap), at d + log(B + (1 - B) e^(-sel d)) / sel.
+    The state is then cap + 1 and the offset that time; without an
+    escape the offset is nan.
+    """
+    t = 0.0
+    while t < s:
+        d = min(_PIECE / sel, s - t)
+        p = math.exp(-sel * d)
+        m = n + int(rng.negative_binomial(n, p))
+        if m > cap:
+            b = rng.beta(cap + 1 - n, m - cap)
+            return cap + 1, t + d + math.log(b + (1.0 - b) * p) / sel
+        n = m
+        t += d
+    return n, math.nan
+
+
 def _rate_row(n: int, sel: float, pair: float, lam: float,
               y: float | None) -> tuple:
     """(branch, branch + pairwise, total, cdf) out of state n.
@@ -135,9 +205,9 @@ def _rate_row(n: int, sel: float, pair: float, lam: float,
     if y is not None:
         if n < 2:  # one lineage merges nothing
             return branch, paired, paired, None
-        q = 1.0 - y
-        # P(Binomial(n, y) < 2) as a sum of positive terms
-        if 1.0 - q ** (n - 1) * (q + n * y) != 1.0:
+        if not _merges_round_to_one(n, y):
+            q = 1.0 - y
+            # the merge chance as a sum of positive terms:
             # pmf_k = q^n C(n, k) (y/q)^k for k = 1..n; q > 0 and q^n
             # does not underflow while P(k < 2) is that large
             ks = np.arange(1, n + 1)
@@ -185,7 +255,10 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
 def simulate(params: LimitParams, n0: int, total_time: float,
              rng: np.random.Generator, cap: int | None = _DEFAULT_CAP,
              record_noops: bool = False) -> DualPath:
-    """Gillespie simulation of one chain with an event log."""
+    """Gillespie simulation of one chain with an event log.
+
+    The log keeps it on the event path, so it runs no pure-birth stretch
+    and draws what ``run_chains`` with ``log=True`` draws."""
     runs = run_chains(params, n0, total_time, 1, rng, cap=cap, log=True,
                       record_noops=record_noops)
     escaped = bool(runs.escaped[0])
@@ -222,7 +295,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     nothing only with ``record_noops``; a one-group atom has such
     candidates only past the n where P(Binomial(n, y) >= 2) rounds to 1,
     each with probability below 2^-53).  A chain stops at total_time or
-    once n > cap.
+    once n > cap.  Without ``log`` and ``occupation``, and with a finite
+    cap, a chain at kingman_rate 0 with one extra lineage per branching
+    draws each pure-birth stretch in one step (module docstring), so
+    asking for either changes the stream but not the law.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -244,6 +320,14 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
         if z_groups is None:
             one_y = z_total
     rows = []  # _rate_row(n, ...) at index n, None until n is visited
+    # pure-birth stretches (module docstring) from n = yule_from on; a
+    # chain stays at or below the cap once it starts there.  Without
+    # them yule_from is above every state a chain holds before it stops
+    # (an int when it can be: it is compared at every candidate)
+    yule_from = math.inf if cap is None else max(n0, cap) + 1
+    if (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
+            and n0 <= cap and not log and not occupation):
+        yule_from = 1 if one_y is None else _merge_rows_end(one_y, cap)
 
     block = _BLOCK
     holds = choices = extras = totals = groups = None
@@ -262,7 +346,13 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             try:
                 branch, paired, rate, cdf = rows[n]
             except (IndexError, TypeError):  # past the end, or a None slot
-                row = _rate_row(n, sel, pair, lam, one_y)
+                if n < yule_from:
+                    row = _rate_row(n, sel, pair, lam, one_y)
+                else:
+                    # a stretch: the hold runs to the next candidate, and
+                    # its births are drawn there or, past the horizon,
+                    # after the loop
+                    row = (0.0, 0.0, lam, None)
                 if n < _MAX_ROWS:
                     if n >= len(rows):
                         rows.extend([None] * (n + 1 - len(rows)))
@@ -314,6 +404,13 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                     k = 2 + bisect_right(cdf, (u - paired) / (rate - paired))
                     n_new, sizes = n - k + 1, (k,)
                 else:
+                    if n >= yule_from:
+                        # the births of the stretch's hold
+                        hold = holds[i_hold - 1] / rate
+                        n, dt = _yule_run(n, hold, sel, cap, rng)
+                        if n > cap:
+                            esc_t = t - hold + dt
+                            break
                     if one_point is None:
                         if i_xi == block:
                             masses = sampler.draw_masses(block, rng)
@@ -342,6 +439,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             if cap is not None and n > cap:
                 esc_t = t
                 break
+        if yule_from <= n <= cap:  # the births of a stretch the horizon cut
+            n, dt = _yule_run(n, total_time - t, sel, cap, rng)
+            if n > cap:
+                esc_t = t + dt
         finals.append(n)
         escaped.append(not math.isnan(esc_t))
         escape_times.append(esc_t)
@@ -436,7 +537,10 @@ def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
     at least 10 times on average; anything else is "inconclusive".
     With ``burn_in`` the same chains also keep their occupation past it,
     which ``phi`` averages; a burn_in at or past the horizon keeps none.
-    Occupation draws nothing, so the verdict does not depend on it.
+    Keeping the occupation draws nothing, but it runs the chains event by
+    event: where they would otherwise skip pure-birth stretches
+    (kingman_rate 0, one extra lineage per branching), the verdict with
+    a burn_in comes from a different stream of the same law.
     """
     runs = run_chains(params, n0, horizon, replicates, rng, cap=cap,
                       burn_in=burn_in or 0.0, occupation=burn_in is not None)

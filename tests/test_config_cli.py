@@ -407,6 +407,17 @@ def test_cli_kappa_star_scales_with_mass(tmp_path, capsys):
     assert quarter["verdict"] == "pass"
 
 
+def test_cli_kappa_star_warns_kingman_infinite(tmp_path, capsys):
+    # pairwise mergers outrun linear branching: the chain is recurrent at
+    # every selection rate, whatever the estimate of the xi integral says
+    cfg = LIMIT_CFG.replace("model.kingman_rate = 0.0",
+                            "model.kingman_rate = 0.5")
+    path = write_cfg(tmp_path, cfg)
+    main(["kappa-star", "--config", path, "--seed", "61"])
+    warned = json.loads(capsys.readouterr().out)["diagnostics"]["warnings"]
+    assert len(warned) == 1 and warned[0].startswith("kappa* = inf")
+
+
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):
     cfg = LIMIT_CFG.replace("model.xi.family = lambda_dirac",
                             "model.xi.family = none")

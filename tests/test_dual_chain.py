@@ -10,7 +10,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
                       recurrence_probe, run_chains, simulate, xi_jump_pmf)
-from cannings.dual_chain import _rate_row
+from cannings.dual_chain import _merge_rows_end, _rate_row
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -441,3 +441,101 @@ def test_stick_breaking_chain_stream_pinned():
     digest.update(np.float64(rng.random()).tobytes())
     assert digest.hexdigest() == (
         "f30a0a8b18b4ac723ffc67ef4164b0510ddd8405ede13639a465768bbc03ad8f")
+
+
+# ---------------------------------------------------------------------------
+# pure-birth stretches: kingman_rate 0, one extra lineage, a finite cap
+
+YULE_PARAMS = LimitParams(1.0, 0.0, offspring_delta(1), xi=None)
+
+
+def test_yule_stretch_escape_time_is_harmonic():
+    # no xi events: from 2 lineages the chain passes cap 50 after one
+    # Exp(j) holding time at each j = 2..50, and stops at 51
+    reps = 4000
+    runs = run_chains(YULE_PARAMS, 2, 100.0, reps, np.random.default_rng(41),
+                      cap=50)
+    assert runs.escaped.all() and (runs.final == 51).all()
+    expected = sum(1.0 / j for j in range(2, 51))
+    se = runs.escape_time.std(ddof=1) / math.sqrt(reps)
+    assert abs(runs.escape_time.mean() - expected) <= 3.0 * se
+
+
+def test_yule_stretch_state_at_horizon():
+    # a Yule process at rate 1 from 3 has mean 3 e^t at time t
+    reps = 4000
+    runs = run_chains(YULE_PARAMS, 3, 1.5, reps, np.random.default_rng(42),
+                      cap=10**9)
+    assert not runs.escaped.any()
+    finals = runs.final.astype(float)
+    se = finals.std(ddof=1) / math.sqrt(reps)
+    assert abs(finals.mean() - 3.0 * math.exp(1.5)) <= 3.0 * se
+
+
+def test_yule_stretch_matches_event_path():
+    # delta_0.5 at kappa = 6 starts in a stretch (n0 = 80 >= 60) and
+    # escapes in about two thirds of the replicates; the event log keeps
+    # the other side of the comparison event by event
+    params = reference_params(6.0)
+    reps = 4000
+    sides = [run_chains(params, 80, 0.5, reps, np.random.default_rng(seed),
+                        cap=400, log=log)
+             for seed, log in ((43, False), (44, True))]
+
+    def moments(runs):
+        esc = runs.escaped.astype(float)
+        finals = runs.final.astype(float)
+        times = runs.escape_time[runs.escaped]
+        return [(v.mean(), v.std(ddof=1) / math.sqrt(v.size))
+                for v in (esc, finals, times)]
+
+    for (a, se_a), (b, se_b) in zip(*map(moments, sides)):
+        assert abs(a - b) <= 3.0 * math.hypot(se_a, se_b)
+
+
+def test_yule_stretch_long_horizon_draws_in_pieces():
+    # kappa * s = 2000 > 745: one negative binomial over the whole stretch
+    # would need p = e^-2000, which is 0.0 in floating point
+    runs = run_chains(YULE_PARAMS, 2, 2000.0, 5, np.random.default_rng(45),
+                      cap=10**6)
+    assert runs.escaped.all() and (runs.final == 10**6 + 1).all()
+    assert ((0.0 < runs.escape_time) & (runs.escape_time < 2000.0)).all()
+
+
+@pytest.mark.parametrize("y", [0.01, 0.3, 0.5, 0.97, 1.0])
+def test_merge_rows_end_is_the_first_candidate_row(y):
+    end = _merge_rows_end(y, 10**6)
+    assert _rate_row(end, 1.0, 0.0, 2.0, y)[3] is None
+    assert end == 2 or _rate_row(end - 1, 1.0, 0.0, 2.0, y)[3] is not None
+    for n in range(end, end + 200):
+        assert _rate_row(n, 1.0, 0.0, 2.0, y)[3] is None
+
+
+def test_merge_rows_end_above_cap():
+    assert _merge_rows_end(0.5, 1000) == 60
+    assert _merge_rows_end(0.5, 59) == 60
+    assert _merge_rows_end(1e-300, 10**6) == 10**6 + 1
+
+
+def test_occupation_log_and_no_cap_take_the_event_path():
+    # the model is stretch-eligible, yet asking for the occupation or the
+    # log, or giving no cap, keeps every chain event by event: those
+    # runs agree with each other draw for draw, and the plain run with a
+    # cap leaves the rng elsewhere
+    params = reference_params(6.0)
+    for seed in (46, 47, 48):
+        path = simulate(params, 80, 0.5, np.random.default_rng(seed), cap=400)
+        rng = np.random.default_rng(seed)
+        occ = run_chains(params, 80, 0.5, 1, rng, cap=400, occupation=True)
+        assert path.final == occ.final[0]
+        assert path.escaped == occ.escaped[0]
+        assert path.returns_to_one == occ.returns_to_one[0]
+        after_event_path = rng.random()
+        rng = np.random.default_rng(seed)
+        run_chains(params, 80, 0.5, 1, rng, cap=400)
+        assert rng.random() != after_event_path
+        unbounded = simulate(params, 80, 0.3, np.random.default_rng(seed),
+                             cap=None)
+        plain = run_chains(params, 80, 0.3, 1, np.random.default_rng(seed))
+        assert plain.final[0] == unbounded.final
+        assert plain.returns_to_one[0] == unbounded.returns_to_one
