@@ -175,13 +175,15 @@ def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
     results = {"estimate": _estimate_dict(est), "mean_extra": beta}
     diagnostics = dict(mc_diag)
     diagnostics["warnings"] = [str(w.message) for w in caught]
+    code = EXIT_OK
     if params.kingman_rate > 0.0:
+        # no finite threshold to compare the estimate with
         diagnostics["warnings"].append(
             "kappa* = inf at model.kingman_rate > 0: pairwise mergers bring "
             "the dual chain down from any n, so it is recurrent at every "
             "selection rate; the estimate ignores them")
-    code = EXIT_OK
-    if isinstance(params.xi, LambdaDirac):
+        results["verdict"] = "not-applicable"
+    elif isinstance(params.xi, LambdaDirac):
         closed = params.xi.total_mass * kappa_star_dirac(params.xi.y, beta)
         gap = abs(est.mean - closed)
         within = gap <= 3.0 * est.std_error

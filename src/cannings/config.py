@@ -32,7 +32,9 @@ is reproducible.  The full key list:
     run.replicates            int >= 1    (default 1000)
     run.generations           int >= 1    (default 10, discrete horizons)
     run.time                  float > 0   (default 1.0, limit horizons)
-    run.dt                    float > 0   (default 1e-3, Euler step)
+    run.dt                    float > 0   (default 1e-3, Euler step; unused
+                                           where the flow is exact:
+                                           sigma = 0, kappa > 0, delta-i)
     run.burn_in               float >= 0  (default 50.0)
     run.cap                   int >= 1    (default 10000, dual-chain cap)
     run.x0                    float in [0, 1] (default 0.5, start frequency)

@@ -22,6 +22,16 @@ clock is drawn per block of up to 1024 steps (a Poisson total, then a
 uniform time and path for each jump, with all points and coin flips in
 one draw each), so a step does work only for the paths that jump.
 
+With kingman_rate = 0, selection_rate > 0 and all extra-parent mass on
+one i (an ``extra_pmf`` with one non-zero entry pi_i, no geometric
+parameter, no mass at infinity) the path between jumps solves
+x' = selection_rate pi_i (x^(i+1) - x) in closed form: u = x^i is
+logistic, logit(u_t) = logit(u_0) - i selection_rate pi_i t.  There
+``simulate_batch`` is exact in law and takes no Euler steps: each round
+draws one Exp(rate) holding time per live path, follows the flow (in
+log-odds, so nothing overflows) to the jump or to total_time, and
+applies the jump.
+
 Generator on monomials f(x) = x^n:
 
     A x^n = selection_rate * n x^(n-1) drift(x)
@@ -45,6 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import log_expit
 
 from .mc import McEstimate
 from .selection import SelectionLaw, branching_drift, selection_shape
@@ -111,10 +122,18 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
                    dt: float = _DEFAULT_DT, n_paths: int = 1,
                    rng: np.random.Generator | None = None,
                    return_diagnostics: bool = False):
-    """Terminal values of many paths at once (vectorized Euler scheme).
+    """Terminal values of many paths at once.
 
-    Each step of length h (dt, or less for the last step) moves every
-    path by its Euler drift and diffusion increments, clamps it to
+    Where the flow between jumps is closed form (kingman_rate = 0,
+    selection_rate > 0, all extra-parent mass on one i; see
+    ``_exact_flow_rate``) the paths are exact in law and dt is unused:
+    ``_simulate_flow`` goes from jump to jump, and the ``steps``
+    diagnostic counts its rounds, one per jump of the longest-lived path
+    plus the last.  Otherwise this is a vectorized Euler scheme and
+    ``steps`` counts its steps.
+
+    Each Euler step of length h (dt, or less for the last step) moves
+    every path by its Euler drift and diffusion increments, clamps it to
     [0, 1], and applies the step's jumps at the step's end: the standard
     step-thinning for jump diffusions, whose within-step displacement is
     of the same order as the Euler bias.  A path jumps Poisson(rate * h)
@@ -130,8 +149,16 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
         raise ValueError("simulate_batch needs an rng")
     sampler = jump_sampler(params, rng=rng)
     rate = sampler.rate if sampler is not None else 0.0
-    kappa, sigma = params.selection_rate, params.kingman_rate
     x = np.full(n_paths, float(x0))
+    flow = _exact_flow_rate(params)
+    if flow is not None:
+        jumps_applied, rounds = _simulate_flow(x, total_time, *flow, sampler,
+                                               rate, rng)
+        if return_diagnostics:
+            return x, {"clamp_count": 0, "jumps_applied": jumps_applied,
+                       "steps": rounds, "jump_rate": rate}
+        return x
+    kappa, sigma = params.selection_rate, params.kingman_rate
     n_steps = int(math.ceil(total_time / dt - 1e-12))
     last_h = min(dt, total_time - (n_steps - 1) * dt)
     # steps per block: at most _BLOCK_STEPS, and few enough that a block
@@ -167,6 +194,71 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
         return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
                    "steps": n_steps, "jump_rate": rate}
     return x
+
+
+def _exact_flow_rate(params: LimitParams) -> tuple[int, float] | None:
+    """(i, i selection_rate pi_i) when the flow between jumps is closed
+    form: kingman_rate = 0, selection_rate > 0 and an ``extra_pmf`` with
+    one non-zero entry pi_i, no geometric parameter, no mass at infinity.
+    Otherwise None."""
+    law = params.offspring
+    if (params.kingman_rate != 0.0 or params.selection_rate <= 0.0
+            or law.geometric_param is not None or law.extra_inf_mass > 0.0):
+        return None
+    support = [(i, p) for i, p in enumerate(law.extra_pmf, start=1) if p != 0.0]
+    if len(support) != 1:
+        return None
+    i, p = support[0]
+    return i, i * params.selection_rate * p
+
+
+def _flow(x: np.ndarray, i: int, shift: np.ndarray) -> np.ndarray:
+    """x after time t of the flow x' = c (x^(i+1) - x), which moves
+    logit(x^i) down by shift = i c t.  x must lie in (0, 1).  Taking
+    logit(x^i) = i log x - log(1 - x^i) with 1 - x^i from expm1, and x^i
+    back from log_expit, keeps full precision near 0 and 1 and never
+    overflows."""
+    log_u = i * np.log(x)
+    logit = log_u - np.log(-np.expm1(log_u)) - shift
+    return np.exp(log_expit(logit) / i)
+
+
+def _simulate_flow(x: np.ndarray, total_time: float, i: int, speed: float,
+                   sampler: TruncatedSampler | None, rate: float,
+                   rng: np.random.Generator) -> tuple[int, int]:
+    """Exact paths, in place, for a closed-form flow (``_exact_flow_rate``
+    gives i and speed = i selection_rate pi_i).
+
+    Each round draws one Exp(rate) holding time per live path (none when
+    rate = 0); paths whose next jump falls past total_time follow the
+    flow to total_time and stop, the others follow it over the hold and
+    take one ``jump_map``.  Paths at exactly 0 or 1 absorb and leave the
+    live set.  Returns (jumps applied, rounds).
+    """
+    live = np.flatnonzero((x > 0.0) & (x < 1.0) & (total_time > 0.0))
+    t = np.zeros(live.size)
+    jumps = rounds = 0
+    while live.size:
+        rounds += 1
+        hold = math.inf
+        if rate > 0.0:
+            hold = rng.standard_exponential(live.size) / rate
+        end = t + hold
+        stop = end >= total_time
+        done = live[stop]
+        x[done] = _flow(x[done], i, speed * (total_time - t[stop]))
+        go = ~stop
+        live, t, end = live[go], t[go], end[go]
+        if not live.size:
+            break
+        moved = _flow(x[live], i, speed * (end - t))
+        masses = sampler.draw_masses(live.size, rng)
+        moved = jump_map(moved, masses, rng.random(masses.shape))
+        x[live] = moved
+        jumps += live.size
+        inside = (moved > 0.0) & (moved < 1.0)
+        live, t = live[inside], end[inside]
+    return jumps, rounds
 
 
 def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,

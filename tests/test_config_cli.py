@@ -271,14 +271,16 @@ DEATH_CFG = ("model.kind = limit\nmodel.selection_rate = 0.0\n"
 # ints, bools, a list, and a fixation reason that needs CSV quoting),
 # recorded when every cell went through a per-value isinstance chain;
 # dual_ctmc.csv (LIMIT_CFG is a delta_0.5 chain) re-recorded when one-group
-# atoms got merge-only xi events, which changed the chain's stream
+# atoms got merge-only xi events, which changed the chain's stream;
+# sde_finals.csv (LIMIT_CFG has sigma = 0 and one extra parent) re-recorded
+# when such paths left the Euler scheme for the exact jump-to-jump flow
 CSV_DIGESTS = {
     "forward.csv":
         "4c0a0ebf27b53cb46ef264ca14e85c65aa5b20278105e4d2af386f57baa70f3a",
     "ancestry.csv":
         "7400fa72007bbd2d9053290659362635660ff1807ab2a72e8f7b4cbd2a886242",
     "sde_finals.csv":
-        "0550eff5ce305033cb668197ce9dd8363dba23c957909a5b8d053cdf333adc03",
+        "855bf81282f2b1c2c05a8f61b686cc94b168da789316308a96a6ebec0a4d7aeb",
     "dual_ctmc.csv":
         "f137d40e7d4429fa421f2d2714f89c700d619b0aa2a86489cb81851c59b1ee7a",
     "forward_report.csv":
@@ -416,6 +418,22 @@ def test_cli_kappa_star_warns_kingman_infinite(tmp_path, capsys):
     main(["kappa-star", "--config", path, "--seed", "61"])
     warned = json.loads(capsys.readouterr().out)["diagnostics"]["warnings"]
     assert len(warned) == 1 and warned[0].startswith("kappa* = inf")
+
+
+def test_cli_kappa_star_not_applicable_under_kingman(tmp_path, capsys):
+    # the sigma = 0 closed form 4 ln 2 is not the threshold at sigma > 0:
+    # no closed form, no gap, no pass or fail
+    cfg = LIMIT_CFG.replace("model.kingman_rate = 0.0",
+                            "model.kingman_rate = 0.5")
+    cfg = cfg.replace("run.replicates = 50", "run.replicates = 20000")
+    path = write_cfg(tmp_path, cfg)
+    assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["verdict"] == "not-applicable"
+    assert "closed_form" not in results and "gap" not in results
+    assert results["estimate"]["std_error"] > 0.0
+    assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
 
 
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SelectionLaw, generator_apply_bernoulli,
                       generator_apply_exact, geometric_offspring, jump_sampler,
-                      offspring_delta, offspring_pmf, resolved_jump_floor,
-                      simulate_batch)
+                      moment_duality_check, offspring_delta, offspring_pmf,
+                      resolved_jump_floor, simulate_batch)
 from cannings.limit_sde import normalized_draws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -45,11 +45,14 @@ def test_jump_rate_dirac():
 
 
 def test_absorbing_endpoints():
+    # Euler at sigma = 1, the exact flow at sigma = 0
     rng = np.random.default_rng(2)
-    params = LimitParams(1.0, 1.0, offspring_delta(1), xi=DIRAC_HALF)
-    for x0 in (0.0, 1.0):
-        finals = simulate_batch(params, x0, 2.0, dt=0.01, n_paths=64, rng=rng)
-        assert np.all(finals == x0)
+    for sigma in (1.0, 0.0):
+        params = LimitParams(1.0, sigma, offspring_delta(1), xi=DIRAC_HALF)
+        for x0 in (0.0, 1.0):
+            finals = simulate_batch(params, x0, 2.0, dt=0.01, n_paths=64,
+                                    rng=rng)
+            assert np.all(finals == x0)
 
 
 def test_neutral_jump_martingale():
@@ -113,6 +116,48 @@ def test_batch_pure_jump_moments_and_clock():
     assert abs(sq.mean() - second) <= 3 * sq.std(ddof=1) / root_n
     expected_jumps = diag["jump_rate"] * total_time * n_paths
     assert abs(diag["jumps_applied"] - expected_jumps) <= 3 * math.sqrt(expected_jumps)
+
+
+# ---------------------------------------------------------------------------
+# the exact path: sigma = 0, all extra-parent mass on one i
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_exact_path_follows_closed_form_flow(i):
+    # no jumps: x_t^i = 1 / (1 + e^(i kappa t) (1 - x0^i) / x0^i)
+    kappa, x0 = 1.3, 0.4
+    params = LimitParams(kappa, 0.0, offspring_delta(i))
+    for total_time in (0.7, 2.5):
+        finals, diag = simulate_batch(params, x0, total_time, dt=0.01,
+                                      n_paths=5, rng=np.random.default_rng(4),
+                                      return_diagnostics=True)
+        u0 = x0 ** i
+        flow = (1.0 / (1.0 + math.exp(i * kappa * total_time)
+                       * (1.0 - u0) / u0)) ** (1.0 / i)
+        assert np.all(np.abs(finals - flow) <= 1e-12)
+        assert diag == {"clamp_count": 0, "jumps_applied": 0, "steps": 1,
+                        "jump_rate": 0.0}
+
+
+@pytest.mark.parametrize("i, total_time, seed", [
+    (1, 0.5, 151), (1, 1.5, 152), (2, 0.5, 153), (2, 1.5, 154)])
+def test_exact_path_moment_duality(i, total_time, seed):
+    # E_x[X_t^2] = E_2[x^(D_t)] against the dual chain, at 3 combined SE
+    params = LimitParams(1.0, 0.0, offspring_delta(i), xi=DIRAC_HALF)
+    report = moment_duality_check(params, 0.5, 2, total_time, 1e-3, 100_000,
+                                  np.random.default_rng(seed))
+    assert report.passed, (report.gap, report.tolerance)
+
+
+def test_exact_path_ignores_dt():
+    params = LimitParams(2.0, 0.0, offspring_delta(2), xi=DIRAC_HALF)
+    runs = [simulate_batch(params, 0.6, 1.7, dt=dt, n_paths=500,
+                           rng=np.random.default_rng(8),
+                           return_diagnostics=True) for dt in (1e-3, 0.25)]
+    (fine, fine_diag), (coarse, coarse_diag) = runs
+    assert fine.tolist() == coarse.tolist()
+    assert fine_diag == coarse_diag
+    assert fine_diag["clamp_count"] == 0 and fine_diag["jumps_applied"] > 0
 
 
 def test_generator_frozen_cancellation():
