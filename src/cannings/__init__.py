@@ -8,10 +8,9 @@ selection rate.
 
 from .mc import McEstimate
 from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
-                      StickBreaking, TruncatedSampler, XiMeasure,
-                      admissibility_diagnostic, admissibility_index, as_atoms,
+                      StickBreaking, TruncatedSampler, XiMeasure, as_atoms,
                       bernoulli_patterns, binomial_pmf, jump_map, normalized,
-                      sample_masses, small_mass_gap, total_mass, truncate_alpha)
+                      sample_masses, total_mass)
 from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
@@ -36,8 +35,6 @@ __all__ = [
     "StickBreaking", "TruncatedSampler",
     "total_mass", "normalized", "as_atoms", "sample_masses",
     "jump_map", "bernoulli_patterns", "binomial_pmf",
-    "truncate_alpha", "small_mass_gap", "admissibility_index",
-    "admissibility_diagnostic",
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
     "offspring_delta", "offspring_pmf", "geometric_offspring", "pgf",
     "selection_shape", "branching_drift", "sample_parent_total",

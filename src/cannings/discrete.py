@@ -24,8 +24,7 @@ through one step function, built once per call with all that does not
 depend on n computed up front; each step draws the total parent count,
 the extreme-generation coin, the atom of a multi-atom xi_hat, the cells
 (by a search of the cell CDF, with ``rng.choice``'s arithmetic) and the
-labels.  The sampling
-probability
+labels.  The sampling probability
 
     S(x, n) = (1 - g) pgf(x)^n + g E[ pgf(Y(x))^n ]
 
@@ -369,13 +368,15 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
     if rng is None:
         raise ValueError("MC mode needs an rng")
     fwd = forward_trajectories(params, x, g, replicates, rng)[:, -1]
-    lhs_vals = np.array([sampling_probability(params, float(v), n) for v in
-                         np.unique(fwd)])
-    uniq = {float(v): s for v, s in zip(np.unique(fwd), lhs_vals)}
-    lhs_est = McEstimate.from_samples([uniq[float(v)] for v in fwd])
+    states, at = np.unique(fwd, return_inverse=True)
+    s_states = np.array([sampling_probability(params, float(v), n)
+                         for v in states])
+    lhs_est = McEstimate.from_samples(s_states[at])
     anc = ancestral_trajectories(params, n, g, replicates, rng)[:, -1]
-    s_counts = {j: sampling_probability(params, x, int(j)) for j in np.unique(anc)}
-    rhs_est = McEstimate.from_samples([s_counts[int(j)] for j in anc])
+    counts, at = np.unique(anc, return_inverse=True)
+    s_counts = np.array([sampling_probability(params, x, int(j))
+                         for j in counts])
+    rhs_est = McEstimate.from_samples(s_counts[at])
     gap = abs(lhs_est.mean - rhs_est.mean)
     combined = math.hypot(lhs_est.std_error, rhs_est.std_error)
     return DualityReport("mc", lhs_est.mean, rhs_est.mean, gap, 3.0 * combined,

@@ -78,8 +78,8 @@ class LimitParams:
     the diffusion coefficient (pairwise-merger rate in the dual);
     offspring must have a finite mean number of extra parents.  xi may be
     None for a pure diffusion.  jump_floor = None picks the floor
-    automatically: just below the smallest atom for atomic measures,
-    otherwise 1e-3.
+    automatically: for atomic measures the smallest atom's largest group
+    z_1 (kept, since the test is z_1 >= floor), otherwise 1e-3.
     """
 
     selection_rate: float

@@ -19,7 +19,9 @@ and truncates small events at a floor:
     rate(floor) = integral over {z_1 >= floor} of measure(dz) / sum(z^2).
 
 ``TruncatedSampler`` is the one place that turns a measure and a floor
-into this rate and into draws from the normalized truncated law.
+into this rate, into the cut mass measure({z_1 < floor}), and into
+draws from the normalized truncated law; at frequency x the floor drops
+x (1 - x) times the cut mass of jump variance.
 Atomic families are exact; the Beta family has its rate in closed form
 through the incomplete Beta function (a Gauss hypergeometric function,
 DLMF 8.17.8) and exact draws by rejection from a two-piece power-law
@@ -322,94 +324,6 @@ def _stick_weights(masses: np.ndarray, floor: float) -> np.ndarray:
                      where=masses[:, 0] >= floor)
 
 
-def _alpha_floor(pop_size: int, alpha: float) -> float:
-    """The polynomial floor pop_size ** -alpha, 0 < alpha < 1/2."""
-    if pop_size < 2:
-        raise ValueError("pop_size must be at least 2")
-    if not (0.0 < alpha < 0.5):
-        raise ValueError("alpha must lie in (0, 1/2)")
-    return float(pop_size) ** (-alpha)
-
-
-def truncate_alpha(measure: XiMeasure, pop_size: int, alpha: float, *,
-                   rng: np.random.Generator | None = None) -> TruncatedSampler:
-    """The jump law truncated at the polynomial floor pop_size ** -alpha,
-    0 < alpha < 1/2.
-
-    Its rate never exceeds total_mass * pop_size ** (2 * alpha), since
-    1/sum(z^2) <= 1/z_1^2 <= pop_size ** (2*alpha) on the kept set.
-    """
-    return TruncatedSampler(measure, _alpha_floor(pop_size, alpha), rng=rng)
-
-
-def small_mass_gap(measure: XiMeasure, pop_size: int, alpha: float, x: float, *,
-                   rng: np.random.Generator | None = None) -> float:
-    """x(1-x) times the measure of the discarded sliver {z_1 < pop_size**-alpha}.
-
-    This is the exact variance deficit, at frequency x, between pair
-    interactions under the full measure and under its truncation.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    floor = _alpha_floor(pop_size, alpha)
-    atoms = as_atoms(measure)
-    if atoms is not None:
-        sliver = sum(w for w, z in atoms if z.masses[0] < floor)
-    elif isinstance(measure, LambdaBeta):
-        sliver = measure.total_mass * float(betainc(measure.a, measure.b, floor))
-    else:
-        if rng is None:
-            rng = np.random.default_rng(_MC_SEED)
-        first = sample_masses(measure, _MC_SAMPLES, rng)[:, 0]
-        sliver = measure.total_mass * np.count_nonzero(first < floor) / _MC_SAMPLES
-    return x * (1.0 - x) * sliver
-
-
-def admissibility_index(z: SimplexPoint, c: float) -> int:
-    """Smallest k with z_1 + ... + z_k > (1 - c) * sum(z)."""
-    return int(_covering_indices(np.array([z.masses]), c)[0])
-
-
-def _covering_indices(masses: np.ndarray, c: float) -> np.ndarray:
-    """``admissibility_index`` of every row of a zero-padded mass matrix."""
-    if not (0.0 < c < 1.0):
-        raise ValueError("c must lie in (0, 1)")
-    partial = np.cumsum(masses, axis=1)
-    tot = partial[:, -1] if masses.shape[1] else np.zeros(len(masses))
-    if np.any(tot <= 0.0):
-        raise ValueError("undefined for the zero point")
-    # the partial sums that do not cover (1 - c) * sum(z) form a prefix;
-    # capping at the support only matters in floating point
-    short = (partial <= ((1.0 - c) * tot)[:, None]).sum(axis=1)
-    return np.minimum(short + 1, np.count_nonzero(masses, axis=1))
-
-
-def admissibility_diagnostic(measure: XiMeasure, sizes=(16, 64, 256, 1024), *,
-                             samples: int = 2000,
-                             rng: np.random.Generator | None = None) -> list[dict]:
-    """Empirical probe of how fast the covering index grows with sample size.
-
-    For each n, draws points and reports the mean of
-    admissibility_index(Z, c_n) / sqrt(n) with c_n = n ** -2.  A ratio
-    drifting to 0 is consistent with the index growing slower than
-    sqrt(n).  This is a diagnostic, never a proof.
-    """
-    if rng is None:
-        rng = np.random.default_rng(_MC_SEED)
-    rows = []
-    for n in sizes:
-        c = float(n) ** -2
-        index = _covering_indices(sample_masses(measure, samples, rng), c)
-        ratios = index / math.sqrt(n)
-        rows.append({
-            "n": int(n),
-            "c": float(c),
-            "mean_ratio": float(ratios.mean()),
-            "std_error": float(ratios.std(ddof=1) / math.sqrt(samples)),
-        })
-    return rows
-
-
 class TruncatedSampler:
     """The floor-truncated, 1/sum(z^2)-weighted jump law of a measure.
 
@@ -418,7 +332,10 @@ class TruncatedSampler:
     (``_beta_upper_mass``; floor 0 only where it is finite, a > 2), and
     for stick-breaking the mean weight of a pool of ``pool_size`` points
     drawn from ``rng``, with its standard error in ``std_error`` (0 for
-    the other families).  ``draw_masses`` draws from the normalized law:
+    the other families).  ``cut_mass`` is the measure of the cut set
+    {z_1 < floor}: the cut atoms' weights, ``betainc`` for Beta, and for
+    stick-breaking the share of pool points below the floor.
+    ``draw_masses`` draws from the normalized law:
     atoms with ``rng.choice``'s arithmetic, Beta exactly (see
     ``_draw_beta``), stick-breaking by resampling the pool with its
     weights.  Only the stick-breaking build draws from ``rng``.
@@ -437,6 +354,7 @@ class TruncatedSampler:
         if atoms is not None:
             kept = [(w / z.sum_sq, z) for w, z in atoms if z.masses[0] >= floor]
             self.rate = sum(w for w, _ in kept)
+            self.cut_mass = float(sum(w for w, z in atoms if z.masses[0] < floor))
             if kept:
                 probs = np.array([w for w, _ in kept]) / self.rate
                 self._atoms = ([z for _, z in kept], probs)
@@ -448,6 +366,8 @@ class TruncatedSampler:
         if isinstance(measure, LambdaBeta):
             upper = _beta_upper_mass(measure.a, measure.b, floor)
             self.rate = measure.total_mass * upper
+            self.cut_mass = measure.total_mass * float(
+                betainc(measure.a, measure.b, floor))
             if upper > 0.0:
                 self._beta = _beta_envelope(measure.a, measure.b, floor, upper)
             return
@@ -458,6 +378,8 @@ class TruncatedSampler:
         self.rate = measure.total_mass * float(weights.mean())
         self.std_error = measure.total_mass * float(
             weights.std(ddof=1) / math.sqrt(pool_size))
+        cut = np.count_nonzero(masses[:, 0] < floor)
+        self.cut_mass = float(measure.total_mass * cut / pool_size)
         if weights.sum() > 0.0:
             self._pool = (masses, np.count_nonzero(masses, axis=1),
                           weights / weights.sum())

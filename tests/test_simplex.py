@@ -8,10 +8,9 @@ from scipy.special import betaln
 from scipy.stats import binom, chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
-                      StickBreaking, TruncatedSampler, admissibility_diagnostic,
-                      admissibility_index, bernoulli_patterns, binomial_pmf,
-                      jump_map, normalized, sample_masses, small_mass_gap,
-                      total_mass, truncate_alpha)
+                      StickBreaking, TruncatedSampler, bernoulli_patterns,
+                      binomial_pmf, jump_map, normalized, sample_masses,
+                      total_mass)
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -109,11 +108,11 @@ def test_normalized_rescales_total_mass():
 
 def test_truncate_alpha_dirac_hand_values():
     # floor = 16^(-1/2) = 0.25; mass = 1 / 0.5^2 = 4
-    res = truncate_alpha(LambdaDirac(0.5), 16, 0.499999999)
+    res = TruncatedSampler(LambdaDirac(0.5), 16 ** -0.499999999)
     assert abs(res.floor - 0.25) < 1e-6
     assert abs(res.rate - 4.0) < 1e-6
     # the atom at 0.1 sits below the floor 0.25
-    res0 = truncate_alpha(LambdaDirac(0.1), 16, 0.499999999)
+    res0 = TruncatedSampler(LambdaDirac(0.1), 16 ** -0.499999999)
     assert res0.rate == 0.0
 
 
@@ -121,18 +120,19 @@ def test_truncate_alpha_two_atoms():
     # floor = (10^4)^(-0.25) = 0.1; mass = 1/0.25 + 1/0.13 = 11.6923...
     measure = FiniteAtomic(((1.0, SimplexPoint.ranked([0.5])),
                             (1.0, SimplexPoint.ranked([0.3, 0.2]))))
-    res = truncate_alpha(measure, 10_000, 0.25)
+    res = TruncatedSampler(measure, 10_000 ** -0.25)
     assert abs(res.floor - 0.1) < 1e-12
     assert abs(res.rate - (4.0 + 1.0 / 0.13)) < 1e-10
 
 
 def test_truncate_alpha_mass_bound():
-    # rate <= total_mass * N^(2 alpha) for every family
+    # at the floor N^-alpha, rate <= total_mass * N^(2 alpha) for every
+    # family, since 1/sum(z^2) <= 1/z_1^2 <= N^(2 alpha) on the kept set
     cases = [LambdaDirac(0.5, 2.0), ATOM_PAIR, LambdaBeta(2.5, 1.5, 1.5),
              StickBreaking(total_mass=0.7)]
     for measure in cases:
         for pop, alpha in ((16, 0.25), (100, 0.4), (1000, 0.45)):
-            res = truncate_alpha(measure, pop, alpha)
+            res = TruncatedSampler(measure, pop ** -alpha)
             bound = total_mass(measure) * pop ** (2 * alpha)
             assert res.rate <= bound + 3 * res.std_error + 1e-9
 
@@ -211,64 +211,21 @@ def test_infinite_intensity_requires_floor():
 
 
 # ---------------------------------------------------------------------------
-# admissibility index
+# cut mass (x(1-x) times it is the truncation defect of the jump variance)
 
 
-def test_admissibility_index_hand_values():
-    assert admissibility_index(SimplexPoint.ranked([0.5]), 0.3) == 1
-    z = SimplexPoint.ranked([0.3, 0.2, 0.1])
-    # thresholds |z|(1-c): c=0.4 -> 0.36, partial sums 0.3, 0.5 -> k=2
-    assert admissibility_index(z, 0.4) == 2
-    # c=0.05 -> 0.57, partial sums 0.3, 0.5, 0.6 -> k=3
-    assert admissibility_index(z, 0.05) == 3
-
-
-def test_admissibility_index_non_increasing_in_c():
-    rng = np.random.default_rng(3)
-    for row in sample_masses(StickBreaking(), 50, rng):
-        z = SimplexPoint.ranked(row)
-        grid = [0.01, 0.05, 0.1, 0.2, 0.4, 0.8]
-        indices = [admissibility_index(z, c) for c in grid]
-        assert all(a >= b for a, b in zip(indices, indices[1:]))
-
-
-def test_admissibility_diagnostic_smoke():
-    rng = np.random.default_rng(9)
-    report = admissibility_diagnostic(StickBreaking(), sizes=(16, 64),
-                                      rng=rng, samples=200)
-    assert [row["n"] for row in report] == [16, 64]
-    for row in report:
-        assert row["mean_ratio"] > 0.0
-        assert row["std_error"] >= 0.0
-        assert row["c"] == pytest.approx(row["n"] ** -2)
-
-
-def test_admissibility_diagnostic_matches_pointwise_index():
-    # the batched probe against admissibility_index point by point, on
-    # the same draws
-    n, samples = 16, 300
-    report = admissibility_diagnostic(StickBreaking(), sizes=(n,),
-                                      samples=samples,
-                                      rng=np.random.default_rng(10))
-    rows = sample_masses(StickBreaking(), samples, np.random.default_rng(10))
-    ratios = [admissibility_index(SimplexPoint.ranked(row), n ** -2.0)
-              / math.sqrt(n) for row in rows]
-    assert report[0]["mean_ratio"] == pytest.approx(np.mean(ratios),
-                                                    rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# small-mass gap (the truncation defect of the jump variance)
+def variance_gap(measure, floor, x):
+    return x * (1 - x) * TruncatedSampler(measure, floor).cut_mass
 
 
 def test_small_mass_gap_hand_values():
     # atom at 0.5 survives the floor 0.25: gap 0
-    assert small_mass_gap(LambdaDirac(0.5), 16, 0.499999999, 0.5) == 0.0
+    assert variance_gap(LambdaDirac(0.5), 16 ** -0.499999999, 0.5) == 0.0
     # atom at 0.1 is cut: gap = x(1-x) * mass = 0.25
-    got = small_mass_gap(LambdaDirac(0.1), 16, 0.499999999, 0.5)
+    got = variance_gap(LambdaDirac(0.1), 16 ** -0.499999999, 0.5)
     assert abs(got - 0.25) < 1e-9
     for x in (0.0, 1.0):
-        assert small_mass_gap(LambdaDirac(0.1), 16, 0.25, x) == 0.0
+        assert variance_gap(LambdaDirac(0.1), 16 ** -0.25, x) == 0.0
 
 
 def _bernoulli_second_moment(z: SimplexPoint, x: float) -> float:
@@ -293,7 +250,7 @@ def test_small_mass_gap_matches_enumerated_difference():
     measure = FiniteAtomic(((1.0, SimplexPoint.ranked([0.5])),
                             (0.5, SimplexPoint.ranked([0.3, 0.2])),
                             (2.0, SimplexPoint.ranked([0.05, 0.04, 0.02]))))
-    pop, alpha = 10_000, 0.25            # floor 0.1 cuts the third atom
+    floor = 10_000 ** -0.25              # 0.1 cuts the third atom
     x = 0.3
     lhs = 0.0
     for weight, z in measure.atoms:
@@ -303,10 +260,46 @@ def test_small_mass_gap_matches_enumerated_difference():
         else:
             continue_term = term
         lhs += term - continue_term
-    rhs = small_mass_gap(measure, pop, alpha, x)
+    rhs = variance_gap(measure, floor, x)
     assert abs(lhs - rhs) < 1e-10
     # and the cut mass is the third atom's weight: x(1-x) * 2.0 = 0.42
     assert abs(rhs - x * (1 - x) * 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("floor", [1e-3, 0.05])
+def test_beta_cut_mass_against_quadrature(floor):
+    # Beta(a, b) mass of [0, floor] by quad of the density, with the
+    # y^(a-1) endpoint factor as its algebraic weight
+    worst = 0.0
+    for a in (0.3, 0.5, 1.0, 1.5, 2.5):
+        for b in (0.5, 1.0, 2.0, 5.0):
+            ref, _ = integrate.quad(lambda y: (1.0 - y) ** (b - 1.0), 0.0,
+                                    floor, weight="alg", wvar=(a - 1.0, 0.0),
+                                    epsabs=0.0, epsrel=1e-13, limit=200)
+            ref *= 2.5 * math.exp(-betaln(a, b))
+            got = TruncatedSampler(LambdaBeta(a, b, 2.5), floor).cut_mass
+            worst = max(worst, abs(got - ref) / ref)
+    assert worst < 1e-10, worst
+
+
+@pytest.mark.parametrize("measure, floor", [
+    (StickBreaking(total_mass=0.7), 0.3),
+    (StickBreaking(total_mass=0.7), 0.5),
+    (StickBreaking(stick_law="beta", a=0.5, b=2.0), 0.25),
+    (StickBreaking(stick_law="beta", a=0.5, b=2.0), 0.5),
+])
+def test_stick_cut_mass_against_independent_draw(measure, floor):
+    # the cut mass over the total mass is the pool's share below the
+    # floor: against the share of an independent draw, within 4 binomial
+    # standard errors of the difference of the two shares
+    pool = 20_000
+    got = TruncatedSampler(measure, floor, pool_size=pool,
+                           rng=np.random.default_rng(31)).cut_mass
+    draws = sample_masses(measure, pool, np.random.default_rng(32))
+    p = np.count_nonzero(draws[:, 0] < floor) / pool
+    assert 0.0 < p < 1.0
+    se = math.sqrt(2.0 * p * (1.0 - p) / pool)
+    assert abs(got / total_mass(measure) - p) <= 4.0 * se
 
 
 # ---------------------------------------------------------------------------
