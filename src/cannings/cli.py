@@ -183,6 +183,12 @@ def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
             "the dual chain down from any n, so it is recurrent at every "
             "selection rate; the estimate ignores them")
         results["verdict"] = "not-applicable"
+    elif isinstance(params.xi, LambdaDirac) and params.xi.y == 1.0:
+        diagnostics["warnings"].append(
+            "kappa* = inf at model.xi.y = 1: every xi event merges all "
+            "lineages into one, so the dual chain returns to one lineage at "
+            "every selection rate")
+        results["verdict"] = "not-applicable"
     elif isinstance(params.xi, LambdaDirac):
         closed = params.xi.total_mass * kappa_star_dirac(params.xi.y, beta)
         gap = abs(est.mean - closed)
@@ -230,29 +236,25 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
     return EXIT_OK, results, diagnostics, {}
 
 
-_HANDLERS = {
-    "forward": _cmd_forward,
-    "ancestry": _cmd_ancestry,
-    "duality-discrete": _cmd_duality_discrete,
-    "sde": _cmd_sde,
-    "dual-ctmc": _cmd_dual_ctmc,
-    "duality-limit": _cmd_duality_limit,
-    "kappa-star": _cmd_kappa_star,
-    "fixation": _cmd_fixation,
-    "recurrence": _cmd_recurrence,
-}
-
-_COMMAND_HELP = {
-    "forward": "simulate forward frequency trajectories of the finite model",
-    "ancestry": "simulate backward lineage-count trajectories",
-    "duality-discrete": "check the finite-model sampling duality",
-    "sde": "simulate the limit jump-diffusion",
-    "dual-ctmc": "simulate the dual branching-coalescing chain",
-    "duality-limit": "check the limit moment duality by Monte Carlo",
-    "kappa-star": "estimate the fixation threshold for the selection rate",
-    "fixation": "estimate the probability that the weak type is lost, "
-                "through the dual chain",
-    "recurrence": "probe the dual chain for recurrence vs escape",
+# command -> (handler, help)
+_COMMANDS = {
+    "forward": (_cmd_forward, "simulate forward frequency trajectories of "
+                              "the finite model"),
+    "ancestry": (_cmd_ancestry, "simulate backward lineage-count "
+                                "trajectories"),
+    "duality-discrete": (_cmd_duality_discrete,
+                         "check the finite-model sampling duality"),
+    "sde": (_cmd_sde, "simulate the limit jump-diffusion"),
+    "dual-ctmc": (_cmd_dual_ctmc,
+                  "simulate the dual branching-coalescing chain"),
+    "duality-limit": (_cmd_duality_limit,
+                      "check the limit moment duality by Monte Carlo"),
+    "kappa-star": (_cmd_kappa_star, "estimate the fixation threshold for "
+                                    "the selection rate"),
+    "fixation": (_cmd_fixation, "estimate the probability that the weak "
+                                "type is lost, through the dual chain"),
+    "recurrence": (_cmd_recurrence,
+                   "probe the dual chain for recurrence vs escape"),
 }
 
 
@@ -264,8 +266,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Simulation and duality checks for two-type Cannings "
                     "models with selection and extreme reproduction.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True,
                        help="path to the experiment config file")
         p.add_argument("--seed", type=int, default=None,
@@ -343,11 +345,9 @@ def main(argv=None) -> int:
     try:
         cfg = Config.from_file(args.config, overrides)
         rng = np.random.default_rng(cfg.run.seed)
-        code, results, diagnostics, tables = _HANDLERS[args.command](cfg, rng)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        handler = _COMMANDS[args.command][0]
+        code, results, diagnostics, tables = handler(cfg, rng)
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = _py({"command": args.command, "config_hash": cfg.hash(),

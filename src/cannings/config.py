@@ -51,7 +51,7 @@ the configured mass, which sets the event intensity.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .discrete import DiscreteParams
 from .limit_sde import LimitParams
@@ -70,25 +70,38 @@ class ConfigError(Exception):
         self.key = key
 
 
-_INT_KEYS = {"model.pop_size", "model.offspring.value", "run.seed",
-             "run.replicates", "run.generations", "run.cap",
-             "run.sample_size", "run.n0"}
+@dataclass(frozen=True)
+class RunSettings:
+    """The run block: one field per ``run.*`` key, with its default."""
+
+    seed: int
+    replicates: int = 1000
+    generations: int = 10
+    time: float = 1.0
+    dt: float = 1e-3
+    burn_in: float = 50.0
+    cap: int = 10_000
+    x0: float = 0.5
+    x: float = 0.5
+    sample_size: int = 2
+    n0: int = 2
+
+
+# run.* key -> the type of its RunSettings field, "int" or "float"
+_RUN_TYPES = {f"run.{f.name}": f.type for f in fields(RunSettings)}
+_INT_KEYS = {"model.pop_size", "model.offspring.value"} | {
+    key for key, kind in _RUN_TYPES.items() if kind == "int"}
 _FLOAT_KEYS = {"model.extreme_prob", "model.selection.param",
                "model.selection_rate", "model.kingman_rate",
                "model.offspring.param", "model.jump_floor", "model.xi.y",
                "model.xi.a", "model.xi.b", "model.xi.mass",
-               "model.xi.truncation_tol", "run.time", "run.dt",
-               "run.burn_in", "run.x0", "run.x"}
+               "model.xi.truncation_tol"} | {
+    key for key, kind in _RUN_TYPES.items() if kind == "float"}
 _STR_KEYS = {"model.kind", "model.selection.family", "model.selection.pmf",
              "model.offspring.family", "model.offspring.pmf",
              "model.xi.family", "model.xi.atoms", "model.xi.stick_law",
              "output.dir"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-_RUN_DEFAULTS = {"run.replicates": 1000, "run.generations": 10,
-                 "run.time": 1.0, "run.dt": 1e-3, "run.burn_in": 50.0,
-                 "run.cap": 10_000, "run.x0": 0.5, "run.x": 0.5,
-                 "run.sample_size": 2, "run.n0": 2}
 
 # (RunSettings field, lower bound, strict)
 _RUN_BOUNDS = (("replicates", 1, False), ("generations", 1, False),
@@ -128,21 +141,6 @@ def _coerce(key: str, value: str):
     return value
 
 
-@dataclass(frozen=True)
-class RunSettings:
-    seed: int
-    replicates: int
-    generations: int
-    time: float
-    dt: float
-    burn_in: float
-    cap: int
-    x0: float
-    x: float
-    sample_size: int
-    n0: int
-
-
 class Config:
     """Validated experiment configuration."""
 
@@ -180,11 +178,7 @@ class Config:
         return self._values[key]
 
     def _get(self, key: str, default=None):
-        if key in self._values:
-            return self._values[key]
-        if key in _RUN_DEFAULTS:
-            return _RUN_DEFAULTS[key]
-        return default
+        return self._values.get(key, default)
 
     @property
     def kind(self) -> str:
@@ -193,19 +187,9 @@ class Config:
     @property
     def run(self) -> RunSettings:
         """The run block, with the bounds of the module docstring enforced."""
-        settings = RunSettings(
-            seed=self._require("run.seed"),
-            replicates=self._get("run.replicates"),
-            generations=self._get("run.generations"),
-            time=self._get("run.time"),
-            dt=self._get("run.dt"),
-            burn_in=self._get("run.burn_in"),
-            cap=self._get("run.cap"),
-            x0=self._get("run.x0"),
-            x=self._get("run.x"),
-            sample_size=self._get("run.sample_size"),
-            n0=self._get("run.n0"),
-        )
+        settings = RunSettings(**{key[len("run."):]: value
+                                  for key, value in self._values.items()
+                                  if key.startswith("run.")})
         for name, low, strict in _RUN_BOUNDS:
             value = getattr(settings, name)
             if not (value > low if strict else value >= low):

@@ -53,14 +53,14 @@ With kingman_rate = 0 and one extra lineage per branching, the chain
 between xi candidates is a Yule process at rate selection_rate per
 lineage.  Where its xi clock is the constant candidate rate lam (at
 every n, or for a one-group atom from the n where P(Binomial(n, y) >= 2)
-rounds to 1; n >= 60 at y = 0.5), a call with a finite cap that keeps
-neither the log nor the occupation skips each such pure-birth stretch
-in one step.  Its rate row is (0, 0, lam): the hold is the gap s to the
-next candidate, and at the candidate (or at the horizon) the births of
-the hold are drawn at once, the state as n + NegBin(n,
-e^(-selection_rate s)) and, when that passes the cap, the escape time
-given it (``_yule_run``).  With ``log`` or ``occupation`` the same call
-runs event by event: the law is the same, the stream is not.
+rounds to 1; n >= 60 at y = 0.5), a call with a finite cap, without
+``log`` and ``burn_in``, skips each such pure-birth stretch in one step.
+Its rate row is (0, 0, lam, None), in such a call the only row with a
+zero branch rate: the hold is the gap s to the next candidate, and at
+the candidate (or at the horizon) the births of the hold are drawn at
+once, the state as n + NegBin(n, e^(-selection_rate s)) and, when that
+passes the cap, the escape time given it (``_yule_run``).  With ``log`` or ``burn_in`` the
+same call runs event by event: the law is the same, the stream is not.
 
 ``run_chains`` builds the jump sampler itself, as its first draw, with
 ``jump_sampler(params, rng=rng)``, and shares it across replicates.  For
@@ -89,6 +89,8 @@ from .selection import branching_drift, sample_extra
 from .simplex import SimplexPoint, as_atoms, binomial_pmf
 
 _DEFAULT_CAP = 10_000
+#: the dual chain's cap in ``moment_duality_check``
+_DUALITY_CAP = 1_000_000
 #: draws per buffer refill in ``run_chains``
 _BLOCK = 1024
 #: longest piece of a pure-birth stretch, as selection_rate * time
@@ -138,25 +140,6 @@ def _merges_round_to_one(n: int, y: float) -> bool:
     that n on a one-group row keeps the candidate rate."""
     q = 1.0 - y
     return 1.0 - q ** (n - 1) * (q + n * y) == 1.0
-
-
-def _merge_rows_end(y: float, cap: int) -> int:
-    """The least n >= 2 at which P(Binomial(n, y) >= 2) rounds to 1, or
-    cap + 1 when that n is above cap.
-
-    The test holds from that n on, as P(Binomial(n, y) < 2) falls with
-    n, so the search is a bisection.
-    """
-    if cap < 2 or not _merges_round_to_one(cap, y):
-        return cap + 1
-    lo, hi = 1, cap  # the test holds at hi; lo is below every such n
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _merges_round_to_one(mid, y):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _yule_run(n: int, s: float, sel: float, cap: int,
@@ -258,11 +241,16 @@ def simulate(params: LimitParams, n0: int, total_time: float,
     """Gillespie simulation of one chain with an event log.
 
     The log keeps it on the event path, so it runs no pure-birth stretch
-    and draws what ``run_chains`` with ``log=True`` draws."""
-    runs = run_chains(params, n0, total_time, 1, rng, cap=cap, log=True,
-                      record_noops=record_noops)
+    and draws what ``run_chains`` with ``log=True`` draws.  xi candidates
+    that merge nothing stay in the log only with ``record_noops``."""
+    runs = run_chains(params, n0, total_time, 1, rng, cap=cap, log=True)
+    events = runs.events[0]
+    if not record_noops:
+        states = [n0] + [ev.state for ev in events]
+        events = [ev for ev, before in zip(events, states)
+                  if ev.kind != "xi" or ev.state != before]
     escaped = bool(runs.escaped[0])
-    return DualPath(initial=n0, events=runs.events[0],
+    return DualPath(initial=n0, events=events,
                     final=int(runs.final[0]), escaped=escaped,
                     escape_time=float(runs.escape_time[0]) if escaped else None,
                     returns_to_one=int(runs.returns_to_one[0]))
@@ -282,23 +270,22 @@ class ChainRuns:
 
 def run_chains(params: LimitParams, n0: int, total_time: float,
                replicates: int, rng: np.random.Generator, *,
-               cap: int | None = None, burn_in: float = 0.0,
-               occupation: bool = False, log: bool = False,
-               record_noops: bool = False) -> ChainRuns:
+               cap: int | None = None, burn_in: float | None = None,
+               log: bool = False) -> ChainRuns:
     """The Gillespie core: ``replicates`` independent chains from n0.
 
     The call builds the jump sampler first, then runs the replicates one
     after another, drawing from shared buffers of ``_BLOCK`` holding
-    times, event choices, offspring counts and xi points.
-    ``occupation`` adds each replicate's holding time per state past
-    burn_in; ``log`` adds its event list (xi candidates that merge
-    nothing only with ``record_noops``; a one-group atom has such
-    candidates only past the n where P(Binomial(n, y) >= 2) rounds to 1,
-    each with probability below 2^-53).  A chain stops at total_time or
-    once n > cap.  Without ``log`` and ``occupation``, and with a finite
-    cap, a chain at kingman_rate 0 with one extra lineage per branching
-    draws each pure-birth stretch in one step (module docstring), so
-    asking for either changes the stream but not the law.
+    times, event choices, offspring counts and xi points.  A ``burn_in``
+    adds each replicate's holding time per state past it (its
+    occupation); ``log`` adds its event list, every xi candidate
+    included (a one-group atom has candidates that merge nothing at n = 1
+    and past the n where P(Binomial(n, y) >= 2) rounds to 1, each there
+    with probability below 2^-53).  A chain stops at total_time or once
+    n > cap.  Without ``log`` and ``burn_in``, and with a finite cap, a
+    chain at kingman_rate 0 with one extra lineage per branching draws
+    each pure-birth stretch in one step (module docstring), so asking for
+    either changes the stream but not the law.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -319,40 +306,37 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
         z_groups = one_point.masses if len(one_point) > 1 else None
         if z_groups is None:
             one_y = z_total
-    rows = []  # _rate_row(n, ...) at index n, None until n is visited
-    # pure-birth stretches (module docstring) from n = yule_from on; a
-    # chain stays at or below the cap once it starts there.  Without
-    # them yule_from is above every state a chain holds before it stops
-    # (an int when it can be: it is compared at every candidate)
-    yule_from = math.inf if cap is None else max(n0, cap) + 1
-    if (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
-            and n0 <= cap and not log and not occupation):
-        yule_from = 1 if one_y is None else _merge_rows_end(one_y, cap)
+    rows = []  # the row out of n at index n, None until n is visited
+    # pure-birth stretches (module docstring); a chain stays at or below
+    # the cap once it starts there
+    stretches = (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
+                 and n0 <= cap and not log and burn_in is None)
 
     block = _BLOCK
     holds = choices = extras = totals = groups = None
     i_hold = i_choice = i_extra = i_xi = block
     finals, escaped, escape_times, returns_to_one = [], [], [], []
-    occupations = [] if occupation else None
+    occupations = [] if burn_in is not None else None
     logs = [] if log else None
     for _ in range(replicates):
         n = n0
         t = 0.0
         returns = 0
         esc_t = math.nan
-        occ = {} if occupation else None
+        occ = {} if burn_in is not None else None
         events = [] if log else None
         while True:
             try:
                 branch, paired, rate, cdf = rows[n]
             except (IndexError, TypeError):  # past the end, or a None slot
-                if n < yule_from:
-                    row = _rate_row(n, sel, pair, lam, one_y)
-                else:
+                if stretches and (one_y is None or (
+                        n > 1 and _merges_round_to_one(n, one_y))):
                     # a stretch: the hold runs to the next candidate, and
                     # its births are drawn there or, past the horizon,
                     # after the loop
                     row = (0.0, 0.0, lam, None)
+                else:
+                    row = _rate_row(n, sel, pair, lam, one_y)
                 if n < _MAX_ROWS:
                     if n >= len(rows):
                         rows.extend([None] * (n + 1 - len(rows)))
@@ -404,7 +388,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                     k = 2 + bisect_right(cdf, (u - paired) / (rate - paired))
                     n_new, sizes = n - k + 1, (k,)
                 else:
-                    if n >= yule_from:
+                    if branch == 0.0 and stretches:
                         # the births of the stretch's hold
                         hold = holds[i_hold - 1] / rate
                         n, dt = _yule_run(n, hold, sel, cap, rng)
@@ -427,7 +411,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                     else:
                         # one lineage: a candidate can merge nothing
                         n_new, sizes = n, ()
-                if events is not None and (n_new != n or record_noops):
+                if events is not None:
                     point = (tuple(m for m in z_groups if m > 0.0)
                              if z_groups is not None else (z_total,))
                     events.append(DualEvent(
@@ -439,7 +423,8 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             if cap is not None and n > cap:
                 esc_t = t
                 break
-        if yule_from <= n <= cap:  # the births of a stretch the horizon cut
+        if branch == 0.0 and stretches and n <= cap:
+            # the births of a stretch the horizon cut
             n, dt = _yule_run(n, total_time - t, sel, cap, rng)
             if n > cap:
                 esc_t = t + dt
@@ -516,15 +501,13 @@ class RecurrenceReport:
     states: np.ndarray | None = None
     fractions: np.ndarray | None = None
 
-    def phi(self, x: float) -> tuple[float, float]:
-        """Mean and standard error of sum_n mu(n) x^n, mu the occupation
-        measure past burn_in."""
+    def phi(self, x: float) -> McEstimate:
+        """The mean over kept replicates of sum_n mu(n) x^n, mu the
+        occupation measure past burn_in."""
         if self.fractions is None or self.fractions.size == 0:
             raise ValueError("no occupation past burn_in to average")
-        vals = self.fractions @ (float(x) ** self.states.astype(float))
-        r = vals.size
-        se = float(vals.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-        return float(vals.mean()), se
+        return McEstimate.from_samples(
+            self.fractions @ (float(x) ** self.states.astype(float)))
 
 
 def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
@@ -537,13 +520,14 @@ def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
     at least 10 times on average; anything else is "inconclusive".
     With ``burn_in`` the same chains also keep their occupation past it,
     which ``phi`` averages; a burn_in at or past the horizon keeps none.
-    Keeping the occupation draws nothing, but it runs the chains event by
-    event: where they would otherwise skip pure-birth stretches
-    (kingman_rate 0, one extra lineage per branching), the verdict with
-    a burn_in comes from a different stream of the same law.
+    Keeping the occupation draws nothing, but a burn_in runs the chains
+    event by event: where, without ``log`` and ``burn_in``, they skip
+    pure-birth stretches (kingman_rate 0, one extra lineage per
+    branching), the verdict with a burn_in comes from a different stream
+    of the same law.
     """
     runs = run_chains(params, n0, horizon, replicates, rng, cap=cap,
-                      burn_in=burn_in or 0.0, occupation=burn_in is not None)
+                      burn_in=burn_in)
     kept = int((~runs.escaped).sum())
     total_returns = int(runs.returns_to_one[~runs.escaped].sum())
     frac = (replicates - kept) / replicates
@@ -591,14 +575,18 @@ class MomentDualityReport:
 
 def moment_duality_check(params: LimitParams, x: float, order: int,
                          total_time: float, dt: float, replicates: int,
-                         rng: np.random.Generator,
-                         cap: int = 1_000_000) -> MomentDualityReport:
-    """Monte-Carlo check of E_x[X_t^n] = E_n[x^(D_t)] at time t."""
+                         rng: np.random.Generator) -> MomentDualityReport:
+    """Monte-Carlo check of E_x[X_t^n] = E_n[x^(D_t)] at time t.
+
+    A chain that passes ``_DUALITY_CAP`` scores 0 below x = 1 and 1 at
+    x = 1, where x^D = 1 for every D."""
     finals = simulate_batch(params, x, total_time, dt, replicates, rng)
     lhs = McEstimate.from_samples(finals ** order)
-    runs = run_chains(params, order, total_time, replicates, rng, cap=cap)
-    vals = np.where(runs.escaped, 0.0,
-                    np.power(float(x), runs.final.astype(float)))
+    runs = run_chains(params, order, total_time, replicates, rng,
+                      cap=_DUALITY_CAP)
+    vals = np.power(float(x), runs.final.astype(float))
+    if x < 1.0:
+        vals[runs.escaped] = 0.0
     rhs = McEstimate.from_samples(vals)
     gap = abs(lhs.mean - rhs.mean)
     combined = math.hypot(lhs.std_error, rhs.std_error)

@@ -111,6 +111,7 @@ def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:
             "recurrence probe is inconclusive "
             f"(escape fraction {probe.escape_fraction:.3f}, mean returns "
             f"{probe.mean_returns_to_one:.1f}); cannot decide the regime")
-    phi_mean, phi_se = probe.phi(x)
-    mean = 1.0 - phi_mean
-    return McEstimate(mean, phi_se, probe.replicates, interval(mean, phi_se))
+    phi = probe.phi(x)
+    mean = 1.0 - phi.mean
+    return McEstimate(mean, phi.std_error, phi.replicates,
+                      interval(mean, phi.std_error))

@@ -436,6 +436,19 @@ def test_cli_kappa_star_not_applicable_under_kingman(tmp_path, capsys):
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
 
 
+def test_cli_kappa_star_not_applicable_at_total_merger(tmp_path, capsys):
+    # at y = 1 every xi event merges all lineages into one, so kappa* = inf:
+    # a valid model, reported with a warning, not a config error
+    cfg = LIMIT_CFG.replace("model.xi.y = 0.5", "model.xi.y = 1.0")
+    path = write_cfg(tmp_path, cfg)
+    assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["verdict"] == "not-applicable"
+    assert "closed_form" not in results and "gap" not in results
+    assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
+
+
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):
     cfg = LIMIT_CFG.replace("model.xi.family = lambda_dirac",
                             "model.xi.family = none")

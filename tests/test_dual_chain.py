@@ -10,7 +10,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
                       recurrence_probe, run_chains, simulate, xi_jump_pmf)
-from cannings.dual_chain import _merge_rows_end, _rate_row
+from cannings.dual_chain import _merges_round_to_one, _rate_row
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -170,10 +170,9 @@ def test_stationary_pure_coalescence_is_delta_one():
     assert probe.escape_fraction == 0.0
     assert probe.states.tolist() == [1]
     assert probe.fractions.mean(axis=0).tolist() == [1.0]
-    mean, se = probe.phi(1.0)
-    assert mean == 1.0 and se == 0.0
-    mean_half, _ = probe.phi(0.5)
-    assert abs(mean_half - 0.5) < 1e-12
+    phi = probe.phi(1.0)
+    assert phi.mean == 1.0 and phi.std_error == 0.0
+    assert abs(probe.phi(0.5).mean - 0.5) < 1e-12
 
 
 def test_stationary_argument_errors():
@@ -224,6 +223,16 @@ def test_moment_duality_smoke():
     assert abs(report.tolerance - 3.0 * report.combined_se) < 1e-15
 
 
+def test_moment_duality_scores_escapes_as_one_at_x_one():
+    # at kappa = 6 most chains pass the cap within t = 5; at x = 1 every
+    # D has 1^D = 1, so an escaped chain scores 1 like any other
+    report = moment_duality_check(reference_params(6.0), 1.0, 2,
+                                  total_time=5.0, dt=1e-3, replicates=200,
+                                  rng=np.random.default_rng(3))
+    assert report.lhs.mean == 1.0 and report.rhs.mean == 1.0
+    assert report.verdict == "pass"
+
+
 # ---------------------------------------------------------------------------
 # the jump sampler is built once per run, not once per replicate
 
@@ -267,8 +276,7 @@ def first_events(params, n0, replicates, seed):
     rng = np.random.default_rng(seed)
     rate = sum(candidate_rates(params, n0))
     # 20 mean holding times: a replicate sees no event with prob. e^-20
-    runs = run_chains(params, n0, 20.0 / rate, replicates, rng, log=True,
-                      record_noops=True)
+    runs = run_chains(params, n0, 20.0 / rate, replicates, rng, log=True)
     assert all(runs.events)
     return [events[0] for events in runs.events]
 
@@ -356,8 +364,7 @@ def test_first_event_law_one_group_merges(y, n, seed):
     rng = np.random.default_rng(seed)
     # 20 mean holding times: a replicate sees no event with prob. e^-20;
     # a replicate stops once it branches above n
-    runs = run_chains(params, n, 20.0 / total, reps, rng, cap=n, log=True,
-                      record_noops=True)
+    runs = run_chains(params, n, 20.0 / total, reps, rng, cap=n, log=True)
     assert all(runs.events)
     firsts = [events[0] for events in runs.events]
     holds = np.array([e.time for e in firsts])
@@ -390,6 +397,22 @@ def test_simulate_is_one_replicate_of_run_chains(params):
         assert path.escaped == runs.escaped[0]
 
 
+def test_simulate_drops_only_noop_candidates():
+    # without record_noops the log is the full log minus the xi events
+    # that leave the state unchanged, from the same stream
+    for seed in (1, 2, 3):
+        full = simulate(BETA_PARAMS, 3, 20.0, np.random.default_rng(seed),
+                        record_noops=True)
+        kept = simulate(BETA_PARAMS, 3, 20.0, np.random.default_rng(seed))
+        states = [3] + [ev.state for ev in full.events]
+        changed = [ev for ev, before in zip(full.events, states)
+                   if ev.kind != "xi" or ev.state != before]
+        assert len(changed) < len(full.events)
+        assert kept.events == changed
+        assert (kept.final, kept.returns_to_one) == (full.final,
+                                                     full.returns_to_one)
+
+
 STICK_PARAMS = LimitParams(1.0, 0.5, geometric_offspring(0.5),
                            xi=StickBreaking(), jump_floor=0.1)
 
@@ -402,10 +425,9 @@ def test_occupation_draws_nothing(params):
     # were, so one probe gives both the regime and the occupation average;
     # the low cap makes some replicates of each model escape
     outs = []
-    for occupation in (False, True):
+    for burn_in in (None, 1.0):
         rng = np.random.default_rng(31)
-        runs = run_chains(params, 3, 5.0, 20, rng, cap=5, burn_in=1.0,
-                          occupation=occupation)
+        runs = run_chains(params, 3, 5.0, 20, rng, cap=5, burn_in=burn_in)
         outs.append((runs, rng.random()))
     (plain, u), (occ, v) = outs
     for name in ("final", "escaped", "escape_time", "returns_to_one"):
@@ -504,17 +526,32 @@ def test_yule_stretch_long_horizon_draws_in_pieces():
 
 @pytest.mark.parametrize("y", [0.01, 0.3, 0.5, 0.97, 1.0])
 def test_merge_rows_end_is_the_first_candidate_row(y):
-    end = _merge_rows_end(y, 10**6)
-    assert _rate_row(end, 1.0, 0.0, 2.0, y)[3] is None
+    # the one-group rows keep merge CDFs up to the first n >= 2 where
+    # P(Binomial(n, y) >= 2) rounds to 1, and the candidate rate from
+    # there on, where stretch rows (decided by the same test) start too
+    end = next(n for n in range(2, 10**6) if _merges_round_to_one(n, y))
     assert end == 2 or _rate_row(end - 1, 1.0, 0.0, 2.0, y)[3] is not None
     for n in range(end, end + 200):
+        assert _merges_round_to_one(n, y)
         assert _rate_row(n, 1.0, 0.0, 2.0, y)[3] is None
 
 
 def test_merge_rows_end_above_cap():
-    assert _merge_rows_end(0.5, 1000) == 60
-    assert _merge_rows_end(0.5, 59) == 60
-    assert _merge_rows_end(1e-300, 10**6) == 10**6 + 1
+    assert not _merges_round_to_one(59, 0.5)
+    assert _merges_round_to_one(60, 0.5)
+    assert _rate_row(59, 1.0, 0.0, 2.0, 0.5)[3] is not None
+    assert _rate_row(60, 1.0, 0.0, 2.0, 0.5)[3] is None
+    # at a tiny y the merge rows never give way within 10^6 lineages
+    assert not _merges_round_to_one(10**6, 1e-300)
+    # with the end above the cap no row is a stretch row: the plain run
+    # and the event path agree draw for draw
+    params = reference_params(6.0)
+    for seed in (1, 2, 3):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        path = simulate(params, 50, 0.5, rngs[0], cap=59)
+        plain = run_chains(params, 50, 0.5, 1, rngs[1], cap=59)
+        assert (path.final, path.escaped) == (plain.final[0], plain.escaped[0])
+        assert rngs[0].random() == rngs[1].random()
 
 
 def test_occupation_log_and_no_cap_take_the_event_path():
@@ -526,7 +563,7 @@ def test_occupation_log_and_no_cap_take_the_event_path():
     for seed in (46, 47, 48):
         path = simulate(params, 80, 0.5, np.random.default_rng(seed), cap=400)
         rng = np.random.default_rng(seed)
-        occ = run_chains(params, 80, 0.5, 1, rng, cap=400, occupation=True)
+        occ = run_chains(params, 80, 0.5, 1, rng, cap=400, burn_in=0.0)
         assert path.final == occ.final[0]
         assert path.escaped == occ.escaped[0]
         assert path.returns_to_one == occ.returns_to_one[0]

@@ -461,3 +461,40 @@ def test_beta_draw_masses_law(a, b, floor):
     p_hat = np.count_nonzero(y < cut) / draws
     assert abs(p_hat - p_ref) <= 3 * math.sqrt(p_ref * (1 - p_ref) / draws)
     assert abs(y.mean() - mean_ref) <= 3 * y.std(ddof=1) / math.sqrt(draws)
+
+
+def _weighted_law(masses, floor, cut):
+    """P(z_1 < cut) and E[z_1] under weights 1/sum(z^2) [z_1 >= floor] on
+    draws of the measure, each with its self-normalised standard error."""
+    z1 = masses[:, 0]
+    w = np.where(z1 >= floor, 1.0 / (masses * masses).sum(axis=1), 0.0)
+    out = []
+    for h in ((z1 < cut).astype(float), z1):
+        est = float((w * h).sum() / w.sum())
+        se = float(math.sqrt((w * w * (h - est) ** 2).sum()) / w.sum())
+        out.append((est, se))
+    return out
+
+
+@pytest.mark.parametrize("measure, floor", [
+    (StickBreaking(), 0.25), (StickBreaking(), 0.15),
+    (StickBreaking(stick_law="beta", a=0.5, b=2.0), 0.1),
+    (StickBreaking(stick_law="beta", a=0.5, b=2.0), 0.2)])
+def test_stick_draw_masses_law(measure, floor):
+    # P(z_1 < 2 floor) and E[z_1] of draws from the resampled pool, against
+    # an independent draw of the measure weighted by 1/sum(z^2) above the
+    # floor; the pool and the reference have the same size, so the pool's
+    # own error is taken as the reference's, and the resampling adds the
+    # draws' sample variance; within 4 combined standard errors
+    pool, draws = 20_000, 100_000
+    z1 = TruncatedSampler(measure, floor, pool_size=pool,
+                          rng=np.random.default_rng(31)).draw_masses(
+        draws, np.random.default_rng(33))[:, 0]
+    assert np.all(z1 >= floor)
+    reference = sample_masses(measure, pool, np.random.default_rng(32))
+    cut = 2.0 * floor
+    laws = _weighted_law(reference, floor, cut)
+    assert 0.0 < laws[0][0] < 1.0
+    for h, (ref, se_ref) in zip(((z1 < cut).astype(float), z1), laws):
+        combined = math.sqrt(2.0 * se_ref ** 2 + h.var(ddof=1) / draws)
+        assert abs(h.mean() - ref) <= 4.0 * combined
