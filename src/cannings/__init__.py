@@ -6,7 +6,7 @@ numeric and exact duality checks, and the fixation threshold for the
 selection rate.
 """
 
-from .mc import McEstimate
+from .mc import Check, McEstimate, compare
 from .simplex import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, XiMeasure, as_atoms,
                       bernoulli_patterns, binomial_pmf, jump_map, normalized,
@@ -15,22 +15,23 @@ from .selection import (SelectionLaw, branching_drift, explicit_family,
                         geometric_family, geometric_offspring, neutral_family,
                         offspring_delta, offspring_pmf, pgf,
                         sample_parent_total, selection_shape)
-from .discrete import (DiscreteParams, DualityReport, ancestral_trajectories,
+from .discrete import (DiscreteParams, ancestral_trajectories,
                        exact_transition_matrices, forward_trajectories,
                        has_exact_kernels, sampling_duality_check,
                        sampling_probability)
 from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
                         resolved_jump_floor, simulate_batch)
-from .dual_chain import (ChainRuns, DualPath, MomentDualityReport,
-                         RecurrenceReport, RegimeUnclear, moment_duality_check,
-                         recurrence_probe, run_chains, simulate, xi_jump_pmf)
+from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
+                         moment_duality_check, recurrence_probe, run_chains,
+                         simulate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
-from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
+from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
+                        kappa_star_dirac, kappa_star_mc)
 from .config import Config, ConfigError, RunSettings
 
 __all__ = [
-    "McEstimate",
+    "McEstimate", "Check", "compare",
     "SimplexPoint", "XiMeasure", "FiniteAtomic", "LambdaDirac", "LambdaBeta",
     "StickBreaking", "TruncatedSampler",
     "total_mass", "normalized", "as_atoms", "sample_masses",
@@ -38,7 +39,7 @@ __all__ = [
     "SelectionLaw", "neutral_family", "geometric_family", "explicit_family",
     "offspring_delta", "offspring_pmf", "geometric_offspring", "pgf",
     "selection_shape", "branching_drift", "sample_parent_total",
-    "DiscreteParams", "DualityReport",
+    "DiscreteParams",
     "forward_trajectories", "ancestral_trajectories",
     "sampling_probability", "has_exact_kernels", "exact_transition_matrices",
     "sampling_duality_check",
@@ -48,8 +49,8 @@ __all__ = [
     "DualPath", "simulate", "run_chains", "ChainRuns",
     "xi_jump_pmf", "dual_generator_apply_exact",
     "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
-    "MomentDualityReport", "moment_duality_check",
-    "kappa_star_mc", "kappa_star_dirac", "fixation_probability",
+    "moment_duality_check",
+    "kappa_star", "kappa_star_mc", "kappa_star_dirac", "fixation_probability",
     "Config", "ConfigError", "RunSettings",
 ]
 

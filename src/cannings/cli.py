@@ -1,9 +1,11 @@
 """Command-line interface: experiment runner over the config format.
 
 Every command is a pure function of (config file, seed): reports and
-CSV artifacts are byte-identical across reruns.  Exit codes: 0 for
-success (and passing verdicts), 1 for a failing or undecided verdict,
-2 for usage or config errors.
+CSV artifacts are byte-identical across reruns.  A handler computes its
+results and diagnostics; the checks themselves (``mc.compare``,
+``threshold.kappa_star``) live in the library, and the exit code comes
+from the report's verdict alone: 1 when it is "fail" or "inconclusive",
+else 0.  Usage and config errors exit 2.
 """
 
 from __future__ import annotations
@@ -21,35 +23,17 @@ import numpy as np
 from .config import Config, ConfigError
 from .discrete import (ancestral_trajectories, forward_trajectories,
                        has_exact_kernels, sampling_duality_check)
-from .dual_chain import (RegimeUnclear, moment_duality_check,
-                         recurrence_probe, run_chains)
+from .dual_chain import moment_duality_check, recurrence_probe, run_chains
 from .limit_sde import simulate_batch
-from .mc import McEstimate
-from .simplex import LambdaDirac
-from .threshold import fixation_probability, kappa_star_dirac, kappa_star_mc
+from .mc import McEstimate, compare
+from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
+                        kappa_star_mc)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 _CSV_CHUNK = 4096
-
-
-def _py(obj):
-    """Recursively convert numpy scalars/arrays for JSON reports."""
-    if isinstance(obj, dict):
-        return {str(k): _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_py(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
 
 
 def _estimate_dict(est: McEstimate) -> dict:
@@ -59,7 +43,7 @@ def _estimate_dict(est: McEstimate) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: (config, rng) -> (exit code, results, diagnostics, tables)
+# command handlers: (config, rng) -> (results, diagnostics, tables)
 # tables map file stem -> (header, columns): one equal-length array per
 # header name
 
@@ -76,7 +60,7 @@ def _cmd_forward(cfg: Config, rng: np.random.Generator):
                "lost_fraction": float((finals == 0.0).mean())}
     diagnostics = {"pop_size": params.pop_size, "generations": run.generations,
                    "replicates": run.replicates, "x0": run.x0}
-    return EXIT_OK, results, diagnostics, {
+    return results, diagnostics, {
         "forward": (("replicate", "generation", "frequency"),
                     _path_columns(traj))}
 
@@ -92,7 +76,7 @@ def _cmd_ancestry(cfg: Config, rng: np.random.Generator):
                "single_ancestor_fraction": float((finals == 1).mean())}
     diagnostics = {"pop_size": params.pop_size, "generations": run.generations,
                    "replicates": run.replicates, "sample_size": run.sample_size}
-    return EXIT_OK, results, diagnostics, {
+    return results, diagnostics, {
         "ancestry": (("replicate", "generation", "lineages"),
                      _path_columns(traj))}
 
@@ -101,23 +85,24 @@ def _cmd_duality_discrete(cfg: Config, rng: np.random.Generator):
     params = cfg.discrete_params()
     run = cfg.run
     mode = "exact" if has_exact_kernels(params) else "mc"
-    report = sampling_duality_check(params, run.x, run.sample_size,
-                                    run.generations, mode=mode,
-                                    replicates=run.replicates, rng=rng)
-    results = {"verdict": report.verdict, "mode": report.mode,
-               "lhs": report.lhs, "rhs": report.rhs, "gap": report.gap,
-               "tolerance": report.tolerance}
-    diagnostics = {"lhs_se": report.lhs_se, "rhs_se": report.rhs_se,
-                   "x": run.x, "sample_size": run.sample_size,
+    check = sampling_duality_check(params, run.x, run.sample_size,
+                                   run.generations, mode=mode,
+                                   replicates=run.replicates, rng=rng)
+    results = {"verdict": check.verdict, "mode": mode,
+               "lhs": check.lhs.mean, "rhs": check.rhs.mean,
+               "gap": check.gap, "tolerance": check.tolerance}
+    diagnostics = {"lhs_se": check.lhs.std_error,
+                   "rhs_se": check.rhs.std_error, "x": run.x,
+                   "sample_size": run.sample_size,
                    "generations": run.generations}
-    return (EXIT_OK if report.passed else EXIT_FAIL), results, diagnostics, {}
+    return results, diagnostics, {}
 
 
 def _cmd_sde(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
     run = cfg.run
     finals, diag = simulate_batch(params, run.x0, run.time, run.dt,
-                                  run.replicates, rng, return_diagnostics=True)
+                                  run.replicates, rng)
     est = McEstimate.from_samples(finals)
     results = {"final_mean": _estimate_dict(est),
                "near_zero_fraction": float((finals < 0.01).mean()),
@@ -125,7 +110,7 @@ def _cmd_sde(cfg: Config, rng: np.random.Generator):
     diagnostics = dict(diag)
     diagnostics.update({"time": run.time, "dt": run.dt,
                         "replicates": run.replicates, "x0": run.x0})
-    return EXIT_OK, results, diagnostics, {
+    return results, diagnostics, {
         "sde_finals": (("replicate", "final_frequency"),
                        (np.arange(finals.size), finals))}
 
@@ -140,7 +125,7 @@ def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
                "escape_fraction": int(runs.escaped.sum()) / run.replicates}
     diagnostics = {"n0": run.n0, "time": run.time, "cap": run.cap,
                    "replicates": run.replicates}
-    return EXIT_OK, results, diagnostics, {
+    return results, diagnostics, {
         "dual_ctmc": (("replicate", "final_state", "returns_to_one",
                        "escaped"),
                       (np.arange(run.replicates), runs.final,
@@ -150,15 +135,19 @@ def _cmd_dual_ctmc(cfg: Config, rng: np.random.Generator):
 def _cmd_duality_limit(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
     run = cfg.run
-    report = moment_duality_check(params, run.x, run.sample_size, run.time,
-                                  run.dt, run.replicates, rng)
-    results = {"verdict": report.verdict,
-               "lhs": _estimate_dict(report.lhs),
-               "rhs": _estimate_dict(report.rhs),
-               "gap": report.gap, "tolerance": report.tolerance}
-    diagnostics = {"combined_se": report.combined_se, "x": run.x,
+    check = moment_duality_check(params, run.x, run.sample_size, run.time,
+                                 run.dt, run.replicates, rng)
+    results = {"verdict": check.verdict,
+               "lhs": _estimate_dict(check.lhs),
+               "rhs": _estimate_dict(check.rhs),
+               "gap": check.gap, "tolerance": check.tolerance}
+    diagnostics = {"combined_se": check.combined_se, "x": run.x,
                    "order": run.sample_size, "time": run.time, "dt": run.dt}
-    return (EXIT_OK if report.passed else EXIT_FAIL), results, diagnostics, {}
+    if check.verdict == "inconclusive":
+        diagnostics["reason"] = ("escaped dual chains decide the verdict: "
+                                 "scored 0, as in rhs, and scored "
+                                 "x^(cap + 1) the check reads differently")
+    return results, diagnostics, {}
 
 
 def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
@@ -175,28 +164,16 @@ def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
     results = {"estimate": _estimate_dict(est), "mean_extra": beta}
     diagnostics = dict(mc_diag)
     diagnostics["warnings"] = [str(w.message) for w in caught]
-    code = EXIT_OK
-    if params.kingman_rate > 0.0:
+    exact, reason = kappa_star(params)
+    if reason is not None:
         # no finite threshold to compare the estimate with
-        diagnostics["warnings"].append(
-            "kappa* = inf at model.kingman_rate > 0: pairwise mergers bring "
-            "the dual chain down from any n, so it is recurrent at every "
-            "selection rate; the estimate ignores them")
+        diagnostics["warnings"].append(reason)
         results["verdict"] = "not-applicable"
-    elif isinstance(params.xi, LambdaDirac) and params.xi.y == 1.0:
-        diagnostics["warnings"].append(
-            "kappa* = inf at model.xi.y = 1: every xi event merges all "
-            "lineages into one, so the dual chain returns to one lineage at "
-            "every selection rate")
-        results["verdict"] = "not-applicable"
-    elif isinstance(params.xi, LambdaDirac):
-        closed = params.xi.total_mass * kappa_star_dirac(params.xi.y, beta)
-        gap = abs(est.mean - closed)
-        within = gap <= 3.0 * est.std_error
-        results.update({"closed_form": closed, "gap": gap,
-                        "verdict": "pass" if within else "fail"})
-        code = EXIT_OK if within else EXIT_FAIL
-    return code, results, diagnostics, {}
+    elif exact is not None:
+        check = compare(est, McEstimate.exact(exact))
+        results.update({"closed_form": exact, "gap": check.gap,
+                        "verdict": check.verdict})
+    return results, diagnostics, {}
 
 
 def _cmd_recurrence(cfg: Config, rng: np.random.Generator):
@@ -210,8 +187,7 @@ def _cmd_recurrence(cfg: Config, rng: np.random.Generator):
                "mean_return_time": report.mean_return_time}
     diagnostics = {"n0": run.n0, "horizon": run.time, "cap": run.cap,
                    "replicates": run.replicates}
-    code = EXIT_FAIL if report.verdict == "inconclusive" else EXIT_OK
-    return code, results, diagnostics, {}
+    return results, diagnostics, {}
 
 
 def _cmd_fixation(cfg: Config, rng: np.random.Generator):
@@ -231,9 +207,9 @@ def _cmd_fixation(cfg: Config, rng: np.random.Generator):
     except RegimeUnclear as exc:
         # a model outcome, reported like the probe's own: not a config error
         diagnostics["reason"] = str(exc)
-        return EXIT_FAIL, {"verdict": "inconclusive"}, diagnostics, {}
+        return {"verdict": "inconclusive"}, diagnostics, {}
     results = {"probability": _estimate_dict(est), "regime": probe.verdict}
-    return EXIT_OK, results, diagnostics, {}
+    return results, diagnostics, {}
 
 
 # command -> (handler, help)
@@ -346,13 +322,13 @@ def main(argv=None) -> int:
         cfg = Config.from_file(args.config, overrides)
         rng = np.random.default_rng(cfg.run.seed)
         handler = _COMMANDS[args.command][0]
-        code, results, diagnostics, tables = handler(cfg, rng)
+        results, diagnostics, tables = handler(cfg, rng)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = _py({"command": args.command, "config_hash": cfg.hash(),
-                  "seed": cfg.run.seed, "results": results,
-                  "diagnostics": diagnostics})
+    report = {"command": args.command, "config_hash": cfg.hash(),
+              "seed": cfg.run.seed, "results": results,
+              "diagnostics": diagnostics}
     report_text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.format == "json":
         sys.stdout.write(report_text)
@@ -368,7 +344,8 @@ def main(argv=None) -> int:
             with open(os.path.join(out_dir, f"{stem}.csv"), "w",
                       encoding="utf-8", newline="\n") as fh:
                 _write_csv(fh, header, columns)
-    return code
+    failed = results.get("verdict") in ("fail", "inconclusive")
+    return EXIT_FAIL if failed else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, comb
 
-from .mc import McEstimate
+from .mc import Check, McEstimate, compare
 from .selection import SelectionLaw, pgf, sample_parent_total
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
                       bernoulli_patterns, binomial_pmf, jump_map,
@@ -321,30 +321,14 @@ def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.nd
 # duality checks
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    mode: str
-    lhs: float
-    rhs: float
-    gap: float
-    tolerance: float
-    passed: bool
-    lhs_se: float = 0.0
-    rhs_se: float = 0.0
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-
 def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
                            mode: str = "exact", replicates: int = 100_000,
-                           rng: np.random.Generator | None = None) -> DualityReport:
+                           rng: np.random.Generator | None = None) -> Check:
     """Check E_x[S(X_g, n)] = E_n[S(x, D_g)] after g generations.
 
-    Exact mode pushes both kernels g steps and compares to 1e-10; MC mode
-    simulates both chains and compares the gap against 3 combined
-    standard errors.  Both sides use the exact S.
+    Exact mode pushes both kernels g steps and passes a gap below 1e-10;
+    MC mode simulates both chains and ``compare``s the two estimates.
+    Both sides use the exact S.
     """
     pop = params.pop_size
     if not (1 <= n <= pop):
@@ -361,8 +345,8 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
         lhs = float(fwd_dist @ s_states)
         rhs = float(anc_dist @ s_counts)
         gap = abs(lhs - rhs)
-        return DualityReport("exact", lhs, rhs, gap, _EXACT_TOL,
-                             gap < _EXACT_TOL)
+        return Check(McEstimate.exact(lhs), McEstimate.exact(rhs), gap, 0.0,
+                     _EXACT_TOL, "pass" if gap < _EXACT_TOL else "fail")
     if mode != "mc":
         raise ValueError("mode must be 'exact' or 'mc'")
     if rng is None:
@@ -371,14 +355,9 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
     states, at = np.unique(fwd, return_inverse=True)
     s_states = np.array([sampling_probability(params, float(v), n)
                          for v in states])
-    lhs_est = McEstimate.from_samples(s_states[at])
+    lhs = McEstimate.from_samples(s_states[at])
     anc = ancestral_trajectories(params, n, g, replicates, rng)[:, -1]
     counts, at = np.unique(anc, return_inverse=True)
     s_counts = np.array([sampling_probability(params, x, int(j))
                          for j in counts])
-    rhs_est = McEstimate.from_samples(s_counts[at])
-    gap = abs(lhs_est.mean - rhs_est.mean)
-    combined = math.hypot(lhs_est.std_error, rhs_est.std_error)
-    return DualityReport("mc", lhs_est.mean, rhs_est.mean, gap, 3.0 * combined,
-                         gap <= 3.0 * combined, lhs_est.std_error,
-                         rhs_est.std_error)
+    return compare(lhs, McEstimate.from_samples(s_counts[at]))

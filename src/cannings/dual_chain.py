@@ -79,11 +79,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mc import McEstimate
+from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
 from .simplex import SimplexPoint, as_atoms, binomial_pmf
@@ -107,7 +107,6 @@ class DualEvent:
     state: int
     offspring: int | None = None
     point: tuple[float, ...] | None = None
-    merged_groups: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -121,18 +120,16 @@ class DualPath:
 
 
 def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
-    """(participants k, non-empty group sizes) for one candidate at state n.
+    """(participants k, occupied groups) for one candidate at state n.
 
     ``total`` is |z|; ``groups`` is None for a one-group point, else its
     masses (trailing zeros allowed: they stay empty).
     """
     k = int(rng.binomial(n, total if total < 1.0 else 1.0))
-    if k == 0:
-        return 0, ()
-    if groups is None:
-        return k, (k,)
+    if k == 0 or groups is None:
+        return k, int(k > 0)
     counts = rng.multinomial(k, [m / total for m in groups])
-    return k, tuple(c for c in counts.tolist() if c > 0)
+    return k, int(np.count_nonzero(counts))
 
 
 def _merges_round_to_one(n: int, y: float) -> bool:
@@ -386,7 +383,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                 if cdf is not None:
                     # a one-group merge: u is uniform on [paired, rate)
                     k = 2 + bisect_right(cdf, (u - paired) / (rate - paired))
-                    n_new, sizes = n - k + 1, (k,)
+                    n_new = n - k + 1
                 else:
                     if branch == 0.0 and stretches:
                         # the births of the stretch's hold
@@ -406,17 +403,15 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                         z_groups = groups[i_xi] if groups is not None else None
                         i_xi += 1
                     if n > 1:
-                        k, sizes = _xi_merge(n, z_total, z_groups, rng)
-                        n_new = n - k + len(sizes)
+                        k, occupied = _xi_merge(n, z_total, z_groups, rng)
+                        n_new = n - k + occupied
                     else:
                         # one lineage: a candidate can merge nothing
-                        n_new, sizes = n, ()
+                        n_new = n
                 if events is not None:
                     point = (tuple(m for m in z_groups if m > 0.0)
                              if z_groups is not None else (z_total,))
-                    events.append(DualEvent(
-                        t, "xi", n_new, point=point,
-                        merged_groups=tuple(s for s in sizes if s > 1)))
+                    events.append(DualEvent(t, "xi", n_new, point=point))
             if n_new == 1 and n > 1:
                 returns += 1
             n = n_new
@@ -482,20 +477,12 @@ def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
 # long-run behaviour
 
 
-class RegimeUnclear(ValueError):
-    """A model outcome, not an input error: the dual chain's runs leave
-    its regime undecided."""
-
-
 @dataclass(frozen=True)
 class RecurrenceReport:
     verdict: str  # "recurrent-looking" | "escaping" | "inconclusive"
     escape_fraction: float
     mean_returns_to_one: float
     mean_return_time: float | None
-    replicates: int
-    horizon: float
-    cap: int
     # with a burn_in: the states held past it, and one row per kept
     # replicate of the fraction of (burn_in, horizon] spent in each
     states: np.ndarray | None = None
@@ -552,43 +539,35 @@ def recurrence_probe(params: LimitParams, n0: int, horizon: float, cap: int,
             for s, dt in occ.items():
                 fractions[r, index[s]] = dt / (horizon - burn_in)
     return RecurrenceReport(verdict, frac, mean_returns, mean_return_time,
-                            replicates, horizon, cap, states, fractions)
+                            states, fractions)
 
 
 # ---------------------------------------------------------------------------
 # moment duality between the limit process and this chain
 
 
-@dataclass(frozen=True)
-class MomentDualityReport:
-    lhs: McEstimate   # E[X_t^n] from the forward limit
-    rhs: McEstimate   # E[x^(D_t)] from the dual chain
-    gap: float
-    combined_se: float
-    tolerance: float
-    passed: bool
-
-    @property
-    def verdict(self) -> str:
-        return "pass" if self.passed else "fail"
-
-
 def moment_duality_check(params: LimitParams, x: float, order: int,
                          total_time: float, dt: float, replicates: int,
-                         rng: np.random.Generator) -> MomentDualityReport:
+                         rng: np.random.Generator) -> Check:
     """Monte-Carlo check of E_x[X_t^n] = E_n[x^(D_t)] at time t.
 
-    A chain that passes ``_DUALITY_CAP`` scores 0 below x = 1 and 1 at
-    x = 1, where x^D = 1 for every D."""
-    finals = simulate_batch(params, x, total_time, dt, replicates, rng)
+    A chain that passes ``_DUALITY_CAP`` is scored 0 (1 at x = 1, where
+    x^D = 1 for every D) and again x^(cap + 1), its worth if it stays
+    above the cap.  The returned ``Check`` compares with the first score;
+    its verdict is "pass" when both scores pass, "fail" when both fail
+    with lhs on the same side, and "inconclusive" otherwise.
+    """
+    finals, _ = simulate_batch(params, x, total_time, dt, replicates, rng)
     lhs = McEstimate.from_samples(finals ** order)
     runs = run_chains(params, order, total_time, replicates, rng,
                       cap=_DUALITY_CAP)
     vals = np.power(float(x), runs.final.astype(float))
     if x < 1.0:
         vals[runs.escaped] = 0.0
-    rhs = McEstimate.from_samples(vals)
-    gap = abs(lhs.mean - rhs.mean)
-    combined = math.hypot(lhs.std_error, rhs.std_error)
-    return MomentDualityReport(lhs, rhs, gap, combined, 3.0 * combined,
-                               gap <= 3.0 * combined)
+    low = compare(lhs, McEstimate.from_samples(vals))
+    vals[runs.escaped] = float(x) ** (_DUALITY_CAP + 1)
+    high = compare(lhs, McEstimate.from_samples(vals))
+    same_side = (lhs.mean > low.rhs.mean) == (lhs.mean > high.rhs.mean)
+    if low.verdict == high.verdict and (low.passed or same_side):
+        return low
+    return replace(low, verdict="inconclusive")

@@ -120,9 +120,10 @@ def jump_sampler(params: LimitParams,
 
 def simulate_batch(params: LimitParams, x0: float, total_time: float,
                    dt: float = _DEFAULT_DT, n_paths: int = 1,
-                   rng: np.random.Generator | None = None,
-                   return_diagnostics: bool = False):
-    """Terminal values of many paths at once.
+                   rng: np.random.Generator | None = None):
+    """(terminal values, diagnostics) of many paths at once; the
+    diagnostics are ``clamp_count``, ``jumps_applied``, ``steps`` and
+    ``jump_rate``.
 
     Where the flow between jumps is closed form (kingman_rate = 0,
     selection_rate > 0, all extra-parent mass on one i; see
@@ -154,10 +155,8 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     if flow is not None:
         jumps_applied, rounds = _simulate_flow(x, total_time, *flow, sampler,
                                                rate, rng)
-        if return_diagnostics:
-            return x, {"clamp_count": 0, "jumps_applied": jumps_applied,
-                       "steps": rounds, "jump_rate": rate}
-        return x
+        return x, {"clamp_count": 0, "jumps_applied": jumps_applied,
+                   "steps": rounds, "jump_rate": rate}
     kappa, sigma = params.selection_rate, params.kingman_rate
     n_steps = int(math.ceil(total_time / dt - 1e-12))
     last_h = min(dt, total_time - (n_steps - 1) * dt)
@@ -190,10 +189,8 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
                 idx = paths[lo:hi]
                 x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi])
                 r += 1
-    if return_diagnostics:
-        return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
-                   "steps": n_steps, "jump_rate": rate}
-    return x
+    return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
+               "steps": n_steps, "jump_rate": rate}
 
 
 def _exact_flow_rate(params: LimitParams) -> tuple[int, float] | None:
@@ -356,10 +353,7 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
     else:
         vals = np.zeros(replicates)
     est = McEstimate.from_samples(vals)
-    mean = drift_term + est.mean
-    lo, hi = est.interval
-    return McEstimate(mean, est.std_error, est.replicates,
-                      (drift_term + lo, drift_term + hi))
+    return McEstimate(drift_term + est.mean, est.std_error, est.replicates)
 
 
 def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):

@@ -1,4 +1,5 @@
-"""Monte-Carlo estimates with a 95% normal confidence interval."""
+"""Monte-Carlo estimates with a 95% normal confidence interval, and the
+one rule that checks an estimate against another."""
 
 from __future__ import annotations
 
@@ -20,7 +21,10 @@ class McEstimate:
     mean: float
     std_error: float
     replicates: int
-    interval: tuple[float, float]
+
+    @property
+    def interval(self) -> tuple[float, float]:
+        return interval(self.mean, self.std_error)
 
     @staticmethod
     def from_samples(values) -> "McEstimate":
@@ -28,17 +32,40 @@ class McEstimate:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("need a non-empty 1-d sample array")
         r = int(arr.size)
-        mean = float(arr.mean())
         se = float(arr.std(ddof=1) / math.sqrt(r)) if r > 1 else 0.0
-        return McEstimate(mean, se, r, interval(mean, se))
+        return McEstimate(float(arr.mean()), se, r)
 
     @staticmethod
     def exact(value: float) -> "McEstimate":
         """A deterministic value wearing the estimate interface (SE 0)."""
-        v = float(value)
-        return McEstimate(v, 0.0, 0, (v, v))
+        return McEstimate(float(value), 0.0, 0)
 
 
 def interval(mean: float, se: float) -> tuple[float, float]:
     """The 95% normal confidence interval mean -+ z se."""
     return (mean - _Z * se, mean + _Z * se)
+
+
+@dataclass(frozen=True)
+class Check:
+    """The verdict of lhs against rhs: "pass", "fail" or "inconclusive"."""
+
+    lhs: McEstimate
+    rhs: McEstimate
+    gap: float          # |lhs - rhs|
+    combined_se: float
+    tolerance: float
+    verdict: str
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict == "pass"
+
+
+def compare(lhs: McEstimate, rhs: McEstimate) -> Check:
+    """Pass when the means lie within 3 combined standard errors."""
+    gap = abs(lhs.mean - rhs.mean)
+    combined = math.hypot(lhs.std_error, rhs.std_error)
+    tolerance = 3.0 * combined
+    return Check(lhs, rhs, gap, combined, tolerance,
+                 "pass" if gap <= tolerance else "fail")

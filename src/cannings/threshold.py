@@ -11,7 +11,9 @@ where m is the total mass of the jump measure, beta is the mean
 extra-parent count of the offspring law, Z is drawn from the normalized
 jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  For a
 single-atom measure m * delta_[y] this integral closes to
--m log(1 - y) / (beta y^2); ``kappa_star_dirac`` gives it at m = 1.
+-m log(1 - y) / (beta y^2); ``kappa_star_dirac`` gives it at m = 1, and
+``kappa_star(params)`` gives the threshold wherever it is known without
+sampling.
 
 The integrand blows up like 1/(1 - W) near W = 1, so for measures with
 mass near total size 1 the estimator's variance can be infinite even
@@ -26,13 +28,18 @@ import warnings
 
 import numpy as np
 
-from .dual_chain import RecurrenceReport, RegimeUnclear
-from .limit_sde import normalized_draws
-from .mc import McEstimate, interval
-from .simplex import XiMeasure, total_mass
+from .dual_chain import RecurrenceReport
+from .limit_sde import LimitParams, normalized_draws
+from .mc import McEstimate
+from .simplex import LambdaDirac, XiMeasure, total_mass
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
+
+
+class RegimeUnclear(ValueError):
+    """A model outcome, not an input error: the dual chain's runs leave
+    its regime undecided."""
 
 
 def kappa_star_dirac(y: float, mean_extra: float) -> float:
@@ -43,6 +50,30 @@ def kappa_star_dirac(y: float, mean_extra: float) -> float:
     if mean_extra <= 0.0:
         raise ValueError("mean_extra must be positive")
     return -math.log1p(-y) / (mean_extra * y * y)
+
+
+def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
+    """(threshold, reason) where the threshold is known without sampling.
+
+    Infinite, with the reason, at kingman_rate > 0 and for a Dirac
+    measure at y = 1; m ``kappa_star_dirac(y, beta)`` for any other Dirac
+    measure of mass m; (None, None) otherwise.
+    """
+    if params.kingman_rate > 0.0:
+        return math.inf, (
+            "kappa* = inf at model.kingman_rate > 0: pairwise mergers bring "
+            "the dual chain down from any n, so it is recurrent at every "
+            "selection rate; the estimate ignores them")
+    xi = params.xi
+    if not isinstance(xi, LambdaDirac):
+        return None, None
+    if xi.y == 1.0:
+        return math.inf, (
+            "kappa* = inf at model.xi.y = 1: every xi event merges all "
+            "lineages into one, so the dual chain returns to one lineage at "
+            "every selection rate")
+    return xi.total_mass * kappa_star_dirac(xi.y,
+                                            params.offspring.mean_extra), None
 
 
 def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
@@ -112,6 +143,4 @@ def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:
             f"(escape fraction {probe.escape_fraction:.3f}, mean returns "
             f"{probe.mean_returns_to_one:.1f}); cannot decide the regime")
     phi = probe.phi(x)
-    mean = 1.0 - phi.mean
-    return McEstimate(mean, phi.std_error, phi.replicates,
-                      interval(mean, phi.std_error))
+    return McEstimate(1.0 - phi.mean, phi.std_error, phi.replicates)

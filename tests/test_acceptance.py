@@ -165,7 +165,8 @@ def test_c09_extinction_above_threshold():
     # is near 0 by T = 200
     rng = np.random.default_rng(9)
     params = LimitParams(6.0, 0.0, offspring_delta(1), xi=DIRAC_HALF)
-    finals = simulate_batch(params, 0.5, 200.0, dt=1e-3, n_paths=1000, rng=rng)
+    finals, _ = simulate_batch(params, 0.5, 200.0, dt=1e-3, n_paths=1000,
+                               rng=rng)
     frac = float(np.mean(finals < 0.01))
     _verdict(9, "extinction above threshold", frac >= 0.95,
              f"fraction of paths with X_T < 0.01: {frac:.3f} (need >= 0.95)")

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from cannings import Config, ConfigError, FiniteAtomic, LambdaDirac
+from cannings import cli
 from cannings.cli import main
 
 DISCRETE_CFG = """
@@ -314,6 +315,60 @@ def test_cli_csv_bytes_pinned(tmp_path, capsys):
             for name, blob in blobs.items()} == CSV_DIGESTS
 
 
+# a kappa < kappa* Dirac chain that looks recurrent within the horizon
+RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
+                                   "model.selection_rate = 0.1")
+                 .replace("run.time = 2.0", "run.time = 300.0")
+                 + "run.burn_in = 20.0\nrun.x = 0.25\n")
+
+# sha256 of report.json for every verdict command, at small replicate
+# counts: (command, config, replicates) -> digest
+REPORT_DIGESTS = {
+    ("duality-discrete", "discrete", "5"):
+        "b7c2bdd6c482077dcf94d2778aefb664825f499b97fa2b844407dfd27ddafa7e",
+    ("duality-discrete", "big", "200"):
+        "a2dc4c7d78c615032e514b337bed47b77eb07fece23cc2b6c1b42cc09d5389b9",
+    ("duality-limit", "limit", "200"):
+        "cbcf667d795907644f96e388d88598823d1bd950b91c056470f4f88a8bad5a35",
+    ("kappa-star", "limit", "2000"):
+        "cff3c3add899d20bd3cc79277b49e8c826714244e3a5fa829cc4883bf3be5fdf",
+    ("recurrence", "recurrent", "10"):
+        "3020ff61838ca5bd7a1c3b87b98ebd576bd4a35f0f2103cca3c51106ca052670",
+    ("fixation", "recurrent", "10"):
+        "7fb4e1559d32a7e959c089c8ec6a21a6c576f2536c6a1777fe518d0bf4147540",
+}
+
+
+def test_cli_report_bytes_pinned(tmp_path, capsys):
+    paths = {"discrete": write_cfg(tmp_path, DISCRETE_CFG, "discrete.cfg"),
+             "big": write_cfg(tmp_path, DISCRETE_CFG.replace(
+                 "model.pop_size = 4", "model.pop_size = 40"), "big.cfg"),
+             "limit": write_cfg(tmp_path, LIMIT_CFG, "limit.cfg"),
+             "recurrent": write_cfg(tmp_path, RECURRENT_CFG, "recurrent.cfg")}
+    digests = {}
+    for i, (command, cfg, replicates) in enumerate(REPORT_DIGESTS):
+        out = tmp_path / f"out{i}"
+        assert main([command, "--config", paths[cfg], "--replicates",
+                     replicates, "--out", str(out)]) == 0
+        digests[command, cfg, replicates] = hashlib.sha256(
+            (out / "report.json").read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("verdict, code", [
+    (None, 0), ("pass", 0), ("fail", 1), ("inconclusive", 1),
+    ("recurrent-looking", 0), ("escaping", 0), ("not-applicable", 0)])
+def test_cli_exit_code_comes_from_the_verdict(tmp_path, capsys, monkeypatch,
+                                              verdict, code):
+    results = {} if verdict is None else {"verdict": verdict}
+    monkeypatch.setitem(cli._COMMANDS, "forward",
+                        (lambda cfg, rng: (results, {}, {}), "stub"))
+    assert main(["forward", "--config", write_cfg(tmp_path, DISCRETE_CFG)]) \
+        == code
+    assert json.loads(capsys.readouterr().out)["results"] == results
+
+
 def test_cli_duality_discrete_exact_pass(tmp_path, capsys):
     path = write_cfg(tmp_path, DISCRETE_CFG)
     code = main(["duality-discrete", "--config", path])
@@ -342,6 +397,21 @@ def test_cli_duality_limit_pass(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["results"]["verdict"] == "pass"
     assert report["results"]["gap"] <= report["results"]["tolerance"]
+
+
+def test_cli_duality_limit_inconclusive_when_escapes_decide(tmp_path, capsys):
+    # most kappa = 6 chains pass the cap, and near x = 1 their score
+    # decides the verdict: a model outcome, exit 1 with the reason
+    cfg = LIMIT_CFG.replace("model.selection_rate = 1.0",
+                            "model.selection_rate = 6.0")
+    cfg = cfg.replace("run.replicates = 50", "run.replicates = 200")
+    cfg = cfg.replace("run.time = 2.0", "run.time = 5.0")
+    cfg += "run.x = 0.999999\n"
+    path = write_cfg(tmp_path, cfg)
+    assert main(["duality-limit", "--config", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["verdict"] == "inconclusive"
+    assert report["diagnostics"]["reason"].startswith("escaped dual chains")
 
 
 def test_cli_sde_and_dual_ctmc_smoke(tmp_path, capsys):

@@ -312,9 +312,9 @@ def test_duality_mc_mode_agrees():
     exact = sampling_duality_check(params, 0.5, 2, 3)
     mc = sampling_duality_check(params, 0.5, 2, 3, mode="mc",
                                 replicates=20_000, rng=rng)
-    assert mc.mode == "mc"
-    assert abs(mc.lhs - exact.lhs) <= 4 * mc.lhs_se
-    assert abs(mc.rhs - exact.rhs) <= 4 * mc.rhs_se
+    assert mc.lhs.replicates == 20_000
+    assert abs(mc.lhs.mean - exact.lhs.mean) <= 4 * mc.lhs.std_error
+    assert abs(mc.rhs.mean - exact.rhs.mean) <= 4 * mc.rhs.std_error
     assert mc.passed
 
 
@@ -344,7 +344,7 @@ def test_beta_sampling_duality_mc():
     report = sampling_duality_check(params, 0.5, 3, 5, mode="mc",
                                     replicates=2000,
                                     rng=np.random.default_rng(8))
-    assert report.mode == "mc"
+    assert report.lhs.replicates == 2000
     assert report.passed
 
 

@@ -233,6 +233,18 @@ def test_moment_duality_scores_escapes_as_one_at_x_one():
     assert report.verdict == "pass"
 
 
+def test_moment_duality_escapes_deciding_the_verdict_are_inconclusive():
+    # the same chains at x = 0.999999, where an escaped chain is worth up
+    # to x^(cap + 1) = 0.37: scored 0 the check passes within its wide
+    # standard errors, scored 0.37 it fails, so neither verdict stands
+    report = moment_duality_check(reference_params(6.0), 0.999999, 2,
+                                  total_time=5.0, dt=1e-3, replicates=200,
+                                  rng=np.random.default_rng(3))
+    assert report.verdict == "inconclusive" and not report.passed
+    # the record is the comparison with escaped chains scored 0
+    assert report.gap <= report.tolerance
+
+
 # ---------------------------------------------------------------------------
 # the jump sampler is built once per run, not once per replicate
 

@@ -50,8 +50,8 @@ def test_absorbing_endpoints():
     for sigma in (1.0, 0.0):
         params = LimitParams(1.0, sigma, offspring_delta(1), xi=DIRAC_HALF)
         for x0 in (0.0, 1.0):
-            finals = simulate_batch(params, x0, 2.0, dt=0.01, n_paths=64,
-                                    rng=rng)
+            finals, _ = simulate_batch(params, x0, 2.0, dt=0.01, n_paths=64,
+                                       rng=rng)
             assert np.all(finals == x0)
 
 
@@ -59,7 +59,8 @@ def test_neutral_jump_martingale():
     # kappa = 0, sigma = 0: only mean-preserving jumps move the state
     rng = np.random.default_rng(9)
     params = LimitParams(0.0, 0.0, offspring_delta(1), xi=DIRAC_HALF)
-    finals = simulate_batch(params, 0.3, 1.0, dt=0.01, n_paths=100_000, rng=rng)
+    finals, _ = simulate_batch(params, 0.3, 1.0, dt=0.01, n_paths=100_000,
+                               rng=rng)
     se = finals.std(ddof=1) / math.sqrt(finals.size)
     assert abs(finals.mean() - 0.3) <= 3 * se
     assert np.all((finals >= 0.0) & (finals <= 1.0))
@@ -92,8 +93,8 @@ def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
                                      expected):
     # single-atom jump streams are pinned bit for bit; recorded again,
     # same configs and seeds, when the jump clock became block-drawn
-    finals = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
-                            rng=np.random.default_rng(seed))
+    finals, _ = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
+                               rng=np.random.default_rng(seed))
     assert finals.tolist() == expected
 
 
@@ -106,8 +107,8 @@ def test_batch_pure_jump_moments_and_clock():
     params = LimitParams(0.0, 0.0, offspring_delta(1), xi=xi)
     x0, total_time, n_paths, mass = 0.3, 2.0, 20_000, 1.0
     finals, diag = simulate_batch(params, x0, total_time, dt=0.7,
-                                  n_paths=n_paths, rng=np.random.default_rng(17),
-                                  return_diagnostics=True)
+                                  n_paths=n_paths,
+                                  rng=np.random.default_rng(17))
     assert diag["steps"] == 3
     root_n = math.sqrt(n_paths)
     assert abs(finals.mean() - x0) <= 3 * finals.std(ddof=1) / root_n
@@ -129,8 +130,7 @@ def test_exact_path_follows_closed_form_flow(i):
     params = LimitParams(kappa, 0.0, offspring_delta(i))
     for total_time in (0.7, 2.5):
         finals, diag = simulate_batch(params, x0, total_time, dt=0.01,
-                                      n_paths=5, rng=np.random.default_rng(4),
-                                      return_diagnostics=True)
+                                      n_paths=5, rng=np.random.default_rng(4))
         u0 = x0 ** i
         flow = (1.0 / (1.0 + math.exp(i * kappa * total_time)
                        * (1.0 - u0) / u0)) ** (1.0 / i)
@@ -152,8 +152,8 @@ def test_exact_path_moment_duality(i, total_time, seed):
 def test_exact_path_ignores_dt():
     params = LimitParams(2.0, 0.0, offspring_delta(2), xi=DIRAC_HALF)
     runs = [simulate_batch(params, 0.6, 1.7, dt=dt, n_paths=500,
-                           rng=np.random.default_rng(8),
-                           return_diagnostics=True) for dt in (1e-3, 0.25)]
+                           rng=np.random.default_rng(8))
+            for dt in (1e-3, 0.25)]
     (fine, fine_diag), (coarse, coarse_diag) = runs
     assert fine.tolist() == coarse.tolist()
     assert fine_diag == coarse_diag
@@ -257,7 +257,7 @@ def test_batch_diagnostics_and_clamping():
     rng = np.random.default_rng(21)
     params = LimitParams(0.0, 40.0, offspring_delta(1), xi=DIRAC_HALF)
     finals, diag = simulate_batch(params, 0.5, 1.0, dt=0.01, n_paths=200,
-                                  rng=rng, return_diagnostics=True)
+                                  rng=rng)
     assert set(diag) == {"clamp_count", "jumps_applied", "steps", "jump_rate"}
     assert diag["steps"] == 100
     assert abs(diag["jump_rate"] - 4.0) < 1e-12
@@ -275,7 +275,7 @@ def test_lower_floor_never_fewer_jumps():
     for floor in (0.6, 0.3, 0.1):
         params = LimitParams(**base, jump_floor=floor)
         _, diag = simulate_batch(params, 0.5, 5.0, dt=0.01, n_paths=200,
-                                 rng=rng, return_diagnostics=True)
+                                 rng=rng)
         counts.append(diag["jumps_applied"])
     assert counts[0] < counts[1] < counts[2]
     # rates 3(1 - floor): 1.2, 2.1, 2.7 per unit time

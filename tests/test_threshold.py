@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from cannings import (LambdaDirac, LimitParams, RecurrenceReport,
-                      fixation_probability, kappa_star_dirac, kappa_star_mc,
-                      offspring_delta, recurrence_probe)
+from cannings import (LambdaBeta, LambdaDirac, LimitParams, RecurrenceReport,
+                      fixation_probability, kappa_star, kappa_star_dirac,
+                      kappa_star_mc, offspring_delta, recurrence_probe)
 
 
 def test_closed_form_reference_value():
@@ -41,6 +41,27 @@ def test_closed_form_domain_errors():
         kappa_star_dirac(1.0, 1.0)
     with pytest.raises(ValueError):
         kappa_star_dirac(0.5, 0.0)
+
+
+def test_kappa_star_scales_the_dirac_closed_form_with_mass():
+    params = LimitParams(1.0, 0.0, offspring_delta(2),
+                         xi=LambdaDirac(0.5, 2.0))
+    assert kappa_star(params) == (2.0 * kappa_star_dirac(0.5, 2.0), None)
+
+
+@pytest.mark.parametrize("sigma, y", [(0.5, 0.5), (0.0, 1.0)])
+def test_kappa_star_infinite_with_a_reason(sigma, y):
+    # pairwise mergers, or total mergers, pull the chain back to one
+    # lineage at every selection rate
+    params = LimitParams(1.0, sigma, offspring_delta(1),
+                         xi=LambdaDirac(y, 1.0))
+    value, reason = kappa_star(params)
+    assert value == math.inf and reason.startswith("kappa* = inf")
+
+
+def test_kappa_star_unknown_without_a_closed_form():
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(1.5, 2.0))
+    assert kappa_star(params) == (None, None)
 
 
 def test_mc_matches_closed_form():
@@ -118,7 +139,7 @@ def coalescing_params() -> LimitParams:
 
 
 def test_fixation_escaping_regime_is_certain():
-    probe = RecurrenceReport("escaping", 1.0, 0.0, None, 10, 100.0, 1000)
+    probe = RecurrenceReport("escaping", 1.0, 0.0, None)
     # the weak type is lost surely unless it has already fixed at x = 1
     for x, expect in ((0.0, 1.0), (0.25, 1.0), (1.0, 0.0)):
         est = fixation_probability(x, probe)
@@ -126,7 +147,7 @@ def test_fixation_escaping_regime_is_certain():
 
 
 def test_fixation_inconclusive_probe_raises():
-    probe = RecurrenceReport("inconclusive", 0.4, 2.0, 1.0, 10, 100.0, 1000)
+    probe = RecurrenceReport("inconclusive", 0.4, 2.0, 1.0)
     with pytest.raises(ValueError, match="inconclusive"):
         fixation_probability(0.25, probe)
 
@@ -147,8 +168,7 @@ def test_fixation_recurrent_regime_uses_occupation_pgf():
 
 def test_fixation_recurrent_probe_requires_stationary():
     # a recurrent-looking probe run without burn_in kept no occupation
-    probe = RecurrenceReport("recurrent-looking", 0.0, 50.0, 1.0, 10,
-                             100.0, 1_000)
+    probe = RecurrenceReport("recurrent-looking", 0.0, 50.0, 1.0)
     with pytest.raises(ValueError, match="occupation"):
         fixation_probability(0.5, probe)
 
@@ -193,6 +213,6 @@ def test_fixation_matches_exact_generator_solve():
 
 
 def test_fixation_domain_error():
-    probe = RecurrenceReport("escaping", 1.0, 0.0, None, 10, 100.0, 1000)
+    probe = RecurrenceReport("escaping", 1.0, 0.0, None)
     with pytest.raises(ValueError):
         fixation_probability(1.5, probe)
