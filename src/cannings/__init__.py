@@ -27,7 +27,7 @@ from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
                          simulate, xi_jump_pmf)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
 from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
-                        kappa_star_dirac, kappa_star_mc)
+                        kappa_star_mc)
 from .config import Config, ConfigError, RunSettings
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
     "xi_jump_pmf", "dual_generator_apply_exact",
     "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
     "moment_duality_check",
-    "kappa_star", "kappa_star_mc", "kappa_star_dirac", "fixation_probability",
+    "kappa_star", "kappa_star_mc", "fixation_probability",
     "Config", "ConfigError", "RunSettings",
 ]
 

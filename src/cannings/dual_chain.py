@@ -58,8 +58,8 @@ rounds to 1; n >= 60 at y = 0.5), a call with a finite cap, without
 Its rate row is (0, 0, lam, None), in such a call the only row with a
 zero branch rate: the hold is the gap s to the next candidate, and at
 the candidate (or at the horizon) the births of the hold are drawn at
-once, the state as n + NegBin(n, e^(-selection_rate s)) and, when that
-passes the cap, the escape time given it (``_yule_run``).  With ``log`` or ``burn_in`` the
+once, the state as n + NegBin(n, e^(-selection_rate s)), or cap + 1 once
+that passes the cap (``_yule_run``).  With ``log`` or ``burn_in`` the
 same call runs event by event: the law is the same, the stream is not.
 
 ``run_chains`` builds the jump sampler itself, as its first draw, with
@@ -115,7 +115,6 @@ class DualPath:
     events: list[DualEvent] = field(default_factory=list)
     final: int = 0
     escaped: bool = False
-    escape_time: float | None = None
     returns_to_one: int = 0
 
 
@@ -140,32 +139,23 @@ def _merges_round_to_one(n: int, y: float) -> bool:
 
 
 def _yule_run(n: int, s: float, sel: float, cap: int,
-              rng: np.random.Generator) -> tuple[int, float]:
-    """(state, escape offset) of a Yule process at rate sel per lineage,
-    run from n <= cap for time s and stopped once it passes cap.
+              rng: np.random.Generator) -> int:
+    """The state of a Yule process at rate sel per lineage, run from
+    n <= cap for time s and stopped once it passes cap: cap + 1 then.
 
     The state after time d is n + NegBin(n, e^(-sel d)) (Kendall 1948),
     drawn in pieces with sel d <= ``_PIECE``, since numpy's
     negative_binomial refuses p near 0; the process is Markov, so the
-    split is exact.  Given M > cap lineages at the end of a piece of
-    length d started from m, its M - m birth times are iid with density
-    proportional to e^(sel u) on [0, d], and the one that passes cap is
-    their (cap + 1 - m)-th smallest: its quantile B in the uniform order
-    is Beta(cap + 1 - m, M - cap), at d + log(B + (1 - B) e^(-sel d)) / sel.
-    The state is then cap + 1 and the offset that time; without an
-    escape the offset is nan.
+    split is exact.
     """
     t = 0.0
     while t < s:
         d = min(_PIECE / sel, s - t)
-        p = math.exp(-sel * d)
-        m = n + int(rng.negative_binomial(n, p))
-        if m > cap:
-            b = rng.beta(cap + 1 - n, m - cap)
-            return cap + 1, t + d + math.log(b + (1.0 - b) * p) / sel
-        n = m
+        n += int(rng.negative_binomial(n, math.exp(-sel * d)))
+        if n > cap:
+            return cap + 1
         t += d
-    return n, math.nan
+    return n
 
 
 def _rate_row(n: int, sel: float, pair: float, lam: float,
@@ -246,10 +236,8 @@ def simulate(params: LimitParams, n0: int, total_time: float,
         states = [n0] + [ev.state for ev in events]
         events = [ev for ev, before in zip(events, states)
                   if ev.kind != "xi" or ev.state != before]
-    escaped = bool(runs.escaped[0])
     return DualPath(initial=n0, events=events,
-                    final=int(runs.final[0]), escaped=escaped,
-                    escape_time=float(runs.escape_time[0]) if escaped else None,
+                    final=int(runs.final[0]), escaped=bool(runs.escaped[0]),
                     returns_to_one=int(runs.returns_to_one[0]))
 
 
@@ -259,7 +247,6 @@ class ChainRuns:
 
     final: np.ndarray           # state at the horizon, or just past the cap
     escaped: np.ndarray         # crossed the cap before the horizon
-    escape_time: np.ndarray     # time of the crossing; nan when not escaped
     returns_to_one: np.ndarray  # entries into state 1 from above
     occupation: list[dict[int, float]] | None = None  # holding time per state
     events: list[list[DualEvent]] | None = None
@@ -292,7 +279,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     sel = params.selection_rate
     pair = 0.5 * params.kingman_rate
     law = params.offspring
-    delta_one = law.extra_pmf == (1.0,) and law.extra_inf_mass == 0.0
+    delta_one = law.point_extra == 1
     lam = sampler.rate if sampler is not None else 0.0
     atoms = sampler.atom_points if sampler is not None else None
     one_point = atoms[0] if atoms is not None and len(atoms) == 1 else None
@@ -312,14 +299,14 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     block = _BLOCK
     holds = choices = extras = totals = groups = None
     i_hold = i_choice = i_extra = i_xi = block
-    finals, escaped, escape_times, returns_to_one = [], [], [], []
+    finals, escapes, returns_to_one = [], [], []
     occupations = [] if burn_in is not None else None
     logs = [] if log else None
     for _ in range(replicates):
         n = n0
         t = 0.0
         returns = 0
-        esc_t = math.nan
+        escaped = False
         occ = {} if burn_in is not None else None
         events = [] if log else None
         while True:
@@ -388,9 +375,9 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                     if branch == 0.0 and stretches:
                         # the births of the stretch's hold
                         hold = holds[i_hold - 1] / rate
-                        n, dt = _yule_run(n, hold, sel, cap, rng)
+                        n = _yule_run(n, hold, sel, cap, rng)
                         if n > cap:
-                            esc_t = t - hold + dt
+                            escaped = True
                             break
                     if one_point is None:
                         if i_xi == block:
@@ -416,24 +403,21 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                 returns += 1
             n = n_new
             if cap is not None and n > cap:
-                esc_t = t
+                escaped = True
                 break
         if branch == 0.0 and stretches and n <= cap:
             # the births of a stretch the horizon cut
-            n, dt = _yule_run(n, total_time - t, sel, cap, rng)
-            if n > cap:
-                esc_t = t + dt
+            n = _yule_run(n, total_time - t, sel, cap, rng)
+            escaped = n > cap
         finals.append(n)
-        escaped.append(not math.isnan(esc_t))
-        escape_times.append(esc_t)
+        escapes.append(escaped)
         returns_to_one.append(returns)
         if occ is not None:
             occupations.append(occ)
         if events is not None:
             logs.append(events)
-    return ChainRuns(np.array(finals, dtype=np.int64), np.array(escaped),
-                     np.array(escape_times), np.array(returns_to_one),
-                     occupations, logs)
+    return ChainRuns(np.array(finals, dtype=np.int64), np.array(escapes),
+                     np.array(returns_to_one), occupations, logs)
 
 
 # ---------------------------------------------------------------------------

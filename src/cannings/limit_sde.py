@@ -195,18 +195,13 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
 
 def _exact_flow_rate(params: LimitParams) -> tuple[int, float] | None:
     """(i, i selection_rate pi_i) when the flow between jumps is closed
-    form: kingman_rate = 0, selection_rate > 0 and an ``extra_pmf`` with
-    one non-zero entry pi_i, no geometric parameter, no mass at infinity.
-    Otherwise None."""
+    form: kingman_rate = 0, selection_rate > 0 and an offspring law with
+    a ``point_extra`` i.  Otherwise None."""
     law = params.offspring
-    if (params.kingman_rate != 0.0 or params.selection_rate <= 0.0
-            or law.geometric_param is not None or law.extra_inf_mass > 0.0):
+    i = law.point_extra
+    if params.kingman_rate != 0.0 or params.selection_rate <= 0.0 or i is None:
         return None
-    support = [(i, p) for i, p in enumerate(law.extra_pmf, start=1) if p != 0.0]
-    if len(support) != 1:
-        return None
-    i, p = support[0]
-    return i, i * params.selection_rate * p
+    return i, i * params.selection_rate * law.extra_pmf[i - 1]
 
 
 def _flow(x: np.ndarray, i: int, shift: np.ndarray) -> np.ndarray:
@@ -367,7 +362,6 @@ def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
     # a one-group point normalizes to [1], also when its mass underflows
     # to 0 (Beta draws with a small first parameter do)
     if masses.shape[1] == 1:
-        frac = np.ones_like(masses)
-    else:
-        frac = masses / totals[:, None]
+        return np.ones_like(masses), np.ones(size), totals
+    frac = masses / totals[:, None]
     return frac, (frac * frac).sum(axis=1), totals

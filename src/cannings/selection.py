@@ -80,6 +80,15 @@ class SelectionLaw:
         return float(sum(i * p for i, p in enumerate(self.extra_pmf, start=1)))
 
     @property
+    def point_extra(self) -> int | None:
+        """i when the conditional law is a point mass at i (one non-zero
+        ``extra_pmf`` entry, no mass at infinity), else None."""
+        if self.extra_pmf is None or self.extra_inf_mass > 0.0:
+            return None
+        support = [i for i, p in enumerate(self.extra_pmf, start=1) if p != 0.0]
+        return support[0] if len(support) == 1 else None
+
+    @property
     def inf_mass(self) -> float:
         """Unconditional mass of K = infinity."""
         return self.multi_prob * self.extra_inf_mass

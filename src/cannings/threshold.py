@@ -9,11 +9,11 @@ happens for selection rates below
 
 where m is the total mass of the jump measure, beta is the mean
 extra-parent count of the offspring law, Z is drawn from the normalized
-jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  For a
-single-atom measure m * delta_[y] this integral closes to
--m log(1 - y) / (beta y^2); ``kappa_star_dirac`` gives it at m = 1, and
-``kappa_star(params)`` gives the threshold wherever it is known without
-sampling.
+jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  An atom z
+closes the U-average, E_U[1 / (W (1 - W))] = -2 log(1 - |z|) / |z|^2, so
+``kappa_star(params)`` gives (1 / beta) sum_atoms w (-log(1 - |z|)) /
+sum(z_i^2) for an atomic measure, and infinity where the chain is
+recurrent at every selection rate or the integral diverges.
 
 The integrand blows up like 1/(1 - W) near W = 1, so for measures with
 mass near total size 1 the estimator's variance can be infinite even
@@ -31,7 +31,8 @@ import numpy as np
 from .dual_chain import RecurrenceReport
 from .limit_sde import LimitParams, normalized_draws
 from .mc import McEstimate
-from .simplex import LambdaDirac, XiMeasure, total_mass
+from .simplex import (LambdaBeta, StickBreaking, XiMeasure, as_atoms,
+                      total_mass)
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
@@ -42,38 +43,38 @@ class RegimeUnclear(ValueError):
     its regime undecided."""
 
 
-def kappa_star_dirac(y: float, mean_extra: float) -> float:
-    """Closed form of the threshold for a single-atom measure at [y] of
-    total mass 1; the threshold scales linearly with the mass."""
-    if not (0.0 < y < 1.0):
-        raise ValueError("y must lie in (0, 1)")
-    if mean_extra <= 0.0:
-        raise ValueError("mean_extra must be positive")
-    return -math.log1p(-y) / (mean_extra * y * y)
-
-
 def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
     """(threshold, reason) where the threshold is known without sampling.
 
-    Infinite, with the reason, at kingman_rate > 0 and for a Dirac
-    measure at y = 1; m ``kappa_star_dirac(y, beta)`` for any other Dirac
-    measure of mass m; (None, None) otherwise.
+    Infinite, with the reason, at kingman_rate > 0, for stick-breaking,
+    Beta with a <= 1 and atoms with |z| = 1; else the closed form for an
+    atomic measure, or (None, None).
     """
     if params.kingman_rate > 0.0:
         return math.inf, (
             "kappa* = inf at model.kingman_rate > 0: pairwise mergers bring "
             "the dual chain down from any n, so it is recurrent at every "
             "selection rate; the estimate ignores them")
+    beta = params.offspring.mean_extra
+    if beta <= 0.0 or not math.isfinite(beta):
+        raise ValueError("mean_extra must be positive and finite")
     xi = params.xi
-    if not isinstance(xi, LambdaDirac):
+    if isinstance(xi, StickBreaking):
+        return math.inf, ("kappa* = inf for stick-breaking: its points lie "
+                          "on |z| = 1, where -log(1 - |z|) diverges")
+    if isinstance(xi, LambdaBeta) and xi.a <= 1.0:
+        return math.inf, ("kappa* = inf for lambda_beta at a <= 1: -log(1 - y)"
+                          " / y^2 against y^(a - 1) diverges at y = 0")
+    atoms = as_atoms(xi)
+    if atoms is None:
         return None, None
-    if xi.y == 1.0:
-        return math.inf, (
-            "kappa* = inf at model.xi.y = 1: every xi event merges all "
-            "lineages into one, so the dual chain returns to one lineage at "
-            "every selection rate")
-    return xi.total_mass * kappa_star_dirac(xi.y,
-                                            params.offspring.mean_extra), None
+    value = 0.0
+    for w, z in atoms:
+        if z.total >= 1.0:
+            return math.inf, ("kappa* = inf for an atom with |z| = 1: each of "
+                              "its events leaves one lineage per group")
+        value += w * (-math.log1p(-z.total) / (beta * z.sum_sq))
+    return value, None
 
 
 def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,

@@ -519,6 +519,45 @@ def test_cli_kappa_star_not_applicable_at_total_merger(tmp_path, capsys):
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
 
 
+DIRAC_XI = """model.xi.family = lambda_dirac
+model.xi.y = 0.5
+model.xi.mass = 1.0
+"""
+
+
+@pytest.mark.parametrize("atoms, closed", [
+    ("1.0: 0.5", 4 * math.log(2)),
+    ("1.0: 0.3 0.2 0.1 | 1.0: 0.5", -math.log(0.4) / 0.14 + 4 * math.log(2))],
+    ids=["one-atom", "two-atom"])
+def test_cli_kappa_star_closed_form_for_atoms(tmp_path, capsys, atoms,
+                                              closed):
+    cfg = LIMIT_CFG.replace(DIRAC_XI, "model.xi.family = finite_atomic\n"
+                            f"model.xi.atoms = {atoms}\n")
+    cfg = cfg.replace("run.replicates = 50", "run.replicates = 20000")
+    path = write_cfg(tmp_path, cfg)
+    assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert abs(results["closed_form"] - closed) < 1e-12
+    assert results["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("xi_lines", [
+    "model.xi.family = stick_breaking\n",
+    "model.xi.family = lambda_beta\nmodel.xi.a = 0.5\nmodel.xi.b = 1.5\n"],
+    ids=["stick", "beta"])
+def test_cli_kappa_star_not_applicable_where_the_integral_diverges(
+        tmp_path, capsys, xi_lines):
+    # kappa* = inf: the estimate is kept, with no closed form and no gap
+    path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi_lines))
+    assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["verdict"] == "not-applicable"
+    assert "closed_form" not in results and "gap" not in results
+    assert results["estimate"]["std_error"] > 0.0
+    assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
+
+
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):
     cfg = LIMIT_CFG.replace("model.xi.family = lambda_dirac",
                             "model.xi.family = none")

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SimplexPoint, StickBreaking, dual_generator_apply_exact,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
-                      recurrence_probe, run_chains, simulate, xi_jump_pmf)
+                      offspring_pmf, recurrence_probe, run_chains, simulate,
+                      xi_jump_pmf)
 from cannings.dual_chain import _merges_round_to_one, _rate_row
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -66,7 +69,6 @@ def test_escape_cap():
     path = simulate(params, 2, 1_000.0, rng, cap=50)
     assert path.escaped
     assert path.final > 50
-    assert path.escape_time is not None and 0.0 < path.escape_time < 1_000.0
 
 
 def test_simulate_state_invariants():
@@ -442,7 +444,7 @@ def test_occupation_draws_nothing(params):
         runs = run_chains(params, 3, 5.0, 20, rng, cap=5, burn_in=burn_in)
         outs.append((runs, rng.random()))
     (plain, u), (occ, v) = outs
-    for name in ("final", "escaped", "escape_time", "returns_to_one"):
+    for name in ("final", "escaped", "returns_to_one"):
         np.testing.assert_array_equal(getattr(plain, name), getattr(occ, name))
     assert u == v
     assert plain.occupation is None and occ.escaped.any()
@@ -483,18 +485,6 @@ def test_stick_breaking_chain_stream_pinned():
 YULE_PARAMS = LimitParams(1.0, 0.0, offspring_delta(1), xi=None)
 
 
-def test_yule_stretch_escape_time_is_harmonic():
-    # no xi events: from 2 lineages the chain passes cap 50 after one
-    # Exp(j) holding time at each j = 2..50, and stops at 51
-    reps = 4000
-    runs = run_chains(YULE_PARAMS, 2, 100.0, reps, np.random.default_rng(41),
-                      cap=50)
-    assert runs.escaped.all() and (runs.final == 51).all()
-    expected = sum(1.0 / j for j in range(2, 51))
-    se = runs.escape_time.std(ddof=1) / math.sqrt(reps)
-    assert abs(runs.escape_time.mean() - expected) <= 3.0 * se
-
-
 def test_yule_stretch_state_at_horizon():
     # a Yule process at rate 1 from 3 has mean 3 e^t at time t
     reps = 4000
@@ -519,9 +509,8 @@ def test_yule_stretch_matches_event_path():
     def moments(runs):
         esc = runs.escaped.astype(float)
         finals = runs.final.astype(float)
-        times = runs.escape_time[runs.escaped]
         return [(v.mean(), v.std(ddof=1) / math.sqrt(v.size))
-                for v in (esc, finals, times)]
+                for v in (esc, finals)]
 
     for (a, se_a), (b, se_b) in zip(*map(moments, sides)):
         assert abs(a - b) <= 3.0 * math.hypot(se_a, se_b)
@@ -533,7 +522,39 @@ def test_yule_stretch_long_horizon_draws_in_pieces():
     runs = run_chains(YULE_PARAMS, 2, 2000.0, 5, np.random.default_rng(45),
                       cap=10**6)
     assert runs.escaped.all() and (runs.final == 10**6 + 1).all()
-    assert ((0.0 < runs.escape_time) & (runs.escape_time < 2000.0)).all()
+
+
+def test_point_mass_pmf_runs_as_delta_one():
+    # the pmf (1, 0) is the law delta_1: it takes the same stretches and
+    # draws no offspring counts, so the chains and the stream match
+    outs = []
+    for law in (offspring_pmf((1.0, 0.0)), offspring_delta(1)):
+        rng = np.random.default_rng(5)
+        runs = run_chains(LimitParams(6.0, 0.0, law, xi=DIRAC_HALF), 2, 10.0,
+                          40, rng, cap=1000)
+        outs.append((runs.final, runs.escaped, rng.random()))
+    (final_a, esc_a, u), (final_b, esc_b, v) = outs
+    np.testing.assert_array_equal(final_a, final_b)
+    np.testing.assert_array_equal(esc_a, esc_b)
+    assert esc_a.any() and u == v
+
+
+def test_bench_replay_counts_a_logged_path():
+    # the traced benchmark replays each chain through simulate(...,
+    # record_noops=True) and tallies it with bench/layers.py's
+    # _count_path, which reads these DualPath and DualEvent fields
+    spec = importlib.util.spec_from_file_location(
+        "bench_layers", pathlib.Path(__file__).resolve().parents[1]
+        / "bench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    path = simulate(reference_params(1.0), 3, 20.0, np.random.default_rng(7),
+                    cap=50, record_noops=True)
+    tally = dict.fromkeys(("replicates", "escapes", "returns_to_one")
+                          + layers.EVENT_KINDS, 0)
+    layers._count_path(path, tally)
+    assert tally["replicates"] == 1
+    assert sum(tally[kind] for kind in layers.EVENT_KINDS) == len(path.events)
 
 
 @pytest.mark.parametrize("y", [0.01, 0.3, 0.5, 0.97, 1.0])

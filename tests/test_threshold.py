@@ -5,48 +5,90 @@ import warnings
 import numpy as np
 import pytest
 
-from cannings import (LambdaBeta, LambdaDirac, LimitParams, RecurrenceReport,
-                      fixation_probability, kappa_star, kappa_star_dirac,
-                      kappa_star_mc, offspring_delta, recurrence_probe)
+from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
+                      RecurrenceReport, StickBreaking, fixation_probability,
+                      kappa_star, kappa_star_mc, neutral_family,
+                      offspring_delta, recurrence_probe)
+
+
+def dirac_threshold(y, law, mass=1.0):
+    """kappa_star for mass * delta_[y] at kingman_rate 0."""
+    return kappa_star(LimitParams(1.0, 0.0, law, xi=LambdaDirac(y, mass)))
 
 
 def test_closed_form_reference_value():
     # -log(1 - 1/2) / (1/2)^2 = 4 log 2
-    assert abs(kappa_star_dirac(0.5, 1.0) - 2.772588722239781) < 1e-12
-    assert abs(kappa_star_dirac(0.5, 1.0) - 4 * math.log(2)) < 1e-12
+    value, reason = dirac_threshold(0.5, offspring_delta(1))
+    assert reason is None
+    assert abs(value - 2.772588722239781) < 1e-12
+    assert abs(value - 4 * math.log(2)) < 1e-12
 
 
 def test_closed_form_scaling_in_beta():
     # beta is an outer 1/beta factor
-    assert abs(kappa_star_dirac(0.5, 2.0) - 2 * math.log(2)) < 1e-12
+    assert abs(dirac_threshold(0.5, offspring_delta(2))[0]
+               - 2 * math.log(2)) < 1e-12
     for y in (0.1, 0.7):
-        assert abs(kappa_star_dirac(y, 4.0) * 4 - kappa_star_dirac(y, 1.0)) < 1e-12
+        assert abs(dirac_threshold(y, offspring_delta(4))[0] * 4
+                   - dirac_threshold(y, offspring_delta(1))[0]) < 1e-12
 
 
 def test_closed_form_small_and_large_y():
+    def closed(y):
+        return dirac_threshold(y, offspring_delta(1))[0]
+
     # small atoms: kappa* ~ 1/y (so it decreases as y grows from 0)
     for y in (0.001, 0.01):
-        assert abs(y * kappa_star_dirac(y, 1.0) - 1.0) <= y
+        assert abs(y * closed(y) - 1.0) <= y
     grid = [0.02, 0.05, 0.1, 0.2]
-    vals = [kappa_star_dirac(y, 1.0) for y in grid]
+    vals = [closed(y) for y in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # near-total mergers push the threshold back up to infinity
-    assert kappa_star_dirac(1.0 - 1e-9, 1.0) > kappa_star_dirac(0.9, 1.0)
+    assert closed(1.0 - 1e-9) > closed(0.9)
 
 
 def test_closed_form_domain_errors():
     with pytest.raises(ValueError):
-        kappa_star_dirac(0.0, 1.0)
+        dirac_threshold(0.0, offspring_delta(1))
+    assert dirac_threshold(1.0, offspring_delta(1))[0] == math.inf
     with pytest.raises(ValueError):
-        kappa_star_dirac(1.0, 1.0)
-    with pytest.raises(ValueError):
-        kappa_star_dirac(0.5, 0.0)
+        dirac_threshold(0.5, neutral_family())
 
 
 def test_kappa_star_scales_the_dirac_closed_form_with_mass():
-    params = LimitParams(1.0, 0.0, offspring_delta(2),
-                         xi=LambdaDirac(0.5, 2.0))
-    assert kappa_star(params) == (2.0 * kappa_star_dirac(0.5, 2.0), None)
+    assert dirac_threshold(0.5, offspring_delta(2), 2.0) == (
+        2.0 * dirac_threshold(0.5, offspring_delta(2))[0], None)
+
+
+def test_kappa_star_one_atom_finite_atomic_is_the_dirac():
+    # the same measure m delta_[y], written as one atom of weight m
+    for y, m in ((0.5, 1.0), (0.3, 2.5), (0.97, 0.4)):
+        atomic = LimitParams(1.0, 0.0, offspring_delta(1),
+                             xi=FiniteAtomic(((m, (y,)),)))
+        assert kappa_star(atomic) == dirac_threshold(y, offspring_delta(1), m)
+
+
+def test_kappa_star_atoms_closed_form_matches_mc():
+    # sum over atoms of w (-log(1 - |z|)) / sum(z^2): 6.5452 + 2.7726
+    xi = FiniteAtomic(((1.0, (0.3, 0.2, 0.1)), (1.0, (0.5,))))
+    value, reason = kappa_star(LimitParams(1.0, 0.0, offspring_delta(1),
+                                           xi=xi))
+    assert reason is None
+    assert abs(value - (-math.log(0.4) / 0.14 + 4 * math.log(2))) < 1e-12
+    rng = np.random.default_rng(17)
+    est = kappa_star_mc(xi, 1.0, 10**6, rng)
+    assert abs(est.mean - value) <= 3 * est.std_error
+
+
+@pytest.mark.parametrize("xi", [
+    # an atom of full size: every lineage joins one of its two groups
+    FiniteAtomic(((1.0, (0.4,)), (1.0, (0.6, 0.4)))),
+    StickBreaking(), LambdaBeta(0.5, 1.5), LambdaBeta(1.0, 2.0)],
+    ids=["two-group-full", "stick", "beta-0.5", "beta-1"])
+def test_kappa_star_infinite_where_the_integral_diverges(xi):
+    value, reason = kappa_star(LimitParams(1.0, 0.0, offspring_delta(1),
+                                           xi=xi))
+    assert value == math.inf and reason.startswith("kappa* = inf")
 
 
 @pytest.mark.parametrize("sigma, y", [(0.5, 0.5), (0.0, 1.0)])
