@@ -19,12 +19,11 @@ frequency is Binomial(pop_size, p) / pop_size.
 Backwards in time, a sample of n lineages draws, per lineage, a
 parent-count K from parent_law and K uniform labels (ordinary) or
 group-directed labels (extreme); the new state is the number of distinct
-labels.  ``ancestral_trajectories`` runs one replicate after another
-through one step function, built once per call with all that does not
-depend on n computed up front; each step draws the total parent count,
-the extreme-generation coin, the atom of a multi-atom xi_hat, the cells
-(by a search of the cell CDF, with ``rng.choice``'s arithmetic) and the
-labels.  The sampling probability
+labels.  ``ancestral_trajectories`` takes one step per generation for all
+replicates at once: each kind of draw (parent counts, extreme coins,
+points, cells, labels) is one call for the whole generation, and the
+distinct labels are counted by sorting (replicate, label) keys.  The
+sampling probability
 
     S(x, n) = (1 - g) pgf(x)^n + g E[ pgf(Y(x))^n ]
 
@@ -32,10 +31,11 @@ is in duality between the two chains: E_x[S(X_g, n)] = E_n[S(x, D_g)]
 holds exactly, generation by generation.
 
 ``exact_transition_matrices`` builds both transition kernels in closed
-form.  The ancestral kernel uses an occupancy identity: for a label set
-of size j, the chance that one lineage's picks all land inside it is a
-pgf evaluation, so P(D = d) follows by inclusion-exclusion over subset
-sizes.  This stays exact for unbounded parent-count laws.
+form.  The ancestral kernel runs an occupancy chain over (d, mask): d
+distinct labels so far, and mask the groups of the event whose shared
+label has been drawn.  Its terms are all non-negative, so its rows sum
+to 1 to rounding at any population size, and a parent-count law of
+unbounded support enters through one matrix sum per lineage.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, comb
+from scipy.special import betaln
 
 from .mc import Check, McEstimate, compare
 from .selection import SelectionLaw, pgf, sample_parent_total
@@ -52,7 +52,8 @@ from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
                       bernoulli_patterns, binomial_pmf, jump_map,
                       sample_masses, total_mass)
 
-#: exact kernels refuse larger populations and atom supports
+#: the exact kernels refuse wider atom supports; the CLI runs the duality
+#: check in exact mode only up to MAX_EXACT_POP
 MAX_EXACT_POP = 6
 MAX_EXACT_SUPPORT = 3
 _EXACT_TOL = 1e-10
@@ -105,40 +106,47 @@ def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
     return out
 
 
-def sampling_probability(params: DiscreteParams, x: float, n: int) -> float:
+def sampling_probability(params: DiscreteParams, x, n):
     """S(x, n): probability that n sampled children are all of the weak type.
 
     Sums over the group-adoption patterns of each atom of xi_hat
     (``bernoulli_patterns``, supports of size up to 12), or integrates
-    over the group size for a Beta xi_hat; stick-breaking xi_hat has no
-    exact S.
+    over the group size for a Beta xi_hat, one quadrature per point;
+    stick-breaking xi_hat has no exact S.  x and n broadcast against each
+    other; scalars give a float.
     """
-    if not (0.0 <= x <= 1.0):
+    xs = np.asarray(x, dtype=float)
+    ns = np.asarray(n)
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):
         raise ValueError("x must lie in [0, 1]")
-    if n < 1:
+    if np.any(ns < 1):
         raise ValueError("n must be at least 1")
     g = params.extreme_prob
-    base = pgf(params.parent_law, x) ** n
-    if g == 0.0:
-        return base
-    return (1.0 - g) * base + g * _extreme_sampling_term(params, x, n)
+    out = pgf(params.parent_law, xs) ** ns
+    if g != 0.0:
+        out = (1.0 - g) * out + g * _extreme_sampling_term(params, xs, ns)
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
+def _extreme_sampling_term(params: DiscreteParams, xs: np.ndarray,
+                           ns: np.ndarray) -> np.ndarray:
     measure = params.xi_hat
     law = params.parent_law
     if isinstance(measure, LambdaBeta):
         from scipy import integrate  # the only quadrature; a slow import
 
-        # one group of size y ~ Beta(a, b); it adopts the weak type w.p. x
-        def integrand(y: float) -> float:
-            return (x * pgf(law, y + x * (1.0 - y)) ** n
-                    + (1.0 - x) * pgf(law, x * (1.0 - y)) ** n)
+        def term(x: float, n: int) -> float:
+            # one group of size y ~ Beta(a, b); it adopts the weak type w.p. x
+            def integrand(y: float) -> float:
+                return (x * pgf(law, y + x * (1.0 - y)) ** n
+                        + (1.0 - x) * pgf(law, x * (1.0 - y)) ** n)
 
-        # weight="alg" integrates against y^(a-1) (1-y)^(b-1) exactly
-        val, _ = integrate.quad(integrand, 0.0, 1.0, weight="alg",
-                                wvar=(measure.a - 1.0, measure.b - 1.0))
-        return val * math.exp(-betaln(measure.a, measure.b))
+            # weight="alg" integrates against y^(a-1) (1-y)^(b-1) exactly
+            val, _ = integrate.quad(integrand, 0.0, 1.0, weight="alg",
+                                    wvar=(measure.a - 1.0, measure.b - 1.0))
+            return val * math.exp(-betaln(measure.a, measure.b))
+
+        return np.vectorize(term, otypes=[float])(xs, ns)
     atoms = as_atoms(measure)
     if atoms is None:
         raise ValueError("no exact sampling probability for a "
@@ -146,15 +154,16 @@ def _extreme_sampling_term(params: DiscreteParams, x: float, n: int) -> float:
     tot = sum(w for w, _ in atoms)
     acc = 0.0
     for w, z in atoms:
-        probs, ys = bernoulli_patterns(z, x)
-        acc += (w / tot) * (probs @ pgf(law, ys) ** n)
+        probs, ys = bernoulli_patterns(z, xs)
+        terms = probs * pgf(law, ys) ** ns[..., None]
+        acc = acc + (w / tot) * terms.sum(axis=-1)
     return acc
 
 
 def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
                            replicates: int, rng: np.random.Generator) -> np.ndarray:
-    """Replicate backward paths, one replicate after another; shape
-    (replicates, generations + 1).
+    """Replicate backward paths, one batched step per generation for all
+    replicates; shape (replicates, generations + 1).
 
     In an extreme generation each pick joins ranked group i with
     probability Z_i (all picks of a group share one uniform label) or
@@ -163,76 +172,58 @@ def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
     """
     if not (1 <= n0 <= params.pop_size):
         raise ValueError("n0 must lie in 1..pop_size")
-    step = _ancestral_stepper(params, rng)
     out = np.empty((replicates, generations + 1), dtype=np.int64)
-    for r in range(replicates):
-        n = n0
-        out[r, 0] = n
-        for g in range(1, generations + 1):
-            n = step(n)
-            out[r, g] = n
+    n = np.full(replicates, n0, dtype=np.int64)
+    out[:, 0] = n
+    for g in range(1, generations + 1):
+        n = _ancestral_step(params, n, rng)
+        out[:, g] = n
     return out
 
 
-def _cell_cdf(z) -> np.ndarray:
-    """CDF over the cells of an extreme generation at the point z: the
-    ranked groups, then the solo pool.  The arithmetic is ``rng.choice``'s
-    with these cell probabilities, so searching it with ``rng.random(t)``
-    draws the cells ``rng.choice(len(z) + 1, size=t, p=...)`` would."""
-    probs = np.append(z, max(0.0, 1.0 - sum(z)))
-    cdf = (probs / probs.sum()).cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def _ancestral_step(params: DiscreteParams, n: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """The lineage counts one generation back, for every replicate at once.
 
-
-def _ancestral_stepper(params: DiscreteParams, rng: np.random.Generator):
-    """The ancestral step as a function of n, with all that does not
-    depend on n computed once: the model constants, the bound rng
-    methods and, for an atomic xi_hat, one cell CDF per atom and the CDF
-    over the atoms.  A single atom draws no point; several draw their
-    atom with ``rng.choice``'s arithmetic, as ``sample_masses(xi_hat, 1,
-    rng)`` would, and continuous xi_hat draw their point through it.
-    Distinct labels are counted with a set."""
+    Draws, in this order: every lineage's parent count (one
+    ``sample_parent_total`` call), the extreme-generation coins, each
+    extreme replicate's point (one ``sample_masses`` call), the cell of
+    every pick in an extreme replicate, and one uniform label per slot.
+    A slot is a pick of an ordinary replicate, a solo pick, or a
+    non-empty group of one replicate.  The distinct labels of each
+    replicate are counted by sorting the keys replicate * pop_size + label.
+    """
     pop = params.pop_size
-    law = params.parent_law
-    g = params.extreme_prob
-    xi = params.xi_hat
-    random, integers = rng.random, rng.integers
-    atoms = as_atoms(xi) if g > 0.0 else None
-    cell_cdfs = atom_cdf = None
-    if atoms is not None:
-        # rows padded to the widest atom, as ``sample_masses`` pads them
-        width = max(len(z) for _, z in atoms)
-        cell_cdfs = [_cell_cdf(z.masses + (0.0,) * (width - len(z)))
-                     for _, z in atoms]
-        weights = np.array([w for w, _ in atoms])
-        atom_cdf = (weights / weights.sum()).cumsum()
-        atom_cdf /= atom_cdf[-1]
-
-    def step(n: int) -> int:
-        t = sample_parent_total(law, n, rng)
-        if t < 0:
-            return pop
-        if g > 0.0 and random() < g:
-            if cell_cdfs is None:
-                cdf = _cell_cdf(sample_masses(xi, 1, rng)[0])
-            elif len(cell_cdfs) == 1:
-                cdf = cell_cdfs[0]
-            else:
-                cdf = cell_cdfs[atom_cdf.searchsorted(random(1),
-                                                      side="right")[0]]
-            # cell len(cdf) - 1 is the solo pool, the others the ranked
-            # groups (zero padding adds empty cells, which are never picked)
-            solo = len(cdf) - 1
-            cells = cdf.searchsorted(random(t), side="right").tolist()
-            n_solo = cells.count(solo)
-            n_groups = len(set(cells)) - (n_solo > 0)
-            labels = integers(0, pop, size=n_solo + n_groups)
-        else:
-            labels = integers(0, pop, size=t)
-        return len(set(labels.tolist()))
-
-    return step
+    picks = sample_parent_total(params.parent_law, n, rng)
+    full = picks < 0
+    picks[full] = 0
+    plain = np.arange(n.size)
+    owners = []
+    if params.extreme_prob > 0.0:
+        extreme = rng.random(n.size) < params.extreme_prob
+        ext, plain = np.flatnonzero(extreme), np.flatnonzero(~extreme)
+        masses = sample_masses(params.xi_hat, ext.size, rng)
+        width = masses.shape[1]
+        # cells 0..width-1 are the ranked groups (zero padding makes empty
+        # cells, which no pick lands in), cell width the solo pool
+        solo_mass = np.maximum(0.0, 1.0 - masses.sum(axis=1))
+        cdf = np.column_stack((masses, solo_mass)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        row = np.repeat(np.arange(ext.size), picks[ext])
+        cell = (rng.random(row.size)[:, None] >= cdf[row]).sum(axis=1)
+        solo = cell == width
+        hit = np.zeros((ext.size, width), dtype=bool)
+        hit[row[~solo], cell[~solo]] = True
+        owners += [ext[row[solo]], ext[hit.nonzero()[0]]]
+    owners.append(np.repeat(plain, picks[plain]))
+    owner = np.concatenate(owners)
+    keys = owner * pop + rng.integers(0, pop, size=owner.size)
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    d = np.bincount(keys[first] // pop, minlength=n.size)
+    d[full] = pop
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -246,74 +237,123 @@ def _require_grid_state(params: DiscreteParams, x: float) -> int:
     return int(i)
 
 
-def _occupancy_pmf(pop: int, inside: np.ndarray) -> np.ndarray:
-    """P(D = d), d = 1..pop, from P(all picks inside a j-subset), j = 0..pop,
-    for each row of ``inside``.
+def _pick_matrix(pop: int, z: SimplexPoint) -> np.ndarray:
+    """One pick's transition over the states (d, mask), at index
+    d * 2^m + mask: d distinct labels so far, and mask the groups of z
+    whose shared label has been drawn.
 
-    Inclusion-exclusion over label subsets:
-    P(D = d) = C(pop, d) * sum_j (-1)^(d-j) C(d, j) inside[j].
+    A solo pick (probability 1 - sum(z)) draws a uniform label, new with
+    probability (pop - d) / pop.  A pick in group i (probability z_i)
+    draws the group's label, and sets bit i, only when bit i is unset.
+    So the matrix is kron(draw, adopt) + kron(I, keep), with ``draw`` the
+    label draw on d, ``adopt`` the mask moves that draw a label and
+    ``keep`` the picks into groups already drawn.  Every move raises the
+    index: the matrix is upper triangular.
     """
-    d = np.arange(1, pop + 1)[:, None]
-    j = np.arange(pop + 1)
-    weights = comb(pop, d) * (-1.0) ** (d - j) * comb(d, j)  # 0 for j > d
-    return np.clip(inside @ weights.T, 0.0, 1.0)
+    fresh = np.arange(pop, -1, -1) / pop
+    draw = np.diag(1.0 - fresh) + np.diag(fresh[:-1], 1)
+    width = 2 ** len(z)
+    masks = np.arange(width)
+    adopt = z.residual * np.eye(width)
+    keep = np.zeros(width)
+    for i, zi in enumerate(z.masses):
+        drawn = (masks >> i) & 1 == 1
+        adopt[masks[~drawn], masks[~drawn] + (1 << i)] = zi
+        keep[drawn] += zi
+    size = (pop + 1) * width
+    out = draw[:, None, :, None] * adopt[None, :, None, :]
+    out = out.reshape(size, size)
+    out.flat[::size + 1] += np.tile(keep, pop + 1)  # kron(I, diag(keep))
+    return out
 
 
-def _point_kernels(params: DiscreteParams,
-                   z: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and ancestral kernels of a generation whose event is the
-    point z; the empty point is an ordinary generation.
+def _lineage_matrix(law: SelectionLaw, pick: np.ndarray,
+                    width: int) -> np.ndarray:
+    """One lineage's transition: sum_k P(K = k) pick^k, and K = infinity
+    sending d to pop.  A geometric K - 1 sums in closed form,
+    sum_{k>=2} (1 - s) s^(k-2) pick^k = (1 - s) pick (I - s pick)^-1 pick."""
+    q = law.multi_prob
+    out = (1.0 - q) * pick
+    if q == 0.0:
+        return out
+    eye = np.eye(len(pick))
+    if law.geometric_param is not None:
+        s = law.geometric_param
+        tail = (1.0 - s) * pick @ np.linalg.solve(eye - s * pick, pick)
+    else:
+        # Horner over the conditional pmf of K - 1: sum_i pi_i pick^(i+1)
+        tail = np.zeros_like(pick)
+        for p in law.extra_pmf[::-1]:
+            tail = tail @ pick + p * eye
+        tail = tail @ pick @ pick
+        full = len(pick) - width + np.arange(len(pick)) % width
+        tail[np.arange(len(pick)), full] += law.extra_inf_mass
+    return out + q * tail
 
-    Forward from x = i / pop, each group adopts the weak type with
-    probability x.  Backward, the chance that one lineage's picks all
-    land in a j-subset of labels conditions on which groups drew their
-    shared label inside it, each with probability j / pop: the same
-    patterns at x = j / pop.
-    """
+
+def _ancestral_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
+    """Ancestral kernel of a generation whose event is the point z: row n
+    is the law of D after n lineages pick, each through ``_lineage_matrix``
+    from (0, no group drawn), summed over the masks.  Every term is
+    non-negative, so the rows sum to 1 to rounding at any pop_size."""
     pop = params.pop_size
-    law = params.parent_law
-    counts = np.arange(pop + 1)
-    probs, ys = bernoulli_patterns(z, counts / pop)  # (pop + 1, 2^m)
-    psi = pgf(law, np.minimum(ys, 1.0))
-    forward = np.einsum("ip,ipc->ic", probs,
-                        binomial_pmf(pop, psi)[..., pop, :])
-    # the infinity mass puts a lineage's picks inside the full label set only
-    psi[-1] += law.inf_mass
-    lineages = np.arange(1, pop + 1)[:, None, None]
-    inside = (probs * psi ** lineages).sum(axis=-1)  # (pop, pop + 1)
-    return forward, _occupancy_pmf(pop, inside)
+    width = 2 ** len(z)
+    lineage = _lineage_matrix(params.parent_law, _pick_matrix(pop, z), width)
+    state = np.zeros(len(lineage))
+    state[0] = 1.0
+    out = np.empty((pop, pop))
+    for n in range(pop):
+        state = state @ lineage
+        out[n] = state.reshape(pop + 1, width).sum(axis=1)[1:]
+    return out
+
+
+def _forward_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
+    """Forward kernel of a generation whose event is the point z: from
+    x = i / pop each group adopts the weak type with probability x, and
+    the pop children are Binomial(pop, pgf(Y(x)))."""
+    pop = params.pop_size
+    probs, ys = bernoulli_patterns(z, np.arange(pop + 1) / pop)
+    psi = pgf(params.parent_law, np.minimum(ys, 1.0))
+    return np.einsum("ip,ipc->ic", probs, binomial_pmf(pop, psi)[..., pop, :])
+
+
+def _kernel_atoms(params: DiscreteParams):
+    """The atoms of the extreme generations, () without them, or None
+    when the kernels cannot enumerate them: a non-atomic xi_hat or an
+    atom support above MAX_EXACT_SUPPORT."""
+    if params.extreme_prob == 0.0:
+        return ()
+    atoms = as_atoms(params.xi_hat)
+    if atoms is None or any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
+        return None
+    return atoms
 
 
 def has_exact_kernels(params: DiscreteParams) -> bool:
-    """Whether ``exact_transition_matrices`` builds the model's kernels:
-    pop_size <= MAX_EXACT_POP and, with extreme generations, an atomic
-    xi_hat whose atoms have supports <= MAX_EXACT_SUPPORT."""
-    atoms = as_atoms(params.xi_hat) if params.extreme_prob > 0.0 else ()
-    return (params.pop_size <= MAX_EXACT_POP and atoms is not None
-            and all(len(z) <= MAX_EXACT_SUPPORT for _, z in atoms))
+    """Whether the CLI checks the model's duality in exact mode:
+    ``exact_transition_matrices`` builds its kernels and pop_size <=
+    MAX_EXACT_POP."""
+    return (params.pop_size <= MAX_EXACT_POP
+            and _kernel_atoms(params) is not None)
 
 
 def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
     """Forward kernel on {0, 1/N, ..., 1} and ancestral kernel on {1..N}.
 
-    Exact enumeration, for the models of ``has_exact_kernels``.  The
-    parent-count law may have unbounded support (only its pgf enters).
+    Exact enumeration, for every pop_size, when xi_hat is atomic with
+    atom supports <= MAX_EXACT_SUPPORT (or extreme generations never
+    happen).  The parent-count law may have unbounded support.
     """
-    if not has_exact_kernels(params):
-        raise ValueError(f"exact kernels need pop_size <= {MAX_EXACT_POP} "
-                         "and an atomic xi_hat with atom supports <= "
-                         f"{MAX_EXACT_SUPPORT}")
-    pop = params.pop_size
+    atoms = _kernel_atoms(params)
+    if atoms is None:
+        raise ValueError("exact kernels need an atomic xi_hat with atom "
+                         f"supports <= {MAX_EXACT_SUPPORT}")
     g = params.extreme_prob
-    atoms = as_atoms(params.xi_hat) if g > 0.0 else ()
-    forward = np.zeros((pop + 1, pop + 1))
-    ancestral = np.zeros((pop, pop))
     # an ordinary generation is an event at the empty point
     events = [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]
-    for weight, z in events:
-        fwd, anc = _point_kernels(params, z)
-        forward += weight * fwd
-        ancestral += weight * anc
+    forward = sum(w * _forward_kernel(params, z) for w, z in events)
+    ancestral = sum(w * _ancestral_kernel(params, z) for w, z in events)
     return forward, ancestral
 
 
@@ -336,10 +376,8 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
     ix = _require_grid_state(params, x)
     if mode == "exact":
         forward, ancestral = exact_transition_matrices(params)
-        s_states = np.array([sampling_probability(params, i / pop, n)
-                             for i in range(pop + 1)])
-        s_counts = np.array([sampling_probability(params, x, j)
-                             for j in range(1, pop + 1)])
+        s_states = sampling_probability(params, np.arange(pop + 1) / pop, n)
+        s_counts = sampling_probability(params, x, np.arange(1, pop + 1))
         fwd_dist = np.linalg.matrix_power(forward, g)[ix]
         anc_dist = np.linalg.matrix_power(ancestral, g)[n - 1]
         lhs = float(fwd_dist @ s_states)
@@ -353,11 +391,8 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
         raise ValueError("MC mode needs an rng")
     fwd = forward_trajectories(params, x, g, replicates, rng)[:, -1]
     states, at = np.unique(fwd, return_inverse=True)
-    s_states = np.array([sampling_probability(params, float(v), n)
-                         for v in states])
-    lhs = McEstimate.from_samples(s_states[at])
+    lhs = McEstimate.from_samples(sampling_probability(params, states, n)[at])
     anc = ancestral_trajectories(params, n, g, replicates, rng)[:, -1]
     counts, at = np.unique(anc, return_inverse=True)
-    s_counts = np.array([sampling_probability(params, x, int(j))
-                         for j in counts])
-    return compare(lhs, McEstimate.from_samples(s_counts[at]))
+    rhs = McEstimate.from_samples(sampling_probability(params, x, counts)[at])
+    return compare(lhs, rhs)

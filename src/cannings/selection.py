@@ -274,16 +274,29 @@ def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.n
     return ks
 
 
-def sample_parent_total(law: SelectionLaw, size: int,
-                        rng: np.random.Generator) -> int:
-    """Total K of ``size`` individuals, or -1 when one K is infinite.
+def sample_parent_total(law: SelectionLaw, sizes, rng: np.random.Generator):
+    """Total K of each group of ``sizes`` individuals, or -1 for a group
+    where one K is infinite.  ``sizes`` is an int, which gives an int, or
+    a 1-d array of group sizes.
 
     One uniform per individual decides K > 1 (probability multi_prob);
-    those individuals draw K - 1 with ``sample_extra``.
+    those individuals draw K - 1 with one ``sample_extra`` call.
     """
+    counts = np.atleast_1d(np.asarray(sizes, dtype=np.int64))
+    total = counts.copy()
     if law.multi_prob > 0.0:
-        n_multi = np.count_nonzero(rng.random(size) < law.multi_prob)
-        if n_multi:
-            extra = sample_extra(law, n_multi, rng).tolist()
-            return -1 if -1 in extra else size + sum(extra)
-    return size
+        coins = rng.random(int(counts.sum())) < law.multi_prob
+        multi = _segment_sums(coins, counts)
+        if multi.any():
+            extra = sample_extra(law, int(multi.sum()), rng)
+            total += _segment_sums(extra, multi)
+            total[_segment_sums(extra < 0, multi) > 0] = -1
+    return int(total[0]) if np.ndim(sizes) == 0 else total
+
+
+def _segment_sums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive runs of ``values`` with lengths ``counts``."""
+    acc = np.zeros(values.size + 1, dtype=np.int64)
+    np.cumsum(values, out=acc[1:])
+    ends = counts.cumsum()
+    return acc[ends] - acc[ends - counts]

@@ -274,12 +274,14 @@ DEATH_CFG = ("model.kind = limit\nmodel.selection_rate = 0.0\n"
 # dual_ctmc.csv (LIMIT_CFG is a delta_0.5 chain) re-recorded when one-group
 # atoms got merge-only xi events, which changed the chain's stream;
 # sde_finals.csv (LIMIT_CFG has sigma = 0 and one extra parent) re-recorded
-# when such paths left the Euler scheme for the exact jump-to-jump flow
+# when such paths left the Euler scheme for the exact jump-to-jump flow;
+# ancestry.csv re-recorded when the ancestral chain took one step for all
+# replicates at once, which changed its stream
 CSV_DIGESTS = {
     "forward.csv":
         "4c0a0ebf27b53cb46ef264ca14e85c65aa5b20278105e4d2af386f57baa70f3a",
     "ancestry.csv":
-        "7400fa72007bbd2d9053290659362635660ff1807ab2a72e8f7b4cbd2a886242",
+        "f5edbc47739e79950f62c112bb84a9bcd61632aee82dce33e100b1437956639d",
     "sde_finals.csv":
         "855bf81282f2b1c2c05a8f61b686cc94b168da789316308a96a6ebec0a4d7aeb",
     "dual_ctmc.csv":
@@ -322,12 +324,15 @@ RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
                  + "run.burn_in = 20.0\nrun.x = 0.25\n")
 
 # sha256 of report.json for every verdict command, at small replicate
-# counts: (command, config, replicates) -> digest
+# counts: (command, config, replicates) -> digest; both duality-discrete
+# reports re-recorded with the batched ancestral step (the "big" MC run's
+# stream) and the occupancy-chain kernel (the exact run's rhs moved by
+# one unit in the last place)
 REPORT_DIGESTS = {
     ("duality-discrete", "discrete", "5"):
-        "b7c2bdd6c482077dcf94d2778aefb664825f499b97fa2b844407dfd27ddafa7e",
+        "0864b955b26eadd9049106c00f14a9bbca585db268b48d378674740471ff6e16",
     ("duality-discrete", "big", "200"):
-        "a2dc4c7d78c615032e514b337bed47b77eb07fece23cc2b6c1b42cc09d5389b9",
+        "d2da11169df2980cc6b792f6821d2a5468c6bebd9aaec4fffc9b06099824f1ae",
     ("duality-limit", "limit", "200"):
         "cbcf667d795907644f96e388d88598823d1bd950b91c056470f4f88a8bad5a35",
     ("kappa-star", "limit", "2000"):

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import comb
 from scipy.stats import binom
 
 from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
-                      McEstimate, SelectionLaw, StickBreaking,
-                      ancestral_trajectories, exact_transition_matrices,
-                      explicit_family, forward_trajectories, geometric_family,
+                      McEstimate, SelectionLaw, SimplexPoint, StickBreaking,
+                      ancestral_trajectories, as_atoms, bernoulli_patterns,
+                      exact_transition_matrices, explicit_family,
+                      forward_trajectories, geometric_family,
                       has_exact_kernels, jump_map, neutral_family, pgf,
                       sample_masses, sampling_duality_check,
                       sampling_probability)
@@ -194,16 +196,17 @@ ANCESTRAL_MODELS = {
 
 # sha256 of ancestral_trajectories(params, n0, 10, 200, default_rng(2024))
 # as little-endian int64, then of the next rng.random() as float64: the
-# random stream of the one-replicate-at-a-time loop, recorded on the
-# step that drew through rng.choice and counted labels with np.unique
+# random stream of the step batched over replicates, which draws every
+# lineage's parent count, the extreme coins, the points, the cells and
+# the slot labels of a generation in one call each
 ANCESTRAL_DIGESTS = {
-    "dirac": "8d76860b9bdc3e5ecf8bd6d92713bb98042e26f8339278cb29ee8a281c261703",
-    "explicit": "52d842db17dd47153c18c80433c28c1ae39223a50517fc49e600d1700b74e4c0",
-    "geometric_atomic": "b08ce883c46b09a4461501401a7f5ebf256f8ca6daff213df47af367c8233650",
-    "infinite": "2e43955dfb2748bbcf5557a7b37de47c2f8a921b953fa567219e855365c9290e",
-    "neutral": "4a9175014ccb782d0af3d3af4721744d0c6e8104d01150ab5936a589e23cb8ab",
-    "beta": "a1e91f13f3c7f0868eb2f1a32955b183668225687955f9d9d5f82a6658efc104",
-    "stick": "5a33beddac7e2fcd0d2bdbb09b68cf83dbe8410cca31772c9e8b63208d5a93dc",
+    "dirac": "a80d4fde63950c039e1170b59c65ffd9939ff84ab900f599c3370a9e143fd730",
+    "explicit": "657bc3d8744c5df3ee5f624668dfbec5f02964d895ee335ecc20d62a8d5f9ab5",
+    "geometric_atomic": "dc3d6ea81563946e735d2bcd5c3980adc7d2f8c0dda2d308a8a423345e55cc77",
+    "infinite": "25578ab067ba8277be90b45cb06aa0933d97a120b75c23c5db10d4bac7f73937",
+    "neutral": "e58b4ed2e1a8a18091027b817390540aa009219742c9349b6b6c29037d59903b",
+    "beta": "77c48a92f7ea94bb95ae3a2eb9acf6bd7928d5e38129621ab3da31cf57dd5d99",
+    "stick": "dbdf0d5fb13a9ec84aad7b81eb5da033d4e5e84b984c1c0cacbf1bd7862fb81a",
 }
 
 
@@ -217,18 +220,22 @@ def test_ancestral_stream_pinned(name):
     assert digest.hexdigest() == ANCESTRAL_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(ANCESTRAL_MODELS))
-def test_ancestral_step_is_one_generation(name):
-    # the step function's build draws nothing: 20 one-generation calls
-    # make the draws of one call with 20 replicates
+@pytest.mark.parametrize("name", ["dirac", "explicit", "geometric_atomic",
+                                  "infinite", "neutral"])
+def test_ancestral_law_matches_kernel(name):
+    # the one- and two-generation laws of D from n0 against the exact
+    # kernel's rows, cell by cell within 4 standard errors
     params, n0 = ANCESTRAL_MODELS[name]
-    rng_steps = np.random.default_rng(5)
-    rng_path = np.random.default_rng(5)
-    steps = [ancestral_trajectories(params, n0, 1, 1, rng_steps)[0]
-             for _ in range(20)]
-    path = ancestral_trajectories(params, n0, 1, 20, rng_path)
-    assert np.array_equal(np.array(steps), path)
-    assert rng_steps.random() == rng_path.random()
+    reps = 20_000
+    paths = ancestral_trajectories(params, n0, 2, reps,
+                                   np.random.default_rng(5))
+    _, ancestral = exact_transition_matrices(params)
+    row = ancestral[n0 - 1]
+    for generation, law in ((1, row), (2, row @ ancestral)):
+        freq = np.bincount(paths[:, generation] - 1,
+                           minlength=params.pop_size) / reps
+        se = np.sqrt(law * (1.0 - law) / reps)
+        assert np.all(np.abs(freq - law) <= 4 * se), generation
 
 
 def test_exact_matrices_rows_and_absorption():
@@ -263,21 +270,90 @@ def test_exact_ancestral_extreme_row_oracle():
 
 
 def test_exact_matrices_refuse_large_cases():
-    # has_exact_kernels names exactly the models the kernels refuse
+    # the kernels refuse only a non-atomic xi_hat and atoms wider than
+    # MAX_EXACT_SUPPORT; has_exact_kernels also caps pop_size, as the
+    # CLI's rule for exact mode
     wide = FiniteAtomic(((1.0, (0.2, 0.2, 0.2, 0.2)),))
-    refused = [DiscreteParams(7, 0.0, neutral_family()),
-               DiscreteParams(4, 0.5, neutral_family(), xi_hat=wide),
+    refused = [DiscreteParams(4, 0.5, neutral_family(), xi_hat=wide),
                DiscreteParams(4, 0.5, neutral_family(), LambdaBeta(1.0, 2.0))]
     for params in refused:
         assert not has_exact_kernels(params)
         with pytest.raises(ValueError):
             exact_transition_matrices(params)
+    big = DiscreteParams(7, 0.0, neutral_family())
+    assert not has_exact_kernels(big)
+    exact_transition_matrices(big)
     # no extreme generations: xi_hat never enters
     for params in (DiscreteParams(6, 0.0, neutral_family()),
                    DiscreteParams(6, 0.0, neutral_family(), LambdaBeta(1.0, 2.0)),
                    DiscreteParams(6, 0.5, neutral_family(), DIRAC_HALF)):
         assert has_exact_kernels(params)
         exact_transition_matrices(params)
+
+
+TWO_ATOMS = FiniteAtomic(((0.5, (0.3, 0.2, 0.1)), (0.5, (0.5,))))
+
+# Dirac, two-atom and geometric models for the kernels at larger sizes
+KERNEL_MODELS = {
+    "dirac": lambda pop: DiscreteParams(pop, 0.2, delta1_law(0.2), DIRAC_HALF),
+    "two_atoms": lambda pop: DiscreteParams(
+        pop, 0.3, explicit_family([0.6, 0.3, 0.1]), TWO_ATOMS),
+    "geometric": lambda pop: DiscreteParams(
+        pop, 0.1, geometric_family(0.4), DIRAC_HALF),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_exact_rows_sum_to_one_at_large_sizes(name):
+    for pop in (50, 100):
+        params = KERNEL_MODELS[name](pop)
+        forward, ancestral = exact_transition_matrices(params)
+        assert np.all(ancestral >= 0.0) and np.all(forward >= 0.0)
+        assert np.abs(ancestral.sum(axis=1) - 1.0).max() < 1e-12, pop
+        assert np.abs(forward.sum(axis=1) - 1.0).max() < 1e-12, pop
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
+def test_duality_exact_at_larger_sizes(name):
+    for pop in (10, 20, 50):
+        params = KERNEL_MODELS[name](pop)
+        report = sampling_duality_check(params, round(0.8 * pop) / pop, 5, 4)
+        assert report.gap < 1e-10, (pop, report.gap)
+
+
+def inclusion_exclusion_ancestral(params):
+    """The ancestral kernel by inclusion-exclusion over label subsets:
+    P(D = d) = C(N, d) sum_j (-1)^(d-j) C(d, j) P(all picks inside a
+    j-subset), where a lineage's picks stay inside with the pgf at the
+    j / N-patterns of the event's groups.  Its signed sums cancel, so it
+    is a reference only at small N."""
+    pop, law, g = params.pop_size, params.parent_law, params.extreme_prob
+    atoms = as_atoms(params.xi_hat) if g > 0.0 else ()
+    j = np.arange(pop + 1)
+    d = np.arange(1, pop + 1)[:, None]
+    weights = comb(pop, d) * (-1.0) ** (d - j) * comb(d, j)
+    out = np.zeros((pop, pop))
+    for w, z in [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]:
+        probs, ys = bernoulli_patterns(z, j / pop)
+        psi = pgf(law, np.minimum(ys, 1.0))
+        psi[-1] += law.inf_mass
+        inside = (probs * psi ** d[..., None]).sum(axis=-1)
+        out += w * inside @ weights.T
+    return out
+
+
+def test_exact_ancestral_matches_inclusion_exclusion():
+    laws = [neutral_family(), geometric_family(0.6),
+            explicit_family([0.5, 0.2, 0.0, 0.3]),
+            SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25)]
+    for pop in range(2, 7):
+        for law in laws:
+            for g, xi in ((0.0, None), (0.2, DIRAC_HALF), (1.0, TWO_ATOMS)):
+                params = DiscreteParams(pop, g, law, xi)
+                _, ancestral = exact_transition_matrices(params)
+                reference = inclusion_exclusion_ancestral(params)
+                gap = np.abs(ancestral - reference).max()
+                assert gap < 1e-13, (pop, law, g, gap)
 
 
 def test_duality_zero_generations_is_identity():
