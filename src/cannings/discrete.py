@@ -49,8 +49,8 @@ from scipy.special import betaln
 from .mc import Check, McEstimate, compare
 from .selection import SelectionLaw, pgf, sample_parent_total
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
-                      bernoulli_patterns, binomial_pmf, jump_map,
-                      sample_masses, total_mass)
+                      bernoulli_patterns, binomial_pmf, group_moves,
+                      jump_map, sample_masses, total_mass)
 
 #: the exact kernels refuse wider atom supports; the CLI runs the duality
 #: check in exact mode only up to MAX_EXACT_POP
@@ -242,25 +242,16 @@ def _pick_matrix(pop: int, z: SimplexPoint) -> np.ndarray:
     d * 2^m + mask: d distinct labels so far, and mask the groups of z
     whose shared label has been drawn.
 
-    A solo pick (probability 1 - sum(z)) draws a uniform label, new with
-    probability (pop - d) / pop.  A pick in group i (probability z_i)
-    draws the group's label, and sets bit i, only when bit i is unset.
-    So the matrix is kron(draw, adopt) + kron(I, keep), with ``draw`` the
-    label draw on d, ``adopt`` the mask moves that draw a label and
-    ``keep`` the picks into groups already drawn.  Every move raises the
-    index: the matrix is upper triangular.
+    A pick that draws a label (``adopt`` of ``simplex.group_moves``)
+    draws a uniform one, new with probability (pop - d) / pop; a pick
+    into a group already drawn (``keep``) adds none.  So the matrix is
+    kron(draw, adopt) + kron(I, diag(keep)), with ``draw`` the label draw
+    on d.  Every move raises the index: the matrix is upper triangular.
     """
     fresh = np.arange(pop, -1, -1) / pop
     draw = np.diag(1.0 - fresh) + np.diag(fresh[:-1], 1)
-    width = 2 ** len(z)
-    masks = np.arange(width)
-    adopt = z.residual * np.eye(width)
-    keep = np.zeros(width)
-    for i, zi in enumerate(z.masses):
-        drawn = (masks >> i) & 1 == 1
-        adopt[masks[~drawn], masks[~drawn] + (1 << i)] = zi
-        keep[drawn] += zi
-    size = (pop + 1) * width
+    adopt, keep = group_moves(z)
+    size = (pop + 1) * len(keep)
     out = draw[:, None, :, None] * adopt[None, :, None, :]
     out = out.reshape(size, size)
     out.flat[::size + 1] += np.tile(keep, pop + 1)  # kron(I, diag(keep))
@@ -315,7 +306,7 @@ def _forward_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
     pop = params.pop_size
     probs, ys = bernoulli_patterns(z, np.arange(pop + 1) / pop)
     psi = pgf(params.parent_law, np.minimum(ys, 1.0))
-    return np.einsum("ip,ipc->ic", probs, binomial_pmf(pop, psi)[..., pop, :])
+    return np.einsum("ip,ipc->ic", probs, binomial_pmf(pop, psi))
 
 
 def _kernel_atoms(params: DiscreteParams):

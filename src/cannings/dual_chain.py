@@ -86,7 +86,7 @@ import numpy as np
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import SimplexPoint, as_atoms, binomial_pmf
+from .simplex import SimplexPoint, as_atoms, group_moves
 
 _DEFAULT_CAP = 10_000
 #: the dual chain's cap in ``moment_duality_check``
@@ -193,33 +193,21 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
     """Exact law of the post-event state for one candidate event at state n.
 
     Each lineage joins group i with probability z_i or stays solo, and
-    the new state counts the solo lineages and the occupied groups.  Its
-    exponential generating function (EGF) in the lineages is
-
-        E[x^new] = n! [t^n] e^((1 - |z|) x t) prod_i (1 + x (e^(z_i t) - 1)).
-
-    The product is taken one group at a time on the coefficient array
-    c[k, d] = k! [t^k x^d] / q^k, q the mass of the cells taken so far:
-    the chance that k lineages, each in one of those cells, occupy d of
-    them.  Multiplying in group i moves a Binomial(k, z_i / (q + z_i))
-    share of the k lineages into it, so every weight is a probability
-    and the array stays in [0, 1] at any n.
+    the new state counts the solo lineages and the occupied groups.  The
+    n lineages pick one at a time over state[d, mask], from (0, no group
+    drawn): d labels so far and mask the groups already occupied, with
+    the ``adopt`` and ``keep`` of ``simplex.group_moves``.  Here every
+    drawn label is new, so a pick that draws one moves d to d + 1.
+    Every weight is a probability, so the sweep stays in [0, 1] at any n.
     """
-    ks = np.arange(n + 1)
-    joins = ks[:, None] - ks[None, :]  # lineages the new group takes
-    coef = np.zeros((n + 1, n + 1))
-    # solo lineages each count once; with no solo cell only k = 0 exists
-    coef[ks, ks] = 1.0 if z.residual > 0.0 else (ks == 0)
-    mass = z.residual
-    for m in z.masses:
-        mass += m
-        # take[k, j] = P(Binomial(k, m / mass) = k - j); above the
-        # diagonal, where j > k, the negative index wraps onto a zero
-        take = binomial_pmf(n, m / mass)[ks[:, None], joins]
-        joined = np.tril(take, -1) @ coef[:, :-1]
-        coef *= np.diag(take)[:, None]
-        coef[:, 1:] += joined
-    return {d: float(p) for d, p in enumerate(coef[n]) if p > 0.0}
+    adopt, keep = group_moves(z)
+    state = np.zeros((n + 1, len(keep)))
+    state[0, 0] = 1.0
+    for _ in range(n):
+        moved = state[:-1] @ adopt
+        state *= keep
+        state[1:] += moved
+    return {d: float(p) for d, p in enumerate(state.sum(axis=1)) if p > 0.0}
 
 
 def simulate(params: LimitParams, n0: int, total_time: float,

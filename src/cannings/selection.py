@@ -227,13 +227,7 @@ def branching_drift(law: SelectionLaw, x):
         out = (1.0 - s) * arr * (arr * _geom_sum(s * arr, m) - _geom_sum(s, m))
     else:
         pmf = law.extra_pmf
-        if pmf == (1.0,):
-            # one extra parent surely: x^2 - x, rounded as the general
-            # form rounds x * x * 1.0 - x * 1.0
-            out = arr * arr
-            out -= arr
-        else:
-            out = arr * arr * _horner(pmf, arr) - arr * sum(pmf)
+        out = arr * arr * _horner(pmf, arr) - arr * sum(pmf)
     if np.ndim(x) == 0:
         return float(out)
     return out

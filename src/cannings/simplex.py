@@ -33,8 +33,10 @@ An event at z moves the weak type's frequency x by the one jump map,
 ``bernoulli_patterns`` lists its exact law over the 2^m adoption
 patterns.  ``sample_masses`` is the one point draw, for every family: a
 batch of ranked points as one zero-padded mass matrix.
-``binomial_pmf`` is the one binomial law, for the exact kernels of
-``discrete`` and ``dual_chain``.
+``binomial_pmf`` is the forward kernel's binomial law: Binomial(n, p)
+children of the weak type.  ``group_moves`` is the lineage side of one
+event: the moves of one pick over the masks of groups already drawn,
+shared by the discrete ancestral kernel and the dual chain's xi law.
 """
 
 from __future__ import annotations
@@ -267,24 +269,42 @@ def bernoulli_patterns(z: SimplexPoint, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def binomial_pmf(n: int, p) -> np.ndarray:
-    """P(Binomial(m, p) = k) for m, k = 0..n, as an array of shape
-    np.shape(p) + (n + 1, n + 1): row m holds the law of Binomial(m, p),
-    zero for k > m.
+    """P(Binomial(n, p) = k) for k = 0..n, as an array of shape
+    np.shape(p) + (n + 1,).
 
-    Built by Pascal's recurrence P(m, k) = (1-p) P(m-1, k) + p P(m-1, k-1),
-    whose terms are all positive: the error stays within a few units in
-    the last place of each value even where the log-gamma form loses
-    digits (about 2e-15 absolute at n = 2000).
+    Built by Pascal's recurrence P(m, k) = (1-p) P(m-1, k) + p P(m-1, k-1)
+    on one row, whose terms are all positive: the error stays within a
+    few units in the last place of each value even where the log-gamma
+    form loses digits (about 2e-15 absolute at n = 2000).
     """
     p = np.asarray(p, dtype=float)[..., None]
     q = 1.0 - p
-    out = np.zeros(p.shape[:-1] + (n + 1, n + 1))
-    out[..., 0, 0] = 1.0
+    row = np.zeros(p.shape[:-1] + (n + 1,))
+    row[..., 0] = 1.0
     for m in range(1, n + 1):
-        prev = out[..., m - 1, :m]
-        out[..., m, :m] = q * prev
-        out[..., m, 1:m + 1] += p * prev
-    return out
+        row[..., 1:m + 1] = q * row[..., 1:m + 1] + p * row[..., :m]
+        row[..., :1] *= q
+    return row
+
+
+def group_moves(z: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The moves of one pick at the point z over the masks of groups
+    whose shared label has been drawn, mask bit i for group i.
+
+    ``adopt[mask, new]`` is the chance that the pick draws a label: it
+    stays solo (probability 1 - sum(z), mask unchanged) or joins a group
+    i not yet drawn (probability z_i, bit i set).  ``keep[mask]`` is the
+    chance that it joins a group already drawn, adding no label.
+    """
+    width = 2 ** len(z)
+    masks = np.arange(width)
+    adopt = z.residual * np.eye(width)
+    keep = np.zeros(width)
+    for i, zi in enumerate(z.masses):
+        drawn = (masks >> i) & 1 == 1
+        adopt[masks[~drawn], masks[~drawn] + (1 << i)] = zi
+        keep[drawn] += zi
+    return adopt, keep
 
 
 def _beta_upper_mass(a: float, b: float, floor: float) -> float:

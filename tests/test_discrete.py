@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ def test_exact_rows_sum_to_one_at_large_sizes(name):
         assert np.all(ancestral >= 0.0) and np.all(forward >= 0.0)
         assert np.abs(ancestral.sum(axis=1) - 1.0).max() < 1e-12, pop
         assert np.abs(forward.sum(axis=1) - 1.0).max() < 1e-12, pop
+
+
+def test_exact_kernels_memory_at_pop_100():
+    # one binomial row per (state, pattern) peaks near 31 MB here; a
+    # Pascal triangle per pair would take about 67 MB and fail the bound
+    tracemalloc.start()
+    try:
+        exact_transition_matrices(KERNEL_MODELS["two_atoms"](100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6, peak
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))

@@ -140,19 +140,24 @@ def test_generator_duality_cross_check():
 
 def test_generator_duality_beyond_enumeration_sizes():
     # the lineage-side pmf has no cap on n or on the atom support; it
-    # still matches the forward pattern sum
+    # still matches the forward pattern sum, within 1e-12 relative
     wide = FiniteAtomic(((1.0, (0.1,) * 7),))
-    for xi in (DIRAC_HALF, wide):
+    two_atoms = FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.5,))))
+    cases = [(xi, n, x) for xi in (DIRAC_HALF, wide)
+             for n in (11, 15, 20) for x in (0.25, 0.5, 0.75)]
+    cases += [(xi, n, x)
+              for xi in (FiniteAtomic(((1.0, (0.3, 0.2, 0.1)),)),
+                         FiniteAtomic(((1.0, (0.6, 0.4)),)), two_atoms)
+              for n in (200, 1000) for x in (0.99, 0.999)]
+    for xi, n, x in cases:
         params = LimitParams(1.0, 0.5, offspring_delta(2), xi=xi)
-        for n in (11, 15, 20):
-            for x in (0.25, 0.5, 0.75):
-                a = generator_apply_exact(params, n, x)
-                l = dual_generator_apply_exact(params, x, n)
-                assert abs(a - l) < 1e-10, (xi, n, x)
+        a = generator_apply_exact(params, n, x)
+        l = dual_generator_apply_exact(params, x, n)
+        assert abs(a - l) <= 1e-12 * abs(a), (xi, n, x)
     for z in ((0.5,), (0.3, 0.2, 0.1), (0.1,) * 7):
         pmf = xi_jump_pmf(SimplexPoint(z), 60)
         assert abs(sum(pmf.values()) - 1.0) < 1e-12
-    # the recursion's weights are probabilities: no overflow at large n
+    # the sweep's weights are probabilities: no overflow at large n
     pmf = xi_jump_pmf(SimplexPoint((0.6, 0.3)), 1000)
     assert abs(sum(pmf.values()) - 1.0) < 1e-12
 

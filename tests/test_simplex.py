@@ -106,7 +106,7 @@ def test_normalized_rescales_total_mass():
 # truncated intensities
 
 
-def test_truncate_alpha_dirac_hand_values():
+def test_sampler_at_power_floor_dirac_hand_values():
     # floor = 16^(-1/2) = 0.25; mass = 1 / 0.5^2 = 4
     res = TruncatedSampler(LambdaDirac(0.5), 16 ** -0.499999999)
     assert abs(res.floor - 0.25) < 1e-6
@@ -116,7 +116,7 @@ def test_truncate_alpha_dirac_hand_values():
     assert res0.rate == 0.0
 
 
-def test_truncate_alpha_two_atoms():
+def test_sampler_at_power_floor_two_atoms():
     # floor = (10^4)^(-0.25) = 0.1; mass = 1/0.25 + 1/0.13 = 11.6923...
     measure = FiniteAtomic(((1.0, SimplexPoint.ranked([0.5])),
                             (1.0, SimplexPoint.ranked([0.3, 0.2]))))
@@ -125,7 +125,7 @@ def test_truncate_alpha_two_atoms():
     assert abs(res.rate - (4.0 + 1.0 / 0.13)) < 1e-10
 
 
-def test_truncate_alpha_mass_bound():
+def test_sampler_at_power_floor_rate_bound():
     # at the floor N^-alpha, rate <= total_mass * N^(2 alpha) for every
     # family, since 1/sum(z^2) <= 1/z_1^2 <= N^(2 alpha) on the kept set
     cases = [LambdaDirac(0.5, 2.0), ATOM_PAIR, LambdaBeta(2.5, 1.5, 1.5),
@@ -185,16 +185,12 @@ def test_beta_intensity_closed_form_against_quadrature():
 @pytest.mark.parametrize("n", [0, 1, 6, 60, 1000, 2000])
 def test_binomial_pmf_against_scipy(n):
     for p in (0.0, 1e-3, 0.3, 0.5, 0.97, 1.0):
-        rows = binomial_pmf(n, p)
-        assert rows.shape == (n + 1, n + 1)
-        ref = binom.pmf(np.arange(n + 1), n, p)
-        assert np.abs(rows[n] - ref).max() <= 1e-14, p
-        # row m is the law of Binomial(m, p), zero past k = m
-        m = n // 2
-        ref = binom.pmf(np.arange(m + 1), m, p)
-        assert np.abs(rows[m, :m + 1] - ref).max() <= 1e-14, p
-        assert not rows[m, m + 1:].any()
-    # array p broadcasts ahead of the (m, k) axes
+        for m in (n, n // 2):
+            row = binomial_pmf(m, p)
+            assert row.shape == (m + 1,)
+            ref = binom.pmf(np.arange(m + 1), m, p)
+            assert np.abs(row - ref).max() <= 1e-14, (m, p)
+    # array p broadcasts ahead of the k axis
     ps = np.array([[0.1, 0.7]])
     assert np.array_equal(binomial_pmf(3, ps)[0, 1], binomial_pmf(3, 0.7))
 
