@@ -31,11 +31,12 @@ is in duality between the two chains: E_x[S(X_g, n)] = E_n[S(x, D_g)]
 holds exactly, generation by generation.
 
 ``exact_transition_matrices`` builds both transition kernels in closed
-form.  The ancestral kernel runs an occupancy chain over (d, mask): d
-distinct labels so far, and mask the groups of the event whose shared
-label has been drawn.  Its terms are all non-negative, so its rows sum
-to 1 to rounding at any population size, and a parent-count law of
-unbounded support enters through one matrix sum per lineage.
+form.  Given the event, every pick lands independently, so D after n
+lineages depends on their parent counts only through the total pick
+count T_n: the ancestral kernel weighs the law of T_n
+(``selection.parent_total_pmf``) against the law of the labels drawn
+after t picks, one sweep for every t (``simplex.pick_laws``).  Its terms
+are all non-negative, so its rows sum to 1 to rounding at any size.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ import numpy as np
 from scipy.special import betaln
 
 from .mc import Check, McEstimate, compare
-from .selection import SelectionLaw, pgf, sample_parent_total
+from .selection import (SelectionLaw, parent_total_pmf, pgf,
+                        sample_parent_total)
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
-                      bernoulli_patterns, binomial_pmf, group_moves,
-                      jump_map, sample_masses, total_mass)
+                      bernoulli_patterns, binomial_pmf, jump_map, pick_laws,
+                      sample_masses, total_mass)
 
 #: the exact kernels refuse wider atom supports; the CLI runs the duality
 #: check in exact mode only up to MAX_EXACT_POP
@@ -237,68 +239,6 @@ def _require_grid_state(params: DiscreteParams, x: float) -> int:
     return int(i)
 
 
-def _pick_matrix(pop: int, z: SimplexPoint) -> np.ndarray:
-    """One pick's transition over the states (d, mask), at index
-    d * 2^m + mask: d distinct labels so far, and mask the groups of z
-    whose shared label has been drawn.
-
-    A pick that draws a label (``adopt`` of ``simplex.group_moves``)
-    draws a uniform one, new with probability (pop - d) / pop; a pick
-    into a group already drawn (``keep``) adds none.  So the matrix is
-    kron(draw, adopt) + kron(I, diag(keep)), with ``draw`` the label draw
-    on d.  Every move raises the index: the matrix is upper triangular.
-    """
-    fresh = np.arange(pop, -1, -1) / pop
-    draw = np.diag(1.0 - fresh) + np.diag(fresh[:-1], 1)
-    adopt, keep = group_moves(z)
-    size = (pop + 1) * len(keep)
-    out = draw[:, None, :, None] * adopt[None, :, None, :]
-    out = out.reshape(size, size)
-    out.flat[::size + 1] += np.tile(keep, pop + 1)  # kron(I, diag(keep))
-    return out
-
-
-def _lineage_matrix(law: SelectionLaw, pick: np.ndarray,
-                    width: int) -> np.ndarray:
-    """One lineage's transition: sum_k P(K = k) pick^k, and K = infinity
-    sending d to pop.  A geometric K - 1 sums in closed form,
-    sum_{k>=2} (1 - s) s^(k-2) pick^k = (1 - s) pick (I - s pick)^-1 pick."""
-    q = law.multi_prob
-    out = (1.0 - q) * pick
-    if q == 0.0:
-        return out
-    eye = np.eye(len(pick))
-    if law.geometric_param is not None:
-        s = law.geometric_param
-        tail = (1.0 - s) * pick @ np.linalg.solve(eye - s * pick, pick)
-    else:
-        # Horner over the conditional pmf of K - 1: sum_i pi_i pick^(i+1)
-        tail = np.zeros_like(pick)
-        for p in law.extra_pmf[::-1]:
-            tail = tail @ pick + p * eye
-        tail = tail @ pick @ pick
-        full = len(pick) - width + np.arange(len(pick)) % width
-        tail[np.arange(len(pick)), full] += law.extra_inf_mass
-    return out + q * tail
-
-
-def _ancestral_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
-    """Ancestral kernel of a generation whose event is the point z: row n
-    is the law of D after n lineages pick, each through ``_lineage_matrix``
-    from (0, no group drawn), summed over the masks.  Every term is
-    non-negative, so the rows sum to 1 to rounding at any pop_size."""
-    pop = params.pop_size
-    width = 2 ** len(z)
-    lineage = _lineage_matrix(params.parent_law, _pick_matrix(pop, z), width)
-    state = np.zeros(len(lineage))
-    state[0] = 1.0
-    out = np.empty((pop, pop))
-    for n in range(pop):
-        state = state @ lineage
-        out[n] = state.reshape(pop + 1, width).sum(axis=1)[1:]
-    return out
-
-
 def _forward_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
     """Forward kernel of a generation whose event is the point z: from
     x = i / pop each group adopts the weak type with probability x, and
@@ -344,7 +284,14 @@ def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.nd
     # an ordinary generation is an event at the empty point
     events = [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]
     forward = sum(w * _forward_kernel(params, z) for w, z in events)
-    ancestral = sum(w * _ancestral_kernel(params, z) for w, z in events)
+    pop = params.pop_size
+    totals = parent_total_pmf(params.parent_law, pop)
+    # a drawn label is uniform: new with probability (pop - d) / pop
+    fresh = np.arange(pop, -1, -1) / pop
+    ancestral = totals @ pick_laws(events, totals.shape[1] - 1, fresh)[:, 1:]
+    # the totals leave out an infinite count, which draws every label
+    # (and the tail cut from a geometric count, below 1e-14 a lineage)
+    ancestral[:, -1] += np.maximum(0.0, 1.0 - ancestral.sum(axis=1))
     return forward, ancestral
 
 

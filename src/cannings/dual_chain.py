@@ -86,7 +86,7 @@ import numpy as np
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import SimplexPoint, as_atoms, group_moves
+from .simplex import SimplexPoint, as_atoms, pick_laws
 
 _DEFAULT_CAP = 10_000
 #: the dual chain's cap in ``moment_duality_check``
@@ -193,21 +193,12 @@ def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
     """Exact law of the post-event state for one candidate event at state n.
 
     Each lineage joins group i with probability z_i or stays solo, and
-    the new state counts the solo lineages and the occupied groups.  The
-    n lineages pick one at a time over state[d, mask], from (0, no group
-    drawn): d labels so far and mask the groups already occupied, with
-    the ``adopt`` and ``keep`` of ``simplex.group_moves``.  Here every
-    drawn label is new, so a pick that draws one moves d to d + 1.
-    Every weight is a probability, so the sweep stays in [0, 1] at any n.
+    the new state counts the solo lineages and the occupied groups: the
+    labels drawn after n picks at z (``simplex.pick_laws``), every drawn
+    label new.
     """
-    adopt, keep = group_moves(z)
-    state = np.zeros((n + 1, len(keep)))
-    state[0, 0] = 1.0
-    for _ in range(n):
-        moved = state[:-1] @ adopt
-        state *= keep
-        state[1:] += moved
-    return {d: float(p) for d, p in enumerate(state.sum(axis=1)) if p > 0.0}
+    law = pick_laws([(1.0, z)], n, np.ones(n + 1))[n]
+    return {d: float(p) for d, p in enumerate(law) if p > 0.0}
 
 
 def simulate(params: LimitParams, n0: int, total_time: float,

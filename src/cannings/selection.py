@@ -10,7 +10,7 @@ holds the whole selection mechanism:
 
 Derived objects:
 
-* ``pgf(law, x)``             sum of x^k P(K = k), with x^infinity = 0,
+* ``pgf(law, x)``             sum of x^k P(K = k), x^inf = 0, pgf(1) = 1,
 * ``selection_shape(law, x)`` s(x) = sum_{k>=1} P(K - 1 >= k) x^(k-1),
 * ``branching_drift(law, x)`` sum_i pi_i (x^(i+1) - x), the forward drift
   of the weak type's frequency, which equals -x(1-x) s(x).
@@ -179,7 +179,8 @@ def _geom_sum(r, m: int):
 def pgf(law: SelectionLaw, x):
     """E[x^K] with the convention x^infinity = 0 for x < 1.
 
-    At x = 1 this returns 1 minus the unconditional mass at infinity.
+    At x = 1 this returns exactly 1 for every law, K = infinity and the
+    geometric cut included: when every parent is weak, every child is.
     """
     arr = np.asarray(x, dtype=float)
     out = (1.0 - law.multi_prob) * arr
@@ -191,6 +192,7 @@ def pgf(law: SelectionLaw, x):
         else:
             acc = _horner(law.extra_pmf, arr)
         out = out + law.multi_prob * arr * arr * acc
+    out = np.where(arr == 1.0, 1.0, out)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -266,6 +268,36 @@ def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.n
     if has_inf:
         ks[ks > len(cdf)] = -1
     return ks
+
+
+def parent_total_pmf(law: SelectionLaw, n_max: int) -> np.ndarray:
+    """P(K_1 + ... + K_n = t) at row n - 1, column t, for n = 1..n_max:
+    the law of ``sample_parent_total``'s draw for n individuals, with
+    K = infinity left out, so row n - 1 sums to (1 - inf_mass)^n.
+
+    Rows are convolution powers of K's pmf, a geometric law cut where
+    ``pgf`` cuts it; each row drops its trailing mass below 1e-18.
+    """
+    if law.geometric_param is not None:
+        s = law.geometric_param
+        extra = (1.0 - s) * s ** np.arange(_geom_terms(s))
+    else:
+        extra = np.asarray(law.extra_pmf, dtype=float)
+    k_pmf = np.concatenate(([0.0, 1.0 - law.multi_prob],
+                            law.multi_prob * extra))
+    rows = [_trimmed(k_pmf)]
+    while len(rows) < n_max:
+        rows.append(_trimmed(np.convolve(rows[-1], k_pmf)))
+    out = np.zeros((n_max, max(row.size for row in rows)))
+    for n, row in enumerate(rows):
+        out[n, :row.size] = row
+    return out
+
+
+def _trimmed(pmf: np.ndarray) -> np.ndarray:
+    """pmf without its trailing mass below 1e-18, keeping entry 0."""
+    tail = np.cumsum(pmf[::-1])
+    return pmf[:max(1, pmf.size - np.count_nonzero(tail < 1e-18))]
 
 
 def sample_parent_total(law: SelectionLaw, sizes, rng: np.random.Generator):

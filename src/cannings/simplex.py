@@ -34,9 +34,10 @@ An event at z moves the weak type's frequency x by the one jump map,
 patterns.  ``sample_masses`` is the one point draw, for every family: a
 batch of ranked points as one zero-padded mass matrix.
 ``binomial_pmf`` is the forward kernel's binomial law: Binomial(n, p)
-children of the weak type.  ``group_moves`` is the lineage side of one
-event: the moves of one pick over the masks of groups already drawn,
-shared by the discrete ancestral kernel and the dual chain's xi law.
+children of the weak type.  ``pick_laws`` is the lineage side of the
+events: the law of the number of labels drawn after each pick, from one
+sweep over the masks of groups already drawn.  The discrete ancestral
+kernel and the dual chain's xi law both read it.
 """
 
 from __future__ import annotations
@@ -287,24 +288,46 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     return row
 
 
-def group_moves(z: SimplexPoint) -> tuple[np.ndarray, np.ndarray]:
-    """The moves of one pick at the point z over the masks of groups
-    whose shared label has been drawn, mask bit i for group i.
+def pick_laws(events, picks: int, fresh) -> np.ndarray:
+    """P(d labels drawn after t picks) at [t, d], t = 0..picks and
+    d < len(fresh), for picks at one point drawn from ``events``, a
+    sequence of (weight, SimplexPoint).
 
-    ``adopt[mask, new]`` is the chance that the pick draws a label: it
-    stays solo (probability 1 - sum(z), mask unchanged) or joins a group
-    i not yet drawn (probability z_i, bit i set).  ``keep[mask]`` is the
-    chance that it joins a group already drawn, adding no label.
+    A pick joins group i with probability z_i or stays solo.  A solo
+    pick, or the first into a group, draws a label, new with probability
+    fresh[d] when d labels are drawn; fresh[-1] must be 0 unless
+    len(fresh) > picks.  One sweep over state[d, (event, mask)], mask the
+    groups whose label is drawn: each event's weight starts on its empty
+    mask, the moves (``adopt`` draws a label, ``keep`` joins a drawn
+    group) are block-diagonal over the events, and pick t moves only the
+    rows d <= t.  Every weight is a probability, so the sweep stays in
+    [0, 1] at any size.
     """
-    width = 2 ** len(z)
-    masks = np.arange(width)
-    adopt = z.residual * np.eye(width)
-    keep = np.zeros(width)
-    for i, zi in enumerate(z.masses):
-        drawn = (masks >> i) & 1 == 1
-        adopt[masks[~drawn], masks[~drawn] + (1 << i)] = zi
-        keep[drawn] += zi
-    return adopt, keep
+    size = sum(2 ** len(z) for _, z in events)
+    adopt, keep = np.zeros((size, size)), np.zeros(size)
+    state = np.zeros((len(fresh), size))
+    start = 0
+    for w, z in events:
+        masks = np.arange(2 ** len(z))
+        state[0, start] = w
+        adopt[start + masks, start + masks] = z.residual
+        for i, zi in enumerate(z.masses):
+            drawn = (masks >> i) & 1 == 1
+            adopt[start + masks[~drawn], start + masks[~drawn] + (1 << i)] = zi
+            keep[start + masks[drawn]] += zi
+        start += masks.size
+    fresh = np.asarray(fresh, dtype=float)[:, None]
+    out = np.zeros((picks + 1, len(fresh)))
+    out[0, 0] = state.sum()
+    for t in range(1, picks + 1):
+        live = state[:t + 1]
+        drawn = live @ adopt
+        live *= keep
+        live += (1.0 - fresh[:t + 1]) * drawn
+        drawn *= fresh[:t + 1]
+        live[1:] += drawn[:-1]
+        out[t, :t + 1] = live.sum(axis=1)
+    return out
 
 
 def _beta_upper_mass(a: float, b: float, floor: float) -> float:

@@ -326,11 +326,11 @@ RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
 # sha256 of report.json for every verdict command, at small replicate
 # counts: (command, config, replicates) -> digest; both duality-discrete
 # reports re-recorded with the batched ancestral step (the "big" MC run's
-# stream) and the occupancy-chain kernel (the exact run's rhs moved by
-# one unit in the last place)
+# stream), and the exact run's for the ancestral kernel built from total
+# pick counts (its rhs moved by one unit in the last place)
 REPORT_DIGESTS = {
     ("duality-discrete", "discrete", "5"):
-        "0864b955b26eadd9049106c00f14a9bbca585db268b48d378674740471ff6e16",
+        "8f105097e96874655895f107cb4f099deecf687b8d2c0d62da98571b54dbc6f0",
     ("duality-discrete", "big", "200"):
         "d2da11169df2980cc6b792f6821d2a5468c6bebd9aaec4fffc9b06099824f1ae",
     ("duality-limit", "limit", "200"):

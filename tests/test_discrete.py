@@ -17,6 +17,8 @@ from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
                       sampling_probability)
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
+# K = infinity with probability 0.075
+INFINITE_LAW = SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25)
 
 
 def delta1_law(gamma: float) -> SelectionLaw:
@@ -185,9 +187,8 @@ ANCESTRAL_MODELS = {
     "geometric_atomic": (DiscreteParams(
         20, 0.3, geometric_family(0.3),
         FiniteAtomic(((0.5, (0.3, 0.2, 0.1)), (0.5, (0.5,))))), 8),
-    "infinite": (DiscreteParams(
-        10, 0.3, SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25),
-        LambdaDirac(0.7, 1.0)), 5),
+    "infinite": (DiscreteParams(10, 0.3, INFINITE_LAW,
+                                LambdaDirac(0.7, 1.0)), 5),
     "neutral": (DiscreteParams(30, 0.0, neutral_family()), 20),
     "beta": (DiscreteParams(30, 0.3, geometric_family(0.2),
                             LambdaBeta(1.0, 2.0)), 10),
@@ -314,16 +315,34 @@ def test_exact_rows_sum_to_one_at_large_sizes(name):
         assert np.abs(forward.sum(axis=1) - 1.0).max() < 1e-12, pop
 
 
-def test_exact_kernels_memory_at_pop_100():
-    # one binomial row per (state, pattern) peaks near 31 MB here; a
-    # Pascal triangle per pair would take about 67 MB and fail the bound
+@pytest.mark.parametrize("pop, bound", [(100, 48e6), (200, 100e6)],
+                         ids=["pop_100", "pop_200"])
+def test_exact_kernels_memory(pop, bound):
+    # one binomial row per (state, pattern) and one pick sweep over
+    # (d, mask) peak near 2.2 MB at 100 and 8.2 MB at 200; dense
+    # ((N+1) 2^m)^2 lineage matrices would take 125 MB at 200 and fail
     tracemalloc.start()
     try:
-        exact_transition_matrices(KERNEL_MODELS["two_atoms"](100))
+        exact_transition_matrices(KERNEL_MODELS["two_atoms"](pop))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48e6, peak
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_MODELS) + ["infinite"])
+def test_one_generation_duality_identity(name):
+    # F S = S A^T with S[i, n - 1] = S(i / N, n): the duality holds
+    # exactly for every starting state and sample size at once
+    make = KERNEL_MODELS.get(
+        name, lambda pop: DiscreteParams(pop, 0.3, INFINITE_LAW, TWO_ATOMS))
+    for pop in (6, 50, 100):
+        params = make(pop)
+        forward, ancestral = exact_transition_matrices(params)
+        s = sampling_probability(params, (np.arange(pop + 1) / pop)[:, None],
+                                 np.arange(1, pop + 1))
+        gap = np.abs(forward @ s - s @ ancestral.T).max()
+        assert gap < 1e-13, (pop, gap)
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
@@ -349,7 +368,6 @@ def inclusion_exclusion_ancestral(params):
     for w, z in [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]:
         probs, ys = bernoulli_patterns(z, j / pop)
         psi = pgf(law, np.minimum(ys, 1.0))
-        psi[-1] += law.inf_mass
         inside = (probs * psi ** d[..., None]).sum(axis=-1)
         out += w * inside @ weights.T
     return out
@@ -358,7 +376,7 @@ def inclusion_exclusion_ancestral(params):
 def test_exact_ancestral_matches_inclusion_exclusion():
     laws = [neutral_family(), geometric_family(0.6),
             explicit_family([0.5, 0.2, 0.0, 0.3]),
-            SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25)]
+            INFINITE_LAW]
     for pop in range(2, 7):
         for law in laws:
             for g, xi in ((0.0, None), (0.2, DIRAC_HALF), (1.0, TWO_ATOMS)):

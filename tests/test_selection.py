@@ -7,7 +7,7 @@ from cannings import (SelectionLaw, branching_drift, explicit_family,
                       geometric_family, geometric_offspring, neutral_family,
                       offspring_delta, offspring_pmf, pgf,
                       sample_parent_total, selection_shape)
-from cannings.selection import _geom_terms
+from cannings.selection import _geom_terms, parent_total_pmf
 
 X_GRID = np.arange(0.0, 1.0001, 0.05)
 
@@ -47,9 +47,11 @@ def test_geometric_pgf_matches_closed_form(s):
 
 
 def test_pgf_with_mass_at_infinity():
-    # x^inf = 0 below 1; pgf(1) carries the defect 1 - P(K = inf)
+    # x^inf = 0 below 1, but pgf(1) = 1: all-weak parents make weak
+    # children, however many of them a child samples
     law = SelectionLaw(0.5, extra_pmf=(0.6,), extra_inf_mass=0.4)
-    assert abs(pgf(law, 1.0) - (1.0 - 0.2)) < 1e-15
+    assert pgf(law, 1.0) == 1.0
+    assert np.array_equal(pgf(law, np.array([0.0, 1.0])), [0.0, 1.0])
     # at x < 1 the infinite-pick branch contributes nothing:
     # 0.5 x + 0.5 * 0.6 * x^2
     assert abs(pgf(law, 0.5) - (0.25 + 0.3 * 0.25)) < 1e-15
@@ -155,6 +157,37 @@ def test_sample_parent_total_infinity_sentinel():
     assert sample_parent_total(law, 100, rng) == -1
     # a law without K > 1 draws nothing and returns the count itself
     assert sample_parent_total(neutral_family(), 100, rng) == 100
+
+
+@pytest.mark.parametrize("law", [
+    geometric_family(0.4), explicit_family((0.5, 0.2, 0.0, 0.3)),
+    SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25)])
+def test_parent_total_pmf_matches_draws(law):
+    # the row of n against sample_parent_total's totals of n individuals,
+    # cell by cell within 4 standard errors; -1 (an infinite K) takes
+    # the mass the row leaves out
+    reps, n_max = 20_000, 4
+    table = parent_total_pmf(law, n_max)
+    rng = np.random.default_rng(41)
+    for n in range(1, n_max + 1):
+        totals = sample_parent_total(law, np.full(reps, n), rng)
+        freq = np.bincount(totals[totals >= 0],
+                           minlength=table.shape[1]) / reps
+        assert freq.size == table.shape[1], n
+        cells = np.append(table[n - 1], 1.0 - table[n - 1].sum())
+        freq = np.append(freq, np.mean(totals < 0))
+        se = np.sqrt(cells * (1.0 - cells) / reps)
+        assert np.all(np.abs(freq - cells) <= 4 * se), n
+
+
+def test_parent_total_pmf_rows_sum_to_finite_mass():
+    # an explicit law's rows lose only the infinite mass: (1 - P(K = inf))^n
+    for law in (explicit_family((0.5, 0.2, 0.0, 0.3)), neutral_family(),
+                SelectionLaw(0.3, extra_pmf=(0.5, 0.25), extra_inf_mass=0.25),
+                SelectionLaw(1.0, extra_pmf=(), extra_inf_mass=1.0)):
+        sums = parent_total_pmf(law, 50).sum(axis=1)
+        expected = (1.0 - law.inf_mass) ** np.arange(1, 51)
+        assert np.abs(sums - expected).max() < 1e-12, law
 
 
 def test_explicit_family_round_trip():

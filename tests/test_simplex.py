@@ -11,6 +11,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, bernoulli_patterns,
                       binomial_pmf, jump_map, normalized, sample_masses,
                       total_mass)
+from cannings.simplex import pick_laws
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -300,6 +301,23 @@ def test_stick_cut_mass_against_independent_draw(measure, floor):
 
 # ---------------------------------------------------------------------------
 # the jump map and its exact law
+
+
+def test_pick_laws_mix_events_and_fresh_labels():
+    # an empty point draws a label per pick, a full one-group point one
+    # label in all; with every label new, t picks give 0.5 (d = t) +
+    # 0.5 (d = 1)
+    events = [(0.5, SimplexPoint(())), (0.5, SimplexPoint((1.0,)))]
+    laws = pick_laws(events, 4, np.ones(5))
+    expected = 0.5 * np.eye(5)
+    expected[1:, 1] += 0.5
+    expected[0, 0] = 1.0
+    assert np.array_equal(laws, expected)
+    # two uniform labels (fresh = (2 - d) / 2) under the empty point:
+    # the second pick repeats the first label with probability 1/2
+    laws = pick_laws([(1.0, SimplexPoint(()))], 3, [1.0, 0.5, 0.0])
+    assert np.allclose(laws, [[1, 0, 0], [0, 1, 0], [0, 0.5, 0.5],
+                              [0, 0.25, 0.75]], atol=1e-15)
 
 
 def test_jump_map_matches_bernoulli_patterns():
