@@ -12,20 +12,21 @@ State: the number n >= 1 of ancestral lineages.  Three event types:
   probability z_i or stays solo; every non-empty group collapses to one
   lineage, so n -> n - k + d with k participants in d groups.  Events
   that merge nothing are no-ops (self-thinning of the candidate clock).
-  A one-group atom [y] at rate lam runs no candidate clock: it merges k
-  of n lineages, k ~ Binomial(n, y) given k >= 2, at rate
-  lam * P(Binomial(n, y) >= 2), so no-ops remain only for multi-group
-  and continuous measures.
+  An atomic measure whose atoms have at most ``MAX_EXACT_SUPPORT``
+  groups runs no candidate clock up to n = 64: out of n it moves to
+  each d < n at the rate rates[n, d] of one ``pick_laws`` sweep, so
+  no-ops remain only for continuous measures, for atoms with more
+  groups, and past n = 64 or where the no-op rate rounds away.
 
 Generator on f(n) = x^n, for fixed x in [0, 1]:
 
     L x^n = selection_rate * n * sum_i pi_i (x^(n+i) - x^n)
           + kingman_rate * n (n-1) / 2 * (x^(n-1) - x^n)
-          + sum_atoms w / sum(z^2) * sum_{k, counts}
-                Binom(k; n, |z|) Multinom(counts; k, z/|z|)
-                * (x^(n-k+d(counts)) - x^n),
+          + sum_{d < n} rates[n, d] (x^d - x^n),
 
-which matches the forward generator on monomials: A x^n = L x^n.
+rates[n, d] = sum_atoms w / sum(z^2) P(d labels after n picks at z)
+(``pick_laws``), which matches the forward generator on monomials:
+A x^n = L x^n.
 
 ``run_chains`` is the one Gillespie core.  It runs every replicate of a
 call in one Python loop and takes the per-event draws from buffers
@@ -37,30 +38,33 @@ for laws other than one extra lineage) and xi points
 replicates of one call share the buffers, so a replicate's draws depend
 on the replicates before it.  The rates out of n come from a row
 (branch, branch + pairwise, total) built the first time a call visits n
-(``_rate_row``).  For a one-group atom the row also holds the CDF of k
-given k >= 2, and a merge takes its k from the event choice itself,
-rescaled to [0, 1) over the xi part of the row: no further draw.  Past
-the n where P(Binomial(n, y) >= 2) rounds to 1 the row keeps the
-candidate rate, and k is a binomial draw as for any candidate.  Only the
-binomial participant count (and the multinomial split of a multi-group
-point) of a candidate is drawn per event, as both depend on n; a
-candidate at n = 1 merges nothing and draws nothing.  The law of the
-chain is that of the earlier one-draw-per-call loop, but the random
-streams differ: dual-chain reports made before the block draws, or on a
-one-group atom before its merge-only events, do not reproduce.
+(``_rate_row``).  An atomic measure with at most ``MAX_EXACT_SUPPORT``
+groups an atom sweeps ``pick_laws`` over 64 picks once per call, every
+drawn label new, and row n reads the sweep's row n while its no-op rate
+does not round away against lam: the row also holds the CDF of the
+merged state d = n - 1, ..., 1, and a merge takes its d from the event
+choice itself, rescaled to [0, 1) over the xi part of the row: no
+further draw.  Every other row keeps the candidate rate, and a
+candidate draws its binomial participant count (and the multinomial
+split of a multi-group point), as both depend on n; a candidate at
+n = 1 merges nothing and draws nothing.  The law of the chain is that
+of the earlier one-draw-per-call loop, but the random streams differ:
+dual-chain reports made before the block draws, on a one-group atom
+before its merge-only events, or on other atomic measures before the
+sweep, do not reproduce.
 
 With kingman_rate = 0 and one extra lineage per branching, the chain
 between xi candidates is a Yule process at rate selection_rate per
-lineage.  Where its xi clock is the constant candidate rate lam (at
-every n, or for a one-group atom from the n where P(Binomial(n, y) >= 2)
-rounds to 1; n >= 60 at y = 0.5), a call with a finite cap, without
-``log`` and ``burn_in``, skips each such pure-birth stretch in one step.
-Its rate row is (0, 0, lam, None), in such a call the only row with a
-zero branch rate: the hold is the gap s to the next candidate, and at
-the candidate (or at the horizon) the births of the hold are drawn at
-once, the state as n + NegBin(n, e^(-selection_rate s)), or cap + 1 once
-that passes the cap (``_yule_run``).  With ``log`` or ``burn_in`` the
-same call runs event by event: the law is the same, the stream is not.
+lineage.  Where its xi clock is the constant candidate rate lam (on
+every candidate row; n >= 60 at y = 0.5), a call with a finite cap,
+without ``log`` and ``burn_in``, skips each such pure-birth stretch in
+one step.  Its rate row is (0, 0, lam, None), in such a call the only
+row with a zero branch rate: the hold is the gap s to the next
+candidate, and at the candidate (or at the horizon) the births of the
+hold are drawn at once, the state as n + NegBin(n, e^(-selection_rate
+s)), or cap + 1 once that passes the cap (``_yule_run``).  With ``log``
+or ``burn_in`` the same call runs event by event: the law is the same,
+the stream is not.
 
 ``run_chains`` builds the jump sampler itself, as its first draw, with
 ``jump_sampler(params, rng=rng)``, and shares it across replicates.  For
@@ -83,6 +87,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .discrete import MAX_EXACT_SUPPORT
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
@@ -95,6 +100,8 @@ _DUALITY_CAP = 1_000_000
 _BLOCK = 1024
 #: longest piece of a pure-birth stretch, as selection_rate * time
 _PIECE = 10.0
+#: states whose xi rates an atomic measure's sweep covers in ``run_chains``
+_SWEPT = 64
 #: rate rows ``run_chains`` keeps per call (about 160 bytes each); a state
 #: above is rebuilt at every visit
 _MAX_ROWS = 1 << 16
@@ -105,8 +112,6 @@ class DualEvent:
     time: float
     kind: str  # "branch" | "kingman" | "xi"
     state: int
-    offspring: int | None = None
-    point: tuple[float, ...] | None = None
 
 
 @dataclass
@@ -131,13 +136,6 @@ def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
     return k, int(np.count_nonzero(counts))
 
 
-def _merges_round_to_one(n: int, y: float) -> bool:
-    """Whether P(Binomial(n, y) >= 2), for n >= 2, rounds to 1: from
-    that n on a one-group row keeps the candidate rate."""
-    q = 1.0 - y
-    return 1.0 - q ** (n - 1) * (q + n * y) == 1.0
-
-
 def _yule_run(n: int, s: float, sel: float, cap: int,
               rng: np.random.Generator) -> int:
     """The state of a Yule process at rate sel per lineage, run from
@@ -159,34 +157,30 @@ def _yule_run(n: int, s: float, sel: float, cap: int,
 
 
 def _rate_row(n: int, sel: float, pair: float, lam: float,
-              y: float | None) -> tuple:
+              rates: np.ndarray | None, stretch: bool) -> tuple:
     """(branch, branch + pairwise, total, cdf) out of state n.
 
-    For a one-group atom [y] (``y`` not None) the xi part of ``total`` is
-    0 at n = 1; below the n where P(Binomial(n, y) >= 2) rounds to 1 it
-    is the merge rate lam * P(Binomial(n, y) >= 2), summed from the pmf
-    terms with k >= 2 (1 - q^n - n y q^(n-1) cancels at small y), and
-    ``cdf`` lists P(k <= j | k >= 2) for j = 2..n, its last entry +inf.
-    From that n on, and for every other measure, the xi part is the
-    candidate rate lam and ``cdf`` is None.
+    A swept row (``rates`` not None, n within it, and its no-op rate
+    rates[n, n] not rounding away against lam) is merge-only: the xi
+    part of ``total`` is the rate of the moves to d < n, 0 at n = 1, and
+    ``cdf`` lists their cumulative shares for d = n - 1 down to 1, its
+    last entry +inf.  Any other row is a candidate row: the xi part is
+    the candidate rate lam and ``cdf`` is None, and with ``stretch`` the
+    row is the pure-birth stretch row (0, 0, lam, None).
     """
     branch = sel * n
     paired = branch + pair * n * (n - 1)
-    if y is not None:
-        if n < 2:  # one lineage merges nothing
-            return branch, paired, paired, None
-        if not _merges_round_to_one(n, y):
-            q = 1.0 - y
-            # the merge chance as a sum of positive terms:
-            # pmf_k = q^n C(n, k) (y/q)^k for k = 1..n; q > 0 and q^n
-            # does not underflow while P(k < 2) is that large
-            ks = np.arange(1, n + 1)
-            pmf = q ** n * np.cumprod((n - ks + 1) / ks * (y / q))
-            merges = float(pmf[1:].sum())
-            cdf = (np.cumsum(pmf[1:]) / merges).tolist()
-            cdf[-1] = math.inf
-            return branch, paired, paired + lam * merges, cdf
-    return branch, paired, paired + lam, None
+    if rates is None or n >= len(rates) or 1.0 - rates[n, n] / lam == 1.0:
+        if stretch:
+            return 0.0, 0.0, lam, None
+        return branch, paired, paired + lam, None
+    if n == 1:  # one lineage merges nothing
+        return branch, paired, paired, None
+    moves = rates[n, n - 1:0:-1]
+    merges = float(moves.sum())
+    cdf = (np.cumsum(moves) / merges).tolist()
+    cdf[-1] = math.inf
+    return branch, paired, paired + merges, cdf
 
 
 def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
@@ -208,7 +202,8 @@ def simulate(params: LimitParams, n0: int, total_time: float,
 
     The log keeps it on the event path, so it runs no pure-birth stretch
     and draws what ``run_chains`` with ``log=True`` draws.  xi candidates
-    that merge nothing stay in the log only with ``record_noops``."""
+    that merge nothing stay in the log only with ``record_noops``; swept
+    rows of an atomic measure have none (``run_chains``)."""
     runs = run_chains(params, n0, total_time, 1, rng, cap=cap, log=True)
     events = runs.events[0]
     if not record_noops:
@@ -242,8 +237,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     times, event choices, offspring counts and xi points.  A ``burn_in``
     adds each replicate's holding time per state past it (its
     occupation); ``log`` adds its event list, every xi candidate
-    included (a one-group atom has candidates that merge nothing at n = 1
-    and past the n where P(Binomial(n, y) >= 2) rounds to 1, each there
+    included.  Candidates that merge nothing come from candidate rows
+    alone: for continuous measures, for atoms with more than
+    ``MAX_EXACT_SUPPORT`` groups, and for atomic measures past n = 64 or
+    past the n where the no-op rate rounds away against lam (each there
     with probability below 2^-53).  A chain stops at total_time or once
     n > cap.  Without ``log`` and ``burn_in``, and with a finite cap, a
     chain at kingman_rate 0 with one extra lineage per branching draws
@@ -260,15 +257,16 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     law = params.offspring
     delta_one = law.point_extra == 1
     lam = sampler.rate if sampler is not None else 0.0
-    atoms = sampler.atom_points if sampler is not None else None
-    one_point = atoms[0] if atoms is not None and len(atoms) == 1 else None
-    one_y = None
-    if one_point is not None:
-        # a single atom needs no xi draws
-        z_total = one_point.total
-        z_groups = one_point.masses if len(one_point) > 1 else None
-        if z_groups is None:
-            one_y = z_total
+    atoms = sampler.atoms if sampler is not None else None
+    rates = one_point = None
+    if atoms is not None:
+        if max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
+            rates = pick_laws(atoms, _SWEPT, np.ones(_SWEPT + 1))
+        if len(atoms) == 1:
+            # a single atom needs no xi draws
+            one_point = atoms[0][1]
+            z_total = one_point.total
+            z_groups = one_point.masses if len(one_point) > 1 else None
     rows = []  # the row out of n at index n, None until n is visited
     # pure-birth stretches (module docstring); a chain stays at or below
     # the cap once it starts there
@@ -292,14 +290,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             try:
                 branch, paired, rate, cdf = rows[n]
             except (IndexError, TypeError):  # past the end, or a None slot
-                if stretches and (one_y is None or (
-                        n > 1 and _merges_round_to_one(n, one_y))):
-                    # a stretch: the hold runs to the next candidate, and
-                    # its births are drawn there or, past the horizon,
-                    # after the loop
-                    row = (0.0, 0.0, lam, None)
-                else:
-                    row = _rate_row(n, sel, pair, lam, one_y)
+                # on a stretch row the hold runs to the next candidate,
+                # and its births are drawn there or, past the horizon,
+                # after the loop
+                row = _rate_row(n, sel, pair, lam, rates, stretches)
                 if n < _MAX_ROWS:
                     if n >= len(rows):
                         rows.extend([None] * (n + 1 - len(rows)))
@@ -340,16 +334,16 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                                          "cannot branch")
                 n_new = n + extra
                 if events is not None:
-                    events.append(DualEvent(t, "branch", n_new, offspring=extra))
+                    events.append(DualEvent(t, "branch", n_new))
             elif u < paired:
                 n_new = n - 1
                 if events is not None:
                     events.append(DualEvent(t, "kingman", n_new))
             else:
                 if cdf is not None:
-                    # a one-group merge: u is uniform on [paired, rate)
-                    k = 2 + bisect_right(cdf, (u - paired) / (rate - paired))
-                    n_new = n - k + 1
+                    # a swept merge: u is uniform on [paired, rate)
+                    n_new = n - 1 - bisect_right(
+                        cdf, (u - paired) / (rate - paired))
                 else:
                     if branch == 0.0 and stretches:
                         # the births of the stretch's hold
@@ -375,9 +369,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                         # one lineage: a candidate can merge nothing
                         n_new = n
                 if events is not None:
-                    point = (tuple(m for m in z_groups if m > 0.0)
-                             if z_groups is not None else (z_total,))
-                    events.append(DualEvent(t, "xi", n_new, point=point))
+                    events.append(DualEvent(t, "xi", n_new))
             if n_new == 1 and n > 1:
                 returns += 1
             n = n_new
@@ -406,9 +398,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
 def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
     """L x^n in closed form; needs an atomic measure.
 
-    The xi term weighs each atom's ``xi_jump_pmf``, which is computed on
-    the lineage side, independently of the forward ``bernoulli_patterns``
-    the forward generator uses.
+    The xi term reads row n of the sweep the chain's rows come from
+    (``pick_laws`` over n picks), which is computed on the lineage side,
+    independently of the forward ``bernoulli_patterns`` the forward
+    generator uses.
     """
     if not (0.0 <= x <= 1.0):
         raise ValueError("x must lie in [0, 1]")
@@ -428,11 +421,9 @@ def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
         atoms = as_atoms(params.xi)
         if atoms is None:
             raise ValueError("exact generator needs an atomic measure")
-        for w, z in atoms:
-            scale = w / z.sum_sq
-            for new, p in xi_jump_pmf(z, n).items():
-                if new != n:
-                    xi_term += scale * p * (x ** new - xn)
+        rates = pick_laws([(w / z.sum_sq, z) for w, z in atoms], n,
+                          np.ones(n + 1))
+        xi_term = float(rates[n, :n] @ (x ** np.arange(n) - xn))
     return branch + king + xi_term
 
 

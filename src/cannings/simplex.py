@@ -317,14 +317,16 @@ def pick_laws(events, picks: int, fresh) -> np.ndarray:
             keep[start + masks[drawn]] += zi
         start += masks.size
     fresh = np.asarray(fresh, dtype=float)[:, None]
+    repeats = bool(np.any(fresh != 1.0))  # else every drawn label is new
     out = np.zeros((picks + 1, len(fresh)))
     out[0, 0] = state.sum()
     for t in range(1, picks + 1):
         live = state[:t + 1]
         drawn = live @ adopt
         live *= keep
-        live += (1.0 - fresh[:t + 1]) * drawn
-        drawn *= fresh[:t + 1]
+        if repeats:
+            live += (1.0 - fresh[:t + 1]) * drawn
+            drawn *= fresh[:t + 1]
         live[1:] += drawn[:-1]
         out[t, :t + 1] = live.sum(axis=1)
     return out
@@ -377,7 +379,9 @@ class TruncatedSampler:
     drawn from ``rng``, with its standard error in ``std_error`` (0 for
     the other families).  ``cut_mass`` is the measure of the cut set
     {z_1 < floor}: the cut atoms' weights, ``betainc`` for Beta, and for
-    stick-breaking the share of pool points below the floor.
+    stick-breaking the share of pool points below the floor.  ``atoms``
+    holds an atomic measure's kept atoms as (w / sum(z^2), z), None for
+    other families or when the floor cuts every atom.
     ``draw_masses`` draws from the normalized law:
     atoms with ``rng.choice``'s arithmetic, Beta exactly (see
     ``_draw_beta``), stick-breaking by resampling the pool with its
@@ -392,16 +396,17 @@ class TruncatedSampler:
         self.measure = measure
         self.floor = float(floor)
         self.std_error = 0.0
-        self._atoms = self._atom_matrix = self._beta = self._pool = None
+        self.atoms = self._atom_draw = self._beta = self._pool = None
         atoms = as_atoms(measure)
         if atoms is not None:
-            kept = [(w / z.sum_sq, z) for w, z in atoms if z.masses[0] >= floor]
+            kept = tuple((w / z.sum_sq, z) for w, z in atoms
+                         if z.masses[0] >= floor)
             self.rate = sum(w for w, _ in kept)
             self.cut_mass = float(sum(w for w, z in atoms if z.masses[0] < floor))
             if kept:
-                probs = np.array([w for w, _ in kept]) / self.rate
-                self._atoms = ([z for _, z in kept], probs)
-                self._atom_matrix = _padded([z.masses for _, z in kept])
+                self.atoms = kept
+                self._atom_draw = (_padded([z.masses for _, z in kept]),
+                                   np.array([w for w, _ in kept]) / self.rate)
             return
         if floor == 0.0 and not (isinstance(measure, LambdaBeta)
                                  and measure.a > 2.0):
@@ -430,8 +435,8 @@ class TruncatedSampler:
     def draw_masses(self, size: int, rng: np.random.Generator) -> np.ndarray:
         """``size`` points as a zero-padded (size, width) mass matrix: width
         is the largest atom support, 1 for Beta, the widest pool point drawn."""
-        if self._atoms is not None:
-            return _atom_rows(self._atom_matrix, self._atoms[1], size, rng)
+        if self._atom_draw is not None:
+            return _atom_rows(*self._atom_draw, size, rng)
         if self._beta is not None:
             return self._draw_beta(size, rng)[:, None]
         if self._pool is not None:
@@ -471,10 +476,6 @@ class TruncatedSampler:
             need -= kept[-1].size
         # the power form can round one unit in the last place below f
         return np.maximum(np.concatenate(kept), f)
-
-    @property
-    def atom_points(self) -> list[SimplexPoint] | None:
-        return self._atoms[0] if self._atoms is not None else None
 
 
 def _atom_rows(matrix: np.ndarray, probs: np.ndarray, size: int,

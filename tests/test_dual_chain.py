@@ -8,14 +8,18 @@ import pytest
 from scipy.stats import chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
-                      SimplexPoint, StickBreaking, dual_generator_apply_exact,
+                      SimplexPoint, StickBreaking, as_atoms,
+                      dual_generator_apply_exact,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
                       offspring_pmf, recurrence_probe, run_chains, simulate,
                       xi_jump_pmf)
-from cannings.dual_chain import _merges_round_to_one, _rate_row
+from cannings.dual_chain import _SWEPT, _rate_row
+from cannings.simplex import pick_laws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
+TWO_ATOMS = FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.5,))))
+THREE_GROUPS = FiniteAtomic(((1.0, (0.3, 0.2, 0.1)),))
 
 
 def reference_params(kappa: float, sigma: float = 0.0) -> LimitParams:
@@ -80,8 +84,8 @@ def test_simulate_state_invariants():
         assert ev.state >= 1
         if ev.kind == "kingman":
             assert ev.state == state - 1
-        elif ev.kind == "branch":
-            assert ev.state == state + ev.offspring
+        elif ev.kind == "branch":  # one extra lineage per branching
+            assert ev.state == state + 1
         else:
             assert ev.kind == "xi" and ev.state <= state
         state = ev.state
@@ -126,8 +130,7 @@ def test_generator_vanishes_on_constants():
 def test_generator_duality_cross_check():
     # the two generators applied to x^n agree: forward A on f(x) = x^n,
     # backward L on n -> x^n, same value
-    measures = [DIRAC_HALF, FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.5,))))]
-    for xi in measures:
+    for xi in (DIRAC_HALF, TWO_ATOMS):
         for law in (offspring_delta(1), offspring_delta(2)):
             for sigma in (0.0, 1.0):
                 params = LimitParams(1.0, sigma, law, xi=xi)
@@ -142,12 +145,11 @@ def test_generator_duality_beyond_enumeration_sizes():
     # the lineage-side pmf has no cap on n or on the atom support; it
     # still matches the forward pattern sum, within 1e-12 relative
     wide = FiniteAtomic(((1.0, (0.1,) * 7),))
-    two_atoms = FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.5,))))
     cases = [(xi, n, x) for xi in (DIRAC_HALF, wide)
              for n in (11, 15, 20) for x in (0.25, 0.5, 0.75)]
     cases += [(xi, n, x)
-              for xi in (FiniteAtomic(((1.0, (0.3, 0.2, 0.1)),)),
-                         FiniteAtomic(((1.0, (0.6, 0.4)),)), two_atoms)
+              for xi in (THREE_GROUPS, FiniteAtomic(((1.0, (0.6, 0.4)),)),
+                         TWO_ATOMS)
               for n in (200, 1000) for x in (0.99, 0.999)]
     for xi, n, x in cases:
         params = LimitParams(1.0, 0.5, offspring_delta(2), xi=xi)
@@ -318,10 +320,12 @@ def test_first_event_law_beta_geometric_kingman():
 
 
 def test_xi_post_state_law_two_atoms():
-    # pure xi chain out of state 3 under two atoms: the post-state of the
-    # first candidate (no-ops logged) follows the rate-weighted mixture of
-    # xi_jump_pmf over the atoms (chi-square, 1% level)
-    atoms = ((0.6, (0.3, 0.2)), (0.4, (0.6,)))
+    # pure xi chain out of state 3 under two atoms, one of them wider
+    # than the sweep takes, so the candidate clock draws the points and
+    # splits the participants: the post-state of the first candidate
+    # (no-ops logged) follows the rate-weighted mixture of xi_jump_pmf
+    # over the atoms (chi-square, 1% level)
+    atoms = ((0.6, (0.3, 0.2, 0.1, 0.1)), (0.4, (0.6,)))
     params = LimitParams(0.0, 0.0, offspring_delta(1),
                          xi=FiniteAtomic(atoms))
     n, reps = 3, 10_000
@@ -337,48 +341,76 @@ def test_xi_post_state_law_two_atoms():
     f_obs = np.array([(news == s).sum() for s in range(1, n + 1)])
     assert f_obs.sum() == reps
     assert chisquare(f_obs, reps * pmf).pvalue > 0.01
-    # each logged point is one of the two atoms
-    assert {e.point for e in firsts} == {z for _, z in atoms}
 
 
-@pytest.mark.parametrize("y", [1e-6, 0.01, 0.3, 0.5, 0.97])
-def test_one_group_rate_row_against_xi_jump_pmf(y):
-    # the row's xi rate is lam P(Bin(n, y) >= 2) to a few ulps, also at
-    # small y, where 1 - q^n - n y q^(n-1) cancels; its CDF is the law
-    # of k given k >= 2 (k of n lineages merge into n - k + 1); where
-    # P(Bin(n, y) < 2) vanishes against 1 the row keeps the candidate rate
-    lam, sel, pair = 3.0, 0.5, 0.25
-    assert _rate_row(1, sel, pair, lam, y) == (sel, sel, sel, None)
+def swept(xi):
+    """(lam, rates) of an atomic measure, as ``run_chains`` sweeps them."""
+    sampler = jump_sampler(LimitParams(1.0, 0.0, offspring_delta(1), xi=xi))
+    rates = pick_laws(sampler.atoms, _SWEPT, np.ones(_SWEPT + 1))
+    return sampler.rate, rates
+
+
+def xi_moves(xi, n):
+    """The rate of the xi moves from n to each d = 0..n: the atoms'
+    xi_jump_pmf weighted w / sum(z^2)."""
+    moves = np.zeros(n + 1)
+    for w, z in as_atoms(xi):
+        for d, p in xi_jump_pmf(z, n).items():
+            moves[d] += w / z.sum_sq * p
+    return moves
+
+
+ROW_MEASURES = ([pytest.param(LambdaDirac(y), id=str(y))
+                 for y in (1e-6, 0.01, 0.3, 0.5, 0.97)]
+                + [pytest.param(TWO_ATOMS, id="two_atoms"),
+                   pytest.param(THREE_GROUPS, id="three_groups")])
+
+
+@pytest.mark.parametrize("xi", ROW_MEASURES)
+def test_one_group_rate_row_against_xi_jump_pmf(xi):
+    # the row's xi rate is the rate of the moves to d < n to a few ulps,
+    # also at small y, where 1 - q^n - n y q^(n-1) cancels; its CDF is
+    # the law of d given d < n, from d = n - 1 down to 1; where the
+    # no-op rate vanishes against lam the row keeps the candidate rate
+    sel, pair = 0.5, 0.25
+    lam, rates = swept(xi)
+    assert _rate_row(1, sel, pair, lam, rates, False) == (sel, sel, sel, None)
     for n in (2, 3, 10, 40):
-        branch, paired, total, cdf = _rate_row(n, sel, pair, lam, y)
+        branch, paired, total, cdf = _rate_row(n, sel, pair, lam, rates,
+                                               False)
         assert branch == sel * n and paired == branch + pair * n * (n - 1)
-        pmf = xi_jump_pmf(SimplexPoint((y,)), n)
-        merge = sum(p for d, p in pmf.items() if d != n)
+        moves = xi_moves(xi, n)
+        merge = moves[:n].sum()
         if cdf is None:
-            assert 1.0 - (1.0 - y) ** (n - 1) * (1.0 - y + n * y) == 1.0
+            assert 1.0 - moves[n] / lam == 1.0
             assert total == paired + lam
             continue
-        assert total - paired == pytest.approx(lam * merge, rel=1e-12)
+        assert total - paired == pytest.approx(merge, rel=1e-12)
         assert cdf[-1] == math.inf and len(cdf) == n - 1
         probs = np.diff([0.0] + cdf[:-1] + [1.0])
-        expect = [pmf.get(n - k + 1, 0.0) / merge for k in range(2, n + 1)]
-        assert np.allclose(probs, expect, rtol=1e-10, atol=1e-14)
+        assert np.allclose(probs, moves[n - 1:0:-1] / merge, rtol=1e-10,
+                           atol=1e-14)
 
 
-@pytest.mark.parametrize("y,n,seed", [(0.3, 2, 111), (0.3, 3, 112),
-                                      (0.3, 6, 113), (1.0, 3, 114)])
-def test_first_event_law_one_group_merges(y, n, seed):
-    # a one-group atom runs no candidate clock: out of n the chain leaves
-    # at rate kappa n + sum_{d != n} lam xi_jump_pmf(d) (mean at 3 SE),
-    # to n + 1 or to a merged state d in proportion to those rates
-    # (chi-square, 1% level), and no logged xi event leaves n unchanged
-    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaDirac(y))
+@pytest.mark.parametrize("xi,n,seed", [
+    pytest.param(LambdaDirac(0.3), 2, 111, id="0.3-2-111"),
+    pytest.param(LambdaDirac(0.3), 3, 112, id="0.3-3-112"),
+    pytest.param(LambdaDirac(0.3), 6, 113, id="0.3-6-113"),
+    pytest.param(LambdaDirac(1.0), 3, 114, id="1.0-3-114"),
+    pytest.param(TWO_ATOMS, 3, 115, id="two_atoms-3-115"),
+    pytest.param(THREE_GROUPS, 6, 116, id="three_groups-6-116")])
+def test_first_event_law_atomic_merges(xi, n, seed):
+    # an atomic measure with at most three groups an atom runs no
+    # candidate clock: out of n the chain leaves at rate kappa n plus the
+    # rate of the xi moves to d < n (mean at 3 SE), to n + 1 or to a
+    # merged state d in proportion to those rates (chi-square, 1% level),
+    # and no logged xi event leaves n unchanged
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=xi)
     reps = 20_000
-    lam = jump_sampler(params).rate
     rates = {n + 1: params.selection_rate * n}
-    for new, p in xi_jump_pmf(SimplexPoint((y,)), n).items():
-        if new != n:
-            rates[new] = lam * p
+    for new, rate in enumerate(xi_moves(xi, n)[:n]):
+        if rate > 0.0:
+            rates[new] = rate
     total = sum(rates.values())
     rng = np.random.default_rng(seed)
     # 20 mean holding times: a replicate sees no event with prob. e^-20;
@@ -564,23 +596,27 @@ def test_bench_replay_counts_a_logged_path():
 
 @pytest.mark.parametrize("y", [0.01, 0.3, 0.5, 0.97, 1.0])
 def test_merge_rows_end_is_the_first_candidate_row(y):
-    # the one-group rows keep merge CDFs up to the first n >= 2 where
-    # P(Binomial(n, y) >= 2) rounds to 1, and the candidate rate from
-    # there on, where stretch rows (decided by the same test) start too
-    end = next(n for n in range(2, 10**6) if _merges_round_to_one(n, y))
-    assert end == 2 or _rate_row(end - 1, 1.0, 0.0, 2.0, y)[3] is not None
+    # swept rows stay merge-only up to the first n >= 2 where the no-op
+    # share P(Binomial(n, y) < 2) rounds away against 1, or up to the
+    # end of the sweep, and keep the candidate rate from there on, where
+    # stretch rows (decided by the same test) start too
+    lam, rates = swept(LambdaDirac(y))
+    rounds = next(n for n in range(2, 10**6)
+                  if 1.0 - (1.0 - y) ** (n - 1) * (1.0 - y + n * y) == 1.0)
+    end = min(rounds, _SWEPT + 1)
+    for n in range(2, end):
+        row = _rate_row(n, 1.0, 0.0, lam, rates, True)
+        assert row[3] is not None and row[0] == n
     for n in range(end, end + 200):
-        assert _merges_round_to_one(n, y)
-        assert _rate_row(n, 1.0, 0.0, 2.0, y)[3] is None
+        assert _rate_row(n, 1.0, 0.0, lam, rates, False)[3] is None
+        assert _rate_row(n, 1.0, 0.0, lam, rates, True) == (0.0, 0.0, lam,
+                                                            None)
 
 
 def test_merge_rows_end_above_cap():
-    assert not _merges_round_to_one(59, 0.5)
-    assert _merges_round_to_one(60, 0.5)
-    assert _rate_row(59, 1.0, 0.0, 2.0, 0.5)[3] is not None
-    assert _rate_row(60, 1.0, 0.0, 2.0, 0.5)[3] is None
-    # at a tiny y the merge rows never give way within 10^6 lineages
-    assert not _merges_round_to_one(10**6, 1e-300)
+    lam, rates = swept(DIRAC_HALF)
+    assert _rate_row(59, 1.0, 0.0, lam, rates, False)[3] is not None
+    assert _rate_row(60, 1.0, 0.0, lam, rates, False)[3] is None
     # with the end above the cap no row is a stretch row: the plain run
     # and the event path agree draw for draw
     params = reference_params(6.0)
