@@ -266,43 +266,62 @@ def _path_columns(traj: np.ndarray) -> tuple[np.ndarray, ...]:
             traj.ravel())
 
 
-def _column_text(column) -> list[str]:
-    """A column as CSV cells, formatted once for the whole column: repr
-    for floats, str for ints and text, 0/1 for bools."""
+def _column_text(column, end: str) -> np.ndarray:
+    """A numeric column as CSV cells, each followed by ``end``: repr for
+    floats, str for ints, 0/1 for bools. Each distinct value is formatted
+    once and its text indexed back out; a float column is keyed on its bit
+    pattern, because -0.0 and 0.0 compare equal but format differently."""
     column = np.asarray(column)
     if column.dtype == bool:
         column = column.astype(np.int64)
-    return list(map(repr if column.dtype.kind == "f" else str,
-                    column.tolist()))
+    if column.dtype.kind == "f":
+        keys = np.ascontiguousarray(column, dtype=np.float64).view(np.int64)
+        unique, inverse = np.unique(keys, return_inverse=True)
+        values, fmt = unique.view(np.float64).tolist(), repr
+    else:
+        unique, inverse = np.unique(column, return_inverse=True)
+        values, fmt = unique.tolist(), str
+    return np.array([fmt(v) + end for v in values], dtype=object)[inverse]
 
 
 def _write_csv(fh, header, columns) -> None:
-    """Write a table given as equal-length columns, formatting
-    ``_CSV_CHUNK`` rows of each column at a time, so that the text held
-    in memory stays small whatever the table's length."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
+    """Write a table given as equal-length numeric columns, ``_CSV_CHUNK``
+    rows at a time as one string each, so that the text held in memory
+    stays small whatever the table's length. Numeric cells hold no comma,
+    quote or newline, so nothing is quoted."""
+    fh.write(",".join(header) + "\n")
+    ends = [","] * (len(columns) - 1) + ["\n"]
     for start in range(0, len(columns[0]), _CSV_CHUNK):
-        writer.writerows(zip(*(_column_text(column[start:start + _CSV_CHUNK])
-                               for column in columns)))
+        cells = [_column_text(column[start:start + _CSV_CHUNK], end)
+                 for column, end in zip(columns, ends)]
+        # row-major order of the (rows, columns) cell array is file order
+        fh.write("".join(np.stack(cells, axis=1).ravel().tolist()))
+
+
+def _cell_text(value) -> str:
+    """One report value as a CSV cell, by the rule of ``_column_text``."""
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
 
 
 def _write_report_csv(fh, report: dict) -> None:
     """The report as a (key, value) table: nested keys joined by dots,
-    list values joined by spaces."""
-    keys, values = [], []
+    list values joined by spaces, free text quoted by ``csv.writer``."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(("key", "value"))
 
     def flatten(prefix, obj):
         if isinstance(obj, dict):
             for k in sorted(obj):
                 flatten(f"{prefix}.{k}" if prefix else str(k), obj[k])
         else:
-            keys.append(prefix)
             items = obj if isinstance(obj, list) else [obj]
-            values.append(" ".join(_column_text([v])[0] for v in items))
+            writer.writerow((prefix, " ".join(map(_cell_text, items))))
 
     flatten("", report)
-    _write_csv(fh, ("key", "value"), (keys, values))
 
 
 def main(argv=None) -> int:

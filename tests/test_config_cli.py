@@ -1,7 +1,10 @@
+import csv
 import hashlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cannings import Config, ConfigError, FiniteAtomic, LambdaDirac
@@ -315,6 +318,53 @@ def test_cli_csv_bytes_pinned(tmp_path, capsys):
     blobs["fixation_report.csv"] = report.encode()
     assert {name: hashlib.sha256(blob).hexdigest()
             for name, blob in blobs.items()} == CSV_DIGESTS
+
+
+# sha256 of forward.csv at 1100 replicates (4400 rows), a table longer than
+# one cli._CSV_CHUNK, recorded when every row went through csv.writer
+FORWARD_CHUNKED_DIGEST = \
+    "4c886f5d29d73b6c18d6c8d032723f17cca685d71d0f9e0628df910a6583623e"
+
+
+def test_cli_chunked_csv_bytes_pinned(tmp_path, capsys):
+    path = write_cfg(tmp_path, DISCRETE_CFG)
+    assert main(["forward", "--config", path, "--replicates", "1100",
+                 "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    blob = (tmp_path / "out" / "forward.csv").read_bytes()
+    assert blob.count(b"\n") == 4401 > cli._CSV_CHUNK
+    assert hashlib.sha256(blob).hexdigest() == FORWARD_CHUNKED_DIGEST
+
+
+def _reference_csv(header, columns) -> str:
+    """The table written row by row through csv.writer, each cell formatted
+    on its own: repr for floats, str for ints, 0/1 for bools."""
+    def cell(value):
+        if isinstance(value, bool):
+            return str(int(value))
+        return repr(value) if isinstance(value, float) else str(value)
+
+    fh = io.StringIO()
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*([cell(v) for v in c.tolist()] for c in columns)))
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4096, 4097, 8193])
+def test_write_csv_matches_per_cell_reference(rows):
+    info = np.iinfo(np.int64)
+    # the odd-length pattern fills every even row; odd rows are all distinct
+    floats = np.resize([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324,
+                        1e16, 0.1 + 0.2, 0.5], rows)
+    floats[1::2] = np.random.default_rng(rows).standard_normal(rows // 2)
+    columns = (np.arange(rows), floats,
+               np.resize([True, False, False], rows),
+               np.resize(np.array([info.min, info.max, 0, -1]), rows))
+    header = ("replicate", "value", "flag", "count")
+    fh = io.StringIO()
+    cli._write_csv(fh, header, columns)
+    assert fh.getvalue() == _reference_csv(header, columns)
 
 
 # a kappa < kappa* Dirac chain that looks recurrent within the horizon

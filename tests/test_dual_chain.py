@@ -367,7 +367,7 @@ ROW_MEASURES = ([pytest.param(LambdaDirac(y), id=str(y))
 
 
 @pytest.mark.parametrize("xi", ROW_MEASURES)
-def test_one_group_rate_row_against_xi_jump_pmf(xi):
+def test_atomic_rate_row_against_xi_jump_pmf(xi):
     # the row's xi rate is the rate of the moves to d < n to a few ulps,
     # also at small y, where 1 - q^n - n y q^(n-1) cancels; its CDF is
     # the law of d given d < n, from d = n - 1 down to 1; where the
