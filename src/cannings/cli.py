@@ -26,8 +26,8 @@ from .discrete import (ancestral_trajectories, forward_trajectories,
 from .dual_chain import moment_duality_check, recurrence_probe, run_chains
 from .limit_sde import simulate_batch
 from .mc import McEstimate, compare
-from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
-                        kappa_star_mc)
+from .threshold import (DegenerateDraws, RegimeUnclear, fixation_probability,
+                        kappa_star, kappa_star_mc)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -157,14 +157,22 @@ def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
         raise ConfigError("kappa-star needs a jump measure "
                           "(model.xi.family != none)", key="model.xi.family")
     beta = params.offspring.mean_extra
+    exact, reason = kappa_star(params)
     mc_diag: dict = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        est = kappa_star_mc(params.xi, beta, run.replicates, rng, mc_diag)
+        try:
+            est = kappa_star_mc(params.xi, beta, run.replicates, rng, mc_diag)
+        except DegenerateDraws as exc:
+            if reason is None:
+                raise
+            # kappa* = inf is known, so draws at W in {0, 1} (Beta draws
+            # that underflow to 0, say) are a model outcome: no estimate
+            return ({"mean_extra": beta, "verdict": "not-applicable"},
+                    {"warnings": [str(exc), reason]}, {})
     results = {"estimate": _estimate_dict(est), "mean_extra": beta}
     diagnostics = dict(mc_diag)
     diagnostics["warnings"] = [str(w.message) for w in caught]
-    exact, reason = kappa_star(params)
     if reason is not None:
         # no finite threshold to compare the estimate with
         diagnostics["warnings"].append(reason)

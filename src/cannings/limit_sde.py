@@ -16,11 +16,15 @@ The group coin flips have mean x, so the jump compensator vanishes and
 uncompensated thinning is exact in law.
 
 ``simulate_batch`` runs a step-thinned Euler scheme for many paths at
-once: each step moves every path by its drift and diffusion increments
-and applies the path's jumps of that step at the step's end.  The jump
-clock is drawn per block of up to 1024 steps (a Poisson total, then a
-uniform time and path for each jump, with all points and coin flips in
-one draw each), so a step does work only for the paths that jump.
+once: each step moves every path by its drift and diffusion increments,
+clamps the paths that left [0, 1] back into it (counted, one per path
+and step, in the ``clamp_count`` diagnostic), and applies the path's
+jumps of that step at the step's end.  The step runs in place, in
+buffers allocated once per call, with the offspring law's constants
+computed once (``drift_kernel``).  The jump clock is drawn per block of
+up to 1024 steps (a Poisson total, then a uniform time and path for each
+jump, with all points and coin flips in one draw each), so a step does
+work only for the paths that jump.
 
 With kingman_rate = 0, selection_rate > 0 and all extra-parent mass on
 one i (an ``extra_pmf`` with one non-zero entry pi_i, no geometric
@@ -58,7 +62,8 @@ import numpy as np
 from scipy.special import log_expit
 
 from .mc import McEstimate
-from .selection import SelectionLaw, branching_drift, selection_shape
+from .selection import (SelectionLaw, branching_drift, drift_kernel,
+                        selection_shape)
 from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
                       bernoulli_patterns, jump_map, sample_masses, total_mass)
 
@@ -66,8 +71,9 @@ _DEFAULT_DT = 1e-3
 _DEFAULT_FLOOR = 1e-3
 _BLOCK_STEPS = 1024
 _BLOCK_JUMPS = 1 << 16
-# (paths, masses, coins, step of each round, round bounds) of no jump
-_NO_JUMPS = (None, None, None, [], [0])
+# (paths, masses, coins, residuals, step of each round, round bounds) of
+# no jump
+_NO_JUMPS = (None, None, None, None, [], [0])
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,9 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     of the same order as the Euler bias.  A path jumps Poisson(rate * h)
     times per step, independently over steps and paths; the clock is
     drawn per block of steps (``_jump_block``), so a step touches only
-    the paths that jump.  States 0 and 1 are absorbing.
+    the paths that jump.  States 0 and 1 are absorbing.  ``clamp_count``
+    counts the (step, path) pairs clamped, after the increments and
+    before the jumps; the exact flow never clamps and reports 0.
     """
     if not (0.0 <= x0 <= 1.0):
         raise ValueError("x0 must lie in [0, 1]")
@@ -164,30 +172,45 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     # expects at most _BLOCK_JUMPS jumps, which bounds its memory
     per_step = rate * dt * n_paths
     block = max(1, min(_BLOCK_STEPS, int(_BLOCK_JUMPS / max(per_step, 1.0))))
+    drift = drift_kernel(params.offspring) if kappa > 0.0 else None
+    # a step's drift or diffusion increment, and scratch for it
+    inc = np.empty(n_paths)
+    work = np.empty(n_paths)
     clamps = 0
     jumps_applied = 0
     for first in range(0, n_steps, block):
         k = min(block, n_steps - first)
         span = (k - 1) * dt + (last_h if first + k == n_steps else dt)
-        paths, masses, coins, round_steps, bounds = _NO_JUMPS
+        paths, masses, coins, residual, round_steps, bounds = _NO_JUMPS
         if rate > 0.0:
-            paths, masses, coins, round_steps, bounds = _jump_block(
+            paths, masses, coins, residual, round_steps, bounds = _jump_block(
                 sampler, rate * span * n_paths, span / dt, k, n_paths, rng)
         jumps_applied += bounds[-1]
+        n_rounds = len(round_steps)
         r = 0
         for s in range(k):
             h = last_h if first + s == n_steps - 1 else dt
-            if kappa > 0.0:
-                x += (kappa * h) * branching_drift(params.offspring, x)
+            if drift is not None:
+                drift(x, inc, work)
+                inc *= kappa * h
+                x += inc
             if sigma > 0.0:
-                var = np.clip((sigma * h) * x * (1.0 - x), 0.0, None)
-                x += np.sqrt(var) * rng.standard_normal(n_paths)
-            clamps += np.count_nonzero(x < 0.0) + np.count_nonzero(x > 1.0)
-            np.clip(x, 0.0, 1.0, out=x)
-            while r < len(round_steps) and round_steps[r] == s:
+                # sqrt((sigma h) x (1 - x)) times a standard normal
+                np.multiply(x, sigma * h, out=inc)
+                np.subtract(1.0, x, out=work)
+                inc *= work
+                np.maximum(inc, 0.0, out=inc)
+                np.sqrt(inc, out=inc)
+                inc *= rng.standard_normal(n_paths)
+                x += inc
+            if n_paths and (x.min() < 0.0 or x.max() > 1.0):
+                clamps += np.count_nonzero(x < 0.0) + np.count_nonzero(x > 1.0)
+                np.clip(x, 0.0, 1.0, out=x)
+            while r < n_rounds and round_steps[r] == s:
                 lo, hi = bounds[r], bounds[r + 1]
                 idx = paths[lo:hi]
-                x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi])
+                x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi],
+                                  residual[lo:hi])
                 r += 1
     return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
                "steps": n_steps, "jump_rate": rate}
@@ -265,7 +288,8 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     the j-th sorted jump may take the j-th point as drawn.  Round r of a
     step holds the paths jumping for the (r+1)-th time in it, all
     distinct; rounds come in (step, r) order.  Returns (paths, masses,
-    coins, step of each round, round bounds).
+    coins, residuals 1 - sum z, step of each round, round bounds), with
+    one-group points (Beta, Dirac) as 1-D columns for ``jump_map``.
     """
     n = int(rng.poisson(mean))
     if n == 0:
@@ -274,6 +298,9 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     key = np.sort(steps * n_paths + rng.integers(n_paths, size=n))
     masses = sampler.draw_masses(n, rng)
     coins = rng.random(masses.shape)
+    residual = 1.0 - masses.sum(axis=1)
+    if masses.shape[1] == 1:
+        masses, coins = masses[:, 0], coins[:, 0]
     # a jump's rank among the equal keys before it is its round
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
@@ -281,7 +308,7 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     key = np.sort((key // n_paths * n_rounds + rank) * n_paths + key % n_paths)
     rounds = key // n_paths
     bounds = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]])
-    return (key % n_paths, masses, coins,
+    return (key % n_paths, masses, coins, residual,
             (rounds[bounds] // n_rounds).tolist(), bounds.tolist() + [n])
 
 

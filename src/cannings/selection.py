@@ -13,7 +13,8 @@ Derived objects:
 * ``pgf(law, x)``             sum of x^k P(K = k), x^inf = 0, pgf(1) = 1,
 * ``selection_shape(law, x)`` s(x) = sum_{k>=1} P(K - 1 >= k) x^(k-1),
 * ``branching_drift(law, x)`` sum_i pi_i (x^(i+1) - x), the forward drift
-  of the weak type's frequency, which equals -x(1-x) s(x).
+  of the weak type's frequency, which equals -x(1-x) s(x); ``drift_kernel``
+  evaluates the same sum in place, for loops that take many steps.
 
 Infinite-support sums are truncated once the remaining tail is below
 1e-14; for geometric laws the truncated sum is evaluated in closed form.
@@ -161,10 +162,13 @@ def _geom_terms(s: float, slack: float = 1.0) -> int:
                                 / math.log(s))) + 1)
 
 
-def _horner(coeffs, arr: np.ndarray) -> np.ndarray:
+def _horner(coeffs, arr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum_k coeffs[k] arr^k, bit for bit as np.polyval(coeffs[::-1], arr)
-    on finite input, without its per-call overhead."""
-    out = np.full(arr.shape, coeffs[-1] if coeffs else 0.0)
+    on finite input, without its per-call overhead; written into ``out``
+    when given."""
+    if out is None:
+        out = np.empty(arr.shape)
+    out.fill(coeffs[-1] if coeffs else 0.0)
     for c in coeffs[-2::-1]:
         out *= arr
         out += c
@@ -219,20 +223,54 @@ def branching_drift(law: SelectionLaw, x):
     Summed directly from the conditional pmf; agrees with
     -x (1 - x) * selection_shape(law, x) to truncation accuracy.
     """
-    if law.extra_inf_mass > 0.0:
-        raise ValueError("branching drift needs a finite mean extra-parent count")
     arr = np.asarray(x, dtype=float)
-    if law.geometric_param is not None:
-        # pi_i = (1-s) s^(i-1) for i = 1 .. M, M = _geom_terms(s)
-        s = law.geometric_param
-        m = _geom_terms(s)
-        out = (1.0 - s) * arr * (arr * _geom_sum(s * arr, m) - _geom_sum(s, m))
-    else:
-        pmf = law.extra_pmf
-        out = arr * arr * _horner(pmf, arr) - arr * sum(pmf)
+    out = np.empty(arr.shape)
+    drift_kernel(law)(arr, out, np.empty(arr.shape))
     if np.ndim(x) == 0:
         return float(out)
     return out
+
+
+def drift_kernel(law: SelectionLaw):
+    """fill(x, out, work), which writes ``branching_drift(law, x)`` into
+    ``out`` with ``work`` as scratch, both arrays of x's shape.
+
+    The law's constants are computed here, once, so that a caller
+    evaluating the drift many times (an Euler loop) allocates nothing
+    per evaluation.
+    """
+    if law.extra_inf_mass > 0.0:
+        raise ValueError("branching drift needs a finite mean extra-parent count")
+    if law.geometric_param is not None:
+        # pi_i = (1-s) s^(i-1) for i = 1 .. M, M = _geom_terms(s):
+        # (1-s) x (x _geom_sum(s x, M) - _geom_sum(s, M))
+        s = law.geometric_param
+        m = _geom_terms(s)
+        tail = _geom_sum(s, m)
+        keep = 1.0 - s
+
+        def fill(x, out, work):
+            np.multiply(x, s, out=work)
+            np.power(work, m, out=out)
+            np.subtract(1.0, out, out=out)
+            np.subtract(1.0, work, out=work)
+            out /= work
+            out *= x
+            out -= tail
+            np.multiply(x, keep, out=work)
+            out *= work
+    else:
+        # x^2 sum_i pi_i x^(i-1) - x sum_i pi_i
+        pmf = law.extra_pmf
+        total = sum(pmf)
+
+        def fill(x, out, work):
+            _horner(pmf, x, out=work)
+            np.multiply(x, x, out=out)
+            out *= work
+            np.multiply(x, total, out=work)
+            out -= work
+    return fill
 
 
 @lru_cache(maxsize=256)

@@ -241,17 +241,27 @@ def sample_masses(measure: XiMeasure, size: int,
     return masses[:, ::-1]
 
 
-def jump_map(xs: np.ndarray, masses: np.ndarray,
-             coins: np.ndarray) -> np.ndarray:
+def jump_map(xs: np.ndarray, masses: np.ndarray, coins: np.ndarray,
+             residual: np.ndarray | None = None) -> np.ndarray:
     """The extreme-event jump x (1 - sum z) + sum z_i B_i, one row per x.
 
-    ``masses`` holds one point per row, zero-padded; each group adopts
-    the weak type independently, B_i = [coin_i < x] with ``coins``
-    uniform on [0, 1) in the shape of ``masses``, and the residual keeps
-    the frequency x.  Padding columns add nothing.
+    ``masses`` holds one point per row, zero-padded, or, for one-group
+    points, one mass per x as a 1-D column; each group adopts the weak
+    type independently, B_i = [coin_i < x] with ``coins`` uniform on
+    [0, 1) in the shape of ``masses``, and the residual keeps the
+    frequency x.  Padding columns add nothing.  ``residual``, 1 - sum z
+    per row, may be passed by a caller that already has it; the result
+    is the same bit for bit.
     """
-    flips = coins < xs[:, None]
-    return (flips * masses).sum(axis=1) + xs * (1.0 - masses.sum(axis=1))
+    if masses.ndim == 1:
+        gain = (coins < xs) * masses
+        if residual is None:
+            residual = 1.0 - masses
+    else:
+        gain = ((coins < xs[:, None]) * masses).sum(axis=1)
+        if residual is None:
+            residual = 1.0 - masses.sum(axis=1)
+    return gain + xs * residual
 
 
 def bernoulli_patterns(z: SimplexPoint, x) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,12 @@ closes the U-average, E_U[1 / (W (1 - W))] = -2 log(1 - |z|) / |z|^2, so
 sum(z_i^2) for an atomic measure, and infinity where the chain is
 recurrent at every selection rate or the integral diverges.
 
-The integrand blows up like 1/(1 - W) near W = 1, so for measures with
-mass near total size 1 the estimator's variance can be infinite even
-though its mean is not; a tail-concentration diagnostic warns when a
-tiny fraction of draws dominates the sum.
+The estimator's variance is infinite for every measure, also where its
+mean is finite: as U -> 0 the squared integrand behaves like
+1 / (|Z|^2 U), whose mean diverges (logarithmically), and near W = 1 it
+grows further for measures with mass near total size 1.  A
+tail-concentration diagnostic warns when a tiny fraction of draws
+dominates the sum.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ _TAIL_SHARE_LIMIT = 0.20
 class RegimeUnclear(ValueError):
     """A model outcome, not an input error: the dual chain's runs leave
     its regime undecided."""
+
+
+class DegenerateDraws(ValueError):
+    """Draws the threshold estimator cannot average: some W = |Z| sqrt(U)
+    lies in {0, 1}, where the integrand is infinite."""
 
 
 def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
@@ -84,9 +91,11 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
 
     Draws Z from the normalized measure and U uniform, and averages
     m / (2 beta sum(Z*^2) W (1 - W)) with W = |Z| sqrt(U), m the total
-    mass of ``xi``.  Warns when the top 0.1% of draws carry more than
-    20% of the sum (a symptom of an infinite-variance integrand, in
-    which case the standard error is an underestimate).
+    mass of ``xi``.  The variance is infinite for every measure: as
+    U -> 0 the squared integrand behaves like 1 / (|Z|^2 U), whose mean
+    diverges, so the standard error is an underestimate.  Warns when the
+    top 0.1% of draws carry more than 20% of the sum.  Raises
+    ``DegenerateDraws`` when some W lies in {0, 1}.
     """
     if mean_extra <= 0.0 or not math.isfinite(mean_extra):
         raise ValueError("mean_extra must be positive and finite")
@@ -97,7 +106,7 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     w = np.sqrt(rng.random(replicates))
     w *= totals
     if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise ValueError("degenerate draw with W in {0, 1}")
+        raise DegenerateDraws("degenerate draw with W in {0, 1}")
     # m / (2 beta sum(Z*^2) W (1 - W)), in place, in that order
     vals = ssq
     vals *= 2.0 * mean_extra / total_mass(xi)

@@ -411,6 +411,36 @@ def test_cli_report_bytes_pinned(tmp_path, capsys):
     assert digests == REPORT_DIGESTS
 
 
+# the benchmark's Beta config: sigma = 1 and geometric offspring, so both
+# commands run the Euler scheme with width-1 jumps
+BENCH_BETA_CFG = BETA_CFG.replace("run.seed = 5", "run.seed = 0").replace(
+    "run.replicates = 12\n", "") + "run.x = 0.5\nrun.x0 = 0.5\nrun.sample_size = 2\n"
+
+# sha256 of the Euler outputs on BENCH_BETA_CFG, recorded before the
+# Euler step was rewritten to run in place
+EULER_DIGESTS = {
+    ("sde", "40", "report.json"):
+        "f393f68974f81d15a9c01dda8c18bd8bac34d2aef2e1504b05c70002626b4031",
+    ("sde", "40", "sde_finals.csv"):
+        "333c115230300a50342ae6e5f7f64d07ee1744cb6242586b38a24a6554952928",
+    ("duality-limit", "30", "report.json"):
+        "ce97c2b97bd59528a2bc3f8833ce94f2c5bde3a14f0d252804780bcffdf1b8ae",
+}
+
+
+def test_cli_euler_bytes_pinned(tmp_path, capsys):
+    path = write_cfg(tmp_path, BENCH_BETA_CFG)
+    digests = {}
+    for command, replicates, name in EULER_DIGESTS:
+        out = tmp_path / command
+        assert main([command, "--config", path, "--replicates", replicates,
+                     "--out", str(out)]) == 0
+        digests[command, replicates, name] = hashlib.sha256(
+            (out / name).read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == EULER_DIGESTS
+
+
 @pytest.mark.parametrize("verdict, code", [
     (None, 0), ("pass", 0), ("fail", 1), ("inconclusive", 1),
     ("recurrent-looking", 0), ("escaping", 0), ("not-applicable", 0)])
@@ -611,6 +641,21 @@ def test_cli_kappa_star_not_applicable_where_the_integral_diverges(
     assert "closed_form" not in results and "gap" not in results
     assert results["estimate"]["std_error"] > 0.0
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
+
+
+def test_cli_kappa_star_not_applicable_when_draws_degenerate(tmp_path,
+                                                            capsys):
+    # Beta(0.01, 1) draws underflow to 0, so some W = 0 and the estimator
+    # is undefined; kappa* = inf at a <= 1 is still the model's outcome
+    xi = "model.xi.family = lambda_beta\nmodel.xi.a = 0.01\nmodel.xi.b = 1\n"
+    path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi))
+    assert main(["kappa-star", "--config", path, "--seed", "0",
+                 "--replicates", "100000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"] == {"verdict": "not-applicable", "mean_extra": 1.0}
+    warned = report["diagnostics"]["warnings"]
+    assert warned[0] == "degenerate draw with W in {0, 1}"
+    assert warned[-1].startswith("kappa* = inf for lambda_beta at a <= 1")
 
 
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):

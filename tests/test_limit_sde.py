@@ -1,4 +1,8 @@
+import hashlib
+import importlib.util
+import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -96,6 +100,67 @@ def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
     finals, _ = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
                                rng=np.random.default_rng(seed))
     assert finals.tolist() == expected
+
+
+BETA_GEOMETRIC = LimitParams(1.0, 1.0, geometric_offspring(0.5),
+                             xi=LambdaBeta(0.5, 1.5), jump_floor=0.05)
+
+
+@pytest.mark.parametrize("params, x0, total_time, dt, n_paths, seed, digest, "
+                         "diagnostics", [
+    # the bench's Beta model: geometric drift, diffusion, width-1 jumps
+    (BETA_GEOMETRIC, 0.5, 1.0, 1e-3, 60, 4,
+     "661599b18ad62a2c057b50f055b5d8d2f82894c0a195c55de5343d34b8313ab0",
+     {"clamp_count": 40, "jumps_applied": 2205, "steps": 1000,
+      "jump_rate": 35.14950920732858}),
+    # an explicit pmf and width-2 jumps
+    (LimitParams(1.5, 0.5, offspring_pmf((0.5, 0.3, 0.2)),
+                 xi=FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,))))),
+     0.4, 1.0, 0.01, 50, 8,
+     "2b71d0dd20a32e8274ce24ccf2dcde69edd9028974c927c3e7a2e79b30b5e51c",
+     {"clamp_count": 32, "jumps_applied": 263, "steps": 100,
+      "jump_rate": 5.43171114599686}),
+    # clamps on every path, and a short last step (1.32 = 26 * 0.05 + 0.02)
+    (LimitParams(1.0, 4.0, offspring_delta(1), xi=DIRAC_HALF),
+     0.02, 1.32, 0.05, 40, 12,
+     "52bd9741c1f61dc4bb8e0881795c22050eda081425103d46fbb52db8f81c5ada",
+     {"clamp_count": 40, "jumps_applied": 197, "steps": 27,
+      "jump_rate": 4.0}),
+    # no paths at all
+    (BETA_GEOMETRIC, 0.5, 1.0, 0.01, 0, 5,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     {"clamp_count": 0, "jumps_applied": 0, "steps": 100,
+      "jump_rate": 35.14950920732858}),
+])
+def test_simulate_batch_euler_pinned(params, x0, total_time, dt, n_paths, seed,
+                                     digest, diagnostics):
+    # Euler streams with sigma > 0 or a non-point offspring law, pinned
+    # bit for bit: sha256 of the finals' bytes and the whole diagnostics
+    finals, diag = simulate_batch(params, x0, total_time, dt=dt,
+                                  n_paths=n_paths,
+                                  rng=np.random.default_rng(seed))
+    assert finals.shape == (n_paths,)
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == digest
+    assert diag == diagnostics
+
+
+def test_bench_tracer_counts_euler_steps():
+    # the traced benchmark binds each simulate_batch call's arguments by
+    # name and counts its steps with bench/tracer.py's hook, which reads
+    # total_time, dt and n_paths; bound here as the CLI calls it
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", pathlib.Path(__file__).resolve().parents[1]
+        / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    args = (BETA_GEOMETRIC, 0.5, 0.3, 0.02, 7, np.random.default_rng(0))
+    bound = inspect.signature(simulate_batch).bind(*args)
+    bound.apply_defaults()
+    result = simulate_batch(*args)
+    steps = result[1]["steps"]
+    assert steps == 15
+    assert tracer._HOOKS["limit_sde.simulate_batch"](bound.arguments, result) \
+        == [("limit_sde.batch_steps", steps), ("limit_sde.path_steps", 7 * steps)]
 
 
 def test_batch_pure_jump_moments_and_clock():
