@@ -24,7 +24,7 @@ from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         resolved_jump_floor, simulate_batch)
 from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
                          moment_duality_check, recurrence_probe, run_chains,
-                         simulate, xi_jump_pmf)
+                         simulate)
 from .dual_chain import generator_apply_exact as dual_generator_apply_exact
 from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
                         kappa_star_mc)
@@ -47,7 +47,7 @@ __all__ = [
     "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualPath", "simulate", "run_chains", "ChainRuns",
-    "xi_jump_pmf", "dual_generator_apply_exact",
+    "dual_generator_apply_exact",
     "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
     "moment_duality_check",
     "kappa_star", "kappa_star_mc", "fixation_probability",

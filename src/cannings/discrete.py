@@ -30,6 +30,9 @@ sampling probability
 is in duality between the two chains: E_x[S(X_g, n)] = E_n[S(x, D_g)]
 holds exactly, generation by generation.
 
+The exact sums below enumerate xi_hat's atoms; a Beta xi_hat's are the
+nodes of a Gauss-Jacobi rule (``simplex.beta_nodes``) sized to each sum.
+
 ``exact_transition_matrices`` builds both transition kernels in closed
 form.  Given the event, every pick lands independently, so D after n
 lineages depends on their parent counts only through the total pick
@@ -45,14 +48,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln
 
 from .mc import Check, McEstimate, compare
 from .selection import (SelectionLaw, parent_total_pmf, pgf,
                         sample_parent_total)
 from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
-                      bernoulli_patterns, binomial_pmf, jump_map, pick_laws,
-                      sample_masses, total_mass)
+                      bernoulli_patterns, beta_nodes, binomial_pmf, jump_map,
+                      pick_laws, sample_masses, total_mass)
 
 #: the exact kernels refuse wider atom supports; the CLI runs the duality
 #: check in exact mode only up to MAX_EXACT_POP
@@ -112,10 +114,9 @@ def sampling_probability(params: DiscreteParams, x, n):
     """S(x, n): probability that n sampled children are all of the weak type.
 
     Sums over the group-adoption patterns of each atom of xi_hat
-    (``bernoulli_patterns``, supports of size up to 12), or integrates
-    over the group size for a Beta xi_hat, one quadrature per point;
-    stick-breaking xi_hat has no exact S.  x and n broadcast against each
-    other; scalars give a float.
+    (``bernoulli_patterns``, supports of size up to 12), for Beta of
+    each Gauss-Jacobi node; stick-breaking xi_hat has no exact S.  x and
+    n broadcast against each other; scalars give a float.
     """
     xs = np.asarray(x, dtype=float)
     ns = np.asarray(n)
@@ -126,40 +127,27 @@ def sampling_probability(params: DiscreteParams, x, n):
     g = params.extreme_prob
     out = pgf(params.parent_law, xs) ** ns
     if g != 0.0:
-        out = (1.0 - g) * out + g * _extreme_sampling_term(params, xs, ns)
+        atoms = _event_atoms(params.xi_hat, int(ns.max(initial=1)))
+        if atoms is None:
+            raise ValueError("no exact sampling probability for a "
+                             f"{type(params.xi_hat).__name__} xi_hat")
+        tot = sum(w for w, _ in atoms)
+        acc = 0.0
+        for w, z in atoms:
+            probs, ys = bernoulli_patterns(z, xs)
+            terms = probs * pgf(params.parent_law, ys) ** ns[..., None]
+            acc = acc + (w / tot) * terms.sum(axis=-1)
+        out = (1.0 - g) * out + g * acc
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _extreme_sampling_term(params: DiscreteParams, xs: np.ndarray,
-                           ns: np.ndarray) -> np.ndarray:
-    measure = params.xi_hat
-    law = params.parent_law
+def _event_atoms(measure: XiMeasure, size: int):
+    """xi_hat's atoms (``as_atoms``, None for stick-breaking); for Beta a
+    ``beta_nodes`` rule that integrates pgf(Y)^size to rounding."""
     if isinstance(measure, LambdaBeta):
-        from scipy import integrate  # the only quadrature; a slow import
-
-        def term(x: float, n: int) -> float:
-            # one group of size y ~ Beta(a, b); it adopts the weak type w.p. x
-            def integrand(y: float) -> float:
-                return (x * pgf(law, y + x * (1.0 - y)) ** n
-                        + (1.0 - x) * pgf(law, x * (1.0 - y)) ** n)
-
-            # weight="alg" integrates against y^(a-1) (1-y)^(b-1) exactly
-            val, _ = integrate.quad(integrand, 0.0, 1.0, weight="alg",
-                                    wvar=(measure.a - 1.0, measure.b - 1.0))
-            return val * math.exp(-betaln(measure.a, measure.b))
-
-        return np.vectorize(term, otypes=[float])(xs, ns)
-    atoms = as_atoms(measure)
-    if atoms is None:
-        raise ValueError("no exact sampling probability for a "
-                         f"{type(measure).__name__} xi_hat")
-    tot = sum(w for w, _ in atoms)
-    acc = 0.0
-    for w, z in atoms:
-        probs, ys = bernoulli_patterns(z, xs)
-        terms = probs * pgf(law, ys) ** ns[..., None]
-        acc = acc + (w / tot) * terms.sum(axis=-1)
-    return acc
+        count = 32 + 4 * math.ceil(math.sqrt(size))
+        return beta_nodes(measure.a, measure.b, count)
+    return as_atoms(measure)
 
 
 def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
@@ -249,43 +237,43 @@ def _forward_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
     return np.einsum("ip,ipc->ic", probs, binomial_pmf(pop, psi))
 
 
-def _kernel_atoms(params: DiscreteParams):
-    """The atoms of the extreme generations, () without them, or None
-    when the kernels cannot enumerate them: a non-atomic xi_hat or an
-    atom support above MAX_EXACT_SUPPORT."""
+def _kernel_atoms(params: DiscreteParams, picks: int):
+    """The atoms of the extreme generations, Beta nodes sized for up to
+    ``picks`` picks, () without them, or None when the kernels cannot
+    enumerate them: stick-breaking or an atom above MAX_EXACT_SUPPORT."""
     if params.extreme_prob == 0.0:
         return ()
-    atoms = as_atoms(params.xi_hat)
+    atoms = _event_atoms(params.xi_hat, picks)
     if atoms is None or any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
         return None
     return atoms
 
 
 def has_exact_kernels(params: DiscreteParams) -> bool:
-    """Whether the CLI checks the model's duality in exact mode:
-    ``exact_transition_matrices`` builds its kernels and pop_size <=
-    MAX_EXACT_POP."""
+    """Whether the CLI checks the model's duality in exact mode: the
+    kernels build (every xi_hat but stick-breaking and atoms wider than
+    MAX_EXACT_SUPPORT) and pop_size <= MAX_EXACT_POP."""
     return (params.pop_size <= MAX_EXACT_POP
-            and _kernel_atoms(params) is not None)
+            and _kernel_atoms(params, 0) is not None)
 
 
 def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
     """Forward kernel on {0, 1/N, ..., 1} and ancestral kernel on {1..N}.
 
-    Exact enumeration, for every pop_size, when xi_hat is atomic with
-    atom supports <= MAX_EXACT_SUPPORT (or extreme generations never
+    Exact enumeration, for every pop_size, when xi_hat is Beta or atomic
+    with atom supports <= MAX_EXACT_SUPPORT (or extreme generations never
     happen).  The parent-count law may have unbounded support.
     """
-    atoms = _kernel_atoms(params)
+    pop = params.pop_size
+    totals = parent_total_pmf(params.parent_law, pop)
+    atoms = _kernel_atoms(params, totals.shape[1] - 1)
     if atoms is None:
-        raise ValueError("exact kernels need an atomic xi_hat with atom "
-                         f"supports <= {MAX_EXACT_SUPPORT}")
+        raise ValueError("exact kernels need an atomic or Beta xi_hat with "
+                         f"atom supports <= {MAX_EXACT_SUPPORT}")
     g = params.extreme_prob
     # an ordinary generation is an event at the empty point
     events = [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]
     forward = sum(w * _forward_kernel(params, z) for w, z in events)
-    pop = params.pop_size
-    totals = parent_total_pmf(params.parent_law, pop)
     # a drawn label is uniform: new with probability (pop - d) / pop
     fresh = np.arange(pop, -1, -1) / pop
     ancestral = totals @ pick_laws(events, totals.shape[1] - 1, fresh)[:, 1:]

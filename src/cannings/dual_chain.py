@@ -91,7 +91,7 @@ from .discrete import MAX_EXACT_SUPPORT
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import SimplexPoint, as_atoms, pick_laws
+from .simplex import as_atoms, pick_laws
 
 _DEFAULT_CAP = 10_000
 #: the dual chain's cap in ``moment_duality_check``
@@ -181,18 +181,6 @@ def _rate_row(n: int, sel: float, pair: float, lam: float,
     cdf = (np.cumsum(moves) / merges).tolist()
     cdf[-1] = math.inf
     return branch, paired, paired + merges, cdf
-
-
-def xi_jump_pmf(z: SimplexPoint, n: int) -> dict[int, float]:
-    """Exact law of the post-event state for one candidate event at state n.
-
-    Each lineage joins group i with probability z_i or stays solo, and
-    the new state counts the solo lineages and the occupied groups: the
-    labels drawn after n picks at z (``simplex.pick_laws``), every drawn
-    label new.
-    """
-    law = pick_laws([(1.0, z)], n, np.ones(n + 1))[n]
-    return {d: float(p) for d, p in enumerate(law) if p > 0.0}
 
 
 def simulate(params: LimitParams, n0: int, total_time: float,

@@ -37,7 +37,8 @@ batch of ranked points as one zero-padded mass matrix.
 children of the weak type.  ``pick_laws`` is the lineage side of the
 events: the law of the number of labels drawn after each pick, from one
 sweep over the masks of groups already drawn.  The discrete ancestral
-kernel and the dual chain's xi law both read it.
+kernel and the dual chain's xi law both read it.  ``beta_nodes`` is the
+Beta law as weighted one-group atoms, a Gauss-Jacobi rule.
 """
 
 from __future__ import annotations
@@ -201,6 +202,28 @@ def as_atoms(measure: XiMeasure) -> tuple[tuple[float, SimplexPoint], ...] | Non
     if isinstance(measure, LambdaDirac):
         return ((measure.total_mass, SimplexPoint((measure.y,))),)
     return None
+
+
+def beta_nodes(a: float, b: float,
+               count: int) -> tuple[tuple[float, SimplexPoint], ...]:
+    """The Beta(a, b) law as ``count`` one-group atoms [y_j] with weights
+    summing to 1: the Gauss-Jacobi rule, exact for polynomials in y of
+    degree < 2 count.  Golub-Welsch: y = (1 + t) / 2 at the eigenvalues t
+    of the Jacobi matrix of the weight (1 - t)^(b-1) (1 + t)^(a-1), each
+    weight the squared first component of the eigenvector."""
+    al, be = b - 1.0, a - 1.0
+    n = np.arange(1.0, count)
+    s = 2.0 * n + al + be
+    # the n = 0 diagonal and (n + al + be) / (s - 1) = 1 at n = 1 are
+    # written out: the general forms are 0/0 there at a + b = 2 and 1
+    diag = np.append((a - b) / (a + b), (be * be - al * al) / (s * (s + 2.0)))
+    ratio = np.divide(n + al + be, s - 1.0, out=np.ones(n.size), where=n > 1)
+    root = np.sqrt(4.0 * n * (n + al) * (n + be) * ratio / (s * s * (s + 1.0)))
+    t, vectors = np.linalg.eigh(np.diag(diag) + np.diag(root, 1)
+                                + np.diag(root, -1))
+    weights = vectors[0] ** 2 / (vectors[0] ** 2).sum()
+    return tuple((float(w), SimplexPoint((float(y),)))
+                 for w, y in zip(weights, (1.0 + t) / 2.0))
 
 
 def sample_masses(measure: XiMeasure, size: int,

@@ -464,6 +464,19 @@ def test_cli_duality_discrete_exact_pass(tmp_path, capsys):
     assert report["results"]["gap"] < 1e-10
 
 
+def test_cli_duality_discrete_exact_for_beta(tmp_path, capsys):
+    # a Beta xi_hat runs exact mode through its Gauss-Jacobi nodes
+    cfg = DISCRETE_CFG.replace("model.pop_size = 4", "model.pop_size = 6")
+    cfg = cfg.replace("model.xi.family = lambda_dirac\nmodel.xi.y = 0.5\n",
+                      "model.xi.family = lambda_beta\nmodel.xi.a = 0.5\n"
+                      "model.xi.b = 1.5\n")
+    code = main(["duality-discrete", "--config", write_cfg(tmp_path, cfg)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"]["mode"] == "exact"
+    assert report["results"]["verdict"] == "pass"
+
+
 def test_cli_duality_discrete_mc_on_large_population(tmp_path, capsys):
     big = DISCRETE_CFG.replace("model.pop_size = 4", "model.pop_size = 40")
     big = big.replace("run.replicates = 5", "run.replicates = 4000")

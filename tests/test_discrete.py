@@ -15,6 +15,8 @@ from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
                       has_exact_kernels, jump_map, neutral_family, pgf,
                       sample_masses, sampling_duality_check,
                       sampling_probability)
+from cannings.discrete import _event_atoms
+from cannings.simplex import beta_nodes
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 # K = infinity with probability 0.075
@@ -240,6 +242,27 @@ def test_ancestral_law_matches_kernel(name):
         assert np.all(np.abs(freq - law) <= 4 * se), generation
 
 
+def test_ancestral_law_matches_beta_kernel():
+    # the one- and two-generation laws of D from n0 against the Beta node
+    # kernel's rows; cells expecting fewer than 5 hits are pooled into one,
+    # where a bare standard-error bound says nothing, and every cell is
+    # tested within 4 standard errors
+    params, n0 = ANCESTRAL_MODELS["beta"]
+    reps = 20_000
+    paths = ancestral_trajectories(params, n0, 2, reps,
+                                   np.random.default_rng(5))
+    _, ancestral = exact_transition_matrices(params)
+    row = ancestral[n0 - 1]
+    for generation, law in ((1, row), (2, row @ ancestral)):
+        freq = np.bincount(paths[:, generation] - 1,
+                           minlength=params.pop_size) / reps
+        rare = law * reps < 5.0
+        law = np.append(law[~rare], law[rare].sum())
+        freq = np.append(freq[~rare], freq[rare].sum())
+        se = np.sqrt(law * (1.0 - law) / reps)
+        assert np.all(np.abs(freq - law) <= 4 * se), generation
+
+
 def test_exact_matrices_rows_and_absorption():
     params = DiscreteParams(4, 0.2, delta1_law(0.2), xi_hat=DIRAC_HALF)
     forward, ancestral = exact_transition_matrices(params)
@@ -272,12 +295,12 @@ def test_exact_ancestral_extreme_row_oracle():
 
 
 def test_exact_matrices_refuse_large_cases():
-    # the kernels refuse only a non-atomic xi_hat and atoms wider than
-    # MAX_EXACT_SUPPORT; has_exact_kernels also caps pop_size, as the
-    # CLI's rule for exact mode
+    # the kernels refuse only a stick-breaking xi_hat and atoms wider
+    # than MAX_EXACT_SUPPORT; has_exact_kernels also caps pop_size, as
+    # the CLI's rule for exact mode
     wide = FiniteAtomic(((1.0, (0.2, 0.2, 0.2, 0.2)),))
     refused = [DiscreteParams(4, 0.5, neutral_family(), xi_hat=wide),
-               DiscreteParams(4, 0.5, neutral_family(), LambdaBeta(1.0, 2.0))]
+               DiscreteParams(4, 0.5, neutral_family(), StickBreaking())]
     for params in refused:
         assert not has_exact_kernels(params)
         with pytest.raises(ValueError):
@@ -285,23 +308,31 @@ def test_exact_matrices_refuse_large_cases():
     big = DiscreteParams(7, 0.0, neutral_family())
     assert not has_exact_kernels(big)
     exact_transition_matrices(big)
-    # no extreme generations: xi_hat never enters
+    # no extreme generations: xi_hat never enters; Beta enters through
+    # its nodes
     for params in (DiscreteParams(6, 0.0, neutral_family()),
-                   DiscreteParams(6, 0.0, neutral_family(), LambdaBeta(1.0, 2.0)),
-                   DiscreteParams(6, 0.5, neutral_family(), DIRAC_HALF)):
+                   DiscreteParams(6, 0.0, neutral_family(), StickBreaking()),
+                   DiscreteParams(6, 0.5, neutral_family(), DIRAC_HALF),
+                   DiscreteParams(6, 0.5, neutral_family(),
+                                  LambdaBeta(1.0, 2.0))):
         assert has_exact_kernels(params)
         exact_transition_matrices(params)
 
 
 TWO_ATOMS = FiniteAtomic(((0.5, (0.3, 0.2, 0.1)), (0.5, (0.5,))))
 
-# Dirac, two-atom and geometric models for the kernels at larger sizes
+# Dirac, two-atom, geometric and Beta models for the kernels at larger
+# sizes; the arcsine law, a + b = 1, takes the node rule's special case
 KERNEL_MODELS = {
     "dirac": lambda pop: DiscreteParams(pop, 0.2, delta1_law(0.2), DIRAC_HALF),
     "two_atoms": lambda pop: DiscreteParams(
         pop, 0.3, explicit_family([0.6, 0.3, 0.1]), TWO_ATOMS),
     "geometric": lambda pop: DiscreteParams(
         pop, 0.1, geometric_family(0.4), DIRAC_HALF),
+    "beta": lambda pop: DiscreteParams(
+        pop, 0.3, geometric_family(0.2), LambdaBeta(1.0, 2.0)),
+    "beta_arcsine": lambda pop: DiscreteParams(
+        pop, 0.2, explicit_family([0.6, 0.3, 0.1]), LambdaBeta(0.5, 0.5)),
 }
 
 
@@ -443,6 +474,51 @@ def test_beta_sampling_probability_second_moment():
     assert abs(sampling_probability(params, x, 2)
                - (x * x + x * (1.0 - x) * ey2)) < 1e-10
     assert abs(sampling_probability(params, x, 1) - x) < 1e-12
+
+
+BETA_LAWS = [(1.0, 2.0), (0.5, 1.5), (0.3, 0.7), (3.0, 0.5)]
+
+
+def beta_quadrature(params, x, n):
+    """S(x, n) for a Beta xi_hat by a tight adaptive quadrature over the
+    group size y against the weight y^(a-1) (1-y)^(b-1)."""
+    from scipy import integrate
+    from scipy.special import beta as beta_fn
+
+    a, b = params.xi_hat.a, params.xi_hat.b
+    law, g = params.parent_law, params.extreme_prob
+
+    def integrand(y):
+        return (x * pgf(law, y + x * (1.0 - y)) ** n
+                + (1.0 - x) * pgf(law, x * (1.0 - y)) ** n)
+
+    val, _ = integrate.quad(integrand, 0.0, 1.0, weight="alg",
+                            wvar=(a - 1.0, b - 1.0), epsabs=1e-15,
+                            epsrel=1e-14, limit=200)
+    return (1.0 - g) * pgf(law, x) ** n + g * val / beta_fn(a, b)
+
+
+@pytest.mark.parametrize("a, b", BETA_LAWS)
+def test_beta_sampling_probability_matches_quadrature(a, b):
+    xs = np.array([0.0, 0.02, 0.3, 0.88, 1.0])
+    ns = np.array([1, 2, 12, 50])
+    for law in (geometric_family(0.2), explicit_family([0.6, 0.3, 0.1])):
+        params = DiscreteParams(30, 0.3, law, LambdaBeta(a, b))
+        s = sampling_probability(params, xs[:, None], ns)
+        reference = [[beta_quadrature(params, x, n) for n in ns] for x in xs]
+        assert np.abs(s - reference).max() < 1e-13, law
+
+
+@pytest.mark.parametrize("a, b", BETA_LAWS)
+def test_beta_node_rule_converged_at_large_n(a, b):
+    # at n = 1000 the rule S draws agrees with a rule of twice the nodes
+    xi = LambdaBeta(a, b)
+    twice = FiniteAtomic(beta_nodes(a, b, 2 * len(_event_atoms(xi, 1000))))
+    xs = np.linspace(0.0, 1.0, 11)
+    law = geometric_family(0.2)
+    s = sampling_probability(DiscreteParams(30, 0.3, law, xi), xs, 1000)
+    ref = sampling_probability(DiscreteParams(30, 0.3, law, twice), xs, 1000)
+    assert np.abs(s - ref).max() < 1e-13
 
 
 def test_beta_sampling_duality_mc():

@@ -12,8 +12,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       dual_generator_apply_exact,
                       generator_apply_exact, geometric_offspring,
                       jump_sampler, moment_duality_check, offspring_delta,
-                      offspring_pmf, recurrence_probe, run_chains, simulate,
-                      xi_jump_pmf)
+                      offspring_pmf, recurrence_probe, run_chains, simulate)
 from cannings.dual_chain import _SWEPT, _rate_row
 from cannings.simplex import pick_laws
 
@@ -92,6 +91,12 @@ def test_simulate_state_invariants():
     assert state == path.final
 
 
+def jump_law(z, n):
+    """P(n lineages hold d labels after one candidate event at z), d = 0..n:
+    row n of one ``pick_laws`` sweep, every drawn label new."""
+    return pick_laws([(1.0, z)], n, np.ones(n + 1))[n]
+
+
 def test_xi_jump_pmf_hand_enumeration():
     # z = (0.3, 0.2), n = 3: |z| = 0.5, normalized groups (0.6, 0.4);
     # k ~ Bin(3, 0.5) participants, counts multinomial over the groups,
@@ -100,16 +105,16 @@ def test_xi_jump_pmf_hand_enumeration():
     #   new 2: k=2 one group   = 0.375 * (0.36 + 0.16)          = 0.195
     #          k=3 two groups  = 0.125 * (0.432 + 0.288)        = 0.090
     #   new 3: everything else                                   = 0.680
-    pmf = xi_jump_pmf(SimplexPoint((0.3, 0.2)), 3)
+    pmf = jump_law(SimplexPoint((0.3, 0.2)), 3)
     assert abs(pmf[1] - 0.035) < 1e-12
     assert abs(pmf[2] - 0.285) < 1e-12
     assert abs(pmf[3] - 0.680) < 1e-12
-    assert abs(sum(pmf.values()) - 1.0) < 1e-12
+    assert abs(pmf.sum() - 1.0) < 1e-12
 
 
 def test_xi_jump_pmf_single_atom():
     # z = [0.5], n = 2: both in (prob 1/4) merges to 1, else no-op
-    pmf = xi_jump_pmf(SimplexPoint((0.5,)), 2)
+    pmf = jump_law(SimplexPoint((0.5,)), 2)
     assert abs(pmf[1] - 0.25) < 1e-14
     assert abs(pmf[2] - 0.75) < 1e-14
 
@@ -157,11 +162,11 @@ def test_generator_duality_beyond_enumeration_sizes():
         l = dual_generator_apply_exact(params, x, n)
         assert abs(a - l) <= 1e-12 * abs(a), (xi, n, x)
     for z in ((0.5,), (0.3, 0.2, 0.1), (0.1,) * 7):
-        pmf = xi_jump_pmf(SimplexPoint(z), 60)
-        assert abs(sum(pmf.values()) - 1.0) < 1e-12
+        pmf = jump_law(SimplexPoint(z), 60)
+        assert abs(pmf.sum() - 1.0) < 1e-12
     # the sweep's weights are probabilities: no overflow at large n
-    pmf = xi_jump_pmf(SimplexPoint((0.6, 0.3)), 1000)
-    assert abs(sum(pmf.values()) - 1.0) < 1e-12
+    pmf = jump_law(SimplexPoint((0.6, 0.3)), 1000)
+    assert abs(pmf.sum() - 1.0) < 1e-12
 
 
 def test_generator_budget_errors():
@@ -323,8 +328,8 @@ def test_xi_post_state_law_two_atoms():
     # pure xi chain out of state 3 under two atoms, one of them wider
     # than the sweep takes, so the candidate clock draws the points and
     # splits the participants: the post-state of the first candidate
-    # (no-ops logged) follows the rate-weighted mixture of xi_jump_pmf
-    # over the atoms (chi-square, 1% level)
+    # (no-ops logged) follows the rate-weighted mixture of the atoms'
+    # jump laws (chi-square, 1% level)
     atoms = ((0.6, (0.3, 0.2, 0.1, 0.1)), (0.4, (0.6,)))
     params = LimitParams(0.0, 0.0, offspring_delta(1),
                          xi=FiniteAtomic(atoms))
@@ -335,8 +340,7 @@ def test_xi_post_state_law_two_atoms():
     weights /= weights.sum()
     pmf = np.zeros(n)
     for w, (_, z) in zip(weights, atoms):
-        for new, p in xi_jump_pmf(SimplexPoint(z), n).items():
-            pmf[new - 1] += w * p
+        pmf += w * jump_law(SimplexPoint(z), n)[1:]
     news = np.array([e.state for e in firsts])
     f_obs = np.array([(news == s).sum() for s in range(1, n + 1)])
     assert f_obs.sum() == reps
@@ -351,12 +355,11 @@ def swept(xi):
 
 
 def xi_moves(xi, n):
-    """The rate of the xi moves from n to each d = 0..n: the atoms'
-    xi_jump_pmf weighted w / sum(z^2)."""
+    """The rate of the xi moves from n to each d = 0..n: the atoms' jump
+    laws weighted w / sum(z^2)."""
     moves = np.zeros(n + 1)
     for w, z in as_atoms(xi):
-        for d, p in xi_jump_pmf(z, n).items():
-            moves[d] += w / z.sum_sq * p
+        moves += w / z.sum_sq * jump_law(z, n)
     return moves
 
 

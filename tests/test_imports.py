@@ -36,19 +36,23 @@ def test_every_exported_name_resolves():
 
 def test_cli_import_loads_neither_scipy_stats_nor_integrate():
     # scipy.stats and scipy.integrate cost about a second of every fresh
-    # process; the package needs scipy.special only, and imports
-    # scipy.integrate inside the one Beta quadrature that runs it
+    # process; the package needs scipy.special only, also for a Beta
+    # xi_hat's exact sums, which run on its Gauss-Jacobi nodes
     code = f"""
 import sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
 import cannings.cli
 slow = [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
 assert not slow, slow
-from cannings import (DiscreteParams, LambdaBeta, geometric_family,
-                      sampling_probability)
+from cannings import (DiscreteParams, LambdaBeta, exact_transition_matrices,
+                      geometric_family, sampling_probability)
 params = DiscreteParams(10, 0.3, geometric_family(0.1),
                         xi_hat=LambdaBeta(2.0, 3.0))
-print(repr(sampling_probability(params, 0.4, 3)))
+s = sampling_probability(params, 0.4, 3)
+exact_transition_matrices(params)
+slow = [m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules]
+assert not slow, slow
+print(repr(s))
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
