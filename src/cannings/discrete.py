@@ -30,8 +30,10 @@ sampling probability
 is in duality between the two chains: E_x[S(X_g, n)] = E_n[S(x, D_g)]
 holds exactly, generation by generation.
 
-The exact sums below enumerate xi_hat's atoms; a Beta xi_hat's are the
-nodes of a Gauss-Jacobi rule (``simplex.beta_nodes``) sized to each sum.
+S, both kernels and the exact check sum over one event list, ``_events``:
+the ordinary generation as the empty point (Y(x) = x), weight 1 - g, then
+xi_hat's atoms, or a Beta xi_hat's Gauss-Jacobi nodes sized to each sum
+(``simplex.beta_nodes``), with weights g w / sum(w), normalised once.
 
 ``exact_transition_matrices`` builds both transition kernels in closed
 form.  Given the event, every pick lands independently, so D after n
@@ -52,14 +54,12 @@ import numpy as np
 from .mc import Check, McEstimate, compare
 from .selection import (SelectionLaw, parent_total_pmf, pgf,
                         sample_parent_total)
-from .simplex import (LambdaBeta, SimplexPoint, XiMeasure, as_atoms,
-                      bernoulli_patterns, beta_nodes, binomial_pmf, jump_map,
-                      pick_laws, sample_masses, total_mass)
+from .simplex import (MAX_EXACT_SUPPORT, LambdaBeta, SimplexPoint, XiMeasure,
+                      as_atoms, bernoulli_patterns, beta_nodes, binomial_pmf,
+                      jump_map, pick_laws, sample_masses, total_mass)
 
-#: the exact kernels refuse wider atom supports; the CLI runs the duality
-#: check in exact mode only up to MAX_EXACT_POP
+#: the CLI runs the duality check in exact mode only up to MAX_EXACT_POP
 MAX_EXACT_POP = 6
-MAX_EXACT_SUPPORT = 3
 _EXACT_TOL = 1e-10
 
 
@@ -113,10 +113,10 @@ def forward_trajectories(params: DiscreteParams, x0: float, generations: int,
 def sampling_probability(params: DiscreteParams, x, n):
     """S(x, n): probability that n sampled children are all of the weak type.
 
-    Sums over the group-adoption patterns of each atom of xi_hat
-    (``bernoulli_patterns``, supports of size up to 12), for Beta of
-    each Gauss-Jacobi node; stick-breaking xi_hat has no exact S.  x and
-    n broadcast against each other; scalars give a float.
+    The sum of w pgf(Y(x))^n over the events (``_events``) and each
+    event's group-adoption patterns (``bernoulli_patterns``, supports of
+    size up to 12); stick-breaking xi_hat has no exact S.  x and n
+    broadcast against each other; scalars give a float.
     """
     xs = np.asarray(x, dtype=float)
     ns = np.asarray(n)
@@ -124,30 +124,37 @@ def sampling_probability(params: DiscreteParams, x, n):
         raise ValueError("x must lie in [0, 1]")
     if np.any(ns < 1):
         raise ValueError("n must be at least 1")
-    g = params.extreme_prob
-    out = pgf(params.parent_law, xs) ** ns
-    if g != 0.0:
-        atoms = _event_atoms(params.xi_hat, int(ns.max(initial=1)))
-        if atoms is None:
-            raise ValueError("no exact sampling probability for a "
-                             f"{type(params.xi_hat).__name__} xi_hat")
-        tot = sum(w for w, _ in atoms)
-        acc = 0.0
-        for w, z in atoms:
-            probs, ys = bernoulli_patterns(z, xs)
-            terms = probs * pgf(params.parent_law, ys) ** ns[..., None]
-            acc = acc + (w / tot) * terms.sum(axis=-1)
-        out = (1.0 - g) * out + g * acc
+    events = _events(params, int(ns.max(initial=1)))
+    if events is None:
+        raise ValueError("no exact sampling probability for a "
+                         f"{type(params.xi_hat).__name__} xi_hat")
+    out = 0.0
+    for w, z in events:
+        probs, ys = bernoulli_patterns(z, xs)
+        terms = probs * pgf(params.parent_law, ys) ** ns[..., None]
+        out = out + w * terms.sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _event_atoms(measure: XiMeasure, size: int):
-    """xi_hat's atoms (``as_atoms``, None for stick-breaking); for Beta a
-    ``beta_nodes`` rule that integrates pgf(Y)^size to rounding."""
-    if isinstance(measure, LambdaBeta):
-        count = 32 + 4 * math.ceil(math.sqrt(size))
-        return beta_nodes(measure.a, measure.b, count)
-    return as_atoms(measure)
+def _events(params: DiscreteParams, size: int):
+    """A generation's events as (weight, point): the ordinary generation
+    as the empty point, weight 1 - g, then xi_hat's atoms, weights
+    g w / sum(w).  A Beta xi_hat gives 32 + 4 ceil(sqrt(size)) nodes
+    (``beta_nodes``), a rule that integrates pgf(Y)^size to rounding.
+    None for stick-breaking when g > 0."""
+    g = params.extreme_prob
+    events = [(1.0 - g, SimplexPoint(()))]
+    if g == 0.0:
+        return events
+    xi = params.xi_hat
+    if isinstance(xi, LambdaBeta):
+        atoms = beta_nodes(xi.a, xi.b, 32 + 4 * math.ceil(math.sqrt(size)))
+    else:
+        atoms = as_atoms(xi)
+        if atoms is None:
+            return None
+    tot = sum(w for w, _ in atoms)
+    return events + [(g * w / tot, z) for w, z in atoms]
 
 
 def ancestral_trajectories(params: DiscreteParams, n0: int, generations: int,
@@ -227,53 +234,44 @@ def _require_grid_state(params: DiscreteParams, x: float) -> int:
     return int(i)
 
 
-def _forward_kernel(params: DiscreteParams, z: SimplexPoint) -> np.ndarray:
-    """Forward kernel of a generation whose event is the point z: from
-    x = i / pop each group adopts the weak type with probability x, and
-    the pop children are Binomial(pop, pgf(Y(x)))."""
-    pop = params.pop_size
-    probs, ys = bernoulli_patterns(z, np.arange(pop + 1) / pop)
-    psi = pgf(params.parent_law, np.minimum(ys, 1.0))
-    return np.einsum("ip,ipc->ic", probs, binomial_pmf(pop, psi))
-
-
-def _kernel_atoms(params: DiscreteParams, picks: int):
-    """The atoms of the extreme generations, Beta nodes sized for up to
-    ``picks`` picks, () without them, or None when the kernels cannot
-    enumerate them: stick-breaking or an atom above MAX_EXACT_SUPPORT."""
-    if params.extreme_prob == 0.0:
-        return ()
-    atoms = _event_atoms(params.xi_hat, picks)
-    if atoms is None or any(len(z) > MAX_EXACT_SUPPORT for _, z in atoms):
-        return None
-    return atoms
+def _enumerable(params: DiscreteParams) -> bool:
+    """Whether the kernels take the model: every xi_hat but stick-breaking
+    and atoms wider than MAX_EXACT_SUPPORT (a Beta node has one group)."""
+    if params.extreme_prob == 0.0 or isinstance(params.xi_hat, LambdaBeta):
+        return True
+    atoms = as_atoms(params.xi_hat)
+    return (atoms is not None
+            and max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT)
 
 
 def has_exact_kernels(params: DiscreteParams) -> bool:
     """Whether the CLI checks the model's duality in exact mode: the
-    kernels build (every xi_hat but stick-breaking and atoms wider than
-    MAX_EXACT_SUPPORT) and pop_size <= MAX_EXACT_POP."""
-    return (params.pop_size <= MAX_EXACT_POP
-            and _kernel_atoms(params, 0) is not None)
+    kernels take it (``_enumerable``) and pop_size <= MAX_EXACT_POP."""
+    return params.pop_size <= MAX_EXACT_POP and _enumerable(params)
 
 
 def exact_transition_matrices(params: DiscreteParams) -> tuple[np.ndarray, np.ndarray]:
     """Forward kernel on {0, 1/N, ..., 1} and ancestral kernel on {1..N}.
 
-    Exact enumeration, for every pop_size, when xi_hat is Beta or atomic
-    with atom supports <= MAX_EXACT_SUPPORT (or extreme generations never
-    happen).  The parent-count law may have unbounded support.
+    Exact sums over S's events (``_events``, Beta nodes sized for the
+    largest pick total), for every pop_size, unless ``_enumerable``
+    refuses the model.  The parent-count law may have unbounded support.
     """
-    pop = params.pop_size
-    totals = parent_total_pmf(params.parent_law, pop)
-    atoms = _kernel_atoms(params, totals.shape[1] - 1)
-    if atoms is None:
+    if not _enumerable(params):
         raise ValueError("exact kernels need an atomic or Beta xi_hat with "
                          f"atom supports <= {MAX_EXACT_SUPPORT}")
-    g = params.extreme_prob
-    # an ordinary generation is an event at the empty point
-    events = [(1.0 - g, SimplexPoint(()))] + [(g * w, z) for w, z in atoms]
-    forward = sum(w * _forward_kernel(params, z) for w, z in events)
+    pop = params.pop_size
+    totals = parent_total_pmf(params.parent_law, pop)
+    events = _events(params, totals.shape[1] - 1)
+    grid = np.arange(pop + 1) / pop
+    forward = 0.0
+    for w, z in events:
+        # from x = i / pop each group of z adopts the weak type with
+        # probability x; the children are Binomial(pop, pgf(Y(x)))
+        probs, ys = bernoulli_patterns(z, grid)
+        psi = pgf(params.parent_law, np.minimum(ys, 1.0))
+        forward = forward + w * np.einsum("ip,ipc->ic", probs,
+                                          binomial_pmf(pop, psi))
     # a drawn label is uniform: new with probability (pop - d) / pop
     fresh = np.arange(pop, -1, -1) / pop
     ancestral = totals @ pick_laws(events, totals.shape[1] - 1, fresh)[:, 1:]
@@ -292,9 +290,10 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
                            rng: np.random.Generator | None = None) -> Check:
     """Check E_x[S(X_g, n)] = E_n[S(x, D_g)] after g generations.
 
-    Exact mode pushes both kernels g steps and passes a gap below 1e-10;
-    MC mode simulates both chains and ``compare``s the two estimates.
-    Both sides use the exact S.
+    Exact mode pushes both kernels g steps against column n and row x of
+    one grid S(i / pop, m) and passes a gap below 1e-10; MC mode
+    simulates both chains and ``compare``s the two estimates.  Both
+    sides use the exact S.
     """
     pop = params.pop_size
     if not (1 <= n <= pop):
@@ -302,12 +301,13 @@ def sampling_duality_check(params: DiscreteParams, x: float, n: int, g: int,
     ix = _require_grid_state(params, x)
     if mode == "exact":
         forward, ancestral = exact_transition_matrices(params)
-        s_states = sampling_probability(params, np.arange(pop + 1) / pop, n)
-        s_counts = sampling_probability(params, x, np.arange(1, pop + 1))
+        s = sampling_probability(params, (np.arange(pop + 1) / pop)[:, None],
+                                 np.arange(1, pop + 1))
         fwd_dist = np.linalg.matrix_power(forward, g)[ix]
         anc_dist = np.linalg.matrix_power(ancestral, g)[n - 1]
-        lhs = float(fwd_dist @ s_states)
-        rhs = float(anc_dist @ s_counts)
+        # a contiguous column keeps the dot product's summation order
+        lhs = float(fwd_dist @ np.ascontiguousarray(s[:, n - 1]))
+        rhs = float(anc_dist @ s[ix])
         gap = abs(lhs - rhs)
         return Check(McEstimate.exact(lhs), McEstimate.exact(rhs), gap, 0.0,
                      _EXACT_TOL, "pass" if gap < _EXACT_TOL else "fail")

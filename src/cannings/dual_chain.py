@@ -47,11 +47,7 @@ choice itself, rescaled to [0, 1) over the xi part of the row: no
 further draw.  Every other row keeps the candidate rate, and a
 candidate draws its binomial participant count (and the multinomial
 split of a multi-group point), as both depend on n; a candidate at
-n = 1 merges nothing and draws nothing.  The law of the chain is that
-of the earlier one-draw-per-call loop, but the random streams differ:
-dual-chain reports made before the block draws, on a one-group atom
-before its merge-only events, or on other atomic measures before the
-sweep, do not reproduce.
+n = 1 merges nothing and draws nothing.
 
 With kingman_rate = 0 and one extra lineage per branching, the chain
 between xi candidates is a Yule process at rate selection_rate per
@@ -87,11 +83,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrete import MAX_EXACT_SUPPORT
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
 from .selection import branching_drift, sample_extra
-from .simplex import as_atoms, pick_laws
+from .simplex import MAX_EXACT_SUPPORT, as_atoms, pick_laws
 
 _DEFAULT_CAP = 10_000
 #: the dual chain's cap in ``moment_duality_check``

@@ -7,11 +7,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-CONFIDENCE_LEVEL = 0.95
-# the two-sided standard normal quantile (scipy's norm.ppf is ndtri)
-_Z = float(ndtri(0.5 + CONFIDENCE_LEVEL / 2.0))
+#: the 95 % two-sided standard normal quantile, ndtri(0.975)
+_Z = 1.959963984540054
 
 
 @dataclass(frozen=True)

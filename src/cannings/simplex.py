@@ -321,6 +321,11 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     return row
 
 
+#: the widest atom whose 2^m masks ``pick_laws`` is swept for: the exact
+#: kernels refuse wider atoms, and the dual chain draws their candidates
+MAX_EXACT_SUPPORT = 3
+
+
 def pick_laws(events, picks: int, fresh) -> np.ndarray:
     """P(d labels drawn after t picks) at [t, d], t = 0..picks and
     d < len(fresh), for picks at one point drawn from ``events``, a

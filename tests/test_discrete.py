@@ -15,7 +15,7 @@ from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
                       has_exact_kernels, jump_map, neutral_family, pgf,
                       sample_masses, sampling_duality_check,
                       sampling_probability)
-from cannings.discrete import _event_atoms
+from cannings.discrete import _events
 from cannings.simplex import beta_nodes
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -376,6 +376,63 @@ def test_one_generation_duality_identity(name):
         assert gap < 1e-13, (pop, gap)
 
 
+def kernel_digest(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# the bench's exact model (N = 6, two atoms) and c10's N = 50 Dirac model
+PINNED_KERNEL_MODELS = {
+    "bench_two_atoms": DiscreteParams(
+        6, 0.2, geometric_family(0.1),
+        FiniteAtomic(((0.5, (0.3, 0.2, 0.1)), (0.5, (0.5,))))),
+    "c10_dirac": ANCESTRAL_MODELS["dirac"][0],
+}
+# sha256 of both kernels (forward, then ancestral) and of the Dirac
+# model's grid S[i, n - 1] = S(i / N, n), as little-endian float64,
+# recorded before S and the kernels shared one event list
+KERNEL_DIGESTS = {
+    ("bench_two_atoms", "kernels"):
+        "65d8fa7fe78605ed9269a2e864c5a77087916e4ed3719e233c2962f609b1b789",
+    ("c10_dirac", "kernels"):
+        "12cf8270ff1a8a3fa1fddb72fc29f78cc1ff4e094d6858e5ee8a3f47ceb2d507",
+    ("c10_dirac", "s_grid"):
+        "fe3a993296ac3e8f8a24639e3107682f2c04c858178d4eeb732596f027296654",
+}
+
+
+def test_exact_kernels_and_s_grid_pinned():
+    digests = {}
+    for name, what in KERNEL_DIGESTS:
+        params = PINNED_KERNEL_MODELS[name]
+        pop = params.pop_size
+        if what == "kernels":
+            digests[name, what] = kernel_digest(
+                *exact_transition_matrices(params))
+        else:
+            digests[name, what] = kernel_digest(sampling_probability(
+                params, (np.arange(pop + 1) / pop)[:, None],
+                np.arange(1, pop + 1)))
+    assert digests == KERNEL_DIGESTS
+
+
+def test_xi_weights_off_one_by_rounding_keep_the_duality():
+    # DiscreteParams accepts weights summing to 1 within 1e-9; S, both
+    # kernels and the check must read them as one normalised law, or the
+    # missing 8e-10 turns up as a K = infinity jump to d = N
+    xi = FiniteAtomic(((0.5, (0.3,)), (0.4999999992, (0.5,))))
+    params = DiscreteParams(6, 1.0, geometric_family(0.1), xi)
+    forward, ancestral = exact_transition_matrices(params)
+    assert np.abs(forward.sum(axis=1) - 1.0).max() < 1e-15
+    s = sampling_probability(params, (np.arange(7) / 6)[:, None],
+                             np.arange(1, 7))
+    assert np.abs(forward @ s - s @ ancestral.T).max() < 1e-13
+    for g in (3, 10):
+        assert sampling_duality_check(params, 0.5, 3, g).passed, g
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_MODELS))
 def test_duality_exact_at_larger_sizes(name):
     for pop in (10, 20, 50):
@@ -512,11 +569,12 @@ def test_beta_sampling_probability_matches_quadrature(a, b):
 @pytest.mark.parametrize("a, b", BETA_LAWS)
 def test_beta_node_rule_converged_at_large_n(a, b):
     # at n = 1000 the rule S draws agrees with a rule of twice the nodes
-    xi = LambdaBeta(a, b)
-    twice = FiniteAtomic(beta_nodes(a, b, 2 * len(_event_atoms(xi, 1000))))
-    xs = np.linspace(0.0, 1.0, 11)
     law = geometric_family(0.2)
-    s = sampling_probability(DiscreteParams(30, 0.3, law, xi), xs, 1000)
+    params = DiscreteParams(30, 0.3, law, LambdaBeta(a, b))
+    nodes = len(_events(params, 1000)) - 1  # the empty point, then J nodes
+    twice = FiniteAtomic(beta_nodes(a, b, 2 * nodes))
+    xs = np.linspace(0.0, 1.0, 11)
+    s = sampling_probability(params, xs, 1000)
     ref = sampling_probability(DiscreteParams(30, 0.3, law, twice), xs, 1000)
     assert np.abs(s - ref).max() < 1e-13
 

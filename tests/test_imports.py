@@ -25,6 +25,27 @@ def test_no_private_names_cross_modules():
     assert not offenders, offenders
 
 
+def test_limit_modules_import_nothing_from_discrete():
+    # the finite model sits on top of the limit side, never under it
+    offenders = []
+    for name in ("limit_sde", "dual_chain", "threshold"):
+        path = PACKAGE / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                # a relative import resolves inside the package
+                module = ".".join(filter(None, ["cannings" * (node.level > 0),
+                                                node.module]))
+                names = [module] + [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(f"{n}.".startswith("cannings.discrete.") for n in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, offenders
+
+
 def test_every_exported_name_resolves():
     import cannings
 

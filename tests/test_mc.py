@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from cannings import McEstimate
-from cannings.mc import interval
+from cannings.mc import _Z, interval
 
 
 def test_from_samples_matches_hand_computation():
@@ -24,6 +25,11 @@ def test_interval_contains_mean_and_is_symmetric():
     assert abs((hi - est.mean) - (est.mean - lo)) < 1e-12
     # 95% normal interval: half-width = 1.959964 * SE
     assert abs((hi - lo) / 2.0 - 1.959964 * est.std_error) < 1e-5 * est.std_error
+
+
+def test_normal_quantile_is_ndtri():
+    # the interval's z is a literal, so that mc needs no scipy.special
+    assert _Z == float(ndtri(0.975))
 
 
 def test_exact_value_has_zero_se():
