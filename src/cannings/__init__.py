@@ -23,9 +23,8 @@ from .limit_sde import (LimitParams, generator_apply_bernoulli,
                         generator_apply_exact, jump_sampler,
                         resolved_jump_floor, simulate_batch)
 from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
-                         moment_duality_check, recurrence_probe, run_chains,
-                         simulate)
-from .dual_chain import generator_apply_exact as dual_generator_apply_exact
+                         generator_matrix, moment_duality_check,
+                         recurrence_probe, run_chains, simulate)
 from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
                         kappa_star_mc)
 from .config import Config, ConfigError, RunSettings
@@ -47,7 +46,7 @@ __all__ = [
     "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualPath", "simulate", "run_chains", "ChainRuns",
-    "dual_generator_apply_exact",
+    "generator_matrix",
     "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
     "moment_duality_check",
     "kappa_star", "kappa_star_mc", "fixation_probability",

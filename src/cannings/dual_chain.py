@@ -18,15 +18,13 @@ State: the number n >= 1 of ancestral lineages.  Three event types:
   no-ops remain only for continuous measures, for atoms with more
   groups, and past n = 64 or where the no-op rate rounds away.
 
-Generator on f(n) = x^n, for fixed x in [0, 1]:
-
-    L x^n = selection_rate * n * sum_i pi_i (x^(n+i) - x^n)
-          + kingman_rate * n (n-1) / 2 * (x^(n-1) - x^n)
-          + sum_{d < n} rates[n, d] (x^d - x^n),
-
-rates[n, d] = sum_atoms w / sum(z^2) P(d labels after n picks at z)
-(``pick_laws``), which matches the forward generator on monomials:
-A x^n = L x^n.
+``generator_matrix(params, n_max)`` is the chain's rate matrix Q on
+{1, ..., n_max} and an overflow state, for an atomic measure: n -> n + i
+at rate selection_rate n pi_i, n -> n - 1 at rate kingman_rate n (n-1) / 2
+and n -> d < n at rates[n, d] = sum_atoms w / sum(z^2) P(d labels after
+n picks at z), the rows of the ``pick_laws`` sweep ``run_chains`` reads.
+On f(n) = x^n it is the moment dual of the forward generator: row n - 1
+of Q x^(1..n_max+1) is A x^n while n + max i <= n_max.
 
 ``run_chains`` is the one Gillespie core.  It runs every replicate of a
 call in one Python loop and takes the per-event draws from buffers
@@ -85,7 +83,7 @@ import numpy as np
 
 from .mc import Check, McEstimate, compare
 from .limit_sde import LimitParams, jump_sampler, simulate_batch
-from .selection import branching_drift, sample_extra
+from .selection import sample_extra
 from .simplex import MAX_EXACT_SUPPORT, as_atoms, pick_laws
 
 _DEFAULT_CAP = 10_000
@@ -225,13 +223,16 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     ``MAX_EXACT_SUPPORT`` groups, and for atomic measures past n = 64 or
     past the n where the no-op rate rounds away against lam (each there
     with probability below 2^-53).  A chain stops at total_time or once
-    n > cap.  Without ``log`` and ``burn_in``, and with a finite cap, a
-    chain at kingman_rate 0 with one extra lineage per branching draws
-    each pure-birth stretch in one step (module docstring), so asking for
-    either changes the stream but not the law.
+    n > cap; n0 must not exceed the cap.  Without ``log`` and
+    ``burn_in``, and with a finite cap, a chain at kingman_rate 0 with
+    one extra lineage per branching draws each pure-birth stretch in one
+    step (module docstring), so asking for either changes the stream but
+    not the law.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
+    if cap is not None and n0 > cap:
+        raise ValueError("n0 must not exceed cap")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     sampler = jump_sampler(params, rng=rng)
@@ -251,10 +252,9 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             z_total = one_point.total
             z_groups = one_point.masses if len(one_point) > 1 else None
     rows = []  # the row out of n at index n, None until n is visited
-    # pure-birth stretches (module docstring); a chain stays at or below
-    # the cap once it starts there
+    # pure-birth stretches (module docstring)
     stretches = (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
-                 and n0 <= cap and not log and burn_in is None)
+                 and not log and burn_in is None)
 
     block = _BLOCK
     holds = choices = extras = totals = groups = None
@@ -375,39 +375,36 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
 
 
 # ---------------------------------------------------------------------------
-# exact generator
+# rate matrix
 
 
-def generator_apply_exact(params: LimitParams, x: float, n: int) -> float:
-    """L x^n in closed form; needs an atomic measure.
-
-    The xi term reads row n of the sweep the chain's rows come from
-    (``pick_laws`` over n picks), which is computed on the lineage side,
-    independently of the forward ``bernoulli_patterns`` the forward
-    generator uses.
-    """
-    if not (0.0 <= x <= 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    xn = x ** n
-    branch = 0.0
-    if params.selection_rate > 0.0:
-        # sum_i pi_i (x^(n+i) - x^n) = x^(n-1) sum_i pi_i (x^(i+1) - x)
-        branch = (params.selection_rate * n * x ** (n - 1)
-                  * branching_drift(params.offspring, x))
-    king = 0.0
-    if n >= 2 and params.kingman_rate > 0.0:
-        king = params.kingman_rate * n * (n - 1) / 2.0 * (x ** (n - 1) - xn)
-    xi_term = 0.0
-    if params.xi is not None:
-        atoms = as_atoms(params.xi)
-        if atoms is None:
-            raise ValueError("exact generator needs an atomic measure")
-        rates = pick_laws([(w / z.sum_sq, z) for w, z in atoms], n,
-                          np.ones(n + 1))
-        xi_term = float(rates[n, :n] @ (x ** np.arange(n) - xn))
-    return branch + king + xi_term
+def generator_matrix(params: LimitParams, n_max: int) -> np.ndarray:
+    """The chain's rate matrix Q for an atomic measure (module docstring):
+    index m - 1 is state m, index n_max an absorbing overflow state, where
+    every branching past n_max lands."""
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    if params.xi is not None and as_atoms(params.xi) is None:
+        raise ValueError("generator matrix needs an atomic measure")
+    q = np.zeros((n_max + 1, n_max + 1))
+    sampler = jump_sampler(params)
+    if sampler is not None and sampler.atoms is not None:
+        # the merge rows run_chains sweeps; their no-ops, on the diagonal,
+        # are reset below
+        q[:n_max, :n_max] = pick_laws(sampler.atoms, n_max,
+                                      np.ones(n_max + 1))[1:, 1:]
+    m = np.arange(2, n_max + 1)
+    q[m - 1, m - 2] += 0.5 * params.kingman_rate * m * (m - 1)
+    # tail[k - 1] = P(i >= k), infinity included: pi_i = tail[i - 1] - tail[i]
+    tail = np.array([params.offspring.extra_tail(k)
+                     for k in range(1, n_max + 2)])
+    n = np.arange(1, n_max + 1)
+    r, c = np.triu_indices(n_max, 1)
+    q[r, c] += params.selection_rate * n[r] * (tail[c - r - 1] - tail[c - r])
+    q[:n_max, n_max] = params.selection_rate * n * tail[n_max - n]
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
 
 
 # ---------------------------------------------------------------------------

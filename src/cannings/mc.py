@@ -50,7 +50,7 @@ class Check:
 
     lhs: McEstimate
     rhs: McEstimate
-    gap: float          # |lhs - rhs|
+    gap: float          # |lhs - rhs|, or an identity's largest residual
     combined_se: float
     tolerance: float
     verdict: str

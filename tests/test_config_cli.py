@@ -377,10 +377,11 @@ RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
 # counts: (command, config, replicates) -> digest; both duality-discrete
 # reports re-recorded with the batched ancestral step (the "big" MC run's
 # stream), and the exact run's for the ancestral kernel built from total
-# pick counts (its rhs moved by one unit in the last place)
+# pick counts (its rhs moved by one unit in the last place) and again for
+# the whole-grid identity (lhs one unit lower, gap the grid's largest)
 REPORT_DIGESTS = {
     ("duality-discrete", "discrete", "5"):
-        "8f105097e96874655895f107cb4f099deecf687b8d2c0d62da98571b54dbc6f0",
+        "e417238322b67090a67298173e5ac5d254632259e0a87a259ff310b291374995",
     ("duality-discrete", "big", "200"):
         "d2da11169df2980cc6b792f6821d2a5468c6bebd9aaec4fffc9b06099824f1ae",
     ("duality-limit", "limit", "200"):
@@ -692,6 +693,14 @@ def test_cli_recurrence_inconclusive_exit_one(tmp_path, capsys):
     assert code == 1
     assert report["results"]["verdict"] == "inconclusive"
     assert report["results"]["mean_returns_to_one"] == 1.0
+
+
+def test_cli_start_above_cap_is_a_config_error(tmp_path, capsys):
+    path = write_cfg(tmp_path, LIMIT_CFG + "run.n0 = 50\nrun.cap = 10\n")
+    assert main(["dual-ctmc", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: n0 must not exceed cap" in captured.err
 
 
 def test_cli_zero_replicates_is_a_config_error(tmp_path, capsys):

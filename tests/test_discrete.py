@@ -15,6 +15,7 @@ from cannings import (DiscreteParams, FiniteAtomic, LambdaBeta, LambdaDirac,
                       has_exact_kernels, jump_map, neutral_family, pgf,
                       sample_masses, sampling_duality_check,
                       sampling_probability)
+from cannings import discrete
 from cannings.discrete import _events
 from cannings.simplex import beta_nodes
 
@@ -499,6 +500,35 @@ def test_duality_exact_selection_and_events():
     for g in (1, 4):
         report = sampling_duality_check(params, 2 / 3, 3, g)
         assert report.gap < 1e-10, f"g={g}: {report.gap}"
+
+
+def test_exact_check_covers_every_grid_point(monkeypatch):
+    # a defect in ancestral row n' = 4 leaves the (x, n = 2) entries of
+    # one generation alone; the whole-grid identity still sees it
+    params = DiscreteParams(4, 0.2, delta1_law(0.3), xi_hat=DIRAC_HALF)
+    assert sampling_duality_check(params, 0.5, 2, 1).passed
+    build = discrete.exact_transition_matrices
+
+    def skewed(p):
+        forward, ancestral = build(p)
+        ancestral[3, 1] += 1e-6
+        ancestral[3, 2] -= 1e-6
+        return forward, ancestral
+
+    monkeypatch.setattr(discrete, "exact_transition_matrices", skewed)
+    report = sampling_duality_check(params, 0.5, 2, 1)
+    assert report.verdict == "fail" and report.gap > 1e-8
+    assert abs(report.lhs.mean - report.rhs.mean) < 1e-15
+
+
+def test_exact_gap_is_the_grid_maximum():
+    # one model and g give one gap, whatever (x, n) the call asks for
+    params = DiscreteParams(5, 0.3, geometric_family(0.2), xi_hat=DIRAC_HALF)
+    reports = [sampling_duality_check(params, i / 5, n, 3)
+               for i in range(6) for n in range(1, 6)]
+    assert len({r.gap for r in reports}) == 1
+    for r in reports:
+        assert r.gap >= abs(r.lhs.mean - r.rhs.mean) and r.passed
 
 
 def test_duality_mc_mode_agrees():

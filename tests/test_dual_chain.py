@@ -5,14 +5,15 @@ import pathlib
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import chisquare
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SimplexPoint, StickBreaking, as_atoms,
-                      dual_generator_apply_exact,
-                      generator_apply_exact, geometric_offspring,
-                      jump_sampler, moment_duality_check, offspring_delta,
-                      offspring_pmf, recurrence_probe, run_chains, simulate)
+                      generator_apply_exact, generator_matrix,
+                      geometric_offspring, jump_sampler,
+                      moment_duality_check, offspring_delta, offspring_pmf,
+                      recurrence_probe, run_chains, simulate)
 from cannings.dual_chain import _SWEPT, _rate_row
 from cannings.simplex import pick_laws
 
@@ -74,6 +75,16 @@ def test_escape_cap():
     assert path.final > 50
 
 
+def test_start_above_cap_is_refused():
+    # a chain from n0 = 50 at cap 10 never crosses the cap, so it can
+    # report no escape; a start at the cap is fine
+    params = LimitParams(0.0, 1.0, offspring_delta(1))
+    with pytest.raises(ValueError, match="n0 must not exceed cap"):
+        run_chains(params, 50, 1.0, 5, np.random.default_rng(0), cap=10)
+    runs = run_chains(params, 10, 1.0, 5, np.random.default_rng(0), cap=10)
+    assert not runs.escaped.any() and (runs.final <= 10).all()
+
+
 def test_simulate_state_invariants():
     rng = np.random.default_rng(15)
     params = reference_params(1.0, sigma=1.0)
@@ -119,30 +130,39 @@ def test_xi_jump_pmf_single_atom():
     assert abs(pmf[2] - 0.75) < 1e-14
 
 
+def dual_generator(params, n_max):
+    """n, x -> row n - 1 of generator_matrix(params, n_max) applied to
+    x^(1..n_max+1), the dual generator on n -> x^n."""
+    q = generator_matrix(params, n_max)
+    return lambda n, x: float(q[n - 1] @ x ** np.arange(1.0, n_max + 2))
+
+
 def test_generator_branch_only_at_one_lineage():
     # n = 1: mergers are impossible, only branching moves the state
     params = LimitParams(2.0, 1.0, offspring_delta(2), xi=DIRAC_HALF)
     expect = 2.0 * (0.5 ** 3 - 0.5)
-    assert abs(dual_generator_apply_exact(params, 0.5, 1) - expect) < 1e-14
+    assert abs(dual_generator(params, 3)(1, 0.5) - expect) < 1e-14
 
 
 def test_generator_vanishes_on_constants():
     params = reference_params(1.5, sigma=0.7)
+    gen = dual_generator(params, 6)
     for n in (1, 2, 5):
-        assert abs(dual_generator_apply_exact(params, 1.0, n)) < 1e-12
+        assert abs(gen(n, 1.0)) < 1e-12
 
 
 def test_generator_duality_cross_check():
     # the two generators applied to x^n agree: forward A on f(x) = x^n,
-    # backward L on n -> x^n, same value
+    # backward Q on n -> x^n, same value
     for xi in (DIRAC_HALF, TWO_ATOMS):
         for law in (offspring_delta(1), offspring_delta(2)):
             for sigma in (0.0, 1.0):
                 params = LimitParams(1.0, sigma, law, xi=xi)
+                gen = dual_generator(params, 6)
                 for n in (1, 2, 3, 4):
                     for x in (0.25, 0.5, 0.75):
                         a = generator_apply_exact(params, n, x)
-                        l = dual_generator_apply_exact(params, x, n)
+                        l = gen(n, x)
                         assert abs(a - l) < 1e-10, (xi, sigma, n, x)
 
 
@@ -156,10 +176,14 @@ def test_generator_duality_beyond_enumeration_sizes():
               for xi in (THREE_GROUPS, FiniteAtomic(((1.0, (0.6, 0.4)),)),
                          TWO_ATOMS)
               for n in (200, 1000) for x in (0.99, 0.999)]
+    gens = {}
     for xi, n, x in cases:
         params = LimitParams(1.0, 0.5, offspring_delta(2), xi=xi)
+        if xi not in gens:
+            n_max = max(m for other, m, _ in cases if other == xi) + 2
+            gens[xi] = dual_generator(params, n_max)
         a = generator_apply_exact(params, n, x)
-        l = dual_generator_apply_exact(params, x, n)
+        l = gens[xi](n, x)
         assert abs(a - l) <= 1e-12 * abs(a), (xi, n, x)
     for z in ((0.5,), (0.3, 0.2, 0.1), (0.1,) * 7):
         pmf = jump_law(SimplexPoint(z), 60)
@@ -173,7 +197,34 @@ def test_generator_budget_errors():
     cont = LimitParams(1.0, 0.0, offspring_delta(1),
                        xi=LambdaBeta(3.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        dual_generator_apply_exact(cont, 0.5, 2)
+        generator_matrix(cont, 8)
+
+
+GENERATOR_LAWS = [offspring_delta(1), offspring_delta(2),
+                  offspring_pmf((0.5, 0.3, 0.2)), geometric_offspring(0.5)]
+
+
+@pytest.mark.parametrize("xi", [DIRAC_HALF, TWO_ATOMS])
+@pytest.mark.parametrize("law", GENERATOR_LAWS)
+def test_generator_matrix_rows_sum_to_zero(law, xi):
+    for sigma in (0.0, 1.0):
+        q = generator_matrix(LimitParams(1.0, sigma, law, xi=xi), 30)
+        assert q.shape == (31, 31)
+        assert np.abs(q.sum(axis=1)).max() < 1e-12
+        assert not q[-1].any()
+        # every off-diagonal entry is a rate, so non-negative
+        assert (q - np.diag(np.diag(q)) >= 0.0).all()
+
+
+@pytest.mark.parametrize("xi", [DIRAC_HALF, TWO_ATOMS])
+def test_generator_matrix_merges_are_the_chains_rows(xi):
+    # the rows run_chains sweeps, bit for bit: the merge part of row n is
+    # row n of the chain's pick_laws sweep, for n <= 64
+    params = LimitParams(1.0, 0.0, geometric_offspring(0.5), xi=xi)
+    q = generator_matrix(params, _SWEPT)
+    rates = pick_laws(jump_sampler(params).atoms, _SWEPT, np.ones(_SWEPT + 1))
+    for n in range(1, _SWEPT + 1):
+        np.testing.assert_array_equal(q[n - 1, :n - 1], rates[n, 1:n])
 
 
 def test_stationary_pure_coalescence_is_delta_one():
@@ -538,22 +589,20 @@ def test_yule_stretch_state_at_horizon():
 
 def test_yule_stretch_matches_event_path():
     # delta_0.5 at kappa = 6 starts in a stretch (n0 = 80 >= 60) and
-    # escapes in about two thirds of the replicates; the event log keeps
-    # the other side of the comparison event by event
+    # escapes in about two thirds of the replicates; the stretch run and
+    # the logged run, event by event, each match the exact law at t = 0.5:
+    # row 80 of expm(0.5 Q), Q's overflow state the escape (final 401)
     params = reference_params(6.0)
+    law = expm(0.5 * generator_matrix(params, 400))[79]
+    exact = (law[-1], law @ np.arange(1, 402))
     reps = 4000
-    sides = [run_chains(params, 80, 0.5, reps, np.random.default_rng(seed),
-                        cap=400, log=log)
-             for seed, log in ((43, False), (44, True))]
-
-    def moments(runs):
-        esc = runs.escaped.astype(float)
-        finals = runs.final.astype(float)
-        return [(v.mean(), v.std(ddof=1) / math.sqrt(v.size))
-                for v in (esc, finals)]
-
-    for (a, se_a), (b, se_b) in zip(*map(moments, sides)):
-        assert abs(a - b) <= 3.0 * math.hypot(se_a, se_b)
+    for seed, log in ((43, False), (44, True)):
+        runs = run_chains(params, 80, 0.5, reps, np.random.default_rng(seed),
+                          cap=400, log=log)
+        for v, target in zip((runs.escaped.astype(float),
+                              runs.final.astype(float)), exact):
+            se = v.std(ddof=1) / math.sqrt(reps)
+            assert abs(v.mean() - target) <= 3.0 * se, (log, v.mean(), target)
 
 
 def test_yule_stretch_long_horizon_draws_in_pieces():
