@@ -59,7 +59,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_expit
 
 from .mc import McEstimate
 from .selection import (SelectionLaw, branching_drift, drift_kernel,
@@ -230,12 +229,12 @@ def _exact_flow_rate(params: LimitParams) -> tuple[int, float] | None:
 def _flow(x: np.ndarray, i: int, shift: np.ndarray) -> np.ndarray:
     """x after time t of the flow x' = c (x^(i+1) - x), which moves
     logit(x^i) down by shift = i c t.  x must lie in (0, 1).  Taking
-    logit(x^i) = i log x - log(1 - x^i) with 1 - x^i from expm1, and x^i
-    back from log_expit, keeps full precision near 0 and 1 and never
-    overflows."""
+    logit(x^i) = i log x - log(1 - x^i) with 1 - x^i from expm1, and
+    log x^i back as -log(1 + e^-logit) from logaddexp, keeps full
+    precision near 0 and 1 and never overflows."""
     log_u = i * np.log(x)
     logit = log_u - np.log(-np.expm1(log_u)) - shift
-    return np.exp(log_expit(logit) / i)
+    return np.exp(-np.logaddexp(0.0, -logit) / i)
 
 
 def _simulate_flow(x: np.ndarray, total_time: float, i: int, speed: float,

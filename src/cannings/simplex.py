@@ -22,11 +22,11 @@ and truncates small events at a floor:
 into this rate, into the cut mass measure({z_1 < floor}), and into
 draws from the normalized truncated law; at frequency x the floor drops
 x (1 - x) times the cut mass of jump variance.
-Atomic families are exact; the Beta family has its rate in closed form
-through the incomplete Beta function (a Gauss hypergeometric function,
-DLMF 8.17.8) and exact draws by rejection from a two-piece power-law
-envelope; stick-breaking weights a Monte Carlo pool of points and
-reports the standard error of its rate.
+Atomic families are exact; the Beta family has its rate and cut mass as
+incomplete Beta integrals, each summed to full precision from a power
+series in y or in 1 - y (``_beta_part``), and exact draws by rejection
+from a two-piece power-law envelope; stick-breaking weights a Monte
+Carlo pool of points and reports the standard error of its rate.
 
 An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.special import betainc, betaln, hyp2f1
 
 #: slack allowed on the constraint sum(z) <= 1
 MASS_TOL = 1e-12
@@ -370,17 +369,76 @@ def pick_laws(events, picks: int, fresh) -> np.ndarray:
     return out
 
 
-def _beta_upper_mass(a: float, b: float, floor: float) -> float:
-    """Integral of y^(a-3) (1-y)^(b-1) / B(a, b) over [floor, 1].
+def _beta_part(p: float, q: float, lo: float, hi: float) -> float:
+    """Integral of y^(p-1) (1-y)^(q-1) over [lo, hi], 0 <= lo <= hi < 1.
 
-    With u = 1 - y it is the incomplete Beta function B_(1-floor)(b, a-2)
-    = (1-floor)^b / b * 2F1(b, 3-a; b+1; 1-floor) (DLMF 8.17.8), finite
-    at floor = 0 only for a > 2.  Relative error about 1e-11 for floors
-    down to 1e-5; below, rounding 1 - floor costs about 1e-17 / floor.
+    From lo = 0 (p > 0 there) with q > 1 it is the series of positive
+    terms x^p (1-x)^q / p * sum_k (p+q)_k / (p+1)_k x^k, x = hi (DLMF
+    8.17.8).  Otherwise it is the binomial series sum_k (1-q)_k / k!
+    times the integral of y^(p+k-1), each taken in a form that keeps
+    full precision as lo/hi -> 0: hi^s (1 - (lo/hi)^s) / s for s = p + k
+    > 0, lo^s ((hi/lo)^s - 1) / s for s < 0 and log(hi/lo) at s = 0.
+    Its coefficients have one sign for q <= 1; for q > 1 the first
+    ceil(q - 1) alternate, and the sum loses a factor of about
+    ((1 + hi) / (1 - hi))^(q-1) of its precision.  Both series stop once
+    their tail bound falls below 1e-17 of the sum.
     """
-    u = 1.0 - floor
-    return float(u ** b / b * hyp2f1(b, 3.0 - a, b + 1.0, u)
-                 * math.exp(-betaln(a, b)))
+    if lo >= hi:
+        return 0.0
+    if lo == 0.0 and q > 1.0:
+        term, total, k = 1.0, 0.0, 0
+        while True:
+            total += term
+            ratio = (p + q + k) / (p + 1.0 + k) * hi  # decreasing in k
+            term *= ratio
+            k += 1
+            if ratio < 1.0 and term <= 1e-17 * (1.0 - ratio) * total:
+                scale = math.exp(p * math.log(hi) + q * math.log1p(-hi))
+                return scale / p * total
+    log_ratio = math.log(hi / lo) if lo > 0.0 else math.inf
+    total, coef, k = 0.0, 1.0, 0
+    while coef != 0.0:
+        s = p + k
+        size = math.inf  # bound on the integral of y^(s-1), for s > 0
+        if s > 0.0:
+            size = hi ** s / s
+            total -= coef * size * math.expm1(-s * log_ratio)
+        elif s < 0.0:
+            total += coef * lo ** s * math.expm1(s * log_ratio) / s
+        else:
+            total += coef * log_ratio
+        k += 1
+        # bounds every later term's ratio to the one before it
+        ratio = hi * max(1.0, abs(k - q) / k)
+        tail = abs(coef) * size * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        if tail <= 1e-17 * abs(total):
+            break
+        coef *= (k - q) / k
+    return total
+
+
+def _beta_fn(a: float, b: float) -> float:
+    """The Beta function B(a, b)."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _beta_upper(a: float, b: float, floor: float) -> float:
+    """Integral of y^(a-3) (1-y)^(b-1) over [floor, 1]: [floor, c] as a
+    series in y and [c, 1] as one in 1 - y.  The split c = max(floor,
+    min(1/2, 1/b)) keeps the alternating y series (b > 1) within a factor
+    e^2 of full precision and the 1 - y series' ratio at most 1 - c."""
+    c = max(floor, min(0.5, 1.0 / b))
+    return (_beta_part(a - 2.0, b, floor, c)
+            + _beta_part(b, a - 2.0, 0.0, 1.0 - c))
+
+
+def _beta_cut(a: float, b: float, floor: float) -> float:
+    """Beta(a, b) mass of [0, floor]: the series on [0, floor], and above
+    floor 1/2 one minus the series on [floor, 1], exact to about 1e-16
+    in absolute terms."""
+    if floor <= 0.5:
+        return _beta_part(a, b, 0.0, floor) / _beta_fn(a, b)
+    return 1.0 - _beta_part(b, a, 0.0, 1.0 - floor) / _beta_fn(a, b)
 
 
 def _beta_envelope(a: float, b: float, floor: float,
@@ -388,7 +446,7 @@ def _beta_envelope(a: float, b: float, floor: float,
     """(c, k1, k2, share of the lower piece, acceptance rate) of the
     two-piece envelope of y^(a-3) (1-y)^(b-1) on [floor, 1]: k1 y^(a-3)
     on [floor, c) and k2 (1-y)^(b-1) on [c, 1], c = max(floor, 1/2).
-    ``upper`` is the target's mass over B(a, b), ``_beta_upper_mass``."""
+    ``upper`` is the target's mass, ``_beta_upper``."""
     c = max(floor, 0.5)
     k1 = max(1.0, (1.0 - c) ** (b - 1.0))
     k2 = max(1.0, c ** (a - 3.0))
@@ -397,7 +455,7 @@ def _beta_envelope(a: float, b: float, floor: float,
     else:
         low = k1 * (c ** (a - 2.0) - floor ** (a - 2.0)) / (a - 2.0)
     total = low + k2 * (1.0 - c) ** b / b
-    return c, k1, k2, low / total, upper * math.exp(betaln(a, b)) / total
+    return c, k1, k2, low / total, upper / total
 
 
 def _stick_weights(masses: np.ndarray, floor: float) -> np.ndarray:
@@ -411,13 +469,14 @@ class TruncatedSampler:
     """The floor-truncated, 1/sum(z^2)-weighted jump law of a measure.
 
     ``rate`` is its total mass, the integral of 1/sum(z^2) over
-    {z_1 >= floor}: exact for atomic families, closed form for Beta
-    (``_beta_upper_mass``; floor 0 only where it is finite, a > 2), and
-    for stick-breaking the mean weight of a pool of ``pool_size`` points
-    drawn from ``rng``, with its standard error in ``std_error`` (0 for
-    the other families).  ``cut_mass`` is the measure of the cut set
-    {z_1 < floor}: the cut atoms' weights, ``betainc`` for Beta, and for
-    stick-breaking the share of pool points below the floor.  ``atoms``
+    {z_1 >= floor}: exact for atomic families, an incomplete Beta series
+    for Beta (``_beta_upper``; floor 0 only where it is finite, a > 2),
+    and for stick-breaking the mean weight of a pool of ``pool_size``
+    points drawn from ``rng``, with its standard error in ``std_error``
+    (0 for the other families).  ``cut_mass`` is the measure of the cut
+    set {z_1 < floor}: the cut atoms' weights, the same series for Beta
+    (``_beta_cut``), and for stick-breaking the share of pool points
+    below the floor.  ``atoms``
     holds an atomic measure's kept atoms as (w / sum(z^2), z), None for
     other families or when the floor cuts every atom.
     ``draw_masses`` draws from the normalized law:
@@ -450,12 +509,12 @@ class TruncatedSampler:
                                  and measure.a > 2.0):
             raise ValueError("infinite-intensity: floor required")
         if isinstance(measure, LambdaBeta):
-            upper = _beta_upper_mass(measure.a, measure.b, floor)
-            self.rate = measure.total_mass * upper
-            self.cut_mass = measure.total_mass * float(
-                betainc(measure.a, measure.b, floor))
+            a, b = measure.a, measure.b
+            upper = _beta_upper(a, b, floor)
+            self.rate = measure.total_mass * upper / _beta_fn(a, b)
+            self.cut_mass = measure.total_mass * _beta_cut(a, b, floor)
             if upper > 0.0:
-                self._beta = _beta_envelope(measure.a, measure.b, floor, upper)
+                self._beta = _beta_envelope(a, b, floor, upper)
             return
         if rng is None:
             rng = np.random.default_rng(_MC_SEED)

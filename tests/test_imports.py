@@ -1,5 +1,5 @@
 """Import hygiene: no module of the package imports a private name from
-another, and importing the package loads no slow scipy subpackage."""
+another, and neither importing the package nor running it loads scipy."""
 
 import ast
 import pathlib
@@ -57,8 +57,7 @@ def test_every_exported_name_resolves():
 
 def test_cli_import_loads_neither_scipy_stats_nor_integrate():
     # scipy.stats and scipy.integrate cost about a second of every fresh
-    # process; the package needs scipy.special only, also for a Beta
-    # xi_hat's exact sums, which run on its Gauss-Jacobi nodes
+    # process; a Beta xi_hat's exact sums run on its Gauss-Jacobi nodes
     code = f"""
 import sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
@@ -82,6 +81,36 @@ print(repr(s))
     params = DiscreteParams(10, 0.3, geometric_family(0.1),
                             xi_hat=LambdaBeta(2.0, 3.0))
     assert float(out) == sampling_probability(params, 0.4, 3)
+
+
+def test_package_runs_without_scipy():
+    # a fresh process pays for numpy only: importing the CLI, building the
+    # benchmark's Beta jump sampler, one Beta Euler batch and one Dirac
+    # delta-1 exact-flow batch load no scipy module at all
+    bench = PACKAGE.parents[1] / "bench" / "experiments.py"
+    tree = ast.parse(bench.read_text(encoding="utf-8"))
+    beta_cfg, = [ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["BETA_CFG"]]
+    code = f"""
+import sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import cannings.cli
+import numpy as np
+from cannings import (Config, LambdaDirac, LimitParams, jump_sampler,
+                      offspring_delta, simulate_batch)
+params = Config.from_text({beta_cfg!r}).limit_params()
+assert jump_sampler(params).rate > 0.0
+simulate_batch(params, 0.5, 0.1, dt=0.01, n_paths=20,
+               rng=np.random.default_rng(1))
+dirac = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaDirac(0.5))
+finals, _ = simulate_batch(dirac, 0.5, 1.0, dt=0.01, n_paths=20,
+                           rng=np.random.default_rng(2))
+assert np.all((finals >= 0.0) & (finals <= 1.0))
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+assert not loaded, loaded
+"""
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_bench_imports_resolve():

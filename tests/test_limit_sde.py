@@ -112,7 +112,7 @@ BETA_GEOMETRIC = LimitParams(1.0, 1.0, geometric_offspring(0.5),
     (BETA_GEOMETRIC, 0.5, 1.0, 1e-3, 60, 4,
      "661599b18ad62a2c057b50f055b5d8d2f82894c0a195c55de5343d34b8313ab0",
      {"clamp_count": 40, "jumps_applied": 2205, "steps": 1000,
-      "jump_rate": 35.14950920732858}),
+      "jump_rate": 35.149509207328634}),
     # an explicit pmf and width-2 jumps
     (LimitParams(1.5, 0.5, offspring_pmf((0.5, 0.3, 0.2)),
                  xi=FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,))))),
@@ -130,7 +130,7 @@ BETA_GEOMETRIC = LimitParams(1.0, 1.0, geometric_offspring(0.5),
     (BETA_GEOMETRIC, 0.5, 1.0, 0.01, 0, 5,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      {"clamp_count": 0, "jumps_applied": 0, "steps": 100,
-      "jump_rate": 35.14950920732858}),
+      "jump_rate": 35.149509207328634}),
 ])
 def test_simulate_batch_euler_pinned(params, x0, total_time, dt, n_paths, seed,
                                      digest, diagnostics):
@@ -202,6 +202,20 @@ def test_exact_path_follows_closed_form_flow(i):
         assert np.all(np.abs(finals - flow) <= 1e-12)
         assert diag == {"clamp_count": 0, "jumps_applied": 0, "steps": 1,
                         "jump_rate": 0.0}
+
+
+def test_flow_log_sigmoid_is_log_expit():
+    # _flow takes log x^i as -logaddexp(0, -logit): bit for bit the
+    # log_expit it replaced, so every exact flow path stays as pinned
+    from scipy.special import log_expit
+
+    edges = np.array([800.0, -800.0, 1e-300, -1e-300, 0.0, -0.0, 745.2,
+                      -745.2, 36.7, -36.7])
+    tiny = np.geomspace(1e-300, 800.0, 20_001)
+    t = np.concatenate([edges, np.linspace(-800.0, 800.0, 400_001), tiny,
+                        -tiny])
+    got = -np.logaddexp(0.0, -t)
+    assert np.array_equal(got.view(np.int64), log_expit(t).view(np.int64))
 
 
 @pytest.mark.parametrize("i, total_time, seed", [

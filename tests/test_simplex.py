@@ -279,6 +279,47 @@ def test_beta_cut_mass_against_quadrature(floor):
     assert worst < 1e-10, worst
 
 
+@pytest.mark.parametrize("floor", [1e-10, 1e-7, 1e-4])
+def test_beta_rate_and_cut_mass_at_tiny_floors(floor):
+    # closed forms: the rate is the integral of y^(a-3) (1-y)^(b-1) / B(a, b)
+    # over [floor, 1], the cut mass the Beta(a, b) mass of [0, floor]
+    f = floor
+    rates = {(1.0, 1.0): 1.0 / f - 1.0,
+             (2.0, 1.0): -2.0 * math.log(f),       # the s = 0 term
+             (1.5, 1.0): 3.0 * (f ** -0.5 - 1.0),
+             (3.0, 1.0): 3.0 * (1.0 - f)}
+    cuts = {(1.0, 1.0): f, (2.0, 1.0): f * f, (1.0, 2.0): 2.0 * f - f * f}
+    for (a, b), want in rates.items():
+        got = TruncatedSampler(LambdaBeta(a, b), f).rate
+        assert abs(got - want) <= 1e-14 * want, (a, b, got, want)
+    for (a, b), want in cuts.items():
+        got = TruncatedSampler(LambdaBeta(a, b), f).cut_mass
+        assert abs(got - want) <= 1e-14 * want, (a, b, got, want)
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 20.0), (1.5, 50.0), (3.0, 30.0),
+                                  (20.0, 0.2), (7.5, 12.0)])
+def test_beta_rate_and_cut_mass_at_large_parameters(a, b):
+    # a power series in y alone loses all precision here ((1-y)^(b-1)
+    # alternates, and at y = 1/2 its terms outgrow the sum by 3^(b-1)):
+    # against quad as in the tests above, floors on both sides of 1/2;
+    # above 1/2 the cut mass is one minus the rest, so exact in absolute
+    # terms, which is what x (1 - x) times it needs
+    beta = math.exp(betaln(a, b))
+    for floor in (1e-4, 0.05, 0.3, 0.7, 0.9):
+        ref, _ = integrate.quad(lambda y: y ** (a - 3.0), floor, 1.0,
+                                weight="alg", wvar=(0.0, b - 1.0),
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        got = TruncatedSampler(LambdaBeta(a, b), floor).rate
+        assert abs(got - ref / beta) <= 1e-10 * ref / beta, (floor, got)
+        ref, _ = integrate.quad(lambda y: (1.0 - y) ** (b - 1.0), 0.0, floor,
+                                weight="alg", wvar=(a - 1.0, 0.0),
+                                epsabs=0.0, epsrel=1e-13, limit=200)
+        got = TruncatedSampler(LambdaBeta(a, b), floor).cut_mass
+        bound = 1e-10 * ref / beta if floor < 0.5 else 1e-13
+        assert abs(got - ref / beta) <= bound, (floor, got)
+
+
 @pytest.mark.parametrize("measure, floor", [
     (StickBreaking(total_mass=0.7), 0.3),
     (StickBreaking(total_mass=0.7), 0.5),
