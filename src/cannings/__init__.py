@@ -20,8 +20,7 @@ from .discrete import (DiscreteParams, ancestral_trajectories,
                        has_exact_kernels, sampling_duality_check,
                        sampling_probability)
 from .limit_sde import (LimitParams, generator_apply_bernoulli,
-                        generator_apply_exact, jump_sampler,
-                        resolved_jump_floor, simulate_batch)
+                        generator_apply_exact, jump_sampler, simulate_batch)
 from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
                          generator_matrix, moment_duality_check,
                          recurrence_probe, run_chains, simulate)
@@ -42,7 +41,7 @@ __all__ = [
     "forward_trajectories", "ancestral_trajectories",
     "sampling_probability", "has_exact_kernels", "exact_transition_matrices",
     "sampling_duality_check",
-    "LimitParams", "resolved_jump_floor", "jump_sampler",
+    "LimitParams", "jump_sampler",
     "simulate_batch", "generator_apply_exact",
     "generator_apply_bernoulli",
     "DualPath", "simulate", "run_chains", "ChainRuns",

@@ -40,7 +40,7 @@ is reproducible.  The full key list:
     run.x0                    float in [0, 1] (default 0.5, start frequency)
     run.x                     float in [0, 1] (default 0.5, duality evaluation)
     run.sample_size           int >= 1    (default 2, sample size / moment order)
-    run.n0                    int >= 1    (default 2, dual-chain start)
+    run.n0                    int in [1, cap] (default 2, dual-chain start)
     output.dir                directory for CSV/JSON artifacts (optional)
 
 For the discrete model the measure is normalized to total mass one (it
@@ -196,6 +196,10 @@ class Config:
                 bound = f"> {low:g}" if strict else f">= {low:g}"
                 raise ConfigError(f"'run.{name}' must be {bound}, got {value!r}",
                                   key=f"run.{name}")
+        if settings.n0 > settings.cap:
+            raise ConfigError(f"n0 must not exceed cap: 'run.n0' is "
+                              f"{settings.n0}, 'run.cap' {settings.cap}",
+                              key="run.n0")
         return settings
 
     @property

@@ -60,13 +60,6 @@ s)), or cap + 1 once that passes the cap (``_yule_run``).  With ``log``
 or ``burn_in`` the same call runs event by event: the law is the same,
 the stream is not.
 
-``run_chains`` builds the jump sampler itself, as its first draw, with
-``jump_sampler(params, rng=rng)``, and shares it across replicates.  For
-atomic and Beta measures the build draws nothing from the rng.  The
-stick-breaking sampler draws its 100k-point pool, one padded mass
-matrix, with one ``sample_masses`` call from the rng, so all replicates
-share one pool.
-
 ``recurrence_probe`` reads the long run off one ``run_chains`` call: the
 regime from escapes and returns to state 1 and, given a burn_in, the
 occupation measure past it, whose generating function
@@ -213,13 +206,12 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                log: bool = False) -> ChainRuns:
     """The Gillespie core: ``replicates`` independent chains from n0.
 
-    The call builds the jump sampler first, then runs the replicates one
-    after another, drawing from shared buffers of ``_BLOCK`` holding
-    times, event choices, offspring counts and xi points.  A ``burn_in``
-    adds each replicate's holding time per state past it (its
-    occupation); ``log`` adds its event list, every xi candidate
-    included.  Candidates that merge nothing come from candidate rows
-    alone: for continuous measures, for atoms with more than
+    The call runs the replicates one after another, drawing from shared
+    buffers of ``_BLOCK`` holding times, event choices, offspring counts
+    and xi points.  A ``burn_in`` adds each replicate's holding time per
+    state past it (its occupation); ``log`` adds its event list, every
+    xi candidate included.  Candidates that merge nothing come from
+    candidate rows alone: for continuous measures, for atoms with more than
     ``MAX_EXACT_SUPPORT`` groups, and for atomic measures past n = 64 or
     past the n where the no-op rate rounds away against lam (each there
     with probability below 2^-53).  A chain stops at total_time or once
@@ -235,7 +227,7 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
         raise ValueError("n0 must not exceed cap")
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    sampler = jump_sampler(params, rng=rng)
+    sampler = jump_sampler(params)
     sel = params.selection_rate
     pair = 0.5 * params.kingman_rate
     law = params.offspring
@@ -312,9 +304,6 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                         i_extra = 0
                     extra = extras[i_extra]
                     i_extra += 1
-                    if extra < 0:
-                        raise ValueError("offspring law with mass at infinity "
-                                         "cannot branch")
                 n_new = n + extra
                 if events is not None:
                     events.append(DualEvent(t, "branch", n_new))

@@ -104,23 +104,17 @@ class LimitParams:
             raise ValueError("jump_floor must lie in (0, 1]")
 
 
-def resolved_jump_floor(params: LimitParams) -> float | None:
+def jump_sampler(params: LimitParams) -> TruncatedSampler | None:
+    """The jump law of ``params.xi`` (None without one) truncated at the
+    floor ``LimitParams`` describes: a function of ``params`` alone."""
     if params.xi is None:
         return None
-    if params.jump_floor is not None:
-        return params.jump_floor
-    atoms = as_atoms(params.xi)
-    if atoms is not None:
-        return min(z.masses[0] for _, z in atoms)
-    return _DEFAULT_FLOOR
-
-
-def jump_sampler(params: LimitParams,
-                 rng: np.random.Generator | None = None) -> TruncatedSampler | None:
-    floor = resolved_jump_floor(params)
+    floor = params.jump_floor
     if floor is None:
-        return None
-    return TruncatedSampler(params.xi, floor, rng=rng)
+        atoms = as_atoms(params.xi)
+        floor = (min(z.masses[0] for _, z in atoms) if atoms is not None
+                 else _DEFAULT_FLOOR)
+    return TruncatedSampler(params.xi, floor)
 
 
 def simulate_batch(params: LimitParams, x0: float, total_time: float,
@@ -155,7 +149,7 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
         raise ValueError("need total_time >= 0 and dt > 0")
     if rng is None:
         raise ValueError("simulate_batch needs an rng")
-    sampler = jump_sampler(params, rng=rng)
+    sampler = jump_sampler(params)
     rate = sampler.rate if sampler is not None else 0.0
     x = np.full(n_paths, float(x0))
     flow = _exact_flow_rate(params)

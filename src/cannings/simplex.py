@@ -25,8 +25,9 @@ x (1 - x) times the cut mass of jump variance.
 Atomic families are exact; the Beta family has its rate and cut mass as
 incomplete Beta integrals, each summed to full precision from a power
 series in y or in 1 - y (``_beta_part``), and exact draws by rejection
-from a two-piece power-law envelope; stick-breaking weights a Monte
-Carlo pool of points and reports the standard error of its rate.
+from a two-piece power-law envelope; stick-breaking weights a fixed
+Monte Carlo pool of points, the same in every build, and reports the
+standard error of its rate.
 
 An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
@@ -53,7 +54,7 @@ import numpy as np
 MASS_TOL = 1e-12
 
 _MC_SAMPLES = 100_000
-_MC_SEED = 0x5EED  # deterministic default stream for MC-backed integrals
+_MC_SEED = 0x5EED  # the fixed stream of the stick-breaking pool
 #: largest point whose 2^m adoption patterns ``bernoulli_patterns`` lists
 _MAX_ENUM_SUPPORT = 12
 
@@ -306,9 +307,10 @@ def binomial_pmf(n: int, p) -> np.ndarray:
     np.shape(p) + (n + 1,).
 
     Built by Pascal's recurrence P(m, k) = (1-p) P(m-1, k) + p P(m-1, k-1)
-    on one row, whose terms are all positive: the error stays within a
-    few units in the last place of each value even where the log-gamma
-    form loses digits (about 2e-15 absolute at n = 2000).
+    on one row, whose terms are all positive.  Against exact rational
+    rows the worst absolute error is 1.2e-15 at n = 50, 5.4e-15 at
+    n = 200 and 2.8e-14 at n = 1000, each at p within 1e-9 of 0 or 1;
+    p = 0 and p = 1 give exact point masses.
     """
     p = np.asarray(p, dtype=float)[..., None]
     q = 1.0 - p
@@ -471,9 +473,10 @@ class TruncatedSampler:
     ``rate`` is its total mass, the integral of 1/sum(z^2) over
     {z_1 >= floor}: exact for atomic families, an incomplete Beta series
     for Beta (``_beta_upper``; floor 0 only where it is finite, a > 2),
-    and for stick-breaking the mean weight of a pool of ``pool_size``
-    points drawn from ``rng``, with its standard error in ``std_error``
-    (0 for the other families).  ``cut_mass`` is the measure of the cut
+    and for stick-breaking the mean weight of a fixed pool of
+    ``pool_size`` points, the same in every build (drawn from the
+    ``_MC_SEED`` stream), with its standard error in ``std_error`` (0 for
+    the other families).  ``cut_mass`` is the measure of the cut
     set {z_1 < floor}: the cut atoms' weights, the same series for Beta
     (``_beta_cut``), and for stick-breaking the share of pool points
     below the floor.  ``atoms``
@@ -482,12 +485,12 @@ class TruncatedSampler:
     ``draw_masses`` draws from the normalized law:
     atoms with ``rng.choice``'s arithmetic, Beta exactly (see
     ``_draw_beta``), stick-breaking by resampling the pool with its
-    weights.  Only the stick-breaking build draws from ``rng``.
+    weights.  A build is a function of the measure, the floor and
+    ``pool_size``: only ``draw_masses`` takes an rng.
     """
 
     def __init__(self, measure: XiMeasure, floor: float, *,
-                 pool_size: int = _MC_SAMPLES,
-                 rng: np.random.Generator | None = None):
+                 pool_size: int = _MC_SAMPLES):
         if not (0.0 <= floor <= 1.0):
             raise ValueError("floor must lie in [0, 1]")
         self.measure = measure
@@ -516,9 +519,8 @@ class TruncatedSampler:
             if upper > 0.0:
                 self._beta = _beta_envelope(a, b, floor, upper)
             return
-        if rng is None:
-            rng = np.random.default_rng(_MC_SEED)
-        masses = sample_masses(measure, pool_size, rng)
+        masses = sample_masses(measure, pool_size,
+                               np.random.default_rng(_MC_SEED))
         weights = _stick_weights(masses, floor)
         self.rate = measure.total_mass * float(weights.mean())
         self.std_error = measure.total_mass * float(

@@ -705,6 +705,20 @@ def test_cli_start_above_cap_is_a_config_error(tmp_path, capsys):
     assert "config error: n0 must not exceed cap" in captured.err
 
 
+@pytest.mark.parametrize("command, text", [("forward", DISCRETE_CFG),
+                                           ("sde", LIMIT_CFG)],
+                         ids=["forward", "sde"])
+def test_cli_start_above_cap_refused_by_every_command(tmp_path, capsys,
+                                                      command, text):
+    # the config refuses n0 > cap, also for commands that run no chain
+    path = write_cfg(tmp_path, text + "run.n0 = 50\nrun.cap = 10\n")
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n0 must not exceed cap" in captured.err
+    assert "run.n0" in captured.err and "run.cap" in captured.err
+
+
 def test_cli_zero_replicates_is_a_config_error(tmp_path, capsys):
     path = write_cfg(tmp_path, LIMIT_CFG)
     assert main(["recurrence", "--config", path, "--replicates", "0"]) == 2

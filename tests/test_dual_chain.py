@@ -555,11 +555,19 @@ def test_run_chains_argument_errors():
         recurrence_probe(params, 2, horizon=1.0, cap=10, replicates=0, rng=rng)
 
 
+def test_stick_duality_check_runs_one_law(sampler_builds):
+    # the forward and the dual side build the one fixed stick pool: the
+    # same rate and standard error on both sides of the check
+    moment_duality_check(STICK_PARAMS, 0.5, 2, total_time=0.2, dt=0.05,
+                         replicates=2, rng=np.random.default_rng(5))
+    forward, dual = sampler_builds
+    assert (forward.rate, forward.std_error) == (dual.rate, dual.std_error)
+
+
 def test_stick_breaking_chain_stream_pinned():
-    # stick-breaking is the one family whose sampler build draws (its
-    # point pool): sha256 of final, returns_to_one and escaped (int64,
-    # int64, uint8), then of the next rng.random() as float64, recorded
-    # when the caller built the sampler just before the chains
+    # sha256 of final, returns_to_one and escaped (int64, int64, uint8),
+    # then of the next rng.random() as float64; the stick pool comes from
+    # its own fixed stream, so the chains draw everything from rng
     rng = np.random.default_rng(2024)
     runs = run_chains(STICK_PARAMS, 3, 5.0, 50, rng, cap=1_000)
     digest = hashlib.sha256(runs.final.astype("<i8").tobytes())
@@ -567,7 +575,7 @@ def test_stick_breaking_chain_stream_pinned():
     digest.update(runs.escaped.astype(np.uint8).tobytes())
     digest.update(np.float64(rng.random()).tobytes())
     assert digest.hexdigest() == (
-        "f30a0a8b18b4ac723ffc67ef4164b0510ddd8405ede13639a465768bbc03ad8f")
+        "9b0c3f12e305a9647c372a01010e114b00e7a88e3769afd9f3f14e151457b57e")
 
 
 # ---------------------------------------------------------------------------

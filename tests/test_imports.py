@@ -46,6 +46,31 @@ def test_limit_modules_import_nothing_from_discrete():
     assert not offenders, offenders
 
 
+def test_jump_laws_are_built_only_by_jump_sampler():
+    # one floor rule and one law per model: the package builds a
+    # TruncatedSampler nowhere but in limit_sde.jump_sampler
+    def builds(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                yield from builds(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(
+                    func, "attr", None)
+                if name == "TruncatedSampler":
+                    yield f"{owner}:{child.lineno}"
+            yield from builds(child, owner)
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += builds(tree, path.stem)
+    owners = [site.split(":")[0] for site in found]
+    assert owners == ["limit_sde.jump_sampler"], found
+
+
 def test_every_exported_name_resolves():
     import cannings
 

@@ -11,7 +11,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       SelectionLaw, generator_apply_bernoulli,
                       generator_apply_exact, geometric_offspring, jump_sampler,
                       moment_duality_check, offspring_delta, offspring_pmf,
-                      resolved_jump_floor, simulate_batch)
+                      simulate_batch)
 from cannings.limit_sde import normalized_draws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
@@ -30,20 +30,20 @@ def test_params_validation():
 
 def test_resolved_jump_floor():
     base = dict(selection_rate=1.0, kingman_rate=0.0, offspring=offspring_delta(1))
-    assert resolved_jump_floor(LimitParams(**base)) is None
-    assert resolved_jump_floor(LimitParams(**base, xi=DIRAC_HALF,
-                                           jump_floor=0.2)) == 0.2
+    assert jump_sampler(LimitParams(**base)) is None
+    assert jump_sampler(LimitParams(**base, xi=DIRAC_HALF,
+                                    jump_floor=0.2)).floor == 0.2
     # atomic measures resolve to their smallest leading mass (exact clock)
     atoms = FiniteAtomic(((1.0, (0.4, 0.1)), (2.0, (0.25,))))
-    assert resolved_jump_floor(LimitParams(**base, xi=atoms)) == 0.25
+    assert jump_sampler(LimitParams(**base, xi=atoms)).floor == 0.25
     # continuous families fall back to the documented default
     cont = LimitParams(**base, xi=LambdaBeta(3.0, 1.0, 1.0))
-    assert resolved_jump_floor(cont) == 1e-3
+    assert jump_sampler(cont).floor == 1e-3
 
 
 def test_jump_rate_dirac():
     params = LimitParams(1.0, 0.0, offspring_delta(1), xi=DIRAC_HALF)
-    sampler = jump_sampler(params, rng=np.random.default_rng(0))
+    sampler = jump_sampler(params)
     # one atom of mass 1 at [0.5]: rate = 1 / 0.25 = 4
     assert abs(sampler.rate - 4.0) < 1e-12
 
@@ -359,4 +359,4 @@ def test_lower_floor_never_fewer_jumps():
     assert counts[0] < counts[1] < counts[2]
     # rates 3(1 - floor): 1.2, 2.1, 2.7 per unit time
     params = LimitParams(**base, jump_floor=0.6)
-    assert abs(jump_sampler(params, rng).rate - 1.2) < 1e-6
+    assert abs(jump_sampler(params).rate - 1.2) < 1e-6

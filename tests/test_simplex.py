@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, bernoulli_patterns,
                       binomial_pmf, jump_map, normalized, sample_masses,
                       total_mass)
-from cannings.simplex import pick_laws
+from cannings.simplex import _MC_SEED, pick_laws
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -196,6 +197,30 @@ def test_binomial_pmf_against_scipy(n):
     assert np.array_equal(binomial_pmf(3, ps)[0, 1], binomial_pmf(3, 0.7))
 
 
+def _exact_binomial_row(n, p):
+    """P(Binomial(n, p) = k), k = 0..n, exact in rationals for the float p
+    and rounded once to float."""
+    p = Fraction(p)
+    q = 1 - p
+    p_pows, q_pows = [Fraction(1)], [Fraction(1)]
+    for _ in range(n):
+        p_pows.append(p_pows[-1] * p)
+        q_pows.append(q_pows[-1] * q)
+    return np.array([float(math.comb(n, k) * p_pows[k] * q_pows[n - k])
+                     for k in range(n + 1)])
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_binomial_pmf_against_exact_rationals(n):
+    # Pascal's recurrence within 1e-14 absolute of the exact row, tails
+    # near p = 0 and 1 included; p = 0 and 1 give exact point masses
+    for p in (0.0, 1.0, 1e-9, 1.0 - 1e-9, 2.0 ** -30, 0.3):
+        row = binomial_pmf(n, p)
+        assert np.abs(row - _exact_binomial_row(n, p)).max() <= 1e-14, (n, p)
+    assert np.array_equal(binomial_pmf(n, 0.0), np.eye(n + 1)[0])
+    assert np.array_equal(binomial_pmf(n, 1.0), np.eye(n + 1)[n])
+
+
 def test_infinite_intensity_requires_floor():
     with pytest.raises(ValueError, match="infinite-intensity"):
         rate(LambdaBeta(1.0, 1.0), 0.0)   # a <= 2: divergent at 0
@@ -331,8 +356,7 @@ def test_stick_cut_mass_against_independent_draw(measure, floor):
     # floor: against the share of an independent draw, within 4 binomial
     # standard errors of the difference of the two shares
     pool = 20_000
-    got = TruncatedSampler(measure, floor, pool_size=pool,
-                           rng=np.random.default_rng(31)).cut_mass
+    got = TruncatedSampler(measure, floor, pool_size=pool).cut_mass
     draws = sample_masses(measure, pool, np.random.default_rng(32))
     p = np.count_nonzero(draws[:, 0] < floor) / pool
     assert 0.0 < p < 1.0
@@ -446,8 +470,7 @@ def test_one_atom_draws_keep_the_choice_stream(measure, row):
 
 
 def test_draw_masses_stick_breaking_rows_are_points():
-    sampler = TruncatedSampler(StickBreaking(), 0.05, pool_size=2000,
-                               rng=np.random.default_rng(3))
+    sampler = TruncatedSampler(StickBreaking(), 0.05, pool_size=2000)
     masses = sampler.draw_masses(300, np.random.default_rng(4))
     assert masses.shape[0] == 300
     assert np.all(masses[:, 0] >= 0.05)
@@ -461,26 +484,14 @@ def test_stick_pool_rate_and_std_error():
     # the rate is the mean of the pool's weights 1/sum(z^2) [z_1 >= floor],
     # scaled by the total mass, and std_error its standard error
     measure, floor = StickBreaking(total_mass=0.7), 0.1
-    sampler = TruncatedSampler(measure, floor, pool_size=2000,
-                               rng=np.random.default_rng(6))
-    masses = sample_masses(measure, 2000, np.random.default_rng(6))
+    sampler = TruncatedSampler(measure, floor, pool_size=2000)
+    masses = sample_masses(measure, 2000, np.random.default_rng(_MC_SEED))
     weights = 0.7 * np.where(masses[:, 0] >= floor,
                              1.0 / (masses * masses).sum(axis=1), 0.0)
     assert sampler.rate == pytest.approx(weights.mean(), rel=1e-12)
     assert sampler.std_error == pytest.approx(
         weights.std(ddof=1) / math.sqrt(2000), rel=1e-12)
     assert sampler.std_error > 0.0
-
-
-@pytest.mark.parametrize("measure, floor", [
-    (LambdaDirac(0.5, 2.0), 0.1), (ATOM_PAIR, 0.0), (ATOM_PAIR, 0.4),
-    (LambdaBeta(0.5, 1.5), 1e-3), (LambdaBeta(2.5, 0.7), 0.0)],
-    ids=["dirac", "two_atoms", "two_atoms_cut", "beta", "beta_floor_0"])
-def test_sampler_build_draws_nothing(measure, floor):
-    rng = np.random.default_rng(13)
-    state = rng.bit_generator.state
-    TruncatedSampler(measure, floor, rng=rng)
-    assert rng.bit_generator.state == state
 
 
 def _beta_law(a, b, floor, cut):
@@ -542,8 +553,7 @@ def test_stick_draw_masses_law(measure, floor):
     # own error is taken as the reference's, and the resampling adds the
     # draws' sample variance; within 4 combined standard errors
     pool, draws = 20_000, 100_000
-    z1 = TruncatedSampler(measure, floor, pool_size=pool,
-                          rng=np.random.default_rng(31)).draw_masses(
+    z1 = TruncatedSampler(measure, floor, pool_size=pool).draw_masses(
         draws, np.random.default_rng(33))[:, 0]
     assert np.all(z1 >= floor)
     reference = sample_masses(measure, pool, np.random.default_rng(32))
