@@ -196,6 +196,10 @@ class Config:
                 bound = f"> {low:g}" if strict else f">= {low:g}"
                 raise ConfigError(f"'run.{name}' must be {bound}, got {value!r}",
                                   key=f"run.{name}")
+        for name, value in (("x0", settings.x0), ("x", settings.x)):
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"'run.{name}' must be in [0, 1], got {value!r}",
+                                  key=f"run.{name}")
         if settings.n0 > settings.cap:
             raise ConfigError(f"n0 must not exceed cap: 'run.n0' is "
                               f"{settings.n0}, 'run.cap' {settings.cap}",

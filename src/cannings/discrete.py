@@ -232,8 +232,8 @@ def _ancestral_step(params: DiscreteParams, n: np.ndarray,
 
 def _require_grid_state(params: DiscreteParams, x: float) -> int:
     i = round(x * params.pop_size)
-    if abs(x * params.pop_size - i) > 1e-9:
-        raise ValueError("x must sit on the frequency grid i / pop_size")
+    if abs(x * params.pop_size - i) > 1e-9 or not 0 <= i <= params.pop_size:
+        raise ValueError("x must be a grid point i / pop_size of [0, 1]")
     return int(i)
 
 

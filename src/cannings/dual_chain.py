@@ -232,8 +232,8 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     pair = 0.5 * params.kingman_rate
     law = params.offspring
     delta_one = law.point_extra == 1
-    lam = sampler.rate if sampler is not None else 0.0
-    atoms = sampler.atoms if sampler is not None else None
+    lam = sampler.rate
+    atoms = sampler.atoms
     rates = one_point = None
     if atoms is not None:
         if max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
@@ -373,11 +373,11 @@ def generator_matrix(params: LimitParams, n_max: int) -> np.ndarray:
     every branching past n_max lands."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if params.xi is not None and as_atoms(params.xi) is None:
+    if as_atoms(params.xi) is None:
         raise ValueError("generator matrix needs an atomic measure")
     q = np.zeros((n_max + 1, n_max + 1))
     sampler = jump_sampler(params)
-    if sampler is not None and sampler.atoms is not None:
+    if sampler.atoms is not None:
         # the merge rows run_chains sweeps; their no-ops, on the diagonal,
         # are reset below
         q[:n_max, :n_max] = pick_laws(sampler.atoms, n_max,

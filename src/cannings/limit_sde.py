@@ -104,15 +104,13 @@ class LimitParams:
             raise ValueError("jump_floor must lie in (0, 1]")
 
 
-def jump_sampler(params: LimitParams) -> TruncatedSampler | None:
-    """The jump law of ``params.xi`` (None without one) truncated at the
-    floor ``LimitParams`` describes: a function of ``params`` alone."""
-    if params.xi is None:
-        return None
+def jump_sampler(params: LimitParams) -> TruncatedSampler:
+    """The jump law of ``params.xi`` (the empty atom list without one: rate
+    0) at the floor ``LimitParams`` describes: a function of ``params``."""
     floor = params.jump_floor
     if floor is None:
         atoms = as_atoms(params.xi)
-        floor = (min(z.masses[0] for _, z in atoms) if atoms is not None
+        floor = (min(z.masses[0] for _, z in atoms) if atoms
                  else _DEFAULT_FLOOR)
     return TruncatedSampler(params.xi, floor)
 
@@ -150,12 +148,12 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     if rng is None:
         raise ValueError("simulate_batch needs an rng")
     sampler = jump_sampler(params)
-    rate = sampler.rate if sampler is not None else 0.0
+    rate = sampler.rate
     x = np.full(n_paths, float(x0))
     flow = _exact_flow_rate(params)
     if flow is not None:
         jumps_applied, rounds = _simulate_flow(x, total_time, *flow, sampler,
-                                               rate, rng)
+                                               rng)
         return x, {"clamp_count": 0, "jumps_applied": jumps_applied,
                    "steps": rounds, "jump_rate": rate}
     kappa, sigma = params.selection_rate, params.kingman_rate
@@ -232,16 +230,16 @@ def _flow(x: np.ndarray, i: int, shift: np.ndarray) -> np.ndarray:
 
 
 def _simulate_flow(x: np.ndarray, total_time: float, i: int, speed: float,
-                   sampler: TruncatedSampler | None, rate: float,
+                   sampler: TruncatedSampler,
                    rng: np.random.Generator) -> tuple[int, int]:
     """Exact paths, in place, for a closed-form flow (``_exact_flow_rate``
     gives i and speed = i selection_rate pi_i).
 
-    Each round draws one Exp(rate) holding time per live path (none when
-    rate = 0); paths whose next jump falls past total_time follow the
-    flow to total_time and stop, the others follow it over the hold and
-    take one ``jump_map``.  Paths at exactly 0 or 1 absorb and leave the
-    live set.  Returns (jumps applied, rounds).
+    Each round draws one holding time per live path, Exp at the sampler's
+    rate (none when it is 0); paths whose next jump falls past total_time
+    follow the flow to total_time and stop, the others follow it over the
+    hold and take one ``jump_map``.  Paths at exactly 0 or 1 absorb and
+    leave the live set.  Returns (jumps applied, rounds).
     """
     live = np.flatnonzero((x > 0.0) & (x < 1.0) & (total_time > 0.0))
     t = np.zeros(live.size)
@@ -249,8 +247,8 @@ def _simulate_flow(x: np.ndarray, total_time: float, i: int, speed: float,
     while live.size:
         rounds += 1
         hold = math.inf
-        if rate > 0.0:
-            hold = rng.standard_exponential(live.size) / rate
+        if sampler.rate > 0.0:
+            hold = rng.standard_exponential(live.size) / sampler.rate
         end = t + hold
         stop = end >= total_time
         done = live[stop]
@@ -325,14 +323,13 @@ def generator_apply_exact(params: LimitParams, n: int, x: float) -> float:
     if n >= 2 and params.kingman_rate > 0.0:
         diff_term = (0.5 * params.kingman_rate * x * (1.0 - x)
                      * n * (n - 1) * x ** (n - 2))
+    atoms = as_atoms(params.xi)
+    if atoms is None:
+        raise ValueError("exact generator needs an atomic measure")
     jump_term = 0.0
-    if params.xi is not None:
-        atoms = as_atoms(params.xi)
-        if atoms is None:
-            raise ValueError("exact generator needs an atomic measure")
-        for w, z in atoms:
-            probs, ys = bernoulli_patterns(z, x)
-            jump_term += (w / z.sum_sq) * (probs @ ys ** n - x ** n)
+    for w, z in atoms:
+        probs, ys = bernoulli_patterns(z, x)
+        jump_term += (w / z.sum_sq) * (probs @ ys ** n - x ** n)
     return drift_term + diff_term + jump_term
 
 

@@ -286,8 +286,6 @@ def _extra_cdf(law: SelectionLaw) -> tuple[np.ndarray, bool]:
     Without an infinity bucket the last entry is +inf, so that a uniform
     past the rounded total lands in the last bucket, not beyond it.
     """
-    if law.geometric_param is not None:
-        raise ValueError("geometric laws sample directly")
     cdf = np.cumsum(np.asarray(law.extra_pmf, dtype=float))
     has_inf = law.extra_inf_mass > 0.0
     if len(cdf) and not has_inf:

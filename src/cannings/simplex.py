@@ -6,12 +6,14 @@ is the fraction of the next generation claimed by the i-th largest
 family and the leftover 1 - sum(z) is spread over singleton picks.
 Points are stored with finite support; zeros are never stored.
 
-Measures on the simplex come in four parametric families:
+Measures on the simplex come in three parametric families:
 
 * ``FiniteAtomic``   -- a finite list of weighted atoms,
-* ``LambdaDirac``    -- all mass on the one-atom point [y],
 * ``LambdaBeta``     -- one-atom points [y] with y Beta(a, b) distributed,
 * ``StickBreaking``  -- residual stick-breaking from an i.i.d. stick law.
+
+``LambdaDirac(y, m)`` builds m delta_[y] as a one-atom ``FiniteAtomic``;
+``as_atoms`` gives no measure (None) as the empty atom list: no jumps.
 
 The coalescent intensity divides out sum(z^2), the pair-merger weight,
 and truncates small events at a floor:
@@ -45,7 +47,7 @@ Beta law as weighted one-group atoms, a Gauss-Jacobi rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -118,18 +120,13 @@ class FiniteAtomic:
         object.__setattr__(self, "atoms", tuple(fixed))
 
 
-@dataclass(frozen=True)
-class LambdaDirac:
-    """All mass on the single one-atom point [y], 0 < y <= 1."""
-
-    y: float
-    total_mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.y <= 1.0):
-            raise ValueError("y must lie in (0, 1]")
-        if self.total_mass <= 0.0:
-            raise ValueError("total_mass must be positive")
+def LambdaDirac(y: float, total_mass: float = 1.0) -> FiniteAtomic:
+    """All mass on the single one-atom point [y], 0 < y <= 1: one atom."""
+    if not (0.0 < y <= 1.0):
+        raise ValueError("y must lie in (0, 1]")
+    if total_mass <= 0.0:
+        raise ValueError("total_mass must be positive")
+    return FiniteAtomic(((total_mass, SimplexPoint((y,))),))
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ class StickBreaking:
             raise ValueError("truncation_tol must lie in (0, 1)")
 
 
-XiMeasure = Union[FiniteAtomic, LambdaDirac, LambdaBeta, StickBreaking]
+XiMeasure = Union[FiniteAtomic, LambdaBeta, StickBreaking]
 
 
 def total_mass(measure: XiMeasure) -> float:
@@ -187,21 +184,15 @@ def normalized(measure: XiMeasure) -> XiMeasure:
     tot = total_mass(measure)
     if isinstance(measure, FiniteAtomic):
         return FiniteAtomic(tuple((w / tot, z) for w, z in measure.atoms))
-    if isinstance(measure, LambdaDirac):
-        return LambdaDirac(measure.y, 1.0)
-    if isinstance(measure, LambdaBeta):
-        return LambdaBeta(measure.a, measure.b, 1.0)
-    return StickBreaking(measure.stick_law, measure.a, measure.b, 1.0,
-                         measure.truncation_tol)
+    return replace(measure, total_mass=1.0)
 
 
-def as_atoms(measure: XiMeasure) -> tuple[tuple[float, SimplexPoint], ...] | None:
-    """The measure as a finite atom list, or None for continuous families."""
+def as_atoms(measure: XiMeasure | None
+             ) -> tuple[tuple[float, SimplexPoint], ...] | None:
+    """The measure's atom list: () without a measure, None if continuous."""
     if isinstance(measure, FiniteAtomic):
         return measure.atoms
-    if isinstance(measure, LambdaDirac):
-        return ((measure.total_mass, SimplexPoint((measure.y,))),)
-    return None
+    return () if measure is None else None
 
 
 def beta_nodes(a: float, b: float,
@@ -292,14 +283,18 @@ def bernoulli_patterns(z: SimplexPoint, x) -> tuple[np.ndarray, np.ndarray]:
     each of the 2^len(z) group adoption patterns, as arrays of shape
     np.shape(x) + (2^len(z),).  The empty point gives ([1], [x])."""
     m = len(z)
-    if m > _MAX_ENUM_SUPPORT:
-        raise ValueError(f"atom supports above {_MAX_ENUM_SUPPORT} are too "
-                         "large for exact enumeration")
+    _require_enumerable(m)
     # row p of bits holds the binary digits of p, most significant first
     bits = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     xa = np.asarray(x, dtype=float)[..., None, None]
     probs = np.where(bits, xa, 1.0 - xa).prod(axis=-1)
     return probs, bits @ np.asarray(z.masses) + xa[..., 0] * z.residual
+
+
+def _require_enumerable(width: int) -> None:
+    if width > _MAX_ENUM_SUPPORT:
+        raise ValueError(f"atom supports above {_MAX_ENUM_SUPPORT} are too "
+                         "large for exact enumeration")
 
 
 def binomial_pmf(n: int, p) -> np.ndarray:
@@ -340,8 +335,10 @@ def pick_laws(events, picks: int, fresh) -> np.ndarray:
     mask, the moves (``adopt`` draws a label, ``keep`` joins a drawn
     group) are block-diagonal over the events, and pick t moves only the
     rows d <= t.  Every weight is a probability, so the sweep stays in
-    [0, 1] at any size.
+    [0, 1] at any size.  It is dense in sum 2^len(z): points wider than
+    ``bernoulli_patterns`` takes are refused first.
     """
+    _require_enumerable(max(len(z) for _, z in events))
     size = sum(2 ** len(z) for _, z in events)
     adopt, keep = np.zeros((size, size)), np.zeros(size)
     state = np.zeros((len(fresh), size))
@@ -481,7 +478,7 @@ class TruncatedSampler:
     (``_beta_cut``), and for stick-breaking the share of pool points
     below the floor.  ``atoms``
     holds an atomic measure's kept atoms as (w / sum(z^2), z), None for
-    other families or when the floor cuts every atom.
+    other families or when no atom is kept, as without a measure (rate 0).
     ``draw_masses`` draws from the normalized law:
     atoms with ``rng.choice``'s arithmetic, Beta exactly (see
     ``_draw_beta``), stick-breaking by resampling the pool with its
@@ -489,7 +486,7 @@ class TruncatedSampler:
     ``pool_size``: only ``draw_masses`` takes an rng.
     """
 
-    def __init__(self, measure: XiMeasure, floor: float, *,
+    def __init__(self, measure: XiMeasure | None, floor: float, *,
                  pool_size: int = _MC_SAMPLES):
         if not (0.0 <= floor <= 1.0):
             raise ValueError("floor must lie in [0, 1]")
@@ -501,7 +498,7 @@ class TruncatedSampler:
         if atoms is not None:
             kept = tuple((w / z.sum_sq, z) for w, z in atoms
                          if z.masses[0] >= floor)
-            self.rate = sum(w for w, _ in kept)
+            self.rate = sum((w for w, _ in kept), 0.0)
             self.cut_mass = float(sum(w for w, z in atoms if z.masses[0] < floor))
             if kept:
                 self.atoms = kept

@@ -55,7 +55,7 @@ def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
 
     Infinite, with the reason, at kingman_rate > 0, for stick-breaking,
     Beta with a <= 1 and atoms with |z| = 1; else the closed form for an
-    atomic measure, or (None, None).
+    atomic measure, 0 without one (the chain only branches), or (None, None).
     """
     if params.kingman_rate > 0.0:
         return math.inf, (

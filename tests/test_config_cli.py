@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from cannings import Config, ConfigError, FiniteAtomic, LambdaDirac
-from cannings import cli
+from cannings import (Config, ConfigError, FiniteAtomic, SelectionLaw,
+                      SimplexPoint, as_atoms, explicit_family, offspring_pmf)
+from cannings import cli, config
 from cannings.cli import main
 
 DISCRETE_CFG = """
@@ -122,6 +124,97 @@ def test_config_run_bounds(key, value):
     assert info.value.key == key
 
 
+def documented_run_ranges() -> dict[str, tuple[str, str]]:
+    """run.* key -> (type, range) from the key list of the config docstring."""
+    found = re.findall(r"^ +(run\.\w+) +(int|float) +(>= \S+|> \S+|in \[[^]]*\])",
+                       config.__doc__, flags=re.M)
+    return {key: (kind, bound) for key, kind, bound in found}
+
+
+def test_docstring_documents_every_run_key():
+    assert {key: kind for key, (kind, _) in documented_run_ranges().items()} \
+        == config._RUN_TYPES
+
+
+def just_outside(kind: str, bound: str) -> list:
+    """The values of the key's type next to the documented range, outside it."""
+    num = {"int": int, "float": float}[kind]
+
+    def step(value, way):
+        return value + way if kind == "int" else math.nextafter(value, way * math.inf)
+
+    op, _, rest = bound.partition(" ")
+    if op == ">=":
+        return [step(num(rest), -1)]
+    if op == ">":
+        return [num(rest)]
+    cap = config.RunSettings(seed=0).cap
+    low, high = (cap if b == "cap" else num(b) for b in rest.strip("[]").split(", "))
+    return [step(low, -1), step(high, 1)]
+
+
+@pytest.mark.parametrize("key", sorted(documented_run_ranges()))
+def test_config_refuses_values_outside_documented_range(key):
+    for value in just_outside(*documented_run_ranges()[key]):
+        with pytest.raises(ConfigError) as info:
+            Config.from_text("model.kind = limit\nrun.seed = 1\n",
+                             {key: repr(value)}).run
+        assert info.value.key == key and key in str(info.value), value
+
+
+SELECTION_GEOMETRIC = "model.selection.family = geometric\nmodel.selection.param = 0.1"
+OFFSPRING_DELTA = "model.offspring.family = delta\nmodel.offspring.value = 1"
+
+
+@pytest.mark.parametrize("base, old, new, outcome", [
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
+                 "model.selection.family = explicit\nmodel.selection.pmf = 0.9 0.1",
+                 explicit_family((0.9, 0.1)), id="selection-pmf"),
+    pytest.param(LIMIT_CFG, OFFSPRING_DELTA,
+                 "model.offspring.family = pmf\nmodel.offspring.pmf = 0.5 0.5",
+                 offspring_pmf((0.5, 0.5)), id="offspring-pmf"),
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
+                 "model.selection.family = explicit\nmodel.selection.pmf = 0.9 x",
+                 "'model.selection.pmf' must be whitespace-separated numbers",
+                 id="selection-pmf-not-numeric"),
+    pytest.param(LIMIT_CFG, OFFSPRING_DELTA,
+                 "model.offspring.family = pmf\nmodel.offspring.pmf = one",
+                 "'model.offspring.pmf' must be whitespace-separated numbers",
+                 id="offspring-pmf-not-numeric"),
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC, "model.selection.family = bogus",
+                 "'model.selection.family' must be one of", id="unknown-family"),
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
+                 "model.selection.family = explicit\nmodel.selection.pmf = 0.5 0.2",
+                 "invalid model.selection block", id="invalid-selection"),
+    pytest.param(DISCRETE_CFG, "model.xi.y = 0.5", "model.xi.y = 1.5",
+                 "invalid model.xi block", id="invalid-xi"),
+    pytest.param(DISCRETE_CFG, "model.xi.family = lambda_dirac",
+                 "model.xi.family = bogus", "'model.xi.family' must be one of",
+                 id="unknown-xi-family"),
+    pytest.param(DISCRETE_CFG, "model.pop_size = 4", "model.pop_size = 1",
+                 "invalid discrete model: pop_size", id="invalid-discrete"),
+    pytest.param(LIMIT_CFG, "model.selection_rate = 1.0",
+                 "model.selection_rate = -1.0",
+                 "invalid limit model: selection_rate", id="invalid-limit"),
+])
+def test_config_model_blocks(tmp_path, capsys, base, old, new, outcome):
+    # a pmf parses into its law; every other case is a config error that
+    # names its key (the model errors name the parameter)
+    text = base.replace(old, new)
+    assert text != base
+    cfg = Config.from_text(text)
+    if isinstance(outcome, SelectionLaw):
+        law = (cfg.discrete_params().parent_law if cfg.kind == "discrete"
+               else cfg.limit_params().offspring)
+        assert law == outcome
+        return
+    command = "forward" if cfg.kind == "discrete" else "sde"
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {outcome}"), captured.err
+
+
 def test_config_atoms_parsing():
     cfg = Config.from_text(
         "model.kind = limit\nrun.seed = 1\n"
@@ -173,8 +266,7 @@ def test_discrete_measure_is_normalized():
                                                 "model.xi.y = 0.5\n"
                                                 "model.xi.mass = 5.0"))
     params = cfg.discrete_params()
-    assert isinstance(params.xi_hat, LambdaDirac)
-    assert params.xi_hat.total_mass == 1.0
+    assert as_atoms(params.xi_hat) == ((1.0, SimplexPoint((0.5,))),)
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +809,35 @@ def test_cli_start_above_cap_refused_by_every_command(tmp_path, capsys,
     assert captured.out == ""
     assert "n0 must not exceed cap" in captured.err
     assert "run.n0" in captured.err and "run.cap" in captured.err
+
+
+# the exact model of the finite benchmark, N = 6
+EXACT_CFG = """
+model.kind = discrete
+model.pop_size = 6
+model.extreme_prob = 0.2
+model.selection.family = geometric
+model.selection.param = 0.1
+model.xi.family = finite_atomic
+model.xi.atoms = 1.0: 0.3 0.2 0.1 | 1.0: 0.5
+run.seed = 7
+run.generations = 3
+"""
+
+
+@pytest.mark.parametrize("command, text, key, value", [
+    ("duality-discrete", EXACT_CFG, "run.x", "-0.5"),
+    ("duality-discrete", EXACT_CFG, "run.x", "1.5"),
+    ("forward", DISCRETE_CFG, "run.x0", "1.5")],
+    ids=["x-below", "x-above", "x0-above"])
+def test_cli_frequency_outside_unit_interval_refused(tmp_path, capsys, command,
+                                                     text, key, value):
+    # -0.5 on the grid of N = 6 would index row -3, the row of x = 4/6
+    path = write_cfg(tmp_path, text + f"{key} = {value}\n")
+    assert main([command, "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error: '{key}' must be in [0, 1]" in captured.err
 
 
 def test_cli_zero_replicates_is_a_config_error(tmp_path, capsys):

@@ -40,6 +40,16 @@ def test_params_validation():
     DiscreteParams(4, 0.0, neutral_family())              # fine without measure
 
 
+@pytest.mark.parametrize("x", [-0.5, 1.5])
+def test_start_outside_unit_interval_refused(x):
+    # both lie on the grid of N = 6, -0.5 as the index -3
+    params = DiscreteParams(6, 0.2, geometric_family(0.1), xi_hat=DIRAC_HALF)
+    with pytest.raises(ValueError, match=r"grid point i / pop_size of \[0, 1\]"):
+        sampling_duality_check(params, x, 2, 2)
+    with pytest.raises(ValueError, match=r"grid point i / pop_size of \[0, 1\]"):
+        forward_trajectories(params, x, 1, 1, np.random.default_rng(0))
+
+
 def post_event_frequency(x, masses, rng, size=1):
     """``size`` draws of the post-event frequency at x: jump_map rows."""
     rows = np.tile(masses, (size, 1))

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_generator_budget_errors():
                        xi=LambdaBeta(3.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         generator_matrix(cont, 8)
+
+
+def test_generator_matrix_refuses_wide_atoms():
+    # the pick sweep is dense in 2^13 masks: refused as bernoulli_patterns
+    # refuses it, before anything is allocated
+    wide = LimitParams(1.0, 0.0, offspring_delta(1),
+                       xi=FiniteAtomic(((1.0, (0.07,) * 13),)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large for exact enumeration"):
+            generator_matrix(wide, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 GENERATOR_LAWS = [offspring_delta(1), offspring_delta(2),

@@ -30,7 +30,10 @@ def test_params_validation():
 
 def test_resolved_jump_floor():
     base = dict(selection_rate=1.0, kingman_rate=0.0, offspring=offspring_delta(1))
-    assert jump_sampler(LimitParams(**base)) is None
+    # no measure is the empty atom list: a law of rate 0 with no atoms
+    empty = jump_sampler(LimitParams(**base))
+    assert (empty.rate, empty.atoms) == (0.0, None)
+    assert isinstance(empty.rate, float)  # reports print it as 0.0
     assert jump_sampler(LimitParams(**base, xi=DIRAC_HALF,
                                     jump_floor=0.2)).floor == 0.2
     # atomic measures resolve to their smallest leading mass (exact clock)
@@ -39,6 +42,12 @@ def test_resolved_jump_floor():
     # continuous families fall back to the documented default
     cont = LimitParams(**base, xi=LambdaBeta(3.0, 1.0, 1.0))
     assert jump_sampler(cont).floor == 1e-3
+
+
+def test_no_measure_law_draws_nothing():
+    empty = jump_sampler(LimitParams(1.0, 0.0, offspring_delta(1)))
+    with pytest.raises(ValueError, match="no mass above the floor"):
+        empty.draw_masses(1, np.random.default_rng(0))
 
 
 def test_jump_rate_dirac():

@@ -106,6 +106,13 @@ def test_kappa_star_unknown_without_a_closed_form():
     assert kappa_star(params) == (None, None)
 
 
+def test_kappa_star_without_a_measure_is_zero():
+    # no measure is the empty atom list: the dual chain only branches and
+    # escapes at every selection rate > 0
+    params = LimitParams(1.0, 0.0, offspring_delta(1))
+    assert kappa_star(params) == (0.0, None)
+
+
 def test_mc_matches_closed_form():
     rng = np.random.default_rng(61)
     est = kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 100_000, rng)
