@@ -103,6 +103,19 @@ _STR_KEYS = {"model.kind", "model.selection.family", "model.selection.pmf",
              "output.dir"}
 KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
+# the config key of each model field, by the first word of its
+# ValueError messages
+_FIELD_KEYS = {"pop_size": "model.pop_size",
+               "extreme_prob": "model.extreme_prob",
+               "selection_rate": "model.selection_rate",
+               "kingman_rate": "model.kingman_rate",
+               "offspring": "model.offspring.family",
+               "jump_floor": "model.jump_floor",
+               "y": "model.xi.y",
+               "total_mass": "model.xi.mass",
+               "stick_law": "model.xi.stick_law",
+               "truncation_tol": "model.xi.truncation_tol"}
+
 # (RunSettings field, lower bound, strict)
 _RUN_BOUNDS = (("replicates", 1, False), ("generations", 1, False),
                ("cap", 1, False), ("sample_size", 1, False), ("n0", 1, False),
@@ -214,28 +227,30 @@ class Config:
 
     def _selection_law(self, prefix: str) -> SelectionLaw:
         family = self._require(f"{prefix}.family")
+        # family -> (the key its builder reads, the builder)
         if prefix == "model.selection":
-            builders = {"neutral": lambda: neutral_family(),
-                        "geometric": lambda: geometric_family(
-                            self._require(f"{prefix}.param")),
-                        "explicit": lambda: explicit_family(
-                            self._pmf_values(f"{prefix}.pmf"))}
+            builders = {"neutral": (None, neutral_family),
+                        "geometric": ("param", geometric_family),
+                        "explicit": ("pmf", explicit_family)}
         else:
-            builders = {"delta": lambda: offspring_delta(
-                            self._require(f"{prefix}.value")),
-                        "geometric": lambda: geometric_offspring(
-                            self._require(f"{prefix}.param")),
-                        "pmf": lambda: offspring_pmf(
-                            self._pmf_values(f"{prefix}.pmf"))}
+            builders = {"delta": ("value", offspring_delta),
+                        "geometric": ("param", geometric_offspring),
+                        "pmf": ("pmf", offspring_pmf)}
         if family not in builders:
             raise ConfigError(
                 f"'{prefix}.family' must be one of {sorted(builders)}, "
                 f"got {family!r}", key=f"{prefix}.family")
+        field, build = builders[family]
+        if field is None:
+            return build()
+        key = f"{prefix}.{field}"
+        value = (self._pmf_values(key) if field == "pmf"
+                 else self._require(key))
         try:
-            return builders[family]()
+            return build(value)
         except ValueError as exc:
             raise ConfigError(f"invalid {prefix} block: {exc}",
-                              key=f"{prefix}.family") from exc
+                              key=key) from exc
 
     def _pmf_values(self, key: str) -> tuple[float, ...]:
         text = self._require(key)
@@ -275,8 +290,10 @@ class Config:
         except ConfigError:
             raise
         except ValueError as exc:
+            default = ("model.xi.atoms" if family == "finite_atomic"
+                       else "model.xi.family")
             raise ConfigError(f"invalid model.xi block: {exc}",
-                              key="model.xi.family") from exc
+                              key=self._field_key(exc, default)) from exc
         raise ConfigError(
             "'model.xi.family' must be one of ['finite_atomic', 'lambda_beta',"
             " 'lambda_dirac', 'none', 'stick_breaking'], got "
@@ -313,7 +330,8 @@ class Config:
                 parent_law=self._selection_law("model.selection"),
                 xi_hat=normalized(xi) if xi is not None else None)
         except ValueError as exc:
-            raise ConfigError(f"invalid discrete model: {exc}") from exc
+            raise ConfigError(f"invalid discrete model: {exc}",
+                              key=self._field_key(exc)) from exc
 
     def limit_params(self) -> LimitParams:
         if self.kind != "limit":
@@ -327,7 +345,19 @@ class Config:
                 xi=self.xi_measure(),
                 jump_floor=self._get("model.jump_floor"))
         except ValueError as exc:
-            raise ConfigError(f"invalid limit model: {exc}") from exc
+            raise ConfigError(f"invalid limit model: {exc}",
+                              key=self._field_key(exc)) from exc
+
+    def _field_key(self, exc: ValueError, default: str | None = None
+                   ) -> str | None:
+        """The config key of the model field ``exc``'s message names: its
+        first word, or for the Beta parameters the first of a, b that is
+        not positive; else ``default``."""
+        message = str(exc)
+        if message.startswith("Beta parameters"):
+            return next((key for key in ("model.xi.a", "model.xi.b")
+                         if self._get(key, 1.0) <= 0.0), default)
+        return _FIELD_KEYS.get(message.split(" ", 1)[0], default)
 
     # -- reporting ----------------------------------------------------------
 

@@ -64,7 +64,8 @@ from .mc import McEstimate
 from .selection import (SelectionLaw, branching_drift, drift_kernel,
                         selection_shape)
 from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
-                      bernoulli_patterns, jump_map, sample_masses, total_mass)
+                      bernoulli_patterns, jump_map, sample_masses,
+                      skip_uniforms, total_mass)
 
 _DEFAULT_DT = 1e-3
 _DEFAULT_FLOOR = 1e-3
@@ -372,13 +373,28 @@ def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
     """(group fractions, sum of squared fractions, total mass |Z|) per draw.
 
     Z comes from ``sample_masses``; the fractions Z / |Z| form a
-    zero-padded (size, width) matrix.
+    zero-padded (size, width) matrix.  Where every row is the same, a
+    result is a read-only broadcast view: a one-group point has fractions
+    [1] and sum 1.0, and a one-atom measure draws the same point every
+    time, so its ``size`` uniforms are skipped (``skip_uniforms``), not
+    drawn, and its fractions, sum and |Z| are those of its one row.
     """
+    atoms = as_atoms(measure)
+    if atoms is not None and len(atoms) == 1:
+        skip_uniforms(rng, size)
+        masses = np.array([atoms[0][1].masses])
+        totals = masses.sum(axis=1)
+        frac = masses / totals[:, None]
+        ssq = (frac * frac).sum(axis=1)
+        return (np.broadcast_to(frac, (size, frac.shape[1])),
+                np.broadcast_to(ssq, (size,)),
+                np.broadcast_to(totals, (size,)))
     masses = sample_masses(measure, size, rng)
-    totals = masses.sum(axis=1)
     # a one-group point normalizes to [1], also when its mass underflows
     # to 0 (Beta draws with a small first parameter do)
     if masses.shape[1] == 1:
-        return np.ones_like(masses), np.ones(size), totals
+        return (np.broadcast_to(1.0, masses.shape),
+                np.broadcast_to(1.0, (size,)), masses[:, 0])
+    totals = masses.sum(axis=1)
     frac = masses / totals[:, None]
     return frac, (frac * frac).sum(axis=1), totals

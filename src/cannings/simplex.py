@@ -574,6 +574,28 @@ class TruncatedSampler:
         return np.maximum(np.concatenate(kept), f)
 
 
+def skip_uniforms(rng, size: int) -> None:
+    """Leave ``rng`` where ``rng.random(size)`` would, without drawing.
+
+    PCG64 and PCG64DXSM make one 64-bit word per double, so advancing
+    their state by ``size`` words is the same move; ``advance`` also drops
+    a buffered 32-bit half, which ``random`` keeps, so that is put back.
+    Any other generator, and an rng without ``bit_generator``, draws and
+    drops them.  Reading and restoring the state costs a few microseconds,
+    so the skip pays for a large ``size`` only.
+    """
+    bits = getattr(rng, "bit_generator", None)
+    if type(bits) not in (np.random.PCG64, np.random.PCG64DXSM):
+        rng.random(size)
+        return
+    before = bits.state
+    bits.advance(size)
+    after = bits.state
+    after["has_uint32"] = before["has_uint32"]
+    after["uinteger"] = before["uinteger"]
+    bits.state = after
+
+
 def _atom_rows(matrix: np.ndarray, probs: np.ndarray, size: int,
                rng: np.random.Generator) -> np.ndarray:
     """``size`` rows of ``matrix``, row i with probability probs[i], drawn

@@ -34,10 +34,12 @@ from .dual_chain import RecurrenceReport
 from .limit_sde import LimitParams, normalized_draws
 from .mc import McEstimate
 from .simplex import (LambdaBeta, StickBreaking, XiMeasure, as_atoms,
-                      total_mass)
+                      skip_uniforms, total_mass)
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
+# draws per pass of the estimator: its arrays of U and W stay in cache
+_CHUNK = 1 << 14
 
 
 class RegimeUnclear(ValueError):
@@ -96,6 +98,15 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     diverges, so the standard error is an underestimate.  Warns when the
     top 0.1% of draws carry more than 20% of the sum.  Raises
     ``DegenerateDraws`` when some W lies in {0, 1}.
+
+    One pass: the points come from ``normalized_draws`` (broadcast views
+    for a one-atom measure), then U is drawn a chunk at a time and each
+    chunk's values are written into one array, which is partitioned in
+    place for the tail once the mean and standard error are taken.  The
+    stream and every value's operations are those of drawing U in one
+    array, so the estimate, diagnostics and warning do not depend on the
+    chunk size; after ``DegenerateDraws`` the uniforms left are skipped,
+    so ``rng`` stands where the whole draw leaves it.
     """
     if mean_extra <= 0.0 or not math.isfinite(mean_extra):
         raise ValueError("mean_extra must be positive and finite")
@@ -103,31 +114,38 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
         raise ValueError("need at least two replicates")
     frac, ssq, totals = normalized_draws(xi, replicates, rng)
     del frac
-    w = np.sqrt(rng.random(replicates))
-    w *= totals
-    if np.any(w <= 0.0) or np.any(w >= 1.0):
-        raise DegenerateDraws("degenerate draw with W in {0, 1}")
-    # m / (2 beta sum(Z*^2) W (1 - W)), in place, in that order
-    vals = ssq
-    vals *= 2.0 * mean_extra / total_mass(xi)
-    vals *= w
-    vals *= np.subtract(1.0, w, out=w)
-    np.divide(1.0, vals, out=vals)
+    scale = 2.0 * mean_extra / total_mass(xi)
+    vals = np.empty(replicates)
+    for lo in range(0, replicates, _CHUNK):
+        hi = min(lo + _CHUNK, replicates)
+        w = np.sqrt(rng.random(hi - lo))
+        w *= totals[lo:hi]
+        if np.any(w <= 0.0) or np.any(w >= 1.0):
+            skip_uniforms(rng, replicates - hi)
+            raise DegenerateDraws("degenerate draw with W in {0, 1}")
+        # m / (2 beta sum(Z*^2) W (1 - W)), multiplied in that order
+        out = np.multiply(ssq[lo:hi], scale, out=vals[lo:hi])
+        out *= w
+        out *= np.subtract(1.0, w, out=w)
+        np.divide(1.0, out, out=out)
+    est = McEstimate.from_samples(vals)
+    total = float(vals.sum())
     top = max(1, int(_TAIL_FRACTION * replicates))
     # the top values in sorted order, as a full sort would leave them
-    tail_sum = float(np.sort(np.partition(vals, -top)[-top:]).sum())
-    share = tail_sum / float(vals.sum())
+    vals.partition(-top)
+    tail = np.sort(vals[-top:])
+    share = float(tail.sum()) / total
     if diagnostics is not None:
         diagnostics["tail_share"] = share
         diagnostics["tail_draws"] = top
-        diagnostics["max_value"] = float(vals.max())
+        diagnostics["max_value"] = float(tail[-1])
     if share > _TAIL_SHARE_LIMIT:
         warnings.warn(
             "possible infinite variance: the top "
             f"{100 * _TAIL_FRACTION:g}% of draws carry {100 * share:.1f}% "
             "of the sum; the standard error is unreliable",
             RuntimeWarning, stacklevel=2)
-    return McEstimate.from_samples(vals)
+    return est
 
 
 def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:

@@ -1,9 +1,12 @@
+import ast
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
 import re
+import textwrap
 
 import numpy as np
 import pytest
@@ -213,6 +216,56 @@ def test_config_model_blocks(tmp_path, capsys, base, old, new, outcome):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {outcome}"), captured.err
+
+
+@pytest.mark.parametrize("base, key, value", [
+    pytest.param(base, key, value, id=key) for base, key, value in (
+        (DISCRETE_CFG, "model.pop_size", "1"),
+        (DISCRETE_CFG, "model.extreme_prob", "1.5"),
+        (DISCRETE_CFG, "model.selection.param", "1.5"),
+        (LIMIT_CFG, "model.selection_rate", "-1"),
+        (LIMIT_CFG, "model.kingman_rate", "-1"),
+        (LIMIT_CFG, "model.jump_floor", "2"),
+        (LIMIT_CFG, "model.offspring.value", "0"),
+        (LIMIT_CFG, "model.xi.y", "1.5"),
+        (BETA_CFG, "model.xi.a", "-1"))])
+def test_model_errors_name_their_key(tmp_path, capsys, base, key, value):
+    # a model parameter out of range is a config error (exit 2) that
+    # names the parameter's own key
+    lines = [line for line in base.splitlines()
+             if not line.startswith(f"{key} =")]
+    text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+    cfg = Config.from_text(text)
+    with pytest.raises(ConfigError) as info:
+        if cfg.kind == "discrete":
+            cfg.discrete_params()
+        else:
+            cfg.limit_params()
+    assert info.value.key == key, str(info.value)
+    command = "forward" if cfg.kind == "discrete" else "sde"
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_every_model_field_message_has_its_key():
+    # config finds the key of a model error by its message's first word,
+    # so every ValueError the model constructors and the measure builders
+    # raise starts with a field of config._FIELD_KEYS; a reworded message
+    # fails here instead of losing its key.  "Beta parameters" names
+    # model.xi.a or model.xi.b by their values, and config normalizes
+    # xi_hat itself.
+    from cannings.discrete import DiscreteParams
+    from cannings.limit_sde import LimitParams
+    from cannings.simplex import LambdaBeta, LambdaDirac, StickBreaking
+    words = set()
+    for builder in (DiscreteParams, LimitParams, LambdaDirac, LambdaBeta,
+                    StickBreaking):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(builder)))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and getattr(node.exc.func, "id", None) == "ValueError"):
+                words.add(node.exc.args[0].value.split(" ", 1)[0])
+    assert words - {"Beta", "xi_hat"} == set(config._FIELD_KEYS)
 
 
 def test_config_atoms_parsing():

@@ -12,7 +12,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, bernoulli_patterns,
                       binomial_pmf, jump_map, normalized, sample_masses,
                       total_mass)
-from cannings.simplex import _MC_SEED, pick_laws
+from cannings.simplex import _MC_SEED, pick_laws, skip_uniforms
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -563,3 +563,59 @@ def test_stick_draw_masses_law(measure, floor):
     for h, (ref, se_ref) in zip(((z1 < cut).astype(float), z1), laws):
         combined = math.sqrt(2.0 * se_ref ** 2 + h.var(ddof=1) / draws)
         assert abs(h.mean() - ref) <= 4.0 * combined
+
+
+# ---------------------------------------------------------------------------
+# skipping uniforms
+
+
+def draw_mix(rng):
+    """A fixed mix of draws: 64-bit words, a buffered 32-bit half, Gaussian,
+    binomial and weighted-choice streams."""
+    return [rng.random(3), rng.integers(0, 7, size=5),
+            rng.integers(0, 7, size=3, dtype=np.int32),
+            rng.standard_normal(4), rng.binomial(10, 0.3, size=3),
+            rng.choice(5, size=4, p=[0.1, 0.2, 0.3, 0.2, 0.2])]
+
+
+@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("n", [0, 1, 3, 10**6 + 7])
+@pytest.mark.parametrize("pending", [False, True], ids=["even", "half"])
+def test_skip_uniforms_is_the_draw(bits, n, pending):
+    # skipping n uniforms leaves the generator where drawing them does,
+    # also with a 32-bit half buffered by an odd-sized int32 draw
+    def start():
+        rng = np.random.Generator(bits(2024))
+        rng.integers(0, 100, size=3 if pending else 2, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"] == pending
+        return rng
+
+    drawn, skipped = start(), start()
+    drawn.random(n)
+    skip_uniforms(skipped, n)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+    for a, b in zip(draw_mix(drawn), draw_mix(skipped)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
+def test_skip_uniforms_draws_on_other_generators(bits):
+    # Philox's advance counts blocks, not doubles, and MT19937 has none:
+    # both draw and drop
+    drawn, skipped = (np.random.Generator(bits(7)) for _ in range(2))
+    drawn.random(10_005)
+    skip_uniforms(skipped, 10_005)
+    for a, b in zip(draw_mix(drawn), draw_mix(skipped)):
+        assert np.array_equal(a, b)
+
+
+def test_skip_uniforms_draws_on_a_duck_typed_rng():
+    calls = []
+
+    class Uniforms:
+        def random(self, size=None):
+            calls.append(size)
+            return np.zeros(size)
+
+    skip_uniforms(Uniforms(), 10_005)
+    assert calls == [10_005]

@@ -1,14 +1,17 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
-                      RecurrenceReport, StickBreaking, fixation_probability,
-                      kappa_star, kappa_star_mc, neutral_family,
-                      offspring_delta, recurrence_probe)
+                      McEstimate, RecurrenceReport, StickBreaking, as_atoms,
+                      fixation_probability, kappa_star, kappa_star_mc,
+                      neutral_family, offspring_delta, recurrence_probe,
+                      sample_masses, total_mass)
+from cannings.threshold import DegenerateDraws
 
 
 def dirac_threshold(y, law, mass=1.0):
@@ -181,6 +184,117 @@ def test_mc_argument_errors():
         kappa_star_mc(xi, math.inf, 100, rng)
     with pytest.raises(ValueError):
         kappa_star_mc(xi, 1.0, 1, rng)
+
+
+def whole_array_kappa_star_mc(xi, mean_extra, replicates, rng, diagnostics):
+    """The estimator as whole-array passes: every point drawn and stored
+    (atoms through ``rng.choice``), all U drawn at once, the tail from a
+    partitioned copy."""
+    atoms = as_atoms(xi)
+    if atoms is not None:
+        width = max(len(z) for _, z in atoms)
+        matrix = np.array([z.masses + (0.0,) * (width - len(z))
+                           for _, z in atoms])
+        weights = np.array([w for w, _ in atoms])
+        masses = matrix[rng.choice(len(atoms), size=replicates,
+                                   p=weights / weights.sum())]
+    else:
+        masses = sample_masses(xi, replicates, rng)
+    totals = masses.sum(axis=1)
+    if masses.shape[1] == 1:
+        ssq = np.ones(replicates)
+    else:
+        frac = masses / totals[:, None]
+        ssq = (frac * frac).sum(axis=1)
+    w = np.sqrt(rng.random(replicates)) * totals
+    if np.any(w <= 0.0) or np.any(w >= 1.0):
+        raise DegenerateDraws("degenerate draw with W in {0, 1}")
+    vals = 1.0 / (ssq * (2.0 * mean_extra / total_mass(xi)) * w * (1.0 - w))
+    top = max(1, int(0.001 * replicates))
+    share = (float(np.sort(np.partition(vals, -top)[-top:]).sum())
+             / float(vals.sum()))
+    diagnostics.update(tail_share=share, tail_draws=top,
+                       max_value=float(vals.max()))
+    if share > 0.20:
+        warnings.warn(
+            "possible infinite variance: the top "
+            f"0.1% of draws carry {100 * share:.1f}% "
+            "of the sum; the standard error is unreliable", RuntimeWarning)
+    return McEstimate.from_samples(vals)
+
+
+BIT_GRID = {
+    "dirac-0.5": LambdaDirac(0.5, 1.0),
+    "2dirac-0.3": LambdaDirac(0.3, 2.0),
+    "near-one": LambdaDirac(1.0 - 1e-6, 1.0),
+    "three-groups": FiniteAtomic(((1.5, (0.3, 0.2, 0.1)),)),
+    "two-atoms": FiniteAtomic(((1.0, (0.3, 0.2, 0.1)), (1.0, (0.5,)))),
+    "beta-2.5-1": LambdaBeta(2.5, 1.0),
+    "beta-0.5-1.5": LambdaBeta(0.5, 1.5),
+    "stick": StickBreaking(),
+}
+
+
+def run_recorded(estimator, xi, replicates, seed):
+    """(estimate or error, diagnostics, warning texts, next uniform)."""
+    rng = np.random.default_rng(seed)
+    diag = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = estimator(xi, 1.3, replicates, rng, diag)
+        except DegenerateDraws as exc:
+            out = str(exc)
+    return out, diag, [str(w.message) for w in caught], rng.random()
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GRID))
+@pytest.mark.parametrize("seed", [0, 61])
+# 16_385 is one past a chunk of 2^14 draws; 100_003 is no multiple of it
+@pytest.mark.parametrize("replicates", [2, 16_385, 100_003])
+def test_mc_is_the_whole_array_estimator_bit_for_bit(name, seed, replicates):
+    # the chunked pass draws the same stream and does the same arithmetic
+    # on every value: estimate, diagnostics, warning and the generator's
+    # next draw are identical
+    xi = BIT_GRID[name]
+    got = run_recorded(kappa_star_mc, xi, replicates, seed)
+    want = run_recorded(whole_array_kappa_star_mc, xi, replicates, seed)
+    assert isinstance(got[0], McEstimate)
+    assert got == want
+
+
+def test_mc_degenerate_draws_agree_with_the_whole_array_estimator():
+    # Beta(0.01, 1) draws underflow to y = 0, so some W = 0; the error
+    # comes at the first chunk holding one, and the generator is left
+    # where the whole draw of U leaves it
+    got = run_recorded(kappa_star_mc, LambdaBeta(0.01, 1.0), 200_000, 0)
+    want = run_recorded(whole_array_kappa_star_mc, LambdaBeta(0.01, 1.0),
+                        200_000, 0)
+    assert got[0] == "degenerate draw with W in {0, 1}"
+    assert got == want
+
+
+def traced_peak_mib(xi) -> float:
+    """tracemalloc's peak over one 10^6-draw call, in MiB."""
+    kappa_star_mc(xi, 1.0, 100, np.random.default_rng(1))  # warm up
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        kappa_star_mc(xi, 1.0, 10**6, rng)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("xi, limit", [
+    # one array of values and the standard error's one temporary
+    (LambdaDirac(0.5, 1.0), 16.0),
+    # no more than the whole-array estimator's peak (61.0 and 30.5 MiB)
+    (FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,)))), 61.1),
+    (LambdaBeta(2.5, 1.0), 30.6),
+], ids=["dirac", "two-atoms", "beta"])
+def test_mc_memory(xi, limit):
+    assert traced_peak_mib(xi) <= limit
 
 
 def coalescing_params() -> LimitParams:
