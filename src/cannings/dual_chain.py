@@ -32,11 +32,11 @@ refilled in blocks of ``_BLOCK``: holding times
 (``rng.standard_exponential``, divided by the rate), event choices
 (``rng.random``, scaled by the rate), offspring counts (``sample_extra``,
 for laws other than one extra lineage) and xi points
-(``sampler.draw_masses``; a single-atom measure draws none).  All
-replicates of one call share the buffers, so a replicate's draws depend
-on the replicates before it.  The rates out of n come from a row
-(branch, branch + pairwise, total) built the first time a call visits n
-(``_rate_row``).  An atomic measure with at most ``MAX_EXACT_SUPPORT``
+(``sampler.draw_masses``; a one-atom law is a constant, whose point is
+read once, with no draw).  All replicates of one call share the
+buffers, so a replicate's draws depend on the replicates before it.
+The rates out of n come from a row (branch, branch + pairwise, total)
+built the first time a call visits n (``_rate_row``).  An atomic measure with at most ``MAX_EXACT_SUPPORT``
 groups an atom sweeps ``pick_laws`` over 64 picks once per call, every
 drawn label new, and row n reads the sweep's row n while its no-op rate
 does not round away against lam: the row also holds the CDF of the
@@ -239,7 +239,8 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
         if max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
             rates = pick_laws(atoms, _SWEPT, np.ones(_SWEPT + 1))
         if len(atoms) == 1:
-            # a single atom needs no xi draws
+            # a one-atom law is a constant: its point, read once, with
+            # no draw and no buffer
             one_point = atoms[0][1]
             z_total = one_point.total
             z_groups = one_point.masses if len(one_point) > 1 else None

@@ -65,9 +65,8 @@ from .selection import (SelectionLaw, branching_drift, drift_kernel,
                         selection_shape)
 from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
                       bernoulli_patterns, jump_map, sample_masses,
-                      skip_uniforms, total_mass)
+                      total_mass)
 
-_DEFAULT_DT = 1e-3
 _DEFAULT_FLOOR = 1e-3
 _BLOCK_STEPS = 1024
 _BLOCK_JUMPS = 1 << 16
@@ -117,8 +116,7 @@ def jump_sampler(params: LimitParams) -> TruncatedSampler:
 
 
 def simulate_batch(params: LimitParams, x0: float, total_time: float,
-                   dt: float = _DEFAULT_DT, n_paths: int = 1,
-                   rng: np.random.Generator | None = None):
+                   dt: float, n_paths: int, rng: np.random.Generator):
     """(terminal values, diagnostics) of many paths at once; the
     diagnostics are ``clamp_count``, ``jumps_applied``, ``steps`` and
     ``jump_rate``.
@@ -146,8 +144,6 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
         raise ValueError("x0 must lie in [0, 1]")
     if total_time < 0.0 or dt <= 0.0:
         raise ValueError("need total_time >= 0 and dt > 0")
-    if rng is None:
-        raise ValueError("simulate_batch needs an rng")
     sampler = jump_sampler(params)
     rate = sampler.rate
     x = np.full(n_paths, float(x0))
@@ -375,13 +371,11 @@ def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
     Z comes from ``sample_masses``; the fractions Z / |Z| form a
     zero-padded (size, width) matrix.  Where every row is the same, a
     result is a read-only broadcast view: a one-group point has fractions
-    [1] and sum 1.0, and a one-atom measure draws the same point every
-    time, so its ``size`` uniforms are skipped (``skip_uniforms``), not
-    drawn, and its fractions, sum and |Z| are those of its one row.
+    [1] and sum 1.0, and a one-atom measure always gives the same point,
+    with no draw, so its fractions, sum and |Z| are those of its one row.
     """
     atoms = as_atoms(measure)
     if atoms is not None and len(atoms) == 1:
-        skip_uniforms(rng, size)
         masses = np.array([atoms[0][1].masses])
         totals = masses.sum(axis=1)
         frac = masses / totals[:, None]

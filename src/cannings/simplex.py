@@ -35,7 +35,8 @@ An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
 ``bernoulli_patterns`` lists its exact law over the 2^m adoption
 patterns.  ``sample_masses`` is the one point draw, for every family: a
-batch of ranked points as one zero-padded mass matrix.
+batch of ranked points as one zero-padded mass matrix.  A one-atom law
+(delta_z) always gives the point z, so its draws consume no randomness.
 ``binomial_pmf`` is the forward kernel's binomial law: Binomial(n, p)
 children of the weak type.  ``pick_laws`` is the lineage side of the
 events: the law of the number of labels drawn after each pick, from one
@@ -51,6 +52,8 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
+
+from .mc import McEstimate
 
 #: slack allowed on the constraint sum(z) <= 1
 MASS_TOL = 1e-12
@@ -480,9 +483,9 @@ class TruncatedSampler:
     holds an atomic measure's kept atoms as (w / sum(z^2), z), None for
     other families or when no atom is kept, as without a measure (rate 0).
     ``draw_masses`` draws from the normalized law:
-    atoms with ``rng.choice``'s arithmetic, Beta exactly (see
-    ``_draw_beta``), stick-breaking by resampling the pool with its
-    weights.  A build is a function of the measure, the floor and
+    atoms by ``rng.choice`` (one kept atom is tiled, with no draw), Beta
+    exactly (see ``_draw_beta``), stick-breaking by resampling the pool
+    with its weights.  A build is a function of the measure, the floor and
     ``pool_size``: only ``draw_masses`` takes an rng.
     """
 
@@ -519,9 +522,9 @@ class TruncatedSampler:
         masses = sample_masses(measure, pool_size,
                                np.random.default_rng(_MC_SEED))
         weights = _stick_weights(masses, floor)
-        self.rate = measure.total_mass * float(weights.mean())
-        self.std_error = measure.total_mass * float(
-            weights.std(ddof=1) / math.sqrt(pool_size))
+        est = McEstimate.from_samples(weights)
+        self.rate = measure.total_mass * est.mean
+        self.std_error = measure.total_mass * est.std_error
         cut = np.count_nonzero(masses[:, 0] < floor)
         self.cut_mass = float(measure.total_mass * cut / pool_size)
         if weights.sum() > 0.0:
@@ -574,36 +577,12 @@ class TruncatedSampler:
         return np.maximum(np.concatenate(kept), f)
 
 
-def skip_uniforms(rng, size: int) -> None:
-    """Leave ``rng`` where ``rng.random(size)`` would, without drawing.
-
-    PCG64 and PCG64DXSM make one 64-bit word per double, so advancing
-    their state by ``size`` words is the same move; ``advance`` also drops
-    a buffered 32-bit half, which ``random`` keeps, so that is put back.
-    Any other generator, and an rng without ``bit_generator``, draws and
-    drops them.  Reading and restoring the state costs a few microseconds,
-    so the skip pays for a large ``size`` only.
-    """
-    bits = getattr(rng, "bit_generator", None)
-    if type(bits) not in (np.random.PCG64, np.random.PCG64DXSM):
-        rng.random(size)
-        return
-    before = bits.state
-    bits.advance(size)
-    after = bits.state
-    after["has_uint32"] = before["has_uint32"]
-    after["uinteger"] = before["uinteger"]
-    bits.state = after
-
-
 def _atom_rows(matrix: np.ndarray, probs: np.ndarray, size: int,
                rng: np.random.Generator) -> np.ndarray:
     """``size`` rows of ``matrix``, row i with probability probs[i], drawn
-    as ``rng.choice(len(probs), size=size, p=probs)`` draws them.  One row
-    is tiled without the search; the same ``size`` uniforms are consumed,
-    so the stream goes on as after ``rng.choice``."""
+    by ``rng.choice(len(probs), size=size, p=probs)``.  One row is a
+    constant: it is tiled, and ``rng`` is not touched."""
     if len(probs) == 1:
-        rng.random(size)
         return np.repeat(matrix, size, axis=0)
     return matrix[rng.choice(len(probs), size=size, p=probs)]
 

@@ -34,7 +34,7 @@ from .dual_chain import RecurrenceReport
 from .limit_sde import LimitParams, normalized_draws
 from .mc import McEstimate
 from .simplex import (LambdaBeta, StickBreaking, XiMeasure, as_atoms,
-                      skip_uniforms, total_mass)
+                      total_mass)
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
@@ -100,13 +100,14 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     ``DegenerateDraws`` when some W lies in {0, 1}.
 
     One pass: the points come from ``normalized_draws`` (broadcast views
-    for a one-atom measure), then U is drawn a chunk at a time and each
-    chunk's values are written into one array, which is partitioned in
-    place for the tail once the mean and standard error are taken.  The
-    stream and every value's operations are those of drawing U in one
-    array, so the estimate, diagnostics and warning do not depend on the
-    chunk size; after ``DegenerateDraws`` the uniforms left are skipped,
-    so ``rng`` stands where the whole draw leaves it.
+    of its one row, with no draw, for a one-atom measure), then U is
+    drawn a chunk at a time and each chunk's values are written into one
+    array, which is partitioned in place for the tail once the mean and
+    standard error are taken.  The stream and every value's operations
+    are those of drawing U in one array, so the estimate, diagnostics and
+    warning do not depend on the chunk size.  ``DegenerateDraws`` is
+    raised at the first chunk holding a degenerate W, with the uniforms
+    after it undrawn.
     """
     if mean_extra <= 0.0 or not math.isfinite(mean_extra):
         raise ValueError("mean_extra must be positive and finite")
@@ -121,7 +122,6 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
         w = np.sqrt(rng.random(hi - lo))
         w *= totals[lo:hi]
         if np.any(w <= 0.0) or np.any(w >= 1.0):
-            skip_uniforms(rng, replicates - hi)
             raise DegenerateDraws("degenerate draw with W in {0, 1}")
         # m / (2 beta sum(Z*^2) W (1 - W)), multiplied in that order
         out = np.multiply(ssq[lo:hi], scale, out=vals[lo:hi])

@@ -424,18 +424,20 @@ DEATH_CFG = ("model.kind = limit\nmodel.selection_rate = 0.0\n"
 # sde_finals.csv (LIMIT_CFG has sigma = 0 and one extra parent) re-recorded
 # when such paths left the Euler scheme for the exact jump-to-jump flow;
 # ancestry.csv re-recorded when the ancestral chain took one step for all
-# replicates at once, which changed its stream
+# replicates at once, which changed its stream; forward.csv, ancestry.csv,
+# sde_finals.csv and forward_report.csv (delta_0.5 models) re-recorded
+# when one-atom point draws stopped consuming uniforms
 CSV_DIGESTS = {
     "forward.csv":
-        "4c0a0ebf27b53cb46ef264ca14e85c65aa5b20278105e4d2af386f57baa70f3a",
+        "9531f5134c7fe928dc68d0ba12e9abac58e6521d88c9d8f4a57e3f647c11e3c4",
     "ancestry.csv":
-        "f5edbc47739e79950f62c112bb84a9bcd61632aee82dce33e100b1437956639d",
+        "1181c7786c0e65c38c3fd3ba0bf7d74a58844e20c88b5c85d8f0c76eb6adea4e",
     "sde_finals.csv":
-        "855bf81282f2b1c2c05a8f61b686cc94b168da789316308a96a6ebec0a4d7aeb",
+        "fac7fdfe95af37198431f08c98857c72c71d7e9e9123634321ea1610428f0266",
     "dual_ctmc.csv":
         "f137d40e7d4429fa421f2d2714f89c700d619b0aa2a86489cb81851c59b1ee7a",
     "forward_report.csv":
-        "8f009ec92480bd4142ee7359907bf51aa67c56598cb6d0940d1dcfe1cc7d3db2",
+        "d252a586c4fefd5e53f0ccbd6bd9bb98bda3c40da5c33f418c48e636dcd77770",
     "fixation_report.csv":
         "1d6474d5fd867064be524f7a10832ea034d50fce70d227c8d34b8c288e5ec103",
 }
@@ -466,9 +468,10 @@ def test_cli_csv_bytes_pinned(tmp_path, capsys):
 
 
 # sha256 of forward.csv at 1100 replicates (4400 rows), a table longer than
-# one cli._CSV_CHUNK, recorded when every row went through csv.writer
+# one cli._CSV_CHUNK, recorded when every row went through csv.writer, and
+# again when one-atom point draws stopped consuming uniforms
 FORWARD_CHUNKED_DIGEST = \
-    "4c886f5d29d73b6c18d6c8d032723f17cca685d71d0f9e0628df910a6583623e"
+    "ffad175488c1e05cb4d1b28122673818a0703eebe8769adc1883e22e24fedd3f"
 
 
 def test_cli_chunked_csv_bytes_pinned(tmp_path, capsys):
@@ -523,16 +526,19 @@ RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
 # reports re-recorded with the batched ancestral step (the "big" MC run's
 # stream), and the exact run's for the ancestral kernel built from total
 # pick counts (its rhs moved by one unit in the last place) and again for
-# the whole-grid identity (lhs one unit lower, gap the grid's largest)
+# the whole-grid identity (lhs one unit lower, gap the grid's largest);
+# the "big" duality-discrete, duality-limit and kappa-star reports
+# (delta_0.5 models) re-recorded when one-atom point draws stopped
+# consuming uniforms
 REPORT_DIGESTS = {
     ("duality-discrete", "discrete", "5"):
         "e417238322b67090a67298173e5ac5d254632259e0a87a259ff310b291374995",
     ("duality-discrete", "big", "200"):
-        "d2da11169df2980cc6b792f6821d2a5468c6bebd9aaec4fffc9b06099824f1ae",
+        "532aa779a94d33a167279acb6ae23d2950d6d6917b63fb6ee8b63cb54e0c700d",
     ("duality-limit", "limit", "200"):
-        "cbcf667d795907644f96e388d88598823d1bd950b91c056470f4f88a8bad5a35",
+        "eda900134c2e550d1128907fd4b937bf74edbd276865d1e7b7372f85b24dba99",
     ("kappa-star", "limit", "2000"):
-        "cff3c3add899d20bd3cc79277b49e8c826714244e3a5fa829cc4883bf3be5fdf",
+        "b77c2438646e7a82b77723e65889b8a3619abf5e836dcfeb113ee863868769e5",
     ("recurrence", "recurrent", "10"):
         "3020ff61838ca5bd7a1c3b87b98ebd576bd4a35f0f2103cca3c51106ca052670",
     ("fixation", "recurrent", "10"):

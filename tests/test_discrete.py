@@ -213,12 +213,14 @@ ANCESTRAL_MODELS = {
 # as little-endian int64, then of the next rng.random() as float64: the
 # random stream of the step batched over replicates, which draws every
 # lineage's parent count, the extreme coins, the points, the cells and
-# the slot labels of a generation in one call each
+# the slot labels of a generation in one call each; dirac, explicit and
+# infinite (one-atom xi_hat) re-recorded when one-atom point draws stopped
+# consuming uniforms
 ANCESTRAL_DIGESTS = {
-    "dirac": "a80d4fde63950c039e1170b59c65ffd9939ff84ab900f599c3370a9e143fd730",
-    "explicit": "657bc3d8744c5df3ee5f624668dfbec5f02964d895ee335ecc20d62a8d5f9ab5",
+    "dirac": "82f78142dfac47ef5d75929b2fd1bb5615b16a39b41f7e33741b6787cc040608",
+    "explicit": "7c7336abd98d728ceb9c9c282ede8550b1f5a218644f3d12278b4da9cfdc6718",
     "geometric_atomic": "dc3d6ea81563946e735d2bcd5c3980adc7d2f8c0dda2d308a8a423345e55cc77",
-    "infinite": "25578ab067ba8277be90b45cb06aa0933d97a120b75c23c5db10d4bac7f73937",
+    "infinite": "df26558c8e0da16730d01d8ce071d3d51eaeeb990f64bbd260798c090a07b945",
     "neutral": "e58b4ed2e1a8a18091027b817390540aa009219742c9349b6b6c29037d59903b",
     "beta": "77c48a92f7ea94bb95ae3a2eb9acf6bd7928d5e38129621ab3da31cf57dd5d99",
     "stick": "dbdf0d5fb13a9ec84aad7b81eb5da033d4e5e84b984c1c0cacbf1bd7862fb81a",

@@ -71,6 +71,26 @@ def test_jump_laws_are_built_only_by_jump_sampler():
     assert owners == ["limit_sde.jump_sampler"], found
 
 
+def test_no_module_moves_a_generator_by_hand():
+    # a stream moves only by draws: the package neither reads an rng's
+    # bit_generator (as an attribute or through getattr) nor advances one
+    def moves(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "bit_generator"
+        if isinstance(node, ast.Constant):
+            return node.value == "bit_generator"
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "advance")
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                  if moves(node)]
+    assert not found, found
+
+
 def test_every_exported_name_resolves():
     import cannings
 

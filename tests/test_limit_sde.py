@@ -83,29 +83,30 @@ def test_simulate_argument_errors():
     rng = np.random.default_rng(0)
     params = LimitParams(1.0, 0.0, offspring_delta(1))
     with pytest.raises(ValueError):
-        simulate_batch(params, 1.5, 1.0, rng=rng)
-    with pytest.raises(ValueError):
-        simulate_batch(params, 0.5, 1.0)
+        simulate_batch(params, 1.5, 1.0, 0.01, 1, rng)
+    with pytest.raises(TypeError):
+        simulate_batch(params, 0.5, 1.0, 0.01, 1)
     for total_time, dt in ((-1.0, 0.01), (1.0, 0.0), (1.0, -0.01)):
         with pytest.raises(ValueError):
-            simulate_batch(params, 0.5, total_time, dt=dt, rng=rng)
+            simulate_batch(params, 0.5, total_time, dt, 1, rng)
 
 
 @pytest.mark.parametrize("params, x0, total_time, dt, n_paths, seed, expected", [
     (LimitParams(1.0, 0.5, offspring_delta(1), xi=DIRAC_HALF), 0.3, 0.5, 0.01,
-     8, 11, [0.08646383808376262, 0.5232781423367793, 0.05040129915295284,
-             0.20499426475678983, 0.7010231924859999, 0.6103351075234987,
-             0.37481940047669654, 0.0019550612746382003]),
+     8, 11, [0.3758110814396855, 0.505938099762799, 0.04062603051727873,
+             0.015167813396451792, 0.057923449654896424, 0.716168507312741,
+             0.9122095367909819, 0.13241036888891572]),
     # rate 2 / 0.09 over steps of 0.05: several jump rounds per step
     (LimitParams(2.0, 0.0, offspring_pmf((0.5, 0.5)), xi=LambdaDirac(0.3, 2.0)),
      0.6, 1.0, 0.05, 6, 3,
-     [0.9141203053152169, 0.10601793773559039, 0.9836196413587541,
-      0.8935468880604882, 0.5146393403817354, 0.059546886892284746]),
+     [0.9975342926740174, 0.00018139839531998537, 0.0002736908923386643,
+      0.00010633498571063534, 0.3359122704352074, 0.0007734943028633713]),
 ])
 def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
                                      expected):
     # single-atom jump streams are pinned bit for bit; recorded again,
-    # same configs and seeds, when the jump clock became block-drawn
+    # same configs and seeds, when the jump clock became block-drawn and
+    # when one-atom point draws stopped consuming uniforms
     finals, _ = simulate_batch(params, x0, total_time, dt=dt, n_paths=n_paths,
                                rng=np.random.default_rng(seed))
     assert finals.tolist() == expected
@@ -129,10 +130,11 @@ BETA_GEOMETRIC = LimitParams(1.0, 1.0, geometric_offspring(0.5),
      "2b71d0dd20a32e8274ce24ccf2dcde69edd9028974c927c3e7a2e79b30b5e51c",
      {"clamp_count": 32, "jumps_applied": 263, "steps": 100,
       "jump_rate": 5.43171114599686}),
-    # clamps on every path, and a short last step (1.32 = 26 * 0.05 + 0.02)
+    # clamps on every path, and a short last step (1.32 = 26 * 0.05 + 0.02);
+    # re-recorded when one-atom point draws stopped consuming uniforms
     (LimitParams(1.0, 4.0, offspring_delta(1), xi=DIRAC_HALF),
      0.02, 1.32, 0.05, 40, 12,
-     "52bd9741c1f61dc4bb8e0881795c22050eda081425103d46fbb52db8f81c5ada",
+     "b857457d8172c2dc4ec327413a878959c58338dff8e9847e580312d2ba9c88b3",
      {"clamp_count": 40, "jumps_applied": 197, "steps": 27,
       "jump_rate": 4.0}),
     # no paths at all

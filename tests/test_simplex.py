@@ -12,7 +12,8 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, bernoulli_patterns,
                       binomial_pmf, jump_map, normalized, sample_masses,
                       total_mass)
-from cannings.simplex import _MC_SEED, pick_laws, skip_uniforms
+from cannings.limit_sde import normalized_draws
+from cannings.simplex import _MC_SEED, pick_laws
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -455,18 +456,40 @@ def test_draw_masses_two_atom_frequencies():
     (LambdaDirac(0.5, 2.0), (0.5,)),
     (FiniteAtomic(((3.0, (0.4, 0.2)),)), (0.4, 0.2))],
     ids=["dirac", "one_atom_two_groups"])
-def test_one_atom_draws_keep_the_choice_stream(measure, row):
-    # one atom is tiled without rng.choice's search, but the same
-    # uniforms are consumed: the rows and the next draw are unchanged
+def test_one_atom_draws_consume_no_randomness(measure, row):
+    # a one-atom law always gives its point: every draw is the tiled row,
+    # and the generator is not touched
     sampler = TruncatedSampler(measure, 0.0)
+    masses = np.array([row])
+    frac = masses / masses.sum(axis=1)[:, None]
     for size in (0, 1, 1000):
-        for draw in (lambda rng: sample_masses(measure, size, rng),
-                     lambda rng: sampler.draw_masses(size, rng)):
+        rng = np.random.default_rng(size)
+        state = rng.bit_generator.state
+        tiled = np.repeat(masses, size, axis=0)
+        assert np.array_equal(sample_masses(measure, size, rng), tiled)
+        assert np.array_equal(sampler.draw_masses(size, rng), tiled)
+        got_frac, ssq, totals = normalized_draws(measure, size, rng)
+        assert np.array_equal(got_frac, np.repeat(frac, size, axis=0))
+        assert np.array_equal(ssq, np.full(size, (frac * frac).sum()))
+        assert np.array_equal(totals, np.full(size, masses.sum()))
+        assert rng.bit_generator.state == state
+
+
+def test_two_atom_draws_keep_the_choice_stream():
+    # two or more atoms are drawn by rng.choice: its rows and its stream
+    sampler = TruncatedSampler(ATOM_PAIR, 0.0)
+    matrix = np.array([[0.3, 0.2], [0.5, 0.0]])
+    probs = np.array([w / z.sum_sq for w, z in ATOM_PAIR.atoms])
+    for size in (0, 1, 1000):
+        for draw, p in ((lambda rng: sample_masses(ATOM_PAIR, size, rng),
+                         np.array([2.0, 1.0]) / 3.0),
+                        (lambda rng: sampler.draw_masses(size, rng),
+                         probs / probs.sum())):
             ref = np.random.default_rng(size)
-            expect = np.array([row])[ref.choice(1, size=size, p=[1.0])]
+            expect = matrix[ref.choice(2, size=size, p=p)]
             rng = np.random.default_rng(size)
             assert np.array_equal(draw(rng), expect)
-            assert rng.random() == ref.random()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_draw_masses_stick_breaking_rows_are_points():
@@ -564,58 +587,3 @@ def test_stick_draw_masses_law(measure, floor):
         combined = math.sqrt(2.0 * se_ref ** 2 + h.var(ddof=1) / draws)
         assert abs(h.mean() - ref) <= 4.0 * combined
 
-
-# ---------------------------------------------------------------------------
-# skipping uniforms
-
-
-def draw_mix(rng):
-    """A fixed mix of draws: 64-bit words, a buffered 32-bit half, Gaussian,
-    binomial and weighted-choice streams."""
-    return [rng.random(3), rng.integers(0, 7, size=5),
-            rng.integers(0, 7, size=3, dtype=np.int32),
-            rng.standard_normal(4), rng.binomial(10, 0.3, size=3),
-            rng.choice(5, size=4, p=[0.1, 0.2, 0.3, 0.2, 0.2])]
-
-
-@pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM])
-@pytest.mark.parametrize("n", [0, 1, 3, 10**6 + 7])
-@pytest.mark.parametrize("pending", [False, True], ids=["even", "half"])
-def test_skip_uniforms_is_the_draw(bits, n, pending):
-    # skipping n uniforms leaves the generator where drawing them does,
-    # also with a 32-bit half buffered by an odd-sized int32 draw
-    def start():
-        rng = np.random.Generator(bits(2024))
-        rng.integers(0, 100, size=3 if pending else 2, dtype=np.int32)
-        assert rng.bit_generator.state["has_uint32"] == pending
-        return rng
-
-    drawn, skipped = start(), start()
-    drawn.random(n)
-    skip_uniforms(skipped, n)
-    assert skipped.bit_generator.state == drawn.bit_generator.state
-    for a, b in zip(draw_mix(drawn), draw_mix(skipped)):
-        assert np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox])
-def test_skip_uniforms_draws_on_other_generators(bits):
-    # Philox's advance counts blocks, not doubles, and MT19937 has none:
-    # both draw and drop
-    drawn, skipped = (np.random.Generator(bits(7)) for _ in range(2))
-    drawn.random(10_005)
-    skip_uniforms(skipped, 10_005)
-    for a, b in zip(draw_mix(drawn), draw_mix(skipped)):
-        assert np.array_equal(a, b)
-
-
-def test_skip_uniforms_draws_on_a_duck_typed_rng():
-    calls = []
-
-    class Uniforms:
-        def random(self, size=None):
-            calls.append(size)
-            return np.zeros(size)
-
-    skip_uniforms(Uniforms(), 10_005)
-    assert calls == [10_005]

@@ -188,16 +188,17 @@ def test_mc_argument_errors():
 
 def whole_array_kappa_star_mc(xi, mean_extra, replicates, rng, diagnostics):
     """The estimator as whole-array passes: every point drawn and stored
-    (atoms through ``rng.choice``), all U drawn at once, the tail from a
-    partitioned copy."""
+    (atoms through ``rng.choice``, one atom tiled without a draw), all U
+    drawn at once, the tail from a partitioned copy."""
     atoms = as_atoms(xi)
     if atoms is not None:
         width = max(len(z) for _, z in atoms)
         matrix = np.array([z.masses + (0.0,) * (width - len(z))
                            for _, z in atoms])
         weights = np.array([w for w, _ in atoms])
-        masses = matrix[rng.choice(len(atoms), size=replicates,
-                                   p=weights / weights.sum())]
+        masses = (np.repeat(matrix, replicates, axis=0) if len(atoms) == 1
+                  else matrix[rng.choice(len(atoms), size=replicates,
+                                         p=weights / weights.sum())])
     else:
         masses = sample_masses(xi, replicates, rng)
     totals = masses.sum(axis=1)
@@ -265,13 +266,25 @@ def test_mc_is_the_whole_array_estimator_bit_for_bit(name, seed, replicates):
 
 def test_mc_degenerate_draws_agree_with_the_whole_array_estimator():
     # Beta(0.01, 1) draws underflow to y = 0, so some W = 0; the error
-    # comes at the first chunk holding one, and the generator is left
-    # where the whole draw of U leaves it
+    # comes at the first chunk holding one
     got = run_recorded(kappa_star_mc, LambdaBeta(0.01, 1.0), 200_000, 0)
     want = run_recorded(whole_array_kappa_star_mc, LambdaBeta(0.01, 1.0),
                         200_000, 0)
     assert got[0] == "degenerate draw with W in {0, 1}"
-    assert got == want
+    assert got[:3] == want[:3]
+
+
+@pytest.mark.parametrize("replicates", [2, 16_385])
+def test_mc_one_atom_draws_only_its_uniforms(replicates):
+    # a one-atom point is a constant: the estimator draws U and nothing
+    # else, so the generator stands where rng.random(replicates) leaves it
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    with warnings.catch_warnings():
+        # at two draws the top draw is half the sum: the tail warning
+        warnings.simplefilter("ignore", RuntimeWarning)
+        kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, replicates, rng)
+    ref.random(replicates)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def traced_peak_mib(xi) -> float:
