@@ -32,8 +32,8 @@ refilled in blocks of ``_BLOCK``: holding times
 (``rng.standard_exponential``, divided by the rate), event choices
 (``rng.random``, scaled by the rate), offspring counts (``sample_extra``,
 for laws other than one extra lineage) and xi points
-(``sampler.draw_masses``; a one-atom law is a constant, whose point is
-read once, with no draw).  All replicates of one call share the
+(``sampler.draw_masses``, which draws nothing for a one-atom law: its
+points are one constant row).  All replicates of one call share the
 buffers, so a replicate's draws depend on the replicates before it.
 The rates out of n come from a row (branch, branch + pairwise, total)
 built the first time a call visits n (``_rate_row``).  An atomic measure with at most ``MAX_EXACT_SUPPORT``
@@ -208,7 +208,8 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
 
     The call runs the replicates one after another, drawing from shared
     buffers of ``_BLOCK`` holding times, event choices, offspring counts
-    and xi points.  A ``burn_in`` adds each replicate's holding time per
+    and xi points (``sampler.draw_masses``: none drawn for a one-atom
+    law).  A ``burn_in`` adds each replicate's holding time per
     state past it (its occupation); ``log`` adds its event list, every
     xi candidate included.  Candidates that merge nothing come from
     candidate rows alone: for continuous measures, for atoms with more than
@@ -234,16 +235,9 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     delta_one = law.point_extra == 1
     lam = sampler.rate
     atoms = sampler.atoms
-    rates = one_point = None
-    if atoms is not None:
-        if max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
-            rates = pick_laws(atoms, _SWEPT, np.ones(_SWEPT + 1))
-        if len(atoms) == 1:
-            # a one-atom law is a constant: its point, read once, with
-            # no draw and no buffer
-            one_point = atoms[0][1]
-            z_total = one_point.total
-            z_groups = one_point.masses if len(one_point) > 1 else None
+    rates = None
+    if atoms is not None and max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
+        rates = pick_laws(atoms, _SWEPT, np.ones(_SWEPT + 1))
     rows = []  # the row out of n at index n, None until n is visited
     # pure-birth stretches (module docstring)
     stretches = (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
@@ -325,16 +319,15 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                         if n > cap:
                             escaped = True
                             break
-                    if one_point is None:
-                        if i_xi == block:
-                            masses = sampler.draw_masses(block, rng)
-                            totals = masses.sum(axis=1).tolist()
-                            groups = (masses.tolist() if masses.shape[1] > 1
-                                      else None)
-                            i_xi = 0
-                        z_total = totals[i_xi]
-                        z_groups = groups[i_xi] if groups is not None else None
-                        i_xi += 1
+                    if i_xi == block:
+                        masses = sampler.draw_masses(block, rng)
+                        totals = masses.sum(axis=1).tolist()
+                        groups = (masses.tolist() if masses.shape[1] > 1
+                                  else None)
+                        i_xi = 0
+                    z_total = totals[i_xi]
+                    z_groups = groups[i_xi] if groups is not None else None
+                    i_xi += 1
                     if n > 1:
                         k, occupied = _xi_merge(n, z_total, z_groups, rng)
                         n_new = n - k + occupied

@@ -64,15 +64,14 @@ from .mc import McEstimate
 from .selection import (SelectionLaw, branching_drift, drift_kernel,
                         selection_shape)
 from .simplex import (TruncatedSampler, XiMeasure, as_atoms,
-                      bernoulli_patterns, jump_map, sample_masses,
+                      bernoulli_patterns, jump_map, normalized_draws,
                       total_mass)
 
 _DEFAULT_FLOOR = 1e-3
 _BLOCK_STEPS = 1024
 _BLOCK_JUMPS = 1 << 16
-# (paths, masses, coins, residuals, step of each round, round bounds) of
-# no jump
-_NO_JUMPS = (None, None, None, None, [], [0])
+# (paths, masses, coins, step of each round, round bounds) of no jump
+_NO_JUMPS = (None, None, None, [], [0])
 
 
 @dataclass(frozen=True)
@@ -169,9 +168,9 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
     for first in range(0, n_steps, block):
         k = min(block, n_steps - first)
         span = (k - 1) * dt + (last_h if first + k == n_steps else dt)
-        paths, masses, coins, residual, round_steps, bounds = _NO_JUMPS
+        paths, masses, coins, round_steps, bounds = _NO_JUMPS
         if rate > 0.0:
-            paths, masses, coins, residual, round_steps, bounds = _jump_block(
+            paths, masses, coins, round_steps, bounds = _jump_block(
                 sampler, rate * span * n_paths, span / dt, k, n_paths, rng)
         jumps_applied += bounds[-1]
         n_rounds = len(round_steps)
@@ -197,8 +196,7 @@ def simulate_batch(params: LimitParams, x0: float, total_time: float,
             while r < n_rounds and round_steps[r] == s:
                 lo, hi = bounds[r], bounds[r + 1]
                 idx = paths[lo:hi]
-                x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi],
-                                  residual[lo:hi])
+                x[idx] = jump_map(x[idx], masses[lo:hi], coins[lo:hi])
                 r += 1
     return x, {"clamp_count": int(clamps), "jumps_applied": jumps_applied,
                "steps": n_steps, "jump_rate": rate}
@@ -276,8 +274,7 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     the j-th sorted jump may take the j-th point as drawn.  Round r of a
     step holds the paths jumping for the (r+1)-th time in it, all
     distinct; rounds come in (step, r) order.  Returns (paths, masses,
-    coins, residuals 1 - sum z, step of each round, round bounds), with
-    one-group points (Beta, Dirac) as 1-D columns for ``jump_map``.
+    coins, step of each round, round bounds).
     """
     n = int(rng.poisson(mean))
     if n == 0:
@@ -286,9 +283,6 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     key = np.sort(steps * n_paths + rng.integers(n_paths, size=n))
     masses = sampler.draw_masses(n, rng)
     coins = rng.random(masses.shape)
-    residual = 1.0 - masses.sum(axis=1)
-    if masses.shape[1] == 1:
-        masses, coins = masses[:, 0], coins[:, 0]
     # a jump's rank among the equal keys before it is its round
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     rank = np.arange(n) - np.repeat(starts, np.diff(np.r_[starts, n]))
@@ -296,7 +290,7 @@ def _jump_block(sampler: TruncatedSampler, mean: float, span_steps: float,
     key = np.sort((key // n_paths * n_rounds + rank) * n_paths + key % n_paths)
     rounds = key // n_paths
     bounds = np.flatnonzero(np.r_[True, rounds[1:] != rounds[:-1]])
-    return (key % n_paths, masses, coins, residual,
+    return (key % n_paths, masses, coins,
             (rounds[bounds] // n_rounds).tolist(), bounds.tolist() + [n])
 
 
@@ -364,31 +358,3 @@ def generator_apply_bernoulli(params: LimitParams, n: int, x: float,
     est = McEstimate.from_samples(vals)
     return McEstimate(drift_term + est.mean, est.std_error, est.replicates)
 
-
-def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
-    """(group fractions, sum of squared fractions, total mass |Z|) per draw.
-
-    Z comes from ``sample_masses``; the fractions Z / |Z| form a
-    zero-padded (size, width) matrix.  Where every row is the same, a
-    result is a read-only broadcast view: a one-group point has fractions
-    [1] and sum 1.0, and a one-atom measure always gives the same point,
-    with no draw, so its fractions, sum and |Z| are those of its one row.
-    """
-    atoms = as_atoms(measure)
-    if atoms is not None and len(atoms) == 1:
-        masses = np.array([atoms[0][1].masses])
-        totals = masses.sum(axis=1)
-        frac = masses / totals[:, None]
-        ssq = (frac * frac).sum(axis=1)
-        return (np.broadcast_to(frac, (size, frac.shape[1])),
-                np.broadcast_to(ssq, (size,)),
-                np.broadcast_to(totals, (size,)))
-    masses = sample_masses(measure, size, rng)
-    # a one-group point normalizes to [1], also when its mass underflows
-    # to 0 (Beta draws with a small first parameter do)
-    if masses.shape[1] == 1:
-        return (np.broadcast_to(1.0, masses.shape),
-                np.broadcast_to(1.0, (size,)), masses[:, 0])
-    totals = masses.sum(axis=1)
-    frac = masses / totals[:, None]
-    return frac, (frac * frac).sum(axis=1), totals

@@ -35,8 +35,10 @@ An event at z moves the weak type's frequency x by the one jump map,
 ``jump_map``: x (1 - sum z) + sum z_i B_i with B_i i.i.d. Bernoulli(x).
 ``bernoulli_patterns`` lists its exact law over the 2^m adoption
 patterns.  ``sample_masses`` is the one point draw, for every family: a
-batch of ranked points as one zero-padded mass matrix.  A one-atom law
-(delta_z) always gives the point z, so its draws consume no randomness.
+batch of ranked points as one zero-padded mass matrix, which
+``normalized_draws`` reads as fractions, sums of squares and totals.  A
+one-atom law (delta_z) always gives the point z, so its draws consume no
+randomness: ``_atom_rows`` alone decides it.
 ``binomial_pmf`` is the forward kernel's binomial law: Binomial(n, p)
 children of the weak type.  ``pick_laws`` is the lineage side of the
 events: the law of the number of labels drawn after each pick, from one
@@ -224,13 +226,12 @@ def sample_masses(measure: XiMeasure, size: int,
                   rng: np.random.Generator) -> np.ndarray:
     """``size`` points from the normalized measure as a zero-padded
     (size, width) matrix of ranked rows; width is the largest atom support,
-    1 for Beta, the widest stick-breaking point drawn.  Sticks are drawn a
-    column at a time, for each row whose remainder is >= truncation_tol."""
+    1 for Beta, the widest stick-breaking point drawn; for one atom a
+    read-only view (``_atom_rows``).  Sticks are drawn a column at a
+    time, for each row whose remainder is >= truncation_tol."""
     atoms = as_atoms(measure)
     if atoms is not None:
-        weights = np.array([w for w, _ in atoms])
-        return _atom_rows(_padded([z.masses for _, z in atoms]),
-                          weights / weights.sum(), size, rng)
+        return _atom_rows(*_atom_law(atoms), size, rng)
     if isinstance(measure, LambdaBeta):
         return rng.beta(measure.a, measure.b, size=size)[:, None]
     rows = np.arange(size)          # the rows still breaking sticks
@@ -258,27 +259,20 @@ def sample_masses(measure: XiMeasure, size: int,
     return masses[:, ::-1]
 
 
-def jump_map(xs: np.ndarray, masses: np.ndarray, coins: np.ndarray,
-             residual: np.ndarray | None = None) -> np.ndarray:
+def jump_map(xs: np.ndarray, masses: np.ndarray, coins: np.ndarray) -> np.ndarray:
     """The extreme-event jump x (1 - sum z) + sum z_i B_i, one row per x.
 
-    ``masses`` holds one point per row, zero-padded, or, for one-group
-    points, one mass per x as a 1-D column; each group adopts the weak
-    type independently, B_i = [coin_i < x] with ``coins`` uniform on
-    [0, 1) in the shape of ``masses``, and the residual keeps the
-    frequency x.  Padding columns add nothing.  ``residual``, 1 - sum z
-    per row, may be passed by a caller that already has it; the result
-    is the same bit for bit.
+    ``masses`` holds one point per row, a zero-padded (size, width)
+    matrix; each group adopts the weak type independently, B_i =
+    [coin_i < x] with ``coins`` uniform on [0, 1) in the shape of
+    ``masses``, and the residual keeps the frequency x.  Padding columns
+    add nothing.  One-group points (width 1) take no row sums.
     """
-    if masses.ndim == 1:
-        gain = (coins < xs) * masses
-        if residual is None:
-            residual = 1.0 - masses
-    else:
-        gain = ((coins < xs[:, None]) * masses).sum(axis=1)
-        if residual is None:
-            residual = 1.0 - masses.sum(axis=1)
-    return gain + xs * residual
+    if masses.shape[1] == 1:
+        z = masses[:, 0]
+        return (coins[:, 0] < xs) * z + xs * (1.0 - z)
+    gain = ((coins < xs[:, None]) * masses).sum(axis=1)
+    return gain + xs * (1.0 - masses.sum(axis=1))
 
 
 def bernoulli_patterns(z: SimplexPoint, x) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +477,7 @@ class TruncatedSampler:
     holds an atomic measure's kept atoms as (w / sum(z^2), z), None for
     other families or when no atom is kept, as without a measure (rate 0).
     ``draw_masses`` draws from the normalized law:
-    atoms by ``rng.choice`` (one kept atom is tiled, with no draw), Beta
+    atoms by ``_atom_rows`` (one kept atom is a view, with no draw), Beta
     exactly (see ``_draw_beta``), stick-breaking by resampling the pool
     with its weights.  A build is a function of the measure, the floor and
     ``pool_size``: only ``draw_masses`` takes an rng.
@@ -577,13 +571,49 @@ class TruncatedSampler:
         return np.maximum(np.concatenate(kept), f)
 
 
+def normalized_draws(measure: XiMeasure, size: int, rng: np.random.Generator):
+    """(group fractions, sum of squared fractions, total mass |Z|) per draw.
+
+    Z comes from ``sample_masses``, same stream, same values; the
+    fractions Z / |Z| form a zero-padded (size, width) matrix.  Atoms are
+    worked out once each and their table read with one ``_atom_rows``
+    draw (a read-only view for one atom).  A one-group point has
+    fractions [1] and sum 1.0, read-only views, also when its mass
+    underflows to 0 (Beta draws with a small first parameter do).
+    """
+    atoms = as_atoms(measure)
+    if atoms is not None:
+        matrix, probs = _atom_law(atoms)
+        rows = _atom_rows(np.column_stack(_normalized(matrix)), probs, size,
+                          rng)
+        return rows[:, :-2], rows[:, -2], rows[:, -1]
+    masses = sample_masses(measure, size, rng)
+    if masses.shape[1] == 1:
+        return (np.broadcast_to(1.0, masses.shape),
+                np.broadcast_to(1.0, (size,)), masses[:, 0])
+    return _normalized(masses)
+
+
+def _normalized(masses: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Z / |Z|, sum((Z / |Z|)^2), |Z|) of each row Z of ``masses``."""
+    totals = masses.sum(axis=1)
+    frac = masses / totals[:, None]
+    return frac, (frac * frac).sum(axis=1), totals
+
+
+def _atom_law(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """(zero-padded point matrix, normalized weights) of an atom list."""
+    weights = np.array([w for w, _ in atoms])
+    return _padded([z.masses for _, z in atoms]), weights / weights.sum()
+
+
 def _atom_rows(matrix: np.ndarray, probs: np.ndarray, size: int,
                rng: np.random.Generator) -> np.ndarray:
     """``size`` rows of ``matrix``, row i with probability probs[i], drawn
     by ``rng.choice(len(probs), size=size, p=probs)``.  One row is a
-    constant: it is tiled, and ``rng`` is not touched."""
+    constant: a read-only broadcast view of it, and ``rng`` is not touched."""
     if len(probs) == 1:
-        return np.repeat(matrix, size, axis=0)
+        return np.broadcast_to(matrix, (size, matrix.shape[1]))
     return matrix[rng.choice(len(probs), size=size, p=probs)]
 
 

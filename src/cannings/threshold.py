@@ -31,10 +31,10 @@ import warnings
 import numpy as np
 
 from .dual_chain import RecurrenceReport
-from .limit_sde import LimitParams, normalized_draws
+from .limit_sde import LimitParams
 from .mc import McEstimate
 from .simplex import (LambdaBeta, StickBreaking, XiMeasure, as_atoms,
-                      total_mass)
+                      normalized_draws, total_mass)
 
 _TAIL_FRACTION = 0.001
 _TAIL_SHARE_LIMIT = 0.20
@@ -96,10 +96,11 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
     mass of ``xi``.  The variance is infinite for every measure: as
     U -> 0 the squared integrand behaves like 1 / (|Z|^2 U), whose mean
     diverges, so the standard error is an underestimate.  Warns when the
-    top 0.1% of draws carry more than 20% of the sum.  Raises
+    top 0.1% of draws (at least one, and under 20% of them) carry more
+    than 20% of the sum.  Raises
     ``DegenerateDraws`` when some W lies in {0, 1}.
 
-    One pass: the points come from ``normalized_draws`` (broadcast views
+    One pass: the points come from ``normalized_draws`` (read-only views
     of its one row, with no draw, for a one-atom measure), then U is
     drawn a chunk at a time and each chunk's values are written into one
     array, which is partitioned in place for the tail once the mean and
@@ -139,7 +140,7 @@ def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
         diagnostics["tail_share"] = share
         diagnostics["tail_draws"] = top
         diagnostics["max_value"] = float(tail[-1])
-    if share > _TAIL_SHARE_LIMIT:
+    if share > _TAIL_SHARE_LIMIT and top / replicates < _TAIL_SHARE_LIMIT:
         warnings.warn(
             "possible infinite variance: the top "
             f"{100 * _TAIL_FRACTION:g}% of draws carry {100 * share:.1f}% "

@@ -12,7 +12,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
                       generator_apply_exact, geometric_offspring, jump_sampler,
                       moment_duality_check, offspring_delta, offspring_pmf,
                       simulate_batch)
-from cannings.limit_sde import normalized_draws
+from cannings.simplex import normalized_draws
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 
@@ -101,7 +101,7 @@ def test_simulate_argument_errors():
      0.6, 1.0, 0.05, 6, 3,
      [0.9975342926740174, 0.00018139839531998537, 0.0002736908923386643,
       0.00010633498571063534, 0.3359122704352074, 0.0007734943028633713]),
-])
+], ids=["diffusion", "jump-rounds"])
 def test_simulate_batch_dirac_pinned(params, x0, total_time, dt, n_paths, seed,
                                      expected):
     # single-atom jump streams are pinned bit for bit; recorded again,
@@ -142,7 +142,8 @@ BETA_GEOMETRIC = LimitParams(1.0, 1.0, geometric_offspring(0.5),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      {"clamp_count": 0, "jumps_applied": 0, "steps": 100,
       "jump_rate": 35.149509207328634}),
-])
+], ids=["beta-geometric", "two-atoms-pmf", "clamps-short-last-step",
+        "no-paths"])
 def test_simulate_batch_euler_pinned(params, x0, total_time, dt, n_paths, seed,
                                      digest, diagnostics):
     # Euler streams with sigma > 0 or a non-point offspring law, pinned

@@ -12,8 +12,7 @@ from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, SimplexPoint,
                       StickBreaking, TruncatedSampler, bernoulli_patterns,
                       binomial_pmf, jump_map, normalized, sample_masses,
                       total_mass)
-from cannings.limit_sde import normalized_draws
-from cannings.simplex import _MC_SEED, pick_laws
+from cannings.simplex import _MC_SEED, normalized_draws, pick_laws
 
 ATOM_PAIR = FiniteAtomic(((2.0, SimplexPoint.ranked([0.3, 0.2])),
                           (1.0, SimplexPoint.ranked([0.5]))))
@@ -490,6 +489,36 @@ def test_two_atom_draws_keep_the_choice_stream():
             rng = np.random.default_rng(size)
             assert np.array_equal(draw(rng), expect)
             assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("measure", [
+    LambdaDirac(0.5, 2.0),
+    FiniteAtomic(((3.0, (0.4, 0.2)),)),
+    FiniteAtomic(((1.0, (0.3, 0.2, 0.1)),)),
+    ATOM_PAIR,
+    FiniteAtomic(((1.0, (0.3,)), (2.0, (0.6,)))),
+    FiniteAtomic(((0.5, (0.37, 0.21, 0.13)), (0.3, (0.6,)),
+                  (0.2, (0.33, 0.31)))),
+], ids=["dirac", "one-atom-2", "one-atom-3", "two-atoms", "two-atoms-1",
+        "three-atoms"])
+def test_normalized_draws_are_the_per_draw_arithmetic(measure):
+    # the per-atom table read with one draw gives, bit for bit, what the
+    # per-draw arithmetic on sample_masses rows gives, and moves the
+    # generator as far
+    for size in (0, 1, 1000):
+        rng, ref = np.random.default_rng(size), np.random.default_rng(size)
+        masses = sample_masses(measure, size, ref)
+        totals = masses.sum(axis=1)
+        frac = masses / totals[:, None]
+        want = (frac, (frac * frac).sum(axis=1), totals)
+        got = normalized_draws(measure, size, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+            if len(measure.atoms) == 1:
+                # a constant: read-only views of the one row
+                assert g.base is not None and not g.flags.writeable
 
 
 def test_draw_masses_stick_breaking_rows_are_points():
