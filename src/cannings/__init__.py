@@ -24,8 +24,7 @@ from .limit_sde import (LimitParams, generator_apply_bernoulli,
 from .dual_chain import (ChainRuns, DualPath, RecurrenceReport,
                          generator_matrix, moment_duality_check,
                          recurrence_probe, run_chains, simulate)
-from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
-                        kappa_star_mc)
+from .threshold import RegimeUnclear, fixation_probability, kappa_star
 from .config import Config, ConfigError, RunSettings
 
 __all__ = [
@@ -48,7 +47,7 @@ __all__ = [
     "generator_matrix",
     "RecurrenceReport", "RegimeUnclear", "recurrence_probe",
     "moment_duality_check",
-    "kappa_star", "kappa_star_mc", "fixation_probability",
+    "kappa_star", "fixation_probability",
     "Config", "ConfigError", "RunSettings",
 ]
 

@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .discrete import (ancestral_trajectories, forward_trajectories,
 from .dual_chain import moment_duality_check, recurrence_probe, run_chains
 from .limit_sde import simulate_batch
 from .mc import McEstimate, compare
-from .threshold import (DegenerateDraws, RegimeUnclear, fixation_probability,
-                        kappa_star, kappa_star_mc)
+from .threshold import (RegimeUnclear, fixation_probability, kappa_star,
+                        kappa_star_quadrature)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -152,36 +151,20 @@ def _cmd_duality_limit(cfg: Config, rng: np.random.Generator):
 
 def _cmd_kappa_star(cfg: Config, rng: np.random.Generator):
     params = cfg.limit_params()
-    run = cfg.run
     if params.xi is None:
         raise ConfigError("kappa-star needs a jump measure "
                           "(model.xi.family != none)", key="model.xi.family")
     beta = params.offspring.mean_extra
     exact, reason = kappa_star(params)
-    mc_diag: dict = {}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            est = kappa_star_mc(params.xi, beta, run.replicates, rng, mc_diag)
-        except DegenerateDraws as exc:
-            if reason is None:
-                raise
-            # kappa* = inf is known, so draws at W in {0, 1} (Beta draws
-            # that underflow to 0, say) are a model outcome: no estimate
-            return ({"mean_extra": beta, "verdict": "not-applicable"},
-                    {"warnings": [str(exc), reason]}, {})
-    results = {"estimate": _estimate_dict(est), "mean_extra": beta}
-    diagnostics = dict(mc_diag)
-    diagnostics["warnings"] = [str(w.message) for w in caught]
     if reason is not None:
-        # no finite threshold to compare the estimate with
-        diagnostics["warnings"].append(reason)
-        results["verdict"] = "not-applicable"
-    elif exact is not None:
-        check = compare(est, McEstimate.exact(exact))
-        results.update({"closed_form": exact, "gap": check.gap,
-                        "verdict": check.verdict})
-    return results, diagnostics, {}
+        # kappa* = inf: no finite threshold to check
+        return ({"mean_extra": beta, "verdict": "not-applicable"},
+                {"warnings": [reason]}, {})
+    check = compare(kappa_star_quadrature(params), McEstimate.exact(exact))
+    results = {"estimate": _estimate_dict(check.lhs), "mean_extra": beta,
+               "closed_form": exact, "gap": check.gap,
+               "verdict": check.verdict}
+    return results, {"warnings": []}, {}
 
 
 def _cmd_recurrence(cfg: Config, rng: np.random.Generator):
@@ -233,7 +216,7 @@ _COMMANDS = {
                   "simulate the dual branching-coalescing chain"),
     "duality-limit": (_cmd_duality_limit,
                       "check the limit moment duality by Monte Carlo"),
-    "kappa-star": (_cmd_kappa_star, "estimate the fixation threshold for "
+    "kappa-star": (_cmd_kappa_star, "compute the fixation threshold for "
                                     "the selection rate"),
     "fixation": (_cmd_fixation, "estimate the probability that the weak "
                                 "type is lost, through the dual chain"),

@@ -44,7 +44,9 @@ children of the weak type.  ``pick_laws`` is the lineage side of the
 events: the law of the number of labels drawn after each pick, from one
 sweep over the masks of groups already drawn.  The discrete ancestral
 kernel and the dual chain's xi law both read it.  ``beta_nodes`` is the
-Beta law as weighted one-group atoms, a Gauss-Jacobi rule.
+Beta law as weighted one-group atoms, a Gauss-Jacobi rule built by
+``gauss_rule``, the Golub-Welsch step that the threshold's quadrature
+check uses too.
 """
 
 from __future__ import annotations
@@ -204,9 +206,8 @@ def beta_nodes(a: float, b: float,
                count: int) -> tuple[tuple[float, SimplexPoint], ...]:
     """The Beta(a, b) law as ``count`` one-group atoms [y_j] with weights
     summing to 1: the Gauss-Jacobi rule, exact for polynomials in y of
-    degree < 2 count.  Golub-Welsch: y = (1 + t) / 2 at the eigenvalues t
-    of the Jacobi matrix of the weight (1 - t)^(b-1) (1 + t)^(a-1), each
-    weight the squared first component of the eigenvector."""
+    degree < 2 count, from ``gauss_rule`` on the Jacobi matrix of the
+    weight (1 - t)^(b-1) (1 + t)^(a-1), at y = (1 + t) / 2."""
     al, be = b - 1.0, a - 1.0
     n = np.arange(1.0, count)
     s = 2.0 * n + al + be
@@ -215,11 +216,18 @@ def beta_nodes(a: float, b: float,
     diag = np.append((a - b) / (a + b), (be * be - al * al) / (s * (s + 2.0)))
     ratio = np.divide(n + al + be, s - 1.0, out=np.ones(n.size), where=n > 1)
     root = np.sqrt(4.0 * n * (n + al) * (n + be) * ratio / (s * s * (s + 1.0)))
-    t, vectors = np.linalg.eigh(np.diag(diag) + np.diag(root, 1)
-                                + np.diag(root, -1))
-    weights = vectors[0] ** 2 / (vectors[0] ** 2).sum()
+    t, weights = gauss_rule(diag, root)
     return tuple((float(w), SimplexPoint((float(y),)))
                  for w, y in zip(weights, (1.0 + t) / 2.0))
+
+
+def gauss_rule(diag, off) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights summing to 1) of the Gauss rule of the Jacobi matrix
+    (``diag``, ``off``): Golub-Welsch, eigenvalues and squared first
+    components of the eigenvectors."""
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1)
+                                    + np.diag(off, -1))
+    return nodes, vectors[0] ** 2 / (vectors[0] ** 2).sum()
 
 
 def sample_masses(measure: XiMeasure, size: int,

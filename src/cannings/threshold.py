@@ -9,37 +9,38 @@ happens for selection rates below
 
 where m is the total mass of the jump measure, beta is the mean
 extra-parent count of the offspring law, Z is drawn from the normalized
-jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  An atom z
+jump measure, Z* = Z / |Z|, W = |Z| sqrt(U) with U uniform.  A point z
 closes the U-average, E_U[1 / (W (1 - W))] = -2 log(1 - |z|) / |z|^2, so
 ``kappa_star(params)`` gives (1 / beta) sum_atoms w (-log(1 - |z|)) /
-sum(z_i^2) for an atomic measure, and infinity where the chain is
-recurrent at every selection rate or the integral diverges.
+sum(z_i^2) for an atomic measure, and for Beta(a, b) with a > 1
 
-The estimator's variance is infinite for every measure, also where its
-mean is finite: as U -> 0 the squared integrand behaves like
-1 / (|Z|^2 U), whose mean diverges (logarithmically), and near W = 1 it
-grows further for measures with mass near total size 1.  A
-tail-concentration diagnostic warns when a tiny fraction of draws
-dominates the sum.
+    m B(a - 2, b) (psi(a + b - 2) - psi(b)) / (beta B(a, b)),
+
+written without its removable points at a = 2 and a + b = 2 (psi is the
+digamma function, computed in plain math by ``_digamma_slope``).  It
+gives infinity where the chain is recurrent at every selection rate or
+the integral diverges.  Nothing here draws: ``kappa_star_quadrature``
+checks the closed forms against a Gauss rule for the integral itself.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .dual_chain import RecurrenceReport
 from .limit_sde import LimitParams
 from .mc import McEstimate
-from .simplex import (LambdaBeta, StickBreaking, XiMeasure, as_atoms,
-                      normalized_draws, total_mass)
+from .simplex import LambdaBeta, StickBreaking, as_atoms, gauss_rule
 
-_TAIL_FRACTION = 0.001
-_TAIL_SHARE_LIMIT = 0.20
-# draws per pass of the estimator: its arrays of U and W stay in cache
-_CHUNK = 1 << 14
+# B_2k / 2k in psi(x) ~ log x - 1 / (2 x) - sum_k B_2k / (2k x^2k)
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
+               1 / 12)
+_ASYMPTOTIC = 10.0
+# nodes of the quadrature check, and its error bound's floor in ulps
+_NODES = 64
+_ULPS = 16
 
 
 class RegimeUnclear(ValueError):
@@ -47,23 +48,19 @@ class RegimeUnclear(ValueError):
     its regime undecided."""
 
 
-class DegenerateDraws(ValueError):
-    """Draws the threshold estimator cannot average: some W = |Z| sqrt(U)
-    lies in {0, 1}, where the integrand is infinite."""
-
-
-def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
-    """(threshold, reason) where the threshold is known without sampling.
+def kappa_star(params: LimitParams) -> tuple[float, str | None]:
+    """(threshold, reason): the exact threshold, drawing nothing.
 
     Infinite, with the reason, at kingman_rate > 0, for stick-breaking,
     Beta with a <= 1 and atoms with |z| = 1; else the closed form for an
-    atomic measure, 0 without one (the chain only branches), or (None, None).
+    atomic measure (0 without one: the chain only branches) or for Beta
+    with a > 1, and reason None.
     """
     if params.kingman_rate > 0.0:
         return math.inf, (
             "kappa* = inf at model.kingman_rate > 0: pairwise mergers bring "
             "the dual chain down from any n, so it is recurrent at every "
-            "selection rate; the estimate ignores them")
+            "selection rate")
     beta = params.offspring.mean_extra
     if beta <= 0.0 or not math.isfinite(beta):
         raise ValueError("mean_extra must be positive and finite")
@@ -71,14 +68,20 @@ def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
     if isinstance(xi, StickBreaking):
         return math.inf, ("kappa* = inf for stick-breaking: its points lie "
                           "on |z| = 1, where -log(1 - |z|) diverges")
-    if isinstance(xi, LambdaBeta) and xi.a <= 1.0:
-        return math.inf, ("kappa* = inf for lambda_beta at a <= 1: -log(1 - y)"
-                          " / y^2 against y^(a - 1) diverges at y = 0")
-    atoms = as_atoms(xi)
-    if atoms is None:
-        return None, None
+    if isinstance(xi, LambdaBeta):
+        a, b = xi.a, xi.b
+        if a <= 1.0:
+            return math.inf, ("kappa* = inf for lambda_beta at a <= 1: "
+                              "-log(1 - y) / y^2 against y^(a - 1) diverges "
+                              "at y = 0")
+        # B(a - 2, b) / B(a, b) = (a + b - 1)(a + b - 2) / ((a - 1)(a - 2)),
+        # and psi(a + b - 2) - psi(b) = (a - 2) slope(b, a - 2), whose
+        # first term 1 / (b (a + b - 2)) is taken out of the slope
+        value = (a + b - 1.0) / (a - 1.0) * (
+            1.0 / b + (a + b - 2.0) * _digamma_slope(b + 1.0, a - 2.0))
+        return xi.total_mass * value / beta, None
     value = 0.0
-    for w, z in atoms:
+    for w, z in as_atoms(xi):
         if z.total >= 1.0:
             return math.inf, ("kappa* = inf for an atom with |z| = 1: each of "
                               "its events leaves one lineage per group")
@@ -86,67 +89,69 @@ def kappa_star(params: LimitParams) -> tuple[float | None, str | None]:
     return value, None
 
 
-def kappa_star_mc(xi: XiMeasure, mean_extra: float, replicates: int,
-                  rng: np.random.Generator,
-                  diagnostics: dict | None = None) -> McEstimate:
-    """Monte-Carlo estimate of the fixation threshold.
-
-    Draws Z from the normalized measure and U uniform, and averages
-    m / (2 beta sum(Z*^2) W (1 - W)) with W = |Z| sqrt(U), m the total
-    mass of ``xi``.  The variance is infinite for every measure: as
-    U -> 0 the squared integrand behaves like 1 / (|Z|^2 U), whose mean
-    diverges, so the standard error is an underestimate.  Warns when the
-    top 0.1% of draws (at least one, and under 20% of them) carry more
-    than 20% of the sum.  Raises
-    ``DegenerateDraws`` when some W lies in {0, 1}.
-
-    One pass: the points come from ``normalized_draws`` (read-only views
-    of its one row, with no draw, for a one-atom measure), then U is
-    drawn a chunk at a time and each chunk's values are written into one
-    array, which is partitioned in place for the tail once the mean and
-    standard error are taken.  The stream and every value's operations
-    are those of drawing U in one array, so the estimate, diagnostics and
-    warning do not depend on the chunk size.  ``DegenerateDraws`` is
-    raised at the first chunk holding a degenerate W, with the uniforms
-    after it undrawn.
+def _digamma_slope(x: float, d: float) -> float:
+    """(psi(x + d) - psi(x)) / d for x, x + d > 0, psi'(x) at d = 0, with no
+    cancellation as d -> 0: unit steps psi(x + 1) = psi(x) + 1 / x up to
+    _ASYMPTOTIC, then the series differenced term by term, log(q / p) / d
+    and (q^n - p^n) / d = p q sum_j p^j q^(n-1-j), p = 1 / (x + d), q = 1 / x.
     """
-    if mean_extra <= 0.0 or not math.isfinite(mean_extra):
-        raise ValueError("mean_extra must be positive and finite")
-    if replicates < 2:
-        raise ValueError("need at least two replicates")
-    frac, ssq, totals = normalized_draws(xi, replicates, rng)
-    del frac
-    scale = 2.0 * mean_extra / total_mass(xi)
-    vals = np.empty(replicates)
-    for lo in range(0, replicates, _CHUNK):
-        hi = min(lo + _CHUNK, replicates)
-        w = np.sqrt(rng.random(hi - lo))
-        w *= totals[lo:hi]
-        if np.any(w <= 0.0) or np.any(w >= 1.0):
-            raise DegenerateDraws("degenerate draw with W in {0, 1}")
-        # m / (2 beta sum(Z*^2) W (1 - W)), multiplied in that order
-        out = np.multiply(ssq[lo:hi], scale, out=vals[lo:hi])
-        out *= w
-        out *= np.subtract(1.0, w, out=w)
-        np.divide(1.0, out, out=out)
-    est = McEstimate.from_samples(vals)
-    total = float(vals.sum())
-    top = max(1, int(_TAIL_FRACTION * replicates))
-    # the top values in sorted order, as a full sort would leave them
-    vals.partition(-top)
-    tail = np.sort(vals[-top:])
-    share = float(tail.sum()) / total
-    if diagnostics is not None:
-        diagnostics["tail_share"] = share
-        diagnostics["tail_draws"] = top
-        diagnostics["max_value"] = float(tail[-1])
-    if share > _TAIL_SHARE_LIMIT and top / replicates < _TAIL_SHARE_LIMIT:
-        warnings.warn(
-            "possible infinite variance: the top "
-            f"{100 * _TAIL_FRACTION:g}% of draws carry {100 * share:.1f}% "
-            "of the sum; the standard error is unreliable",
-            RuntimeWarning, stacklevel=2)
-    return est
+    total = 0.0
+    while min(x, x + d) < _ASYMPTOTIC:
+        total += 1.0 / (x * (x + d))
+        x += 1.0
+    p, q = 1.0 / (x + d), 1.0 / x
+    u = d * q
+    total += (math.log1p(u) / u if u else 1.0) * q + 0.5 * p * q
+    for k, c in enumerate(_PSI_SERIES, 1):
+        total += c * p * q * sum(p ** j * q ** (2 * k - 1 - j)
+                                 for j in range(2 * k))
+    return total
+
+
+def kappa_star_quadrature(params: LimitParams) -> McEstimate:
+    """The integral that defines kappa*, by a Gauss rule, for a model whose
+    ``kappa_star`` is finite: mean Q_n at n = _NODES nodes, std_error the
+    rule's error bound |Q_n - Q_n/2|, at least _ULPS units in the last
+    place of Q_n."""
+    integral = (_beta_integral if isinstance(params.xi, LambdaBeta)
+                else _atoms_integral)
+    value, half = (float(integral(params.xi, count)
+                         / params.offspring.mean_extra)
+                   for count in (_NODES, _NODES // 2))
+    return McEstimate(value, max(abs(value - half), _ULPS * math.ulp(value)),
+                      _NODES)
+
+
+def _atoms_integral(xi, count: int) -> float:
+    """sum_atoms w / (2 sum(Z*^2)) E_U[1 / (W (1 - W))], W = |z| sqrt(U):
+    Gauss-Legendre in s = sqrt(U), whose density is 2 s on [0, 1]."""
+    k = np.arange(1.0, count)
+    nodes, weights = gauss_rule(np.zeros(count), k / np.sqrt(4 * k * k - 1))
+    s = (1.0 + nodes) / 2.0
+    total = 0.0
+    for w, z in as_atoms(xi):
+        frac_sq = sum((m / z.total) ** 2 for m in z.masses)
+        ws = z.total * s
+        total += w / frac_sq * (weights @ (s / (ws * (1.0 - ws))))
+    return total
+
+
+def _beta_integral(xi: LambdaBeta, count: int) -> float:
+    """m E[-log(1 - Y) / Y^2], Y ~ Beta(a, b), a > 1 (the U-average at [y]
+    is -2 log(1 - y) / y^2).  In t = -log(1 - y) the mean is the ratio of
+    the integrals of r^(a-3) and t r^(a-1), r = (1 - e^-t) / t, against
+    t^(a-2) e^(-b t): generalized Gauss-Laguerre in b t."""
+    a, b = xi.a, xi.b
+    k = np.arange(1.0, count)
+    tau, weights = gauss_rule(2.0 * np.arange(count) + a - 1.0,
+                              np.sqrt(k * (k + a - 2.0)))
+    t = tau / b
+    log_r = np.log(-np.expm1(-t) / t)
+    # r^(a-3) up to a common factor, which the ratio drops
+    power = (a - 3.0) * log_r
+    g = np.exp(power - power.max())
+    norm = weights @ (t * np.exp(2.0 * log_r) * g)
+    return xi.total_mass * (weights @ g) / norm
 
 
 def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import math
+import pathlib
 import re
 import textwrap
 
@@ -529,7 +530,9 @@ RECURRENT_CFG = (LIMIT_CFG.replace("model.selection_rate = 1.0",
 # the whole-grid identity (lhs one unit lower, gap the grid's largest);
 # the "big" duality-discrete, duality-limit and kappa-star reports
 # (delta_0.5 models) re-recorded when one-atom point draws stopped
-# consuming uniforms
+# consuming uniforms; the kappa-star report again when it became the
+# closed form checked by a Gauss rule, with no draws (the same report at
+# every replicate count)
 REPORT_DIGESTS = {
     ("duality-discrete", "discrete", "5"):
         "e417238322b67090a67298173e5ac5d254632259e0a87a259ff310b291374995",
@@ -538,7 +541,7 @@ REPORT_DIGESTS = {
     ("duality-limit", "limit", "200"):
         "eda900134c2e550d1128907fd4b937bf74edbd276865d1e7b7372f85b24dba99",
     ("kappa-star", "limit", "2000"):
-        "b77c2438646e7a82b77723e65889b8a3619abf5e836dcfeb113ee863868769e5",
+        "d9a4845f58ded8361c0c083355d52807903526722b1976d999e7a7abf83b58fa",
     ("recurrence", "recurrent", "10"):
         "3020ff61838ca5bd7a1c3b87b98ebd576bd4a35f0f2103cca3c51106ca052670",
     ("fixation", "recurrent", "10"):
@@ -709,8 +712,8 @@ def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):
     results = report["results"]
     assert abs(results["closed_form"] - 4 * math.log(2)) < 1e-12
     assert results["verdict"] == "pass"
+    assert 0.0 < results["estimate"]["std_error"] < 1e-12
     assert results["gap"] <= 3 * results["estimate"]["std_error"]
-    assert report["diagnostics"]["tail_share"] < 0.2
     assert report["diagnostics"]["warnings"] == []
 
 
@@ -744,7 +747,7 @@ def test_cli_kappa_star_warns_kingman_infinite(tmp_path, capsys):
 
 def test_cli_kappa_star_not_applicable_under_kingman(tmp_path, capsys):
     # the sigma = 0 closed form 4 ln 2 is not the threshold at sigma > 0:
-    # no closed form, no gap, no pass or fail
+    # no closed form, no estimate, no gap, no pass or fail
     cfg = LIMIT_CFG.replace("model.kingman_rate = 0.0",
                             "model.kingman_rate = 0.5")
     cfg = cfg.replace("run.replicates = 50", "run.replicates = 20000")
@@ -752,9 +755,7 @@ def test_cli_kappa_star_not_applicable_under_kingman(tmp_path, capsys):
     assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
     report = json.loads(capsys.readouterr().out)
     results = report["results"]
-    assert results["verdict"] == "not-applicable"
-    assert "closed_form" not in results and "gap" not in results
-    assert results["estimate"]["std_error"] > 0.0
+    assert results == {"mean_extra": 1.0, "verdict": "not-applicable"}
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
 
 
@@ -765,9 +766,8 @@ def test_cli_kappa_star_not_applicable_at_total_merger(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
     report = json.loads(capsys.readouterr().out)
-    results = report["results"]
-    assert results["verdict"] == "not-applicable"
-    assert "closed_form" not in results and "gap" not in results
+    assert report["results"] == {"mean_extra": 1.0,
+                                 "verdict": "not-applicable"}
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
 
 
@@ -799,30 +799,13 @@ def test_cli_kappa_star_closed_form_for_atoms(tmp_path, capsys, atoms,
     ids=["stick", "beta"])
 def test_cli_kappa_star_not_applicable_where_the_integral_diverges(
         tmp_path, capsys, xi_lines):
-    # kappa* = inf: the estimate is kept, with no closed form and no gap
+    # kappa* = inf: no closed form, no estimate and no gap
     path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi_lines))
     assert main(["kappa-star", "--config", path, "--seed", "61"]) == 0
     report = json.loads(capsys.readouterr().out)
     results = report["results"]
-    assert results["verdict"] == "not-applicable"
-    assert "closed_form" not in results and "gap" not in results
-    assert results["estimate"]["std_error"] > 0.0
+    assert results == {"mean_extra": 1.0, "verdict": "not-applicable"}
     assert report["diagnostics"]["warnings"][-1].startswith("kappa* = inf")
-
-
-def test_cli_kappa_star_not_applicable_when_draws_degenerate(tmp_path,
-                                                            capsys):
-    # Beta(0.01, 1) draws underflow to 0, so some W = 0 and the estimator
-    # is undefined; kappa* = inf at a <= 1 is still the model's outcome
-    xi = "model.xi.family = lambda_beta\nmodel.xi.a = 0.01\nmodel.xi.b = 1\n"
-    path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi))
-    assert main(["kappa-star", "--config", path, "--seed", "0",
-                 "--replicates", "100000"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["results"] == {"verdict": "not-applicable", "mean_extra": 1.0}
-    warned = report["diagnostics"]["warnings"]
-    assert warned[0] == "degenerate draw with W in {0, 1}"
-    assert warned[-1].startswith("kappa* = inf for lambda_beta at a <= 1")
 
 
 def test_cli_kappa_star_requires_measure(tmp_path, capsys):
@@ -831,6 +814,69 @@ def test_cli_kappa_star_requires_measure(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["kappa-star", "--config", path]) == 2
     assert "model.xi.family" in capsys.readouterr().err
+
+
+def bench_dirac_config() -> str:
+    """The benchmark's kappa-star config: Lambda = delta_0.5 at kappa = 1."""
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    tree = ast.parse((bench / "experiments.py").read_text(encoding="utf-8"))
+    text, = [ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets] == ["DIRAC_CFG"]]
+    return text.format(kappa=1.0, horizon=1000.0, cap=10_000)
+
+
+def test_cli_kappa_star_draws_nothing(tmp_path, capsys, monkeypatch):
+    # the report is the same at every seed and replicate count (config_hash
+    # hashes the overridden keys too), and the generator main builds is
+    # never touched
+    path = write_cfg(tmp_path, bench_dirac_config())
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        made.append((seed, default_rng(seed)))
+        return made[-1][1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    reports = {}
+    for seed, replicates in (("1", "1000000"), ("2", "1000000"), ("1", "2")):
+        out = tmp_path / f"out_{seed}_{replicates}"
+        assert main(["kappa-star", "--config", path, "--seed", seed,
+                     "--replicates", replicates, "--out", str(out)]) == 0
+        reports[seed, replicates] = json.loads(
+            (out / "report.json").read_text())
+    capsys.readouterr()
+    assert [seed for seed, _ in made] == [1, 2, 1]
+    for seed, rng in made:
+        assert (rng.bit_generator.state
+                == default_rng(seed).bit_generator.state)
+    assert reports["1", "2"] == {**reports["1", "1000000"],
+                                 "config_hash": reports["1", "2"]["config_hash"]}
+    assert reports["2", "1000000"] == {
+        **reports["1", "1000000"], "seed": 2,
+        "config_hash": reports["2", "1000000"]["config_hash"]}
+    results = reports["1", "2"]["results"]
+    assert results["verdict"] == "pass"
+    assert abs(results["closed_form"] - 4.0 * math.log(2.0)) < 1e-15
+    # the benchmark's gate reads gap / (3 SE): finite
+    se = results["estimate"]["std_error"]
+    assert se > 0.0 and math.isfinite(results["gap"] / (3.0 * se))
+
+
+def test_cli_kappa_star_beta_closed_form(tmp_path, capsys):
+    # Beta(2.5, 1): B(1/2, 1) (psi(3/2) - psi(1)) / B(5/2, 1)
+    # = 5 (2 - 2 ln 2) at m = beta = 1
+    xi = "model.xi.family = lambda_beta\nmodel.xi.a = 2.5\nmodel.xi.b = 1\n"
+    path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi))
+    assert main(["kappa-star", "--config", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    results = report["results"]
+    assert results["closed_form"] == pytest.approx(10.0 * (1.0 - math.log(2.0)),
+                                                   rel=1e-14)
+    assert results["verdict"] == "pass"
+    assert 0.0 < results["estimate"]["std_error"] < 1e-12
+    assert report["diagnostics"]["warnings"] == []
 
 
 def test_cli_recurrence_inconclusive_exit_one(tmp_path, capsys):

@@ -128,22 +128,29 @@ print(repr(s))
     assert float(out) == sampling_probability(params, 0.4, 3)
 
 
-def test_package_runs_without_scipy():
+def test_package_runs_without_scipy(tmp_path):
     # a fresh process pays for numpy only: importing the CLI, building the
-    # benchmark's Beta jump sampler, one Beta Euler batch and one Dirac
-    # delta-1 exact-flow batch load no scipy module at all
+    # benchmark's Beta jump sampler, one Beta Euler batch, one Dirac
+    # delta-1 exact-flow batch, and kappa* of Beta(2.5, 1), in the library
+    # and through the CLI's check, load no scipy module at all
     bench = PACKAGE.parents[1] / "bench" / "experiments.py"
     tree = ast.parse(bench.read_text(encoding="utf-8"))
     beta_cfg, = [ast.literal_eval(node.value) for node in tree.body
                  if isinstance(node, ast.Assign)
                  and [t.id for t in node.targets] == ["BETA_CFG"]]
+    beta_kappa = tmp_path / "beta_kappa.cfg"
+    beta_kappa.write_text("model.kind = limit\nmodel.offspring.family = delta\n"
+                          "model.offspring.value = 1\n"
+                          "model.xi.family = lambda_beta\nmodel.xi.a = 2.5\n"
+                          "model.xi.b = 1\nrun.seed = 1\n")
     code = f"""
 import sys
 sys.path.insert(0, {str(PACKAGE.parent)!r})
 import cannings.cli
 import numpy as np
-from cannings import (Config, LambdaDirac, LimitParams, jump_sampler,
-                      offspring_delta, simulate_batch)
+from cannings import (Config, LambdaBeta, LambdaDirac, LimitParams,
+                      jump_sampler, kappa_star, offspring_delta,
+                      simulate_batch)
 params = Config.from_text({beta_cfg!r}).limit_params()
 assert jump_sampler(params).rate > 0.0
 simulate_batch(params, 0.5, 0.1, dt=0.01, n_paths=20,
@@ -152,6 +159,11 @@ dirac = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaDirac(0.5))
 finals, _ = simulate_batch(dirac, 0.5, 1.0, dt=0.01, n_paths=20,
                            rng=np.random.default_rng(2))
 assert np.all((finals >= 0.0) & (finals <= 1.0))
+beta = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(2.5, 1.0))
+value, reason = kappa_star(beta)
+assert reason is None and abs(value - 3.068528194400547) < 1e-12
+assert cannings.cli.main(["kappa-star", "--config", {str(beta_kappa)!r},
+                          "--format", "csv"]) == 0
 loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
 assert not loaded, loaded
 """
