@@ -33,12 +33,11 @@ from cannings import (
     offspring_delta,
     pgf,
     recurrence_probe,
-    sample_masses,
     sampling_duality_check,
     selection_shape,
     simulate_batch,
-    total_mass,
 )
+from kappa_sampler import kappa_star_mc
 
 DIRAC_HALF = LambdaDirac(0.5, 1.0)
 X_GRID = [i / 20 for i in range(21)]  # 0, 0.05, ..., 1
@@ -127,23 +126,10 @@ def test_c05_weak_selection_pgf():
              f"max gap {worst:.2e} vs x(1-s)/(1-xs) (tol 1e-12)")
 
 
-def kappa_star_sampled(xi, mean_extra, replicates, rng) -> McEstimate:
-    """The paper's expectation m / (2 beta) E[1 / sum(Z*^2) / (W (1 - W))],
-    W = |Z| sqrt(U), averaged over ``replicates`` draws of Z and U.  Its
-    variance is infinite (as U -> 0 the square behaves like
-    1 / (|Z|^2 U)), so its standard error reads low."""
-    z = sample_masses(xi, replicates, rng)
-    size = z.sum(axis=1)
-    frac_sq = ((z / size[:, None]) ** 2).sum(axis=1)
-    w = np.sqrt(rng.random(replicates)) * size
-    scale = 2.0 * mean_extra / total_mass(xi)
-    return McEstimate.from_samples(1.0 / (frac_sq * scale * w * (1.0 - w)))
-
-
 def test_c06_kappa_star_mc():
     # Monte Carlo threshold estimate vs the Dirac closed form 4 ln 2
     rng = np.random.default_rng(6)
-    est = kappa_star_sampled(DIRAC_HALF, 1.0, 10**6, rng)
+    est = kappa_star_mc(DIRAC_HALF, 1.0, 10**6, rng)
     target = 4 * math.log(2.0)
     gap = abs(est.mean - target)
     ok = gap <= 3 * est.std_error and est.std_error < 0.01

@@ -1,15 +1,19 @@
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from cannings import (FiniteAtomic, LambdaBeta, LambdaDirac, LimitParams,
-                      McEstimate, RecurrenceReport, StickBreaking, compare,
-                      fixation_probability, kappa_star, neutral_family,
-                      offspring_delta, recurrence_probe)
+                      McEstimate, RecurrenceReport, StickBreaking, as_atoms,
+                      compare, fixation_probability, kappa_star,
+                      neutral_family, offspring_delta, recurrence_probe,
+                      sample_masses, total_mass)
 from cannings.threshold import _digamma_slope, kappa_star_quadrature
+from kappa_sampler import DegenerateDraws, kappa_star_mc
 
 
 def dirac_threshold(y, law, mass=1.0):
@@ -183,6 +187,215 @@ def test_kappa_star_beta_at_two_is_the_trigamma_form():
     params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(2.0, b))
     assert kappa_star(params)[0] == pytest.approx(
         b * (b + 1.0) * special.polygamma(1, b), rel=1e-14)
+
+
+# the Monte Carlo estimator that acceptance check c06 uses
+
+
+def test_mc_matches_closed_form():
+    rng = np.random.default_rng(61)
+    est = kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 100_000, rng)
+    assert abs(est.mean - 4 * math.log(2)) <= 3 * est.std_error
+    assert est.std_error < 0.05
+
+
+def test_mc_beta_scaling_exact():
+    xi = LambdaDirac(0.5, 1.0)
+    a = kappa_star_mc(xi, 1.0, 10_000, np.random.default_rng(5))
+    b = kappa_star_mc(xi, 2.0, 10_000, np.random.default_rng(5))
+    assert abs(a.mean - 2.0 * b.mean) < 1e-12
+    assert abs(a.std_error - 2.0 * b.std_error) < 1e-12
+
+
+def test_mc_scales_with_total_mass():
+    # the chain's xi events fire at a rate proportional to the mass, so
+    # the threshold scales with it; at mass 1 the estimate is unchanged
+    a = kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 10_000,
+                      np.random.default_rng(9))
+    for mass in (0.25, 3.0):
+        b = kappa_star_mc(LambdaDirac(0.5, mass), 1.0, 10_000,
+                          np.random.default_rng(9))
+        assert b.mean == pytest.approx(mass * a.mean, rel=1e-12)
+        assert b.std_error == pytest.approx(mass * a.std_error, rel=1e-12)
+
+
+def test_mc_heavy_tail_warning():
+    # an atom close to 1 puts most of the integral into the extreme
+    # draws (integrand ~ 1/(1-W)); the tail share must trip the warning
+    rng = np.random.default_rng(33)
+    diag = {}
+    with pytest.warns(RuntimeWarning, match="possible infinite variance"):
+        kappa_star_mc(LambdaDirac(1.0 - 1e-6, 1.0), 1.0, 20_000, rng,
+                      diagnostics=diag)
+    assert diag["tail_share"] > 0.20
+    assert diag["tail_draws"] == 20
+    assert diag["max_value"] > 100.0
+
+
+def test_mc_no_warning_for_moderate_atom():
+    rng = np.random.default_rng(34)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 20_000, rng)
+
+
+def test_mc_degenerate_draw_guard():
+    class ZeroRng:
+        def random(self, size=None):
+            return np.zeros(size) if size is not None else 0.0
+
+        def choice(self, n, size=None, p=None):
+            return np.zeros(size, dtype=np.int64)
+
+    with pytest.raises(ValueError, match="degenerate"):
+        kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, 100, ZeroRng())
+
+
+def test_mc_argument_errors():
+    rng = np.random.default_rng(0)
+    xi = LambdaDirac(0.5, 1.0)
+    with pytest.raises(ValueError):
+        kappa_star_mc(xi, 0.0, 100, rng)
+    with pytest.raises(ValueError):
+        kappa_star_mc(xi, math.inf, 100, rng)
+    with pytest.raises(ValueError):
+        kappa_star_mc(xi, 1.0, 1, rng)
+
+
+def whole_array_kappa_star_mc(xi, mean_extra, replicates, rng, diagnostics):
+    """The estimator as whole-array passes: every point drawn and stored
+    (atoms through ``rng.choice``, one atom tiled without a draw), all U
+    drawn at once, the tail from a partitioned copy."""
+    atoms = as_atoms(xi)
+    if atoms is not None:
+        width = max(len(z) for _, z in atoms)
+        matrix = np.array([z.masses + (0.0,) * (width - len(z))
+                           for _, z in atoms])
+        weights = np.array([w for w, _ in atoms])
+        masses = (np.repeat(matrix, replicates, axis=0) if len(atoms) == 1
+                  else matrix[rng.choice(len(atoms), size=replicates,
+                                         p=weights / weights.sum())])
+    else:
+        masses = sample_masses(xi, replicates, rng)
+    totals = masses.sum(axis=1)
+    if masses.shape[1] == 1:
+        ssq = np.ones(replicates)
+    else:
+        frac = masses / totals[:, None]
+        ssq = (frac * frac).sum(axis=1)
+    w = np.sqrt(rng.random(replicates)) * totals
+    if np.any(w <= 0.0) or np.any(w >= 1.0):
+        raise DegenerateDraws("degenerate draw with W in {0, 1}")
+    vals = 1.0 / (ssq * (2.0 * mean_extra / total_mass(xi)) * w * (1.0 - w))
+    top = max(1, int(0.001 * replicates))
+    share = (float(np.sort(np.partition(vals, -top)[-top:]).sum())
+             / float(vals.sum()))
+    diagnostics.update(tail_share=share, tail_draws=top,
+                       max_value=float(vals.max()))
+    if share > 0.20 and top / replicates < 0.20:
+        warnings.warn(
+            "possible infinite variance: the top "
+            f"0.1% of draws carry {100 * share:.1f}% "
+            "of the sum; the standard error is unreliable", RuntimeWarning)
+    return McEstimate.from_samples(vals)
+
+
+BIT_GRID = {
+    "dirac-0.5": LambdaDirac(0.5, 1.0),
+    "2dirac-0.3": LambdaDirac(0.3, 2.0),
+    "near-one": LambdaDirac(1.0 - 1e-6, 1.0),
+    "three-groups": FiniteAtomic(((1.5, (0.3, 0.2, 0.1)),)),
+    "two-atoms": FiniteAtomic(((1.0, (0.3, 0.2, 0.1)), (1.0, (0.5,)))),
+    "beta-2.5-1": LambdaBeta(2.5, 1.0),
+    "beta-0.5-1.5": LambdaBeta(0.5, 1.5),
+    "stick": StickBreaking(),
+}
+
+
+def run_recorded(estimator, xi, replicates, seed):
+    """(estimate or error, diagnostics, warning texts, next uniform)."""
+    rng = np.random.default_rng(seed)
+    diag = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = estimator(xi, 1.3, replicates, rng, diag)
+        except DegenerateDraws as exc:
+            out = str(exc)
+    return out, diag, [str(w.message) for w in caught], rng.random()
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GRID))
+@pytest.mark.parametrize("seed", [0, 61])
+# 16_385 is one past a chunk of 2^14 draws; 100_003 is no multiple of it
+@pytest.mark.parametrize("replicates", [2, 16_385, 100_003])
+def test_mc_is_the_whole_array_estimator_bit_for_bit(name, seed, replicates):
+    # the chunked pass draws the same stream and does the same arithmetic
+    # on every value: estimate, diagnostics, warning and the generator's
+    # next draw are identical
+    xi = BIT_GRID[name]
+    got = run_recorded(kappa_star_mc, xi, replicates, seed)
+    want = run_recorded(whole_array_kappa_star_mc, xi, replicates, seed)
+    assert isinstance(got[0], McEstimate)
+    assert got == want
+
+
+def test_mc_degenerate_draws_agree_with_the_whole_array_estimator():
+    # Beta(0.01, 1) draws underflow to y = 0, so some W = 0; the error
+    # comes at the first chunk holding one
+    got = run_recorded(kappa_star_mc, LambdaBeta(0.01, 1.0), 200_000, 0)
+    want = run_recorded(whole_array_kappa_star_mc, LambdaBeta(0.01, 1.0),
+                        200_000, 0)
+    assert got[0] == "degenerate draw with W in {0, 1}"
+    assert got[:3] == want[:3]
+
+
+@pytest.mark.parametrize("replicates", [2, 16_385])
+def test_mc_one_atom_draws_only_its_uniforms(replicates):
+    # a one-atom point is a constant: the estimator draws U and nothing
+    # else, so the generator stands where rng.random(replicates) leaves it
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, replicates, rng)
+    ref.random(replicates)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("replicates", [2, 3, 4])
+def test_mc_few_replicates_do_not_warn(replicates):
+    # the one top draw is at least a quarter of the sum of four: a tail
+    # that is no small share of the draws says nothing of the variance
+    diag = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kappa_star_mc(LambdaDirac(0.5, 1.0), 1.0, replicates,
+                      np.random.default_rng(replicates), diag)
+    assert diag["tail_draws"] == 1 and diag["tail_share"] >= 1 / replicates
+
+
+def traced_peak_mib(xi) -> float:
+    """tracemalloc's peak over one 10^6-draw call, in MiB."""
+    kappa_star_mc(xi, 1.0, 100, np.random.default_rng(1))  # warm up
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        kappa_star_mc(xi, 1.0, 10**6, rng)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("xi, limit", [
+    # one array of values and the standard error's one temporary
+    (LambdaDirac(0.5, 1.0), 16.0),
+    # one (draws, width + 2) table of the atoms' fractions, sums and |Z|,
+    # read with one draw: 45.8 MiB, not the 61.0 of a mass and a fraction
+    # matrix per draw
+    (FiniteAtomic(((0.6, (0.3, 0.2)), (0.4, (0.7,)))), 46.3),
+    # no more than the whole-array estimator's peak (30.5 MiB)
+    (LambdaBeta(2.5, 1.0), 30.6),
+], ids=["dirac", "two-atoms", "beta"])
+def test_mc_memory(xi, limit):
+    assert traced_peak_mib(xi) <= limit
 
 
 def coalescing_params() -> LimitParams:
