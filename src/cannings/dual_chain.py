@@ -27,25 +27,28 @@ On f(n) = x^n it is the moment dual of the forward generator: row n - 1
 of Q x^(1..n_max+1) is A x^n while n + max i <= n_max.
 
 ``run_chains`` is the one Gillespie core.  It runs every replicate of a
-call in one Python loop and takes the per-event draws from buffers
-refilled in blocks of ``_BLOCK``: holding times
+call in one Python loop and reads the per-event draws from four streams,
+each refilled a block of ``_BLOCK`` at a time and drawn only when used
+(a stream that is never read draws nothing): holding times
 (``rng.standard_exponential``, divided by the rate), event choices
 (``rng.random``, scaled by the rate), offspring counts (``sample_extra``,
 for laws other than one extra lineage) and xi points
 (``sampler.draw_masses``, which draws nothing for a one-atom law: its
-points are one constant row).  All replicates of one call share the
-buffers, so a replicate's draws depend on the replicates before it.
+points are one constant row), each as |z| capped at 1 and its group
+shares, computed once per block.  All replicates of one call share the
+streams, so a replicate's draws depend on the replicates before it.
 The rates out of n come from a row (branch, branch + pairwise, total)
-built the first time a call visits n (``_rate_row``).  An atomic measure with at most ``MAX_EXACT_SUPPORT``
-groups an atom sweeps ``pick_laws`` over 64 picks once per call, every
-drawn label new, and row n reads the sweep's row n while its no-op rate
-does not round away against lam: the row also holds the CDF of the
-merged state d = n - 1, ..., 1, and a merge takes its d from the event
-choice itself, rescaled to [0, 1) over the xi part of the row: no
-further draw.  Every other row keeps the candidate rate, and a
-candidate draws its binomial participant count (and the multinomial
-split of a multi-group point), as both depend on n; a candidate at
-n = 1 merges nothing and draws nothing.
+built the first time a call visits n (``_rate_row``).  An atomic
+measure with at most ``MAX_EXACT_SUPPORT`` groups an atom sweeps
+``pick_laws`` over 64 picks once per call, every drawn label new, and
+row n reads the sweep's row n while its no-op rate does not round away
+against lam: the row also holds the CDF of the merged state d = n - 1,
+..., 1, and a merge takes its d from the event choice itself, rescaled
+to [0, 1) over the xi part of the row: no further draw.  Every other
+row keeps the candidate rate, and a candidate draws its binomial
+participant count (and the multinomial split of a multi-group point),
+as both depend on n; a candidate at n = 1 merges nothing and draws
+nothing.
 
 With kingman_rate = 0 and one extra lineage per branching, the chain
 between xi candidates is a Yule process at rate selection_rate per
@@ -71,6 +74,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -82,7 +86,7 @@ from .simplex import MAX_EXACT_SUPPORT, as_atoms, pick_laws
 _DEFAULT_CAP = 10_000
 #: the dual chain's cap in ``moment_duality_check``
 _DUALITY_CAP = 1_000_000
-#: draws per buffer refill in ``run_chains``
+#: draws per block of a ``run_chains`` stream
 _BLOCK = 1024
 #: longest piece of a pure-birth stretch, as selection_rate * time
 _PIECE = 10.0
@@ -109,16 +113,31 @@ class DualPath:
     returns_to_one: int = 0
 
 
-def _xi_merge(n: int, total: float, groups, rng: np.random.Generator):
-    """(participants k, occupied groups) for one candidate at state n.
+def _stream(draw_block):
+    """The values of ``draw_block()``, a list of ``_BLOCK`` draws per call,
+    one at a time; the first block is drawn at the first ``next``."""
+    return chain.from_iterable(iter(draw_block, None))
 
-    ``total`` is |z|; ``groups`` is None for a one-group point, else its
-    masses (trailing zeros allowed: they stay empty).
-    """
-    k = int(rng.binomial(n, total if total < 1.0 else 1.0))
-    if k == 0 or groups is None:
+
+def _xi_points(masses: np.ndarray) -> list:
+    """(min(|z|, 1), shares) per row of a (size, width) mass matrix:
+    shares is None for width 1, else the row over |z| (trailing zeros
+    allowed: those groups stay empty)."""
+    totals = masses.sum(axis=1)
+    shares = ((masses / totals[:, None]).tolist() if masses.shape[1] > 1
+              else repeat(None))
+    return list(zip(np.minimum(totals, 1.0).tolist(), shares))
+
+
+def _xi_merge(n: int, total: float, shares, rng: np.random.Generator):
+    """(participants k, occupied groups) for one candidate at state n, at
+    a point z given as total = min(|z|, 1) and shares, its groups' masses
+    over |z| (None for one group): each lineage joins with probability
+    total, and the k that join fall into groups by the shares."""
+    k = int(rng.binomial(n, total))
+    if k == 0 or shares is None:
         return k, int(k > 0)
-    counts = rng.multinomial(k, [m / total for m in groups])
+    counts = rng.multinomial(k, shares)
     return k, int(np.count_nonzero(counts))
 
 
@@ -206,11 +225,12 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                log: bool = False) -> ChainRuns:
     """The Gillespie core: ``replicates`` independent chains from n0.
 
-    The call runs the replicates one after another, drawing from shared
-    buffers of ``_BLOCK`` holding times, event choices, offspring counts
-    and xi points (``sampler.draw_masses``: none drawn for a one-atom
-    law).  A ``burn_in`` adds each replicate's holding time per
-    state past it (its occupation); ``log`` adds its event list, every
+    The call runs the replicates one after another, reading shared
+    streams of holding times, event choices, offspring counts and xi
+    points, each refilled a block of ``_BLOCK`` at a time and drawn only
+    when used (``sampler.draw_masses``: no xi point drawn for a one-atom
+    law).  A ``burn_in`` adds each replicate's holding time per state
+    past it (its occupation); ``log`` adds its event list, every
     xi candidate included.  Candidates that merge nothing come from
     candidate rows alone: for continuous measures, for atoms with more than
     ``MAX_EXACT_SUPPORT`` groups, and for atomic measures past n = 64 or
@@ -238,14 +258,15 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     rates = None
     if atoms is not None and max(len(z) for _, z in atoms) <= MAX_EXACT_SUPPORT:
         rates = pick_laws(atoms, _SWEPT, np.ones(_SWEPT + 1))
-    rows = []  # the row out of n at index n, None until n is visited
+    rows = {}  # the row out of n, from the first visit to n
     # pure-birth stretches (module docstring)
     stretches = (pair == 0.0 and sel > 0.0 and delta_one and cap is not None
                  and not log and burn_in is None)
 
-    block = _BLOCK
-    holds = choices = extras = totals = groups = None
-    i_hold = i_choice = i_extra = i_xi = block
+    holds = _stream(lambda: rng.standard_exponential(_BLOCK).tolist())
+    choices = _stream(lambda: rng.random(_BLOCK).tolist())
+    extras = _stream(lambda: sample_extra(law, _BLOCK, rng).tolist())
+    points = _stream(lambda: _xi_points(sampler.draw_masses(_BLOCK, rng)))
     finals, escapes, returns_to_one = [], [], []
     occupations = [] if burn_in is not None else None
     logs = [] if log else None
@@ -259,24 +280,16 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
         while True:
             try:
                 branch, paired, rate, cdf = rows[n]
-            except (IndexError, TypeError):  # past the end, or a None slot
+            except KeyError:
                 # on a stretch row the hold runs to the next candidate,
                 # and its births are drawn there or, past the horizon,
                 # after the loop
                 row = _rate_row(n, sel, pair, lam, rates, stretches)
                 if n < _MAX_ROWS:
-                    if n >= len(rows):
-                        rows.extend([None] * (n + 1 - len(rows)))
                     rows[n] = row
                 branch, paired, rate, cdf = row
-            if rate > 0.0:
-                if i_hold == block:
-                    holds = rng.standard_exponential(block).tolist()
-                    i_hold = 0
-                end = t + holds[i_hold] / rate
-                i_hold += 1
-            else:
-                end = math.inf
+            hold = next(holds) / rate if rate > 0.0 else math.inf
+            end = t + hold
             if occ is not None:
                 lo = t if t > burn_in else burn_in
                 hi = end if end < total_time else total_time
@@ -285,21 +298,9 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             if end >= total_time:
                 break
             t = end
-            if i_choice == block:
-                choices = rng.random(block).tolist()
-                i_choice = 0
-            u = choices[i_choice] * rate
-            i_choice += 1
+            u = next(choices) * rate
             if u < branch:
-                if delta_one:
-                    extra = 1
-                else:
-                    if i_extra == block:
-                        extras = sample_extra(law, block, rng).tolist()
-                        i_extra = 0
-                    extra = extras[i_extra]
-                    i_extra += 1
-                n_new = n + extra
+                n_new = n + (1 if delta_one else next(extras))
                 if events is not None:
                     events.append(DualEvent(t, "branch", n_new))
             elif u < paired:
@@ -314,22 +315,13 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                 else:
                     if branch == 0.0 and stretches:
                         # the births of the stretch's hold
-                        hold = holds[i_hold - 1] / rate
                         n = _yule_run(n, hold, sel, cap, rng)
                         if n > cap:
                             escaped = True
                             break
-                    if i_xi == block:
-                        masses = sampler.draw_masses(block, rng)
-                        totals = masses.sum(axis=1).tolist()
-                        groups = (masses.tolist() if masses.shape[1] > 1
-                                  else None)
-                        i_xi = 0
-                    z_total = totals[i_xi]
-                    z_groups = groups[i_xi] if groups is not None else None
-                    i_xi += 1
+                    total, shares = next(points)
                     if n > 1:
-                        k, occupied = _xi_merge(n, z_total, z_groups, rng)
+                        k, occupied = _xi_merge(n, total, shares, rng)
                         n_new = n - k + occupied
                     else:
                         # one lineage: a candidate can merge nothing

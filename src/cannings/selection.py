@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -211,7 +210,8 @@ def selection_shape(law: SelectionLaw, x):
         s = law.geometric_param
         out = _geom_sum(s * arr, _geom_terms(s, slack=1.0 - s))
     else:
-        out = _horner(_tail_vector(law), arr)
+        out = _horner([law.extra_tail(k)
+                       for k in range(1, len(law.extra_pmf) + 1)], arr)
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -273,31 +273,18 @@ def drift_kernel(law: SelectionLaw):
     return fill
 
 
-@lru_cache(maxsize=256)
-def _tail_vector(law: SelectionLaw) -> tuple[float, ...]:
-    m = len(law.extra_pmf)
-    return tuple(law.extra_tail(k) for k in range(1, m + 1))
+def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw K - 1 from the conditional law; -1 encodes infinity.
 
-
-@lru_cache(maxsize=256)
-def _extra_cdf(law: SelectionLaw) -> tuple[np.ndarray, bool]:
-    """Cumulative conditional pmf of K - 1, with an infinity bucket flag.
-
-    Without an infinity bucket the last entry is +inf, so that a uniform
-    past the rounded total lands in the last bucket, not beyond it.
+    The cumulative pmf ends at +inf without an infinity bucket, so that a
+    uniform past the rounded total lands in the last bucket, not beyond it.
     """
+    if law.geometric_param is not None:
+        return rng.geometric(1.0 - law.geometric_param, size=size).astype(np.int64)
     cdf = np.cumsum(np.asarray(law.extra_pmf, dtype=float))
     has_inf = law.extra_inf_mass > 0.0
     if len(cdf) and not has_inf:
         cdf[-1] = np.inf
-    return cdf, has_inf
-
-
-def sample_extra(law: SelectionLaw, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw K - 1 from the conditional law; -1 encodes infinity."""
-    if law.geometric_param is not None:
-        return rng.geometric(1.0 - law.geometric_param, size=size).astype(np.int64)
-    cdf, has_inf = _extra_cdf(law)
     ks = cdf.searchsorted(rng.random(size), side="right").astype(np.int64,
                                                                   copy=False)
     ks += 1

@@ -32,15 +32,18 @@ import numpy as np
 from .dual_chain import RecurrenceReport
 from .limit_sde import LimitParams
 from .mc import McEstimate
-from .simplex import LambdaBeta, StickBreaking, as_atoms, gauss_rule
+from .simplex import (LambdaBeta, StickBreaking, as_atoms, beta_nodes,
+                      gauss_rule)
 
 # B_2k / 2k in psi(x) ~ log x - 1 / (2 x) - sum_k B_2k / (2k x^2k)
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760,
                1 / 12)
 _ASYMPTOTIC = 10.0
-# nodes of the quadrature check, and its error bound's floor in ulps
+# nodes of the quadrature check, and its error bound's floor in ulps: the
+# Beta rule's Golub-Welsch weights carry up to about 80 ulps of rounding
 _NODES = 64
 _ULPS = 16
+_BETA_ULPS = 64
 
 
 class RegimeUnclear(ValueError):
@@ -74,11 +77,14 @@ def kappa_star(params: LimitParams) -> tuple[float, str | None]:
             return math.inf, ("kappa* = inf for lambda_beta at a <= 1: "
                               "-log(1 - y) / y^2 against y^(a - 1) diverges "
                               "at y = 0")
-        # B(a - 2, b) / B(a, b) = (a + b - 1)(a + b - 2) / ((a - 1)(a - 2)),
-        # and psi(a + b - 2) - psi(b) = (a - 2) slope(b, a - 2), whose
-        # first term 1 / (b (a + b - 2)) is taken out of the slope
-        value = (a + b - 1.0) / (a - 1.0) * (
-            1.0 / b + (a + b - 2.0) * _digamma_slope(b + 1.0, a - 2.0))
+        # B(a - 2, b) / B(a, b) = (a + b - 1)(a + b - 2) / ((a - 1)(a - 2))
+        # and psi(a + b - 2) - psi(b) = (a - 2) slope(b, a - 2); with
+        # c = a - 1, a unit step in each slope gives (a + b - 2) slope(b,
+        # a - 2) = c slope(b, c) + b slope(b + c, 1 - c): positive terms
+        # through a = 2 and a + b = 2, and no rounded b + 1 as a -> 1
+        c = a - 1.0
+        value = (c + b) * (_digamma_slope(b, c)
+                           + b / c * _digamma_slope(b + c, 1.0 - c))
         return xi.total_mass * value / beta, None
     value = 0.0
     for w, z in as_atoms(xi):
@@ -112,13 +118,14 @@ def kappa_star_quadrature(params: LimitParams) -> McEstimate:
     """The integral that defines kappa*, by a Gauss rule, for a model whose
     ``kappa_star`` is finite: mean Q_n at n = _NODES nodes, std_error the
     rule's error bound |Q_n - Q_n/2|, at least _ULPS units in the last
-    place of Q_n."""
-    integral = (_beta_integral if isinstance(params.xi, LambdaBeta)
-                else _atoms_integral)
+    place of Q_n (_BETA_ULPS for Beta)."""
+    integral, ulps = ((_beta_integral, _BETA_ULPS)
+                      if isinstance(params.xi, LambdaBeta)
+                      else (_atoms_integral, _ULPS))
     value, half = (float(integral(params.xi, count)
                          / params.offspring.mean_extra)
                    for count in (_NODES, _NODES // 2))
-    return McEstimate(value, max(abs(value - half), _ULPS * math.ulp(value)),
+    return McEstimate(value, max(abs(value - half), ulps * math.ulp(value)),
                       _NODES)
 
 
@@ -138,20 +145,33 @@ def _atoms_integral(xi, count: int) -> float:
 
 def _beta_integral(xi: LambdaBeta, count: int) -> float:
     """m E[-log(1 - Y) / Y^2], Y ~ Beta(a, b), a > 1 (the U-average at [y]
-    is -2 log(1 - y) / y^2).  In t = -log(1 - y) the mean is the ratio of
-    the integrals of r^(a-3) and t r^(a-1), r = (1 - e^-t) / t, against
-    t^(a-2) e^(-b t): generalized Gauss-Laguerre in b t."""
+    is -2 log(1 - y) / y^2): in t = -log(1 - y), the ratio of the
+    integrals of t and y^2 against y^(a-3) e^(-b t), y = 1 - e^-t.  Each
+    is split at T = t* + min(36, 16 / b), past the weight's peak t* =
+    log(1 + |a - 3| / b) at large a: Gauss-Jacobi with weight t^q on
+    [0, T], q the integrand's power at t = 0 less an integer, and
+    Gauss-Laguerre at rate b past T, where y^(a-3) is 1 to rounding or
+    e^(-b t) has fallen 16 e-folds."""
     a, b = xi.a, xi.b
-    k = np.arange(1.0, count)
-    tau, weights = gauss_rule(2.0 * np.arange(count) + a - 1.0,
-                              np.sqrt(k * (k + a - 2.0)))
-    t = tau / b
-    log_r = np.log(-np.expm1(-t) / t)
-    # r^(a-3) up to a common factor, which the ratio drops
-    power = (a - 3.0) * log_r
-    g = np.exp(power - power.max())
-    norm = weights @ (t * np.exp(2.0 * log_r) * g)
-    return xi.total_mass * (weights @ g) / norm
+    end = math.log1p(abs(a - 3.0) / b) + min(36.0, 16.0 / b)
+    p = a - 2.0 - max(0.0, math.floor(a - 2.0))
+    s, laguerre = gauss_rule(2.0 * np.arange(count) + 1.0,
+                             np.arange(1.0, count))
+    ratio = []
+    for q, g in ((p, lambda t, y: t), (p + 1.0, lambda t, y: y * y)):
+        w, x = np.array([(weight, point.masses[0]) for weight, point
+                         in beta_nodes(q + 1.0, 1.0, count)]).T
+        head = end * x
+        t = np.append(head, end + s / b)
+        y = -np.expm1(-t)
+        # y^(a-3) e^(-b (t - T)) over its value at T, so that nothing
+        # underflows at large a and b (the Laguerre rule holds the e^-bt)
+        log_f = ((a - 3.0) * (np.log(y) - math.log(-math.expm1(-end)))
+                 - np.append(b * (head - end), np.zeros(count)))
+        weights = np.append(end ** (q + 1.0) / (q + 1.0) * w * head ** -q,
+                            laguerre / b)
+        ratio.append(weights @ (g(t, y) * np.exp(log_f)))
+    return xi.total_mass * ratio[0] / ratio[1]
 
 
 def fixation_probability(x: float, probe: RecurrenceReport) -> McEstimate:

@@ -1027,3 +1027,19 @@ def test_cli_fixation_needs_room_past_burn_in(tmp_path, capsys):
     path = write_cfg(tmp_path, cfg)
     assert main(["fixation", "--config", path]) == 2
     assert "run.time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.005), (1.994, 0.006), (2.5, 1.0)])
+def test_cli_kappa_star_beta_verdict(tmp_path, capsys, monkeypatch, a, b):
+    # the closed form passes, at small b too, where every node of a
+    # Laguerre rule in b t lies past t = 4, and the same closed form off
+    # by a factor 1 + 1e-9 fails
+    xi = f"model.xi.family = lambda_beta\nmodel.xi.a = {a}\nmodel.xi.b = {b}\n"
+    path = write_cfg(tmp_path, LIMIT_CFG.replace(DIRAC_XI, xi))
+    assert main(["kappa-star", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "pass"
+    exact = cli.kappa_star
+    monkeypatch.setattr(cli, "kappa_star", lambda params: (
+        exact(params)[0] * (1.0 + 1e-9), None))
+    assert main(["kappa-star", "--config", path]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "fail"

@@ -594,6 +594,47 @@ def test_stick_breaking_chain_stream_pinned():
         "9b0c3f12e305a9647c372a01010e114b00e7a88e3769afd9f3f14e151457b57e")
 
 
+EVENT_KINDS = {"branch": 0, "kingman": 1, "xi": 2}
+
+
+@pytest.mark.parametrize(
+        "params, n0, horizon, replicates, seed, log, expected", [
+    # a candidate row with a multi-group point: binomial then multinomial
+    (LimitParams(1.0, 0.0, offspring_delta(1),
+                 xi=FiniteAtomic(((1.0, (0.3, 0.2, 0.1, 0.05)),))),
+     5, 5.0, 30, 11, False,
+     "df9fd5389d984935657658689bcf1d922cd958f938342e5014742023810e9216"),
+    # swept rows, pairwise mergers and block-drawn offspring counts
+    (LimitParams(1.0, 0.5, offspring_pmf((0.5, 0.5)), xi=TWO_ATOMS),
+     3, 5.0, 30, 12, False,
+     "57061bb7050c4def7725ef6f5aadffa40fb783a5d6887e8e8dac51b4bbb3c5ab"),
+    # stretch rows from n0 = 80, their births drawn by _yule_run at a
+    # candidate, at the horizon and past the cap (12 of 40 escape)
+    (reference_params(6.0), 80, 0.5, 40, 13, False,
+     "3f320c8666185dda3d6c06efe39f1a0d7cf79e462dd38dad4ea183b025a482a6"),
+    # the logged event path of a continuous measure, no-op candidates in
+    (BETA_PARAMS, 3, 5.0, 10, 14, True,
+     "12a6c2b27f470a5d92b1075310f7a93168e20671ec29013dd9718850542b2e0d"),
+], ids=["four_groups", "two_atoms_pmf", "dirac_stretch", "beta_log"])
+def test_chain_stream_pinned(params, n0, horizon, replicates, seed, log,
+                             expected):
+    # the recipe of the stick pin above, plus each logged event's time,
+    # kind and state (float64, int64, int64) per replicate
+    rng = np.random.default_rng(seed)
+    runs = run_chains(params, n0, horizon, replicates, rng, cap=1_000,
+                      log=log)
+    digest = hashlib.sha256(runs.final.astype("<i8").tobytes())
+    digest.update(runs.returns_to_one.astype("<i8").tobytes())
+    digest.update(runs.escaped.astype(np.uint8).tobytes())
+    for events in runs.events or ():
+        digest.update(np.array([ev.time for ev in events], "<f8").tobytes())
+        digest.update(np.array([EVENT_KINDS[ev.kind] for ev in events],
+                               "<i8").tobytes())
+        digest.update(np.array([ev.state for ev in events], "<i8").tobytes())
+    digest.update(np.float64(rng.random()).tobytes())
+    assert digest.hexdigest() == expected
+
+
 # ---------------------------------------------------------------------------
 # pure-birth stretches: kingman_rate 0, one extra lineage, a finite cap
 

@@ -91,6 +91,45 @@ def test_no_module_moves_a_generator_by_hand():
     assert not found, found
 
 
+#: functions that may be memoised, with the reason each may
+MEMOISED = {
+    "cli._parser": "one argparse parser per process, built on the first "
+                   "main call; it holds no model state",
+}
+
+
+def test_no_function_is_memoised():
+    # the package keeps no hand-rolled caches: nothing is wrapped in
+    # functools.lru_cache or functools.cache, as a decorator or a call,
+    # but the functions MEMOISED names
+    caches = {"lru_cache", "cache"}
+
+    def is_cache(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        if isinstance(node, ast.Name):
+            return node.id in caches
+        return (isinstance(node, ast.Attribute) and node.attr in caches
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools")
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    if is_cache(dec):
+                        decorators.add(id(dec))
+                        found.append(f"{path.stem}.{node.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in decorators \
+                    and is_cache(node.func):
+                found.append(f"{path.stem}:{node.lineno}")
+    assert sorted(found) == sorted(MEMOISED), found
+
+
 def test_every_exported_name_resolves():
     import cannings
 

@@ -160,6 +160,16 @@ BETA_POINTS = [(2.5, 1.0), (3.0, 2.0), (1.5, 1.5), (2.0, 1.0), (2.0, 3.0),
                (2.0 + 1e-7, 0.5), (2.0 - 1e-7, 0.5), (1.5, 0.5),
                (1.5, 0.5 + 1e-7), (1.5, 0.5 - 1e-7), (1.05, 0.2),
                (1.05, 0.95), (1.9, 0.1), (1.01, 0.99)]
+# b < 0.01 near a = 2, the Beta(2 - alpha, alpha) line among them: every
+# node of a 64-node Laguerre rule in b t lies at t >~ 4 there, so that
+# Q_64 and Q_32 of that rule miss the same mass
+SMALL_B_POINTS = [(2.0, 0.005), (1.99, 0.005), (2.01, 0.001), (2.1, 0.005),
+                  (1.994, 0.006), (1.997, 0.003), (1.999, 0.001)]
+# a -> 1, where kappa* grows as 1 / (a - 1): the closed form is a sum of
+# positive terms with no rounded b + 1, so it keeps its digits
+BETA_POINTS += SMALL_B_POINTS + [
+    (a, b) for a in (1.0 + 1e-7, 1.0 + 1e-5, 1.001, 1.01)
+    for b in (0.0005, 0.05, 1.0)]
 
 
 @pytest.mark.parametrize("a, b", BETA_POINTS)
@@ -187,6 +197,21 @@ def test_kappa_star_beta_at_two_is_the_trigamma_form():
     params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(2.0, b))
     assert kappa_star(params)[0] == pytest.approx(
         b * (b + 1.0) * special.polygamma(1, b), rel=1e-14)
+
+
+@pytest.mark.parametrize("a, b", SMALL_B_POINTS)
+def test_kappa_star_quadrature_resolves_small_b(a, b):
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(a, b))
+    value, _ = kappa_star(params)
+    assert 0.0 < kappa_star_quadrature(params).std_error < 1e-13 * value
+
+
+@pytest.mark.parametrize("a, b", [(2.5, 1.0), (2.0, 0.005), (1.05, 0.2)])
+def test_kappa_star_check_fails_a_perturbed_closed_form(a, b):
+    params = LimitParams(1.0, 0.0, offspring_delta(1), xi=LambdaBeta(a, b))
+    value, _ = kappa_star(params)
+    quad = kappa_star_quadrature(params)
+    assert not compare(quad, McEstimate.exact(value * (1.0 + 1e-9))).passed
 
 
 # the Monte Carlo estimator that acceptance check c06 uses
