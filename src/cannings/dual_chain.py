@@ -301,12 +301,8 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
             u = next(choices) * rate
             if u < branch:
                 n_new = n + (1 if delta_one else next(extras))
-                if events is not None:
-                    events.append(DualEvent(t, "branch", n_new))
             elif u < paired:
                 n_new = n - 1
-                if events is not None:
-                    events.append(DualEvent(t, "kingman", n_new))
             else:
                 if cdf is not None:
                     # a swept merge: u is uniform on [paired, rate)
@@ -326,8 +322,10 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                     else:
                         # one lineage: a candidate can merge nothing
                         n_new = n
-                if events is not None:
-                    events.append(DualEvent(t, "xi", n_new))
+            if events is not None:
+                kind = ("branch" if u < branch else
+                        "kingman" if u < paired else "xi")
+                events.append(DualEvent(t, kind, n_new))
             if n_new == 1 and n > 1:
                 returns += 1
             n = n_new
