@@ -281,12 +281,12 @@ class Config:
                         "the atom weights carry the mass", key="model.xi.mass")
                 return FiniteAtomic(self._parse_atoms())
             if family == "stick_breaking":
-                return StickBreaking(
-                    stick_law=self._get("model.xi.stick_law", "uniform"),
-                    a=self._get("model.xi.a", 1.0),
-                    b=self._get("model.xi.b", 1.0),
-                    total_mass=mass,
-                    truncation_tol=self._get("model.xi.truncation_tol", 1e-10))
+                # only the keys the config sets: the defaults are the
+                # dataclass's
+                return StickBreaking(total_mass=mass, **{
+                    name: self._values[f"model.xi.{name}"]
+                    for name in ("stick_law", "a", "b", "truncation_tol")
+                    if f"model.xi.{name}" in self._values})
         except ConfigError:
             raise
         except ValueError as exc:

@@ -12,6 +12,7 @@ State: the number n >= 1 of ancestral lineages.  Three event types:
   probability z_i or stays solo; every non-empty group collapses to one
   lineage, so n -> n - k + d with k participants in d groups.  Events
   that merge nothing are no-ops (self-thinning of the candidate clock).
+  One lineage merges nothing, so state 1 has no xi part at all.
   An atomic measure whose atoms have at most ``MAX_EXACT_SUPPORT``
   groups runs no candidate clock up to n = 64: out of n it moves to
   each d < n at the rate rates[n, d] of one ``pick_laws`` sweep, so
@@ -45,9 +46,11 @@ row n reads the sweep's row n while its no-op rate does not round away
 against lam: the row also holds the CDF of the merged state d = n - 1,
 ..., 1, and a merge takes its d from the event choice itself, rescaled
 to [0, 1) over the xi part of the row: no further draw.  Every other
-row keeps the candidate rate, and a candidate draws its binomial
-participant count (and the multinomial split of a multi-group point),
-as both depend on n; a candidate at n = 1 merges nothing and draws
+row above state 1 keeps the candidate rate, and a candidate draws its
+binomial participant count k, as it depends on n, then splits the k by
+a multinomial only where two or more join a multi-group point: one
+joiner lands in one group whatever the split.  A lone lineage draws no
+xi point, and at selection_rate 0 a chain at 1 stays there and draws
 nothing.
 
 With kingman_rate = 0 and one extra lineage per branching, the chain
@@ -129,18 +132,6 @@ def _xi_points(masses: np.ndarray) -> list:
     return list(zip(np.minimum(totals, 1.0).tolist(), shares))
 
 
-def _xi_merge(n: int, total: float, shares, rng: np.random.Generator):
-    """(participants k, occupied groups) for one candidate at state n, at
-    a point z given as total = min(|z|, 1) and shares, its groups' masses
-    over |z| (None for one group): each lineage joins with probability
-    total, and the k that join fall into groups by the shares."""
-    k = int(rng.binomial(n, total))
-    if k == 0 or shares is None:
-        return k, int(k > 0)
-    counts = rng.multinomial(k, shares)
-    return k, int(np.count_nonzero(counts))
-
-
 def _yule_run(n: int, s: float, sel: float, cap: int,
               rng: np.random.Generator) -> int:
     """The state of a Yule process at rate sel per lineage, run from
@@ -165,22 +156,23 @@ def _rate_row(n: int, sel: float, pair: float, lam: float,
               rates: np.ndarray | None, stretch: bool) -> tuple:
     """(branch, branch + pairwise, total, cdf) out of state n.
 
-    A swept row (``rates`` not None, n within it, and its no-op rate
+    State 1 has no xi part: one lineage merges nothing.  Above it, a
+    swept row (``rates`` not None, n within it, and its no-op rate
     rates[n, n] not rounding away against lam) is merge-only: the xi
-    part of ``total`` is the rate of the moves to d < n, 0 at n = 1, and
-    ``cdf`` lists their cumulative shares for d = n - 1 down to 1, its
-    last entry +inf.  Any other row is a candidate row: the xi part is
-    the candidate rate lam and ``cdf`` is None, and with ``stretch`` the
-    row is the pure-birth stretch row (0, 0, lam, None).
+    part of ``total`` is the rate of the moves to d < n, and ``cdf``
+    lists their cumulative shares for d = n - 1 down to 1, its last
+    entry +inf.  Any other row is a candidate row: the xi part is the
+    candidate rate lam and ``cdf`` is None, and with ``stretch`` the row
+    is the pure-birth stretch row (0, 0, lam, None).
     """
     branch = sel * n
     paired = branch + pair * n * (n - 1)
+    if n == 1:
+        return branch, paired, paired, None
     if rates is None or n >= len(rates) or 1.0 - rates[n, n] / lam == 1.0:
         if stretch:
             return 0.0, 0.0, lam, None
         return branch, paired, paired + lam, None
-    if n == 1:  # one lineage merges nothing
-        return branch, paired, paired, None
     moves = rates[n, n - 1:0:-1]
     merges = float(moves.sum())
     cdf = (np.cumsum(moves) / merges).tolist()
@@ -231,16 +223,17 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
     when used (``sampler.draw_masses``: no xi point drawn for a one-atom
     law).  A ``burn_in`` adds each replicate's holding time per state
     past it (its occupation); ``log`` adds its event list, every
-    xi candidate included.  Candidates that merge nothing come from
-    candidate rows alone: for continuous measures, for atoms with more than
-    ``MAX_EXACT_SUPPORT`` groups, and for atomic measures past n = 64 or
-    past the n where the no-op rate rounds away against lam (each there
-    with probability below 2^-53).  A chain stops at total_time or once
-    n > cap; n0 must not exceed the cap.  Without ``log`` and
-    ``burn_in``, and with a finite cap, a chain at kingman_rate 0 with
-    one extra lineage per branching draws each pure-birth stretch in one
-    step (module docstring), so asking for either changes the stream but
-    not the law.
+    xi candidate included.  No row gives state 1 an xi part: a lone
+    lineage draws no xi point.  Candidates that merge nothing come from
+    candidate rows above it alone: for continuous measures, for atoms
+    with more than ``MAX_EXACT_SUPPORT`` groups, and for atomic measures
+    past n = 64 or past the n where the no-op rate rounds away against
+    lam (each there with probability below 2^-53).  A chain stops at
+    total_time or once n > cap; n0 must not exceed the cap.  Without
+    ``log`` and ``burn_in``, and with a finite cap, a chain at
+    kingman_rate 0 with one extra lineage per branching draws each
+    pure-birth stretch in one step (module docstring), so asking for
+    either changes the stream but not the law.
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
@@ -315,13 +308,14 @@ def run_chains(params: LimitParams, n0: int, total_time: float,
                         if n > cap:
                             escaped = True
                             break
+                    # each lineage joins with probability min(|z|, 1);
+                    # two or more joiners split into groups by the shares
                     total, shares = next(points)
-                    if n > 1:
-                        k, occupied = _xi_merge(n, total, shares, rng)
-                        n_new = n - k + occupied
-                    else:
-                        # one lineage: a candidate can merge nothing
-                        n_new = n
+                    k = int(rng.binomial(n, total))
+                    n_new = n - k + (k > 0)
+                    if k > 1 and shares is not None:
+                        n_new += np.count_nonzero(
+                            rng.multinomial(k, shares)) - 1
             if events is not None:
                 kind = ("branch" if u < branch else
                         "kingman" if u < paired else "xi")

@@ -1,19 +1,22 @@
 import ast
 import csv
 import hashlib
+import importlib.util
 import inspect
 import io
 import json
 import math
 import pathlib
 import re
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
 from cannings import (Config, ConfigError, FiniteAtomic, SelectionLaw,
-                      SimplexPoint, as_atoms, explicit_family, offspring_pmf)
+                      SimplexPoint, StickBreaking, as_atoms, explicit_family,
+                      neutral_family, offspring_pmf)
 from cannings import cli, config
 from cannings.cli import main
 
@@ -174,6 +177,12 @@ OFFSPRING_DELTA = "model.offspring.family = delta\nmodel.offspring.value = 1"
     pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
                  "model.selection.family = explicit\nmodel.selection.pmf = 0.9 0.1",
                  explicit_family((0.9, 0.1)), id="selection-pmf"),
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
+                 "model.selection.family = neutral", neutral_family(),
+                 id="selection-neutral"),
+    pytest.param(DISCRETE_CFG, SELECTION_GEOMETRIC,
+                 "model.selection.family = explicit\nmodel.selection.pmf = 1.0",
+                 neutral_family(), id="selection-pmf-all-at-one"),
     pytest.param(LIMIT_CFG, OFFSPRING_DELTA,
                  "model.offspring.family = pmf\nmodel.offspring.pmf = 0.5 0.5",
                  offspring_pmf((0.5, 0.5)), id="offspring-pmf"),
@@ -246,6 +255,58 @@ def test_model_errors_name_their_key(tmp_path, capsys, base, key, value):
     command = "forward" if cfg.kind == "discrete" else "sde"
     assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("base, key", [
+    pytest.param(base, key, id=key) for base, key in (
+        (LIMIT_CFG, "model.kind"),
+        (DISCRETE_CFG, "model.pop_size"),
+        (DISCRETE_CFG, "model.selection.family"),
+        (DISCRETE_CFG, "model.selection.param"),
+        (LIMIT_CFG, "model.offspring.value"),
+        (LIMIT_CFG, "model.xi.y"),
+        (BETA_CFG, "model.xi.b"))])
+def test_cli_missing_model_key_is_named(tmp_path, capsys, base, key):
+    # a key the model needs and the config lacks is a config error
+    # (exit 2) that names the key
+    text = "".join(line for line in base.splitlines(keepends=True)
+                   if not line.startswith(f"{key} ="))
+    assert text != base
+    command = "forward" if "model.kind = discrete" in base else "sde"
+    assert main([command, "--config", write_cfg(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: missing required key '{key}'\n"
+
+
+def test_config_empty_pmf_names_its_key():
+    # a config file cannot give an empty value, an override can
+    cfg = Config.from_text(
+        DISCRETE_CFG.replace(SELECTION_GEOMETRIC,
+                             "model.selection.family = explicit"),
+        {"model.selection.pmf": " "})
+    with pytest.raises(ConfigError, match="'model.selection.pmf' is empty") \
+            as info:
+        cfg.discrete_params()
+    assert info.value.key == "model.selection.pmf"
+
+
+def test_cli_forward_runs_a_neutral_model(tmp_path, capsys):
+    text = DISCRETE_CFG.replace(SELECTION_GEOMETRIC,
+                                "model.selection.family = neutral")
+    assert main(["forward", "--config", write_cfg(tmp_path, text)]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == "forward"
+
+
+def test_config_stick_breaking_passes_only_the_keys_it_sets():
+    # the defaults are StickBreaking's own
+    base = ("model.kind = limit\nrun.seed = 1\n"
+            "model.xi.family = stick_breaking\n")
+    assert Config.from_text(base).xi_measure() == StickBreaking()
+    cfg = Config.from_text(base + "model.xi.stick_law = beta\n"
+                           "model.xi.a = 2\nmodel.xi.truncation_tol = 1e-6\n"
+                           "model.xi.mass = 3\n")
+    assert cfg.xi_measure() == StickBreaking("beta", 2.0, 1.0, 3.0, 1e-6)
 
 
 def test_every_model_field_message_has_its_key():
@@ -574,14 +635,15 @@ BENCH_BETA_CFG = BETA_CFG.replace("run.seed = 5", "run.seed = 0").replace(
 # sha256 of the Euler outputs on BENCH_BETA_CFG, recorded before the
 # Euler step was rewritten to run in place; the sde report again when the
 # Beta rate came from the incomplete Beta series (its jump_rate moved from
-# 35.14950920732858 to 35.149509207328634, the finals did not)
+# 35.14950920732858 to 35.149509207328634, the finals did not); the
+# duality-limit report again when state 1 lost its xi candidates
 EULER_DIGESTS = {
     ("sde", "40", "report.json"):
         "647618ef04baa16d2b5a1a863aaea80d66ee5a18785772837e710a1eed22ca81",
     ("sde", "40", "sde_finals.csv"):
         "333c115230300a50342ae6e5f7f64d07ee1744cb6242586b38a24a6554952928",
     ("duality-limit", "30", "report.json"):
-        "ce97c2b97bd59528a2bc3f8833ce94f2c5bde3a14f0d252804780bcffdf1b8ae",
+        "444d55af62e0650efb8d7252f3d4918aa977553767025fb72d5178c1ecb19266",
 }
 
 
@@ -695,12 +757,13 @@ def test_cli_dual_ctmc_builds_one_sampler(tmp_path, capsys, sampler_builds,
 def test_cli_dual_ctmc_beta_pinned(tmp_path, capsys):
     # pins the stream of the block-buffered Gillespie core (block draws of
     # holding times, event choices, geometric offspring counts and Beta
-    # points, exact rejection draws, shared by the 12 replicates)
+    # points, exact rejection draws, shared by the 12 replicates); recorded
+    # again when state 1 lost its xi candidates
     path = write_cfg(tmp_path, BETA_CFG)
     assert main(["dual-ctmc", "--config", path]) == 0
     final = json.loads(capsys.readouterr().out)["results"]["final_mean"]
-    assert final["mean"] == 2.0833333333333335
-    assert final["std_error"] == pytest.approx(0.33616223836869374, rel=1e-12)
+    assert final["mean"] == 2.6666666666666665
+    assert final["std_error"] == pytest.approx(0.44946657497549475, rel=1e-12)
 
 
 def test_cli_kappa_star_closed_form_verdict(tmp_path, capsys):
@@ -1043,3 +1106,38 @@ def test_cli_kappa_star_beta_verdict(tmp_path, capsys, monkeypatch, a, b):
         exact(params)[0] * (1.0 + 1e-9), None))
     assert main(["kappa-star", "--config", path]) == 1
     assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's fixed-seed gates
+
+
+def test_bench_fixed_seed_gates_pass(tmp_path, capsys, monkeypatch):
+    # the benchmark runs its 3-standard-error checks at fixed seeds
+    # (MC_SEED, and MC_SEED + 1 for --smoke's second seed), so a chance
+    # miss there fails every benchmark run: each statistical experiment's
+    # invocations, at full and at smoke scale on every workload, pass the
+    # experiment's own verdict
+    spec = importlib.util.spec_from_file_location(
+        "bench_experiments", pathlib.Path(__file__).resolve().parents[1]
+        / "bench" / "experiments.py")
+    ex = importlib.util.module_from_spec(spec)
+    # its dataclass resolves annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, ex)
+    spec.loader.exec_module(ex)
+    paths = ex.write_configs(str(tmp_path))
+    gates = {}
+    for workload in ex.WORKLOADS:
+        for scale, mc_seeds in ((1.0, (ex.MC_SEED,)),
+                                (ex.SMOKE, (ex.MC_SEED, ex.MC_SEED + 1))):
+            for exp, s in ex.workload_plan(workload, scale):
+                for mc_seed in mc_seeds if exp.statistical else ():
+                    for args in exp.invocations(paths, 0, s, mc_seed):
+                        gates[args] = exp
+    assert {exp.name for exp in gates.values()} == {
+        "duality_mc", "kappa_star", "duality_limit"}
+    for args, exp in gates.items():
+        code = main(list(args))
+        report = json.loads(capsys.readouterr().out)
+        passed, _ = exp.verdict(report)
+        assert code == 0 and passed, (args, report["results"])

@@ -3,6 +3,7 @@ import importlib.util
 import math
 import pathlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -560,6 +561,53 @@ def test_occupation_draws_nothing(params):
             assert abs(sum(held.values()) - 4.0) < 1e-9
 
 
+# an atom wider than MAX_EXACT_SUPPORT groups: its rows keep the
+# candidate clock, as those of continuous and stick measures do
+FOUR_GROUP_PARAMS = LimitParams(1.0, 0.5, geometric_offspring(0.5),
+                                xi=FiniteAtomic(((1.0, (0.3, 0.2, 0.1,
+                                                        0.05)),)))
+
+
+@pytest.mark.parametrize("params", [BETA_PARAMS, STICK_PARAMS,
+                                    FOUR_GROUP_PARAMS],
+                         ids=["beta", "stick", "four_groups"])
+def test_lone_lineage_draws_no_xi_point(params):
+    # one lineage merges nothing, so state 1 has no xi part on any row:
+    # at kappa = 0 a chain from 1 holds there and draws nothing, and a
+    # logged chain from 1 logs no xi event at state 1
+    rng = np.random.default_rng(17)
+    runs = run_chains(replace(params, selection_rate=0.0), 1, 50.0, 5, rng,
+                      cap=100)
+    assert (runs.final == 1).all()
+    assert rng.random() == np.random.default_rng(17).random()
+    path = simulate(params, 1, 20.0, np.random.default_rng(18), cap=1_000,
+                    record_noops=True)
+    states = [1] + [ev.state for ev in path.events]
+    assert path.returns_to_one > 0
+    assert all(ev.kind != "xi" for ev, before in zip(path.events, states)
+               if before == 1)
+
+
+class MultinomialLog(np.random.Generator):
+    """A generator that records the trial count of each multinomial."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.trials = []
+
+    def multinomial(self, n, pvals, size=None):
+        self.trials.append(n)
+        return super().multinomial(n, pvals, size)
+
+
+def test_group_split_only_for_two_or_more_joiners():
+    # one joiner lands in one group whatever the split, so a multi-group
+    # point splits its joiners only when there are at least two
+    rng = MultinomialLog(19)
+    run_chains(FOUR_GROUP_PARAMS, 5, 5.0, 20, rng, cap=1_000)
+    assert rng.trials and min(rng.trials) >= 2
+
+
 def test_run_chains_argument_errors():
     rng = np.random.default_rng(0)
     params = reference_params(1.0)
@@ -583,7 +631,8 @@ def test_stick_duality_check_runs_one_law(sampler_builds):
 def test_stick_breaking_chain_stream_pinned():
     # sha256 of final, returns_to_one and escaped (int64, int64, uint8),
     # then of the next rng.random() as float64; the stick pool comes from
-    # its own fixed stream, so the chains draw everything from rng
+    # its own fixed stream, so the chains draw everything from rng;
+    # recorded again when state 1 lost its xi candidates
     rng = np.random.default_rng(2024)
     runs = run_chains(STICK_PARAMS, 3, 5.0, 50, rng, cap=1_000)
     digest = hashlib.sha256(runs.final.astype("<i8").tobytes())
@@ -591,7 +640,7 @@ def test_stick_breaking_chain_stream_pinned():
     digest.update(runs.escaped.astype(np.uint8).tobytes())
     digest.update(np.float64(rng.random()).tobytes())
     assert digest.hexdigest() == (
-        "9b0c3f12e305a9647c372a01010e114b00e7a88e3769afd9f3f14e151457b57e")
+        "524977f65e223b8d01978b16a72aeb452d05a73f40eff806b26325595cbad3b3")
 
 
 EVENT_KINDS = {"branch": 0, "kingman": 1, "xi": 2}
@@ -599,11 +648,12 @@ EVENT_KINDS = {"branch": 0, "kingman": 1, "xi": 2}
 
 @pytest.mark.parametrize(
         "params, n0, horizon, replicates, seed, log, expected", [
-    # a candidate row with a multi-group point: binomial then multinomial
+    # a candidate row with a multi-group point: a binomial, then a
+    # multinomial for two or more joiners
     (LimitParams(1.0, 0.0, offspring_delta(1),
                  xi=FiniteAtomic(((1.0, (0.3, 0.2, 0.1, 0.05)),))),
      5, 5.0, 30, 11, False,
-     "df9fd5389d984935657658689bcf1d922cd958f938342e5014742023810e9216"),
+     "e99da7084d8df03c954d6f4d18b1c44de5b0bd5ac366a95fa3826853a743565f"),
     # swept rows, pairwise mergers and block-drawn offspring counts
     (LimitParams(1.0, 0.5, offspring_pmf((0.5, 0.5)), xi=TWO_ATOMS),
      3, 5.0, 30, 12, False,
@@ -613,8 +663,9 @@ EVENT_KINDS = {"branch": 0, "kingman": 1, "xi": 2}
     (reference_params(6.0), 80, 0.5, 40, 13, False,
      "3f320c8666185dda3d6c06efe39f1a0d7cf79e462dd38dad4ea183b025a482a6"),
     # the logged event path of a continuous measure, no-op candidates in
+    # (none at state 1)
     (BETA_PARAMS, 3, 5.0, 10, 14, True,
-     "12a6c2b27f470a5d92b1075310f7a93168e20671ec29013dd9718850542b2e0d"),
+     "3f7401af13b9d9f3b4643cdf5d51bbd1a1c7004080231cf2b0f97389f79826cb"),
 ], ids=["four_groups", "two_atoms_pmf", "dirac_stretch", "beta_log"])
 def test_chain_stream_pinned(params, n0, horizon, replicates, seed, log,
                              expected):

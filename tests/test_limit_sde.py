@@ -299,6 +299,18 @@ def test_bernoulli_generator_n1_is_exact():
     assert abs(est.mean - (-1.5 * 1.4 * 0.24)) < 1e-14
 
 
+def test_bernoulli_generator_without_measure_is_the_drift():
+    # no jump part: the estimate is the exact selection term, SE 0, and
+    # the rng is not touched
+    params = LimitParams(1.5, 0.0, offspring_delta(2), xi=None)
+    rng = np.random.default_rng(0)
+    est = generator_apply_bernoulli(params, 3, 0.4, 100, rng)
+    assert est.std_error == 0.0
+    # -1.5 * s(0.4) * 0.4 * 0.6 * 3 * 0.4^2 with s(x) = 1 + x
+    assert abs(est.mean - (-1.5 * 1.4 * 0.24 * 3 * 0.16)) < 1e-14
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_bernoulli_generator_zero_at_boundaries():
     params = LimitParams(1.0, 0.0, offspring_delta(1), xi=DIRAC_HALF)
     rng = np.random.default_rng(3)
